@@ -1,6 +1,6 @@
 """Command-line surface: solve, sweep, simulate, compete, validate.
 
-Exit codes: 0 success, 1 validation failure, 2 bad config or usage,
+Exit codes: 0 success, 1 validation failure, 2 bad config, usage or model error,
 3 irregular valuation law, 4 no equilibrium exists for the requested mode.
 Printed numbers carry 6 significant digits; files keep full precision.
 """
@@ -24,13 +24,7 @@ from .competition import (
     ranked_price_equilibrium,
 )
 from .config import load_scenario
-from .errors import (
-    ConfigError,
-    IrregularDistribution,
-    ModelMismatch,
-    PricingError,
-    TooManyClasses,
-)
+from .errors import ConfigError, IrregularDistribution, PricingError
 from .model import ExponentialDiscount, ExponentialDuration, MixtureDiscount, Scenario, apply_commission
 from .queues import (
     first_step_solve,
@@ -85,18 +79,21 @@ def _trace_rows(trace) -> list[tuple[int, float]]:
 
 def _parse_grid(spec: str) -> list[float]:
     spec = spec.strip()
-    if "," in spec:
-        return [float(x) for x in spec.split(",")]
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) == 4 and parts[3] == "log":
-            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-            return [float(x) for x in np.logspace(np.log10(a), np.log10(b), n)]
-        if len(parts) == 3:
-            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-            return [float(x) for x in np.linspace(a, b, n)]
-        raise ConfigError(f"bad grid spec {spec!r} (use a:b:n, a:b:n:log, or a comma list)")
-    return [float(spec)]
+    try:
+        if "," in spec:
+            return [float(x) for x in spec.split(",")]
+        if ":" in spec:
+            parts = spec.split(":")
+            if len(parts) == 4 and parts[3] == "log":
+                a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+                return [float(x) for x in np.logspace(np.log10(a), np.log10(b), n)]
+            if len(parts) == 3:
+                a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+                return [float(x) for x in np.linspace(a, b, n)]
+            raise ConfigError(f"bad grid spec {spec!r} (use a:b:n, a:b:n:log, or a comma list)")
+        return [float(spec)]
+    except ValueError as exc:
+        raise ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
 def _default_r_grid() -> list[float]:
@@ -240,7 +237,10 @@ def cmd_sweep(scenario: Scenario, param: str, grid_spec: str | None, outdir: Pat
 
 def _parse_prices(spec: str, scenario: Scenario):
     rows = [chunk for chunk in spec.split(";") if chunk.strip()]
-    matrix = [[float(x) for x in row.split(",")] for row in rows]
+    try:
+        matrix = [[float(x) for x in row.split(",")] for row in rows]
+    except ValueError as exc:
+        raise ConfigError(f"bad price list {spec!r}: {exc}") from exc
     if len(scenario.workers) == 1:
         if len(matrix) != 1:
             raise ConfigError("single-worker scenario takes one price row")
@@ -505,8 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--trace", action="store_true",
                              help="write a per-event CSV for the first replication")
         if name == "compete":
-            cmd.add_argument("--equilibrium", action="store_true",
-                             help="solve the ranked equilibrium (default)")
             cmd.add_argument("--dynamics", action="store_true",
                              help="run best-response dynamics instead")
             cmd.add_argument("--verify", action="store_true",
@@ -548,7 +546,7 @@ def main(argv=None) -> int:
     except NoEquilibrium as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ModelMismatch, TooManyClasses) as exc:
+    except PricingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,9 +25,5 @@ class NonFiniteRate(PricingError):
     """An earning-rate evaluation produced a non-finite value."""
 
 
-class TooManyClasses(PricingError):
-    """Exhaustive grid search is limited to three customer classes."""
-
-
 class SingularSystem(PricingError):
     """A first-step linear system is singular (no admitted arrivals)."""

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
-from .errors import ConfigError, ZeroDensity
+from .errors import ConfigError, ModelMismatch, ZeroDensity
 
 # Operational upper bound for laws with unbounded support: cut where the tail
 # drops below this mass.
@@ -391,7 +391,9 @@ class Scenario:
     @property
     def sole_worker(self) -> WorkerSpec:
         if len(self.workers) != 1:
-            raise ValueError("scenario has more than one worker")
+            raise ModelMismatch(
+                f"scenario has {len(self.workers)} workers; this model needs exactly one"
+            )
         return self.workers[0]
 
 

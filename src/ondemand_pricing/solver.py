@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .analytics import avg_earning_rate, discount_adjusted
-from .errors import IrregularDistribution, ModelMismatch, TooManyClasses
+from .errors import IrregularDistribution, ModelMismatch
 from .model import (
     CustomerClass,
     ExponentialDiscount,
@@ -23,13 +25,6 @@ from .model import (
     Scenario,
     regularity_check,
 )
-
-try:
-    import numba
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without the extra
-    NUMBA_AVAILABLE = False
 
 _BISECT_TOL = 1e-13
 _BISECT_MAX = 200
@@ -138,36 +133,19 @@ def solve_discounted(scenario: Scenario) -> Solution:
     return replace(sol, value=sol.rate / gamma)
 
 
-# --- exhaustive grid search, used as an independent check on the solver ---
-
-if NUMBA_AVAILABLE:
-
-    @numba.njit(cache=True)
-    def _best_over_cube(a1, b1, a2, b2, a3, b3):  # pragma: no cover - jit body
-        best = -1e300
-        bi = bj = bk = 0
-        for i in range(a1.shape[0]):
-            for j in range(a2.shape[0]):
-                num = a1[i] + a2[j]
-                den = 1.0 + b1[i] + b2[j]
-                for k in range(a3.shape[0]):
-                    r = (num + a3[k]) / (den + b3[k])
-                    if r > best:
-                        best = r
-                        bi, bj, bk = i, j, k
-        return best, bi, bj, bk
+# --- exact optimum over a price grid, an independent check on the solver ---
 
 
 def grid_search_optimum(scenario: Scenario, step: float = 1e-3) -> tuple[PriceVector, float]:
-    """Exhaustively scan a price grid of the given step on [0, upper bound] per class.
+    """Exact best price vector on a grid of the given step on [0, upper bound] per class.
 
-    Limited to three classes; intended as a slow cross-check of the solver.
+    The rate is a ratio N/D of per-class sums, so for a fixed candidate R the
+    objective N - R*D separates by class. Dinkelbach's iteration alternates a
+    per-class argmax of gains - R*weights with R = N/D, rising strictly until
+    it reaches the grid optimum; it holds for any number of classes.
     """
     if scenario.discount is not None:
         raise ModelMismatch("grid_search_optimum applies to undiscounted scenarios")
-    k = scenario.num_classes
-    if k > 3:
-        raise TooManyClasses("grid search supports at most three classes")
     cost = scenario.sole_worker.cost
     axes, gains, weights = [], [], []
     for cls in scenario.classes:
@@ -177,37 +155,15 @@ def grid_search_optimum(scenario: Scenario, step: float = 1e-3) -> tuple[PriceVe
         gains.append(cls.load * (axis - cost) * tails)
         weights.append(cls.load * tails)
 
-    if k == 1:
-        rates = gains[0] / (1.0 + weights[0])
-        i = int(np.argmax(rates))
-        return (float(axes[0][i]),), float(rates[i])
-
-    if k == 2:
-        best, bi, bj = -math.inf, 0, 0
-        for i in range(axes[0].size):
-            rates = (gains[0][i] + gains[1]) / (1.0 + weights[0][i] + weights[1])
-            j = int(np.argmax(rates))
-            if rates[j] > best:
-                best, bi, bj = float(rates[j]), i, j
-        return (float(axes[0][bi]), float(axes[1][bj])), best
-
-    if NUMBA_AVAILABLE:
-        best, bi, bj, bk = _best_over_cube(
-            gains[0], weights[0], gains[1], weights[1], gains[2], weights[2]
-        )
-        return (
-            float(axes[0][bi]),
-            float(axes[1][bj]),
-            float(axes[2][bk]),
-        ), float(best)
-
-    plane_gain = gains[1][:, None] + gains[2][None, :]
-    plane_weight = 1.0 + weights[1][:, None] + weights[2][None, :]
-    best, bi, bj, bk = -math.inf, 0, 0, 0
-    for i in range(axes[0].size):
-        rates = (gains[0][i] + plane_gain) / (plane_weight + weights[0][i])
-        flat = int(np.argmax(rates))
-        j, kk = divmod(flat, axes[2].size)
-        if rates[j, kk] > best:
-            best, bi, bj, bk = float(rates[j, kk]), i, j, kk
-    return (float(axes[0][bi]), float(axes[1][bj]), float(axes[2][bk])), best
+    picks, rate, reserve = None, -math.inf, 0.0
+    while True:
+        candidate = [int(np.argmax(g - reserve * w)) for g, w in zip(gains, weights)]
+        # left to right, N = g_1 + ... + g_K and D = 1 + w_1 + ... + w_K: the
+        # order of a brute-force scan, so both give the same rate to the bit
+        num = reduce(add, (g[i] for g, i in zip(gains, candidate)))
+        den = reduce(add, (w[i] for w, i in zip(weights, candidate)), 1.0)
+        achieved = float(num / den)
+        if achieved <= rate:
+            break
+        picks, rate, reserve = candidate, achieved, achieved
+    return tuple(float(axis[i]) for axis, i in zip(axes, picks)), rate

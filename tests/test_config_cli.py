@@ -249,10 +249,33 @@ def test_solve_discounted(tmp_path):
     assert (out / "trace.csv").exists()
 
 
-def test_exit_code_bad_config(tmp_path, capsys):
-    assert run_cli("solve", "--config", str(tmp_path / "nope.json"),
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--config", "nope.json"),
+        ("sweep", "--config", "two_class.json", "--param", "rho", "--grid", "x,y"),
+        ("sweep", "--config", "two_class.json", "--param", "rho", "--grid", "0:1:x"),
+        ("simulate", "--config", "two_class.json", "--prices", "0.5,abc"),
+        ("solve", "--config", "compete_ranked.json"),
+        ("sweep", "--config", "compete_ranked.json", "--param", "rho", "--grid", "1,2"),
+    ],
+    ids=["missing_config", "grid_list", "grid_range", "prices", "solve_fleet", "sweep_fleet"],
+)
+def test_exit_code_bad_config(tmp_path, capsys, argv):
+    command, flag, name, *rest = argv
+    assert run_cli(command, flag, str(CONFIGS / name), *rest,
                    "--out", str(tmp_path / "o")) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_exit_code_validate_zero_rate_queue(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "queue.json").read_text())
+    for cls in doc["classes"]:
+        cls["arrival_rate"] = 0.0
+    path = tmp_path / "zero_queue.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("validate", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_exit_code_irregular(tmp_path, capsys):
@@ -402,7 +425,7 @@ def test_compete_equilibrium(tmp_path, capsys):
 
 def test_compete_undifferentiated_has_no_equilibrium(tmp_path, capsys):
     assert run_cli("compete", "--config", str(CONFIGS / "undifferentiated.json"),
-                   "--equilibrium", "--out", str(tmp_path / "o")) == 4
+                   "--out", str(tmp_path / "o")) == 4
     assert "no pure price equilibrium" in capsys.readouterr().err
 
 

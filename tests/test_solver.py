@@ -11,8 +11,8 @@ from ondemand_pricing import (
     IrregularDistribution,
     PiecewiseLinearValuation,
     Scenario,
-    TooManyClasses,
     UniformValuation,
+    WorkerSpec,
     avg_earning_rate,
     discount_adjusted,
     grid_search_optimum,
@@ -206,7 +206,7 @@ def test_grid_search_two_classes(two_class_scenario):
     assert rate <= sol.rate + 1e-12
 
 
-def test_grid_search_three_classes_and_limit():
+def test_grid_search_three_and_four_classes():
     scn3 = Scenario(
         classes=(uniform_cls(1.0), uniform_cls(1.5), uniform_cls(2.0))
     )
@@ -216,9 +216,71 @@ def test_grid_search_three_classes_and_limit():
     assert rate >= sol.rate - 2e-3
     assert all(abs(p - q) <= 0.04 for p, q in zip(prices, sol.prices))
 
-    scn4 = Scenario(classes=(uniform_cls(1.0),) * 4)
-    with pytest.raises(TooManyClasses):
-        grid_search_optimum(scn4, step=0.1)
+    scn4 = Scenario(
+        classes=(uniform_cls(1.0), uniform_cls(1.5), uniform_cls(2.0), uniform_cls(2.5))
+    )
+    prices, rate = grid_search_optimum(scn4, step=0.01)
+    sol = solve_fixed_point(scn4)
+    assert rate <= sol.rate + 1e-12
+    assert rate >= sol.rate - 1e-3
+    assert all(abs(p - q) <= 0.02 for p, q in zip(prices, sol.prices))
+
+
+def brute_force_grid(scenario, step):
+    """Reference for grid_search_optimum: the rate at every price vector of
+    the grid, summed left to right, and its first maximiser in row-major order."""
+    cost = scenario.sole_worker.cost
+    k = scenario.num_classes
+    axes, num, den = [], None, 1.0
+    for index, cls in enumerate(scenario.classes):
+        axis = np.arange(0.0, cls.valuation.upper + step / 2.0, step)
+        tails = np.array([cls.valuation.tail(p) for p in axis])
+        shape = [1] * k
+        shape[index] = axis.size
+        gain = (cls.load * (axis - cost) * tails).reshape(shape)
+        num = gain if index == 0 else num + gain
+        den = den + (cls.load * tails).reshape(shape)
+        axes.append(axis)
+    rates = num / den
+    best = np.unravel_index(int(np.argmax(rates)), rates.shape)
+    return tuple(float(axis[i]) for axis, i in zip(axes, best)), float(rates[best])
+
+
+def random_grid_scenario(rng, k):
+    classes = []
+    for _ in range(k):
+        if rng.uniform() < 0.5:
+            low = float(rng.uniform(0.0, 0.4))
+            law = UniformValuation(low, low + float(rng.uniform(0.5, 1.1)))
+        else:
+            # increasing segment slopes keep the law regular
+            a, b = float(rng.uniform(0.3, 0.6)), float(rng.uniform(0.2, 0.5))
+            law = PiecewiseLinearValuation(((0.0, 0.0), (a, 0.3), (a + b, 1.0)))
+        classes.append(CustomerClass(
+            arrival_rate=float(rng.uniform(0.2, 2.0)),
+            duration=ExponentialDuration(float(rng.uniform(0.4, 2.5))),
+            valuation=law,
+        ))
+    cost = float(rng.uniform(0.0, 0.2))
+    return Scenario(classes=tuple(classes), workers=(WorkerSpec(cost=cost),))
+
+
+@pytest.mark.parametrize("k, step", [(1, 1e-3), (2, 1e-3), (2, 4e-3)])
+def test_grid_search_equals_brute_force_up_to_two_classes(k, step):
+    rng = np.random.default_rng(1000 * k + round(1 / step))
+    for _ in range(8):
+        scenario = random_grid_scenario(rng, k)
+        assert grid_search_optimum(scenario, step) == brute_force_grid(scenario, step)
+
+
+def test_grid_search_equals_brute_force_three_classes():
+    rng = np.random.default_rng(3025)
+    for _ in range(8):
+        scenario = random_grid_scenario(rng, 3)
+        prices, rate = grid_search_optimum(scenario, 0.025)
+        ref_prices, ref_rate = brute_force_grid(scenario, 0.025)
+        assert prices == ref_prices
+        assert abs(rate - ref_rate) <= 1e-15
 
 
 def test_price_response_randomized_roots():
