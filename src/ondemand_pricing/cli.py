@@ -1,7 +1,8 @@
 """Command-line surface: solve, sweep, simulate, compete, validate.
 
-Exit codes: 0 success, 1 validation failure, 2 bad config, usage or model error,
-3 irregular valuation law, 4 no equilibrium exists for the requested mode.
+Exit codes: 0 success, 1 validation failure, 2 bad config, usage or model error
+or unwritable output, 3 irregular valuation law, 4 no equilibrium exists for the
+requested mode.
 Printed numbers carry 6 significant digits; files keep full precision.
 """
 
@@ -546,7 +547,7 @@ def main(argv=None) -> int:
     except NoEquilibrium as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except PricingError as exc:
+    except (PricingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,13 +6,23 @@ spawn_key=(replication, class_index)), so adding a class or changing routing
 never perturbs another stream. Earnings accrue at (price - cost) per busy
 hour; rate estimates discard a warmup prefix, discounted estimates run from
 the idle start because the start state is part of the quantity.
+
+Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
+arrival, so the job a lone worker takes after the one ending at t + d is the
+first arrival it can afford at or after t + d; one `searchsorted` gives that
+successor for every job, and a pointer chase visits the accepted jobs only.
+A ranked fleet is a cascade of the kernel: workers in rank order each run it
+on the arrivals they can afford that no better-ranked worker took. The
+discounted simulator caps each successor at the first arrival of the next
+window, where the worker restarts idle. Only the one-waiting-spot queue keeps
+an event loop.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -178,7 +188,7 @@ def _class_arrivals(cls, rng, horizon: float):
 
 
 def _merged_events(scenario: Scenario, base_seed: int, rep: int, horizon: float):
-    """Time-ordered (time, class, valuation, duration) lists for one replication."""
+    """Time-ordered (time, class, valuation, duration) arrays for one replication."""
     all_t, all_k, all_v, all_d = [], [], [], []
     for k, cls in enumerate(scenario.classes):
         rng = _class_stream(base_seed, rep, k)
@@ -190,35 +200,93 @@ def _merged_events(scenario: Scenario, base_seed: int, rep: int, horizon: float)
     times = np.concatenate(all_t) if all_t else np.empty(0)
     order = np.argsort(times, kind="stable")
     return (
-        times[order].tolist(),
-        np.concatenate(all_k)[order].tolist(),
-        np.concatenate(all_v)[order].tolist(),
-        np.concatenate(all_d)[order].tolist(),
+        times[order],
+        np.concatenate(all_k)[order],
+        np.concatenate(all_v)[order],
+        np.concatenate(all_d)[order],
     )
 
 
-class _TraceWriter:
-    """Optional per-event CSV log (first replication only)."""
+def _loss_accepts(times, ends, cut=None) -> np.ndarray:
+    """Indices of the jobs a loss-system worker takes, starting idle.
 
-    def __init__(self, path: str | None):
-        self._file = None
-        self._writer = None
-        if path is not None:
-            self._file = open(path, "w", newline="")
-            self._writer = csv.writer(self._file)
-            self._writer.writerow(["time", "event", "class", "worker", "value"])
+    `times` are the sorted arrival times of the jobs the worker would take
+    and `ends` their completion times. The job after job i is the first
+    arrival at or after ends[i], capped at cut[i] when `cut` is given. A job
+    whose end rounds to its start (t + d == t) frees the worker for the next
+    arrival, even one at the same instant.
+    """
+    nxt = np.searchsorted(times, ends, "left")
+    if cut is not None:
+        np.minimum(nxt, cut, out=nxt)
+    nxt = nxt.tolist()
+    taken = []
+    i, n = 0, len(nxt)
+    while i < n:
+        taken.append(i)
+        j = nxt[i]
+        i = j if j > i else i + 1
+    return np.array(taken, dtype=np.intp)
 
-    def row(self, time: float, event: str, cls: int, worker, value: float) -> None:
-        if self._writer is not None:
-            self._writer.writerow([repr(time), event, cls, "" if worker is None else worker, repr(value)])
 
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
+def _running_sum(terms) -> float:
+    """Left-to-right sum from 0.0, as a running total adds it up: np.sum
+    pairs terms, which can change the last bit, and would keep the sign of
+    an all -0.0 sum (a job priced below cost inside the warm-up)."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
+def _loss_rep(events, workers, matrix, warm: float, horizon: float):
+    """One replication of the loss system under best-affordable-worker choice.
+
+    Returns each worker's earnings over [warm, horizon], the replication's
+    counts, the chosen worker per arrival (-1 when lost) and the mask of
+    arrivals priced out by every worker.
+    """
+    times, ks, vs, ds = events
+    ends = times + ds
+    chosen = np.full(times.size, -1, dtype=np.intp)
+    free = np.ones(times.size, dtype=bool)
+    earned = [0.0] * len(workers)
+    for i in sorted(range(len(workers)), key=lambda w: workers[w].rank):
+        prices = np.asarray(matrix[i])[ks]
+        offered = np.flatnonzero(free & (prices <= vs))
+        taken = offered[_loss_accepts(times[offered], ends[offered])]
+        free[taken] = False
+        chosen[taken] = i
+        overlap = np.maximum(
+            0.0, np.minimum(ends[taken], horizon) - np.maximum(times[taken], warm)
+        )
+        earned[i] = _running_sum((prices[taken] - workers[i].cost) * overlap)
+    lost_price = vs < np.min(np.asarray(matrix), axis=0)[ks]
+    n_acc = int(np.count_nonzero(chosen >= 0))
+    n_price = int(np.count_nonzero(lost_price))
+    counts = Counts(times.size, n_acc, times.size - n_acc - n_price, n_price)
+    return earned, counts, chosen, lost_price
+
+
+def _write_trace(path: str, events, chosen, lost_price) -> None:
+    """Per-event CSV of one replication, in arrival order."""
+    times, ks, vs, _ = events
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "event", "class", "worker", "value"])
+        for t, k, v, w, priced_out in zip(times.tolist(), ks.tolist(), vs.tolist(),
+                                          chosen.tolist(), lost_price.tolist()):
+            if w >= 0:
+                writer.writerow([repr(t), "accept", k, w, repr(v)])
+            else:
+                event = "lost_price" if priced_out else "lost_busy"
+                writer.writerow([repr(t), event, k, "", repr(v)])
 
 
 def _window_overlap(start: float, end: float, lo: float, hi: float) -> float:
     return max(0.0, min(end, hi) - max(start, lo))
+
+
+def _no_trace(config: SimConfig, model: str) -> None:
+    if config.trace_path is not None:
+        raise ConfigError(f"event traces cover loss systems only, not {model} runs")
 
 
 def _check_matrix(scenario: Scenario, prices) -> list[list[float]]:
@@ -232,66 +300,45 @@ def _check_matrix(scenario: Scenario, prices) -> list[list[float]]:
     return matrix
 
 
-def simulate(config: SimConfig, prices) -> SimStats:
-    """Simulate the loss system: a lone worker, or a ranked fleet under
-    best-affordable-worker choice. Returns rate statistics over replications."""
-    scenario = config.scenario
+def _loss_matrix(scenario: Scenario, prices) -> list[list[float]]:
+    """The validated price matrix, one row per worker, of a loss-system run."""
     if scenario.queue_capacity != 0:
         raise ModelMismatch("use simulate_queue for scenarios with waiting room")
     if scenario.discount is not None:
         raise ModelMismatch("use simulate_discounted for discounted scenarios")
-    single = len(scenario.workers) == 1
-    if single:
-        matrix = [_check_single_prices(scenario, prices)]
-    else:
-        matrix = _check_matrix(scenario, prices)
-        ranks = [w.rank for w in scenario.workers]
-        if len(set(ranks)) != len(ranks):
-            raise ConfigError("fleet simulation needs distinct quality ranks")
-    order = sorted(range(len(scenario.workers)), key=lambda i: scenario.workers[i].rank)
-    costs = [w.cost for w in scenario.workers]
+    if len(scenario.workers) == 1:
+        return [_check_single_prices(scenario, prices)]
+    matrix = _check_matrix(scenario, prices)
+    ranks = [w.rank for w in scenario.workers]
+    if len(set(ranks)) != len(ranks):
+        raise ConfigError("fleet simulation needs distinct quality ranks")
+    return matrix
+
+
+def simulate(config: SimConfig, prices) -> SimStats:
+    """Simulate the loss system: a lone worker, or a ranked fleet under
+    best-affordable-worker choice. Returns rate statistics over replications."""
+    scenario = config.scenario
+    matrix = _loss_matrix(scenario, prices)
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
     span = horizon - warm
 
-    trace = _TraceWriter(config.trace_path)
     rep_totals = []
     worker_reps: list[list[float]] = [[] for _ in scenario.workers]
     counts = Counts()
     for rep in range(config.replications):
-        log = trace if rep == 0 else _TraceWriter(None)
-        times, ks, vs, ds = _merged_events(scenario, config.base_seed, rep, horizon)
-        busy_until = [0.0] * len(scenario.workers)
-        earned = [0.0] * len(scenario.workers)
-        n_arr = n_acc = n_busy = n_price = 0
-        for t, k, v, d in zip(times, ks, vs, ds):
-            n_arr += 1
-            if v < min(matrix[i][k] for i in range(len(matrix))):
-                n_price += 1
-                log.row(t, "lost_price", k, None, v)
-                continue
-            chosen = None
-            for i in order:
-                if busy_until[i] <= t and matrix[i][k] <= v:
-                    chosen = i
-                    break
-            if chosen is None:
-                n_busy += 1
-                log.row(t, "lost_busy", k, None, v)
-                continue
-            n_acc += 1
-            busy_until[chosen] = t + d
-            earned[chosen] += (matrix[chosen][k] - costs[chosen]) * _window_overlap(
-                t, t + d, warm, horizon
-            )
-            log.row(t, "accept", k, chosen, v)
-        assert n_acc + n_busy + n_price == n_arr
-        counts += Counts(n_arr, n_acc, n_busy, n_price)
+        events = _merged_events(scenario, config.base_seed, rep, horizon)
+        earned, rep_counts, chosen, lost_price = _loss_rep(
+            events, scenario.workers, matrix, warm, horizon
+        )
+        if rep == 0 and config.trace_path is not None:
+            _write_trace(config.trace_path, events, chosen, lost_price)
+        counts += rep_counts
         rates = [e / span for e in earned]
         for i, r in enumerate(rates):
             worker_reps[i].append(r)
         rep_totals.append(sum(rates))
-    trace.close()
     return _stats(
         "rate",
         rep_totals,
@@ -335,7 +382,8 @@ def simulate_discounted(config: SimConfig, prices, gamma: float | None = None) -
             raise ConfigError("no discount rate given and none in the scenario")
     elif not gamma > 0.0:
         raise ConfigError("gamma must be positive")
-    price_list = _check_single_prices(scenario, prices)
+    _no_trace(config, "discounted")
+    price_arr = np.asarray(_check_single_prices(scenario, prices))
     cost = scenario.workers[0].cost
     base = Scenario(classes=scenario.classes, workers=scenario.workers)
     budget = config.horizon_hours()
@@ -352,32 +400,20 @@ def simulate_discounted(config: SimConfig, prices, gamma: float | None = None) -
         window = min(_DISCOUNT_SPAN / g, budget)
         n_win = max(1, int(budget / window))
         times, ks, vs, ds = _merged_events(base, config.base_seed, rep, n_win * window)
-        busy_until = 0.0
-        busy_win = -1
+        wins = (times / window).astype(np.int64)
+        # an arrival at the horizon can fall in window n_win; it is not simulated
+        n_arr = int(np.searchsorted(wins, n_win, "left"))
+        job_prices = price_arr[ks[:n_arr]]
+        fits = np.flatnonzero(~(vs[:n_arr] < job_prices))
+        t, w = times[fits], wins[fits]
+        taken = _loss_accepts(t, t + ds[fits], cut=np.searchsorted(w, w, "right"))
+        local = t[taken] - w[taken] * window
         value = 0.0
-        n_arr = n_acc = n_busy = n_price = 0
-        for t, k, v, d in zip(times, ks, vs, ds):
-            w = int(t / window)
-            if w >= n_win:
-                break
-            n_arr += 1
-            if v < price_list[k]:
-                n_price += 1
-                continue
-            if busy_until > t and busy_win == w:
-                n_busy += 1
-                continue
-            n_acc += 1
-            busy_until = t + d
-            busy_win = w
-            local = t - w * window
-            value += (
-                (price_list[k] - cost)
-                * (math.exp(-g * local) - math.exp(-g * (local + d)))
-                / g
-            )
-        assert n_acc + n_busy + n_price == n_arr
-        counts += Counts(n_arr, n_acc, n_busy, n_price)
+        for margin, start, d in zip((job_prices[fits][taken] - cost).tolist(),
+                                    local.tolist(), ds[fits][taken].tolist()):
+            value += margin * (math.exp(-g * start) - math.exp(-g * (start + d))) / g
+        n_price = n_arr - fits.size
+        counts += Counts(n_arr, taken.size, n_arr - taken.size - n_price, n_price)
         mean_value = value / n_win
         rep_values.append(g * mean_value if mixture else mean_value)
     return _stats("value", rep_values, counts)
@@ -397,6 +433,7 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     for cls in scenario.classes:
         if not isinstance(cls.duration, ExponentialDuration):
             raise ModelMismatch("simulate_queue needs exponential durations")
+    _no_trace(config, "queue")
     prices = [float(price_a), float(price_b)]
     cost = scenario.workers[0].cost
     horizon = config.horizon_hours()
@@ -407,24 +444,24 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     counts = Counts()
     for rep in range(config.replications):
         times, ks, vs, ds = _merged_events(scenario, config.base_seed, rep, horizon)
+        # A priced-out arrival changes no state, and a waiting job starts at
+        # service_end whichever arrival comes next, so the loop skips them.
+        fits = np.flatnonzero(~(vs < np.asarray(prices)[ks]))
+        n_arr, n_price = times.size, times.size - fits.size
         service_end = 0.0
         pending: tuple[int, float] | None = None
         earned = 0.0
-        n_arr = n_acc = n_busy = n_price = 0
+        n_acc = n_busy = 0
 
         def start_job(k: int, start: float, dur: float) -> float:
             nonlocal earned
             earned += (prices[k] - cost) * _window_overlap(start, start + dur, warm, horizon)
             return start + dur
 
-        for t, k, v, d in zip(times, ks, vs, ds):
+        for t, k, d in zip(times[fits].tolist(), ks[fits].tolist(), ds[fits].tolist()):
             if pending is not None and service_end <= t:
                 service_end = start_job(pending[0], service_end, pending[1])
                 pending = None
-            n_arr += 1
-            if v < prices[k]:
-                n_price += 1
-                continue
             if service_end <= t:
                 n_acc += 1
                 service_end = start_job(k, t, d)
@@ -485,11 +522,7 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
         raise ModelMismatch("deviation_scan supports single-class scenarios")
     if config.replications < 2:
         raise ConfigError("deviation_scan needs at least two replications")
-    single = len(scenario.workers) == 1
-    if single:
-        matrix = [_check_single_prices(scenario, equilibrium_prices)]
-    else:
-        matrix = _check_matrix(scenario, equilibrium_prices)
+    matrix = _loss_matrix(scenario, equilibrium_prices)
     if not 0 <= worker_index < len(scenario.workers):
         raise ConfigError(f"no worker at index {worker_index}")
     base_price = matrix[worker_index][0]
@@ -497,25 +530,34 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
         price_grid = np.linspace(0.8 * base_price, 1.2 * base_price, 21)
     price_grid = [float(p) for p in price_grid]
     z = NormalDist().inv_cdf(1.0 - 0.025 / len(price_grid))
-
-    def run(cfg: SimConfig, mat) -> SimStats:
-        return simulate(cfg, mat[0] if single else mat)
-
-    def worker_reps(stats: SimStats) -> np.ndarray:
-        if stats.per_worker_reps is not None:
-            return np.asarray(stats.per_worker_reps[worker_index])
-        return np.asarray(stats.rep_values)
-
-    baseline = run(config, matrix)
-    base_mean, base_se = baseline.worker_mean_se(worker_index)
-    base_reps = worker_reps(baseline)
-    points = []
+    trials = [matrix]
     for candidate in price_grid:
         trial = [row[:] for row in matrix]
         trial[worker_index][0] = candidate
-        stats = run(replace(config, trace_path=None), trial)
-        mean, se = stats.worker_mean_se(worker_index)
-        deltas = worker_reps(stats) - base_reps
+        trials.append(trial)
+
+    # One replication's events at a time, shared by the baseline and every
+    # candidate: the same draws simulate() would make for each of them.
+    horizon = config.horizon_hours()
+    warm = config.warmup_fraction * horizon
+    span = horizon - warm
+    rates: list[list[float]] = [[] for _ in trials]
+    for rep in range(config.replications):
+        events = _merged_events(scenario, config.base_seed, rep, horizon)
+        for j, trial in enumerate(trials):
+            earned, _, chosen, lost_price = _loss_rep(
+                events, scenario.workers, trial, warm, horizon
+            )
+            if rep == j == 0 and config.trace_path is not None:
+                _write_trace(config.trace_path, events, chosen, lost_price)
+            rates[j].append(earned[worker_index] / span)
+
+    base_mean, base_se = _mean_se(rates[0])
+    base_reps = np.asarray(rates[0])
+    points = []
+    for candidate, row in zip(price_grid, rates[1:]):
+        mean, se = _mean_se(row)
+        deltas = np.asarray(row) - base_reps
         delta = float(deltas.mean())
         delta_se = float(deltas.std(ddof=1) / math.sqrt(deltas.size))
         points.append(

@@ -258,14 +258,21 @@ def test_solve_discounted(tmp_path):
         ("simulate", "--config", "two_class.json", "--prices", "0.5,abc"),
         ("solve", "--config", "compete_ranked.json"),
         ("sweep", "--config", "compete_ranked.json", "--param", "rho", "--grid", "1,2"),
+        ("simulate", "--config", "discounted.json", "--trace"),
+        ("simulate", "--config", "mixture.json", "--trace"),
+        ("simulate", "--config", "queue.json", "--trace"),
+        ("solve", "--config", "two_class.json", "--out", "a_file"),
     ],
-    ids=["missing_config", "grid_list", "grid_range", "prices", "solve_fleet", "sweep_fleet"],
+    ids=["missing_config", "grid_list", "grid_range", "prices", "solve_fleet", "sweep_fleet",
+         "trace_discounted", "trace_mixture", "trace_queue", "out_is_file"],
 )
-def test_exit_code_bad_config(tmp_path, capsys, argv):
+def test_exit_code_bad_config(tmp_path, monkeypatch, capsys, argv):
     command, flag, name, *rest = argv
-    assert run_cli(command, flag, str(CONFIGS / name), *rest,
-                   "--out", str(tmp_path / "o")) == 2
+    monkeypatch.chdir(tmp_path)
+    Path("a_file").write_text("")
+    assert run_cli(command, flag, str(CONFIGS / name), "--out", "o", *rest) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not Path("o", "manifest.json").exists()
 
 
 def test_exit_code_validate_zero_rate_queue(tmp_path, capsys):

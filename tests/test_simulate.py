@@ -6,9 +6,18 @@ import pytest
 
 from ondemand_pricing import (
     ConfigError,
+    CustomerClass,
+    DeterministicDuration,
+    EmpiricalDuration,
+    ExponentialDiscount,
+    ExponentialDuration,
+    ExponentialValuation,
+    MixtureDiscount,
     ModelMismatch,
+    PiecewiseLinearValuation,
     Scenario,
     SimConfig,
+    UniformValuation,
     WorkerSpec,
     deviation_scan,
     discounted_value,
@@ -22,6 +31,7 @@ from ondemand_pricing import (
     solve_discounted,
     solve_fixed_point,
 )
+from ondemand_pricing.simulate import Counts, _merged_events, _stats
 from tests.conftest import queue_scenario, unit_uniform_class
 
 
@@ -222,3 +232,219 @@ def test_deviation_scan_guards(two_class_scenario, single_class_scenario):
         deviation_scan(scan_config(two_class_scenario), (0.7, 1.2), 0)
     with pytest.raises(ConfigError):
         deviation_scan(scan_config(single_class_scenario), (0.5,), 3)
+
+
+# --- bit identity with the per-event loops ---
+# The simulators step through accepted jobs only. These are the per-event
+# loops they replaced, kept as references: same draws, same float operations
+# in the same order, so every statistic and every trace byte must match.
+
+
+def reference_simulate(config, prices):
+    scenario = config.scenario
+    if len(scenario.workers) == 1:
+        matrix = [[float(p) for p in prices]]
+    else:
+        matrix = [[float(p) for p in row] for row in prices]
+    order = sorted(range(len(scenario.workers)), key=lambda i: scenario.workers[i].rank)
+    costs = [w.cost for w in scenario.workers]
+    horizon = config.horizon_hours()
+    warm = config.warmup_fraction * horizon
+    span = horizon - warm
+    rep_totals = []
+    worker_reps = [[] for _ in scenario.workers]
+    counts = Counts()
+    trace = open(config.trace_path, "w", newline="") if config.trace_path else None
+    log = csv.writer(trace) if trace else None
+    if log:
+        log.writerow(["time", "event", "class", "worker", "value"])
+    for rep in range(config.replications):
+        events = [a.tolist() for a in _merged_events(scenario, config.base_seed, rep, horizon)]
+        row = log.writerow if log and rep == 0 else (lambda r: None)
+        busy_until = [0.0] * len(scenario.workers)
+        earned = [0.0] * len(scenario.workers)
+        n_arr = n_acc = n_busy = n_price = 0
+        for t, k, v, d in zip(*events):
+            n_arr += 1
+            if v < min(matrix[i][k] for i in range(len(matrix))):
+                n_price += 1
+                row([repr(t), "lost_price", k, "", repr(v)])
+                continue
+            chosen = None
+            for i in order:
+                if busy_until[i] <= t and matrix[i][k] <= v:
+                    chosen = i
+                    break
+            if chosen is None:
+                n_busy += 1
+                row([repr(t), "lost_busy", k, "", repr(v)])
+                continue
+            n_acc += 1
+            busy_until[chosen] = t + d
+            overlap = max(0.0, min(t + d, horizon) - max(t, warm))
+            earned[chosen] += (matrix[chosen][k] - costs[chosen]) * overlap
+            row([repr(t), "accept", k, chosen, repr(v)])
+        counts += Counts(n_arr, n_acc, n_busy, n_price)
+        rates = [e / span for e in earned]
+        for i, r in enumerate(rates):
+            worker_reps[i].append(r)
+        rep_totals.append(sum(rates))
+    if trace:
+        trace.close()
+    return _stats("rate", rep_totals, counts,
+                  per_worker_reps=tuple(tuple(row) for row in worker_reps))
+
+
+def reference_simulate_discounted(config, prices, gamma=None):
+    scenario = config.scenario
+    mix = scenario.discount if gamma is None and isinstance(scenario.discount, MixtureDiscount) \
+        else None
+    if gamma is None and mix is None:
+        gamma = scenario.discount.rate
+    price_list = [float(p) for p in prices]
+    cost = scenario.workers[0].cost
+    base = Scenario(classes=scenario.classes, workers=scenario.workers)
+    budget = config.horizon_hours()
+    rep_values = []
+    counts = Counts()
+    for rep in range(config.replications):
+        if mix is not None:
+            aux = np.random.default_rng(np.random.SeedSequence(config.base_seed, spawn_key=(rep,)))
+            g = float(aux.choice(np.asarray(mix.rates), p=np.asarray(mix.weights)))
+        else:
+            g = float(gamma)
+        window = min(40.0 / g, budget)
+        n_win = max(1, int(budget / window))
+        events = [a.tolist() for a in _merged_events(base, config.base_seed, rep,
+                                                     n_win * window)]
+        busy_until = 0.0
+        busy_win = -1
+        value = 0.0
+        n_arr = n_acc = n_busy = n_price = 0
+        for t, k, v, d in zip(*events):
+            w = int(t / window)
+            if w >= n_win:
+                break
+            n_arr += 1
+            if v < price_list[k]:
+                n_price += 1
+                continue
+            if busy_until > t and busy_win == w:
+                n_busy += 1
+                continue
+            n_acc += 1
+            busy_until = t + d
+            busy_win = w
+            local = t - w * window
+            value += (price_list[k] - cost) * (math.exp(-g * local)
+                                               - math.exp(-g * (local + d))) / g
+        counts += Counts(n_arr, n_acc, n_busy, n_price)
+        mean_value = value / n_win
+        rep_values.append(g * mean_value if mix is not None else mean_value)
+    return _stats("value", rep_values, counts)
+
+
+def assert_same_stats(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # also tells 0.0 from -0.0
+
+
+def mixed_classes(k):
+    laws = (
+        (UniformValuation(0.0, 1.0), ExponentialDuration(1.0)),
+        (ExponentialValuation(2.0), DeterministicDuration(0.3)),
+        (PiecewiseLinearValuation(((0.0, 0.0), (0.5, 0.6), (1.5, 1.0))),
+         EmpiricalDuration((0.1, 0.25, 0.25, 1.5))),
+        (UniformValuation(0.2, 2.0), ExponentialDuration(3.0)),
+    )
+    return tuple(CustomerClass(arrival_rate=0.5 + 0.4 * i, valuation=v, duration=d)
+                 for i, (v, d) in enumerate(laws[:k]))
+
+
+LOSS_CASES = {
+    "one_class": (Scenario(classes=mixed_classes(1)), (0.45,)),
+    "two_classes": (Scenario(classes=mixed_classes(2)), (0.6, 0.3)),
+    "three_classes": (Scenario(classes=mixed_classes(3)), (0.5, 0.4, 0.7)),
+    "four_classes": (Scenario(classes=mixed_classes(4), workers=(WorkerSpec(cost=0.1),)),
+                     (0.5, 0.4, 0.7, 0.9)),
+    "choke_prices": (Scenario(classes=mixed_classes(2)), (1.0, 1e9)),
+    "fleet_two": (
+        Scenario(classes=mixed_classes(2),
+                 workers=(WorkerSpec(rank=2, cost=0.05), WorkerSpec(rank=1))),
+        ((0.3, 0.2), (0.6, 0.5)),
+    ),
+    "fleet_three_zero_rate_class": (
+        Scenario(classes=(*mixed_classes(2),
+                          CustomerClass(arrival_rate=0.0, valuation=UniformValuation(0.0, 1.0),
+                                        duration=ExponentialDuration(1.0))),
+                 workers=(WorkerSpec(rank=3), WorkerSpec(rank=1, cost=0.1),
+                          WorkerSpec(rank=2))),
+        ((0.1, 0.05, 0.2), (0.7, 0.4, 0.5), (0.4, 0.2, 0.3)),
+    ),
+    # t + d rounds to t, so the worker is free again at the same instant
+    "duration_below_ulp": (
+        Scenario(classes=(CustomerClass(arrival_rate=2.0, valuation=UniformValuation(0.0, 1.0),
+                                        duration=DeterministicDuration(1e-300)),
+                          *mixed_classes(1))),
+        (0.3, 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOSS_CASES))
+def test_loss_kernel_matches_event_loop(tmp_path, case):
+    scenario, prices = LOSS_CASES[case]
+    kw = dict(expected_arrivals=3_000.0, replications=4, base_seed=77)
+    got = simulate(small_config(scenario, trace_path=str(tmp_path / "got.csv"), **kw), prices)
+    want = reference_simulate(small_config(scenario, trace_path=str(tmp_path / "want.csv"),
+                                           **kw), prices)
+    assert_same_stats(got, want)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_loss_kernel_matches_event_loop_below_cost_in_warmup():
+    # jobs priced below cost earn -0.0 inside the warm-up: a replication with
+    # no later job must still report a rate of 0.0
+    scenario = Scenario(
+        classes=(CustomerClass(arrival_rate=1.0, valuation=UniformValuation(0.0, 1.0),
+                               duration=DeterministicDuration(0.01)),),
+        workers=(WorkerSpec(cost=0.5),),
+    )
+    cfg = SimConfig(scenario=scenario, horizon=2.0, replications=40, base_seed=5,
+                    warmup_fraction=0.5)
+    got = simulate(cfg, (0.2,))
+    assert_same_stats(got, reference_simulate(cfg, (0.2,)))
+    assert 0.0 in got.rep_values
+
+
+@pytest.mark.parametrize("gamma", [None, 0.8, 25.0])
+def test_discounted_kernel_matches_event_loop(gamma):
+    scenario = Scenario(classes=mixed_classes(3), workers=(WorkerSpec(cost=0.05),),
+                        discount=ExponentialDiscount(4.0))
+    cfg = small_config(scenario, expected_arrivals=4_000.0, replications=4)
+    prices = (0.4, 0.3, 0.6)
+    assert_same_stats(simulate_discounted(cfg, prices, gamma=gamma),
+                      reference_simulate_discounted(cfg, prices, gamma=gamma))
+
+
+def test_mixture_kernel_matches_event_loop():
+    scenario = Scenario(classes=mixed_classes(2),
+                        discount=MixtureDiscount(weights=(0.3, 0.7), rates=(6.0, 20.0)))
+    cfg = small_config(scenario, expected_arrivals=4_000.0, replications=6)
+    for prices in ((0.5, 0.35), (1.0, 1e9)):
+        assert_same_stats(simulate_discounted(cfg, prices),
+                          reference_simulate_discounted(cfg, prices))
+
+
+def test_deviation_scan_equals_separate_simulations(ranked_fleet_scenario):
+    cfg = SimConfig(scenario=ranked_fleet_scenario, expected_arrivals=2_000.0,
+                    replications=4, base_seed=9)
+    matrix = [[0.6], [0.4]]
+    grid = [0.3, 0.45, 0.6]
+    report = deviation_scan(cfg, matrix, 1, grid)
+    base = reference_simulate(cfg, matrix).per_worker_reps[1]
+    assert report.baseline_mean == np.mean(base)
+    for point, price in zip(report.points, grid):
+        reps = reference_simulate(cfg, [[0.6], [price]]).per_worker_reps[1]
+        assert (point.mean, point.delta) == (float(np.mean(reps)),
+                                              float(np.mean(np.subtract(reps, base))))
