@@ -264,6 +264,14 @@ def _solved_prices(scenario: Scenario):
     return [list(eq.by_rank(w.rank).prices) for w in scenario.workers]
 
 
+def _require_traceable(scenario: Scenario) -> None:
+    """Reject --trace up front on models whose simulators write no event trace,
+    before any solve runs or --out is created."""
+    if scenario.queue_capacity == 1 or scenario.discount is not None:
+        raise ConfigError("event traces cover loss systems only, not queue or "
+                          "discounted runs")
+
+
 def cmd_simulate(scenario: Scenario, prices_spec: str, seed: int, outdir: Path,
                  trace: bool) -> list[str]:
     if prices_spec == "solved":
@@ -339,6 +347,7 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
                 "prices": list(outcome.prices),
                 "rate": outcome.rate,
                 "busy_fraction": outcome.busy_fraction,
+                "converged": outcome.converged,
             }
         )
     payload = {"mode": "equilibrium", "workers": workers_payload}
@@ -518,6 +527,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         scenario = load_scenario(args.config)
+        if args.command == "simulate" and args.trace:
+            _require_traceable(scenario)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         ok = True

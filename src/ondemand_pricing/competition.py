@@ -30,10 +30,8 @@ from .model import (
     apply_commission,
     check_prices,
 )
-from .solver import solve_fixed_point
+from .solver import _increasing_root, solve_fixed_point
 
-_GRID_POINTS = 10_000
-_REFINE_POINTS = 2_000
 _MAX_FLEET = 10
 
 
@@ -104,22 +102,40 @@ def _residual_rate(curves, prices, cost: float) -> float:
     return num / den
 
 
-def _argmax_on_grid(fn, lo: float, hi: float) -> float:
-    """Two-stage dense scan; robust to the kinks residual curves carry."""
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    vals = [fn(float(x)) for x in xs]
-    i = int(np.argmax(vals))
-    left = xs[max(i - 1, 0)]
-    right = xs[min(i + 1, len(xs) - 1)]
-    fine = np.linspace(left, right, _REFINE_POINTS)
-    fvals = [fn(float(x)) for x in fine]
-    j = int(np.argmax(fvals))
-    return float(fine[j])
+def _best_response(curve: ResidualDemandCurve, floor: float) -> float:
+    """Price maximizing (p - floor) * demand(p) against one residual curve.
+
+    Upstream prices inside the valuation support cut it into pieces. Every
+    valuation on a piece [a, b] passes the upstream workers with the same
+    weight A, the product of the busy fractions of the upstream prices <= a,
+    so demand there is lam * (A * tail(p) + B) with
+    B = demand(a)/lam - A * tail(a) <= 0. The first-order condition is a
+    shifted virtual-value root, p - floor = (tail(p) + B/A) / density(p), and
+    for a strictly regular law the gap between its two sides increases along
+    the piece, so the objective is unimodal there and the piece's best price
+    is that root or an endpoint. Ties go to the lowest price.
+    """
+    law = curve.customer_class.valuation
+    lam = curve.customer_class.arrival_rate
+    lo, hi = law.lower, law.upper
+    edges = sorted({lo, hi, *(q for q, _ in curve.levels if lo < q < hi)})
+    candidates = set(edges)
+    for a, b in zip(edges, edges[1:]):
+        scale = lam * math.prod(busy for q, busy in curve.levels if q <= a)
+        if scale > 0.0 and floor < b:
+            shift = curve.demand(a) / scale - law.tail(a)
+            candidates.add(_increasing_root(
+                lambda p: (p - floor) - (law.tail(p) + shift) / law.density(p),
+                max(a, floor),
+                b,
+            ))
+    return max(sorted(candidates), key=lambda p: (p - floor) * curve.demand(p))
 
 
-def _optimize_vs_residual(curves, cost: float,
-                          tol: float = 1e-12, max_iter: int = 500) -> tuple[PriceVector, float]:
-    """Best prices against fixed residual demand curves.
+def _optimize_vs_residual(curves, cost: float, tol: float = 1e-12,
+                          max_iter: int = 500) -> tuple[PriceVector, float, bool]:
+    """Best prices against fixed residual demand curves, their rate, and
+    whether the reserve iteration converged within max_iter steps.
 
     Same reserve-rate decomposition as the loss-system solver: at reserve R
     each class's price maximizes (p - cost - R) times residual demand, and the
@@ -128,19 +144,12 @@ def _optimize_vs_residual(curves, cost: float,
     reserve = 0.0
     prices: tuple[float, ...] = ()
     for _ in range(max_iter):
-        prices = tuple(
-            _argmax_on_grid(
-                lambda p, c=curve, r=reserve: (p - cost - r) * c.demand(p),
-                curve.customer_class.valuation.lower,
-                curve.customer_class.valuation.upper,
-            )
-            for curve in curves
-        )
+        prices = tuple(_best_response(curve, cost + reserve) for curve in curves)
         achieved = _residual_rate(curves, prices, cost)
         if abs(achieved - reserve) <= tol:
-            return prices, achieved
+            return prices, achieved, True
         reserve = achieved
-    return prices, reserve
+    return prices, reserve, False
 
 
 @dataclass(frozen=True)
@@ -151,6 +160,7 @@ class WorkerOutcome:
     prices: PriceVector
     rate: float
     busy_fraction: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -186,7 +196,8 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
     worker. Each later worker maximizes the loss-system functional against the
     residual demand left by everyone ranked above; their equilibrium prices do
     not depend on anything ranked below. With a commission in force all
-    prices are net (retained) rates.
+    prices are net (retained) rates. Each outcome says whether that worker's
+    reserve-rate iteration converged.
     """
     if scenario.queue_capacity != 0 or scenario.discount is not None:
         raise ModelMismatch(
@@ -203,16 +214,17 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
         if level == 0:
             sub = Scenario(classes=scenario.classes, workers=(WorkerSpec(cost=worker.cost),))
             sol = solve_fixed_point(sub)
-            prices, rate = sol.prices, sol.rate
+            prices, rate, converged = sol.prices, sol.rate, sol.converged
         else:
-            prices, rate = _optimize_vs_residual(curves, worker.cost)
+            prices, rate, converged = _optimize_vs_residual(curves, worker.cost)
         offered = sum(
             curve.demand(p) * curve.customer_class.duration.mean
             for curve, p in zip(curves, prices)
         )
         busy = offered / (1.0 + offered)
         outcomes.append(
-            WorkerOutcome(rank=worker.rank, prices=prices, rate=rate, busy_fraction=busy)
+            WorkerOutcome(rank=worker.rank, prices=prices, rate=rate,
+                          busy_fraction=busy, converged=converged)
         )
         curves = [
             curve.extended(p, busy) for curve, p in zip(curves, prices)

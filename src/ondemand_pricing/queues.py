@@ -43,9 +43,8 @@ def _queue_parts(scenario: Scenario) -> tuple[CustomerClass, CustomerClass, floa
     return scenario.classes[0], scenario.classes[1], scenario.workers[0].cost
 
 
-def queue_rate(scenario: Scenario, price_a: float, price_b: float) -> float:
-    """Long-run average earning rate with one waiting spot, in closed form."""
-    cls_a, cls_b, cost = _queue_parts(scenario)
+def _queue_rate(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
+                price_a: float, price_b: float) -> float:
     admit_a = cls_a.arrival_rate * cls_a.valuation.tail(price_a)
     admit_b = cls_b.arrival_rate * cls_b.valuation.tail(price_b)
     mu_a = cls_a.duration.rate
@@ -57,6 +56,11 @@ def queue_rate(scenario: Scenario, price_a: float, price_b: float) -> float:
     num = (price_a - cost) * admit_a / mu_a + (price_b - cost) * admit_b / mu_b
     den = idle_weight + admit_a / mu_a + admit_b / mu_b
     return num / den
+
+
+def queue_rate(scenario: Scenario, price_a: float, price_b: float) -> float:
+    """Long-run average earning rate with one waiting spot, in closed form."""
+    return _queue_rate(*_queue_parts(scenario), price_a, price_b)
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,10 @@ def _search_starts(bounds, objective, coarse: bool = True) -> list[list[float]]:
 def queue_optimize(scenario: Scenario) -> tuple[PriceVector, float]:
     """Jointly optimal prices for the capacity-one queue via multi-start
     coordinate ascent on the closed-form rate."""
-    _queue_parts(scenario)
+    parts = _queue_parts(scenario)
 
     def objective(p) -> float:
-        return queue_rate(scenario, p[0], p[1])
+        return _queue_rate(*parts, p[0], p[1])
 
     bounds = _price_box(scenario)
     prices, rate = multi_start_ascent(
@@ -205,14 +209,8 @@ def _mixture_parts(scenario: Scenario):
     return mix, cost, branch_loads
 
 
-def mixture_horizon_value(scenario: Scenario, prices) -> float:
-    """Pricing objective under a mixture of exponential horizons: the weighted
-    sum over branches of the branch's discount-adjusted average earning rate.
-
-    For a single branch with rate 1 this coincides with discounted_value.
-    """
-    mix, cost, branch_loads = _mixture_parts(scenario)
-    prices = check_prices(scenario, prices)
+def _mixture_value(scenario: Scenario, parts, prices) -> float:
+    mix, cost, branch_loads = parts
     tails = [cls.valuation.tail(p) for cls, p in zip(scenario.classes, prices)]
     total = 0.0
     for w, loads in zip(mix.weights, branch_loads):
@@ -224,12 +222,23 @@ def mixture_horizon_value(scenario: Scenario, prices) -> float:
     return total
 
 
+def mixture_horizon_value(scenario: Scenario, prices) -> float:
+    """Pricing objective under a mixture of exponential horizons: the weighted
+    sum over branches of the branch's discount-adjusted average earning rate.
+
+    For a single branch with rate 1 this coincides with discounted_value.
+    """
+    parts = _mixture_parts(scenario)
+    return _mixture_value(scenario, parts, check_prices(scenario, prices))
+
+
 def mixture_horizon_optimize(scenario: Scenario) -> tuple[PriceVector, float]:
     """Maximize mixture_horizon_value by multi-start coordinate ascent."""
-    _mixture_parts(scenario)
+    parts = _mixture_parts(scenario)
 
     def objective(p) -> float:
-        return mixture_horizon_value(scenario, p)
+        # the search keeps p finite inside the nonnegative price box
+        return _mixture_value(scenario, parts, p)
 
     bounds = _price_box(scenario)
     prices, value = multi_start_ascent(

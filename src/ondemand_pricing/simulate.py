@@ -236,6 +236,23 @@ def _running_sum(terms) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+def _rank_order(workers) -> list[int]:
+    return sorted(range(len(workers)), key=lambda w: workers[w].rank)
+
+
+def _serve(events, ends, free, row, cost: float, warm: float, horizon: float):
+    """The arrivals one worker posting `row` takes among those still `free`,
+    and its earnings over [warm, horizon]."""
+    times, ks, vs, _ = events
+    prices = np.asarray(row)[ks]
+    offered = np.flatnonzero(free & (prices <= vs))
+    taken = offered[_loss_accepts(times[offered], ends[offered])]
+    overlap = np.maximum(
+        0.0, np.minimum(ends[taken], horizon) - np.maximum(times[taken], warm)
+    )
+    return taken, _running_sum((prices[taken] - cost) * overlap)
+
+
 def _loss_rep(events, workers, matrix, warm: float, horizon: float):
     """One replication of the loss system under best-affordable-worker choice.
 
@@ -248,16 +265,11 @@ def _loss_rep(events, workers, matrix, warm: float, horizon: float):
     chosen = np.full(times.size, -1, dtype=np.intp)
     free = np.ones(times.size, dtype=bool)
     earned = [0.0] * len(workers)
-    for i in sorted(range(len(workers)), key=lambda w: workers[w].rank):
-        prices = np.asarray(matrix[i])[ks]
-        offered = np.flatnonzero(free & (prices <= vs))
-        taken = offered[_loss_accepts(times[offered], ends[offered])]
+    for i in _rank_order(workers):
+        taken, earned[i] = _serve(events, ends, free, matrix[i], workers[i].cost,
+                                  warm, horizon)
         free[taken] = False
         chosen[taken] = i
-        overlap = np.maximum(
-            0.0, np.minimum(ends[taken], horizon) - np.maximum(times[taken], warm)
-        )
-        earned[i] = _running_sum((prices[taken] - workers[i].cost) * overlap)
     lost_price = vs < np.min(np.asarray(matrix), axis=0)[ks]
     n_acc = int(np.count_nonzero(chosen >= 0))
     n_price = int(np.count_nonzero(lost_price))
@@ -530,27 +542,37 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
         price_grid = np.linspace(0.8 * base_price, 1.2 * base_price, 21)
     price_grid = [float(p) for p in price_grid]
     z = NormalDist().inv_cdf(1.0 - 0.025 / len(price_grid))
-    trials = [matrix]
-    for candidate in price_grid:
-        trial = [row[:] for row in matrix]
-        trial[worker_index][0] = candidate
-        trials.append(trial)
+    rows = [matrix[worker_index]] + [[candidate] for candidate in price_grid]
+    order = _rank_order(scenario.workers)
+    above = order[:order.index(worker_index)]
+    cost = scenario.workers[worker_index].cost
 
     # One replication's events at a time, shared by the baseline and every
-    # candidate: the same draws simulate() would make for each of them.
+    # candidate: the same draws simulate() would make for each of them. The
+    # scanned worker's earnings depend only on the arrivals the workers ranked
+    # above it leave free, which no candidate price changes, so that prefix of
+    # the rank cascade runs once per replication and the workers ranked below
+    # it not at all.
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
     span = horizon - warm
-    rates: list[list[float]] = [[] for _ in trials]
+    rates: list[list[float]] = [[] for _ in rows]
     for rep in range(config.replications):
         events = _merged_events(scenario, config.base_seed, rep, horizon)
-        for j, trial in enumerate(trials):
-            earned, _, chosen, lost_price = _loss_rep(
-                events, scenario.workers, trial, warm, horizon
+        if rep == 0 and config.trace_path is not None:
+            _, _, chosen, lost_price = _loss_rep(
+                events, scenario.workers, matrix, warm, horizon
             )
-            if rep == j == 0 and config.trace_path is not None:
-                _write_trace(config.trace_path, events, chosen, lost_price)
-            rates[j].append(earned[worker_index] / span)
+            _write_trace(config.trace_path, events, chosen, lost_price)
+        ends = events[0] + events[3]
+        free = np.ones(ends.size, dtype=bool)
+        for i in above:
+            taken, _ = _serve(events, ends, free, matrix[i], scenario.workers[i].cost,
+                              warm, horizon)
+            free[taken] = False
+        for j, row in enumerate(rows):
+            _, earned = _serve(events, ends, free, row, cost, warm, horizon)
+            rates[j].append(earned / span)
 
     base_mean, base_se = _mean_se(rates[0])
     base_reps = np.asarray(rates[0])

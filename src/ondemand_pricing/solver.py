@@ -44,14 +44,21 @@ def price_response(cls: CustomerClass, reserve: float, cost: float) -> float:
     ceiling = law.upper
     if ceiling <= floor:
         return ceiling
-    lo = max(floor, law.lower)
+    return _increasing_root(
+        lambda p: (p - floor) - law.tail(p) / law.density(p),
+        max(floor, law.lower),
+        ceiling,
+    )
 
-    def gap(p: float) -> float:
-        return (p - floor) - law.tail(p) / law.density(p)
 
+def _increasing_root(gap, lo: float, hi: float) -> float:
+    """Root of a nondecreasing function on [lo, hi] by bisection.
+
+    Returns lo when gap(lo) >= 0 and the midpoint of the final bracket
+    otherwise, which tends to hi when gap stays negative on the interval.
+    """
     if gap(lo) >= 0.0:
         return lo
-    hi = ceiling
     for _ in range(_BISECT_MAX):
         if hi - lo <= _BISECT_TOL:
             break

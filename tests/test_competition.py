@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,10 +8,13 @@ from ondemand_pricing import (
     ConfigError,
     CustomerClass,
     ExponentialDuration,
+    ExponentialValuation,
     ModelMismatch,
+    PiecewiseLinearValuation,
     Scenario,
     UniformValuation,
     WorkerSpec,
+    apply_commission,
     best_response_dynamics,
     busy_fraction,
     fleet_rates,
@@ -18,9 +22,43 @@ from ondemand_pricing import (
     residual_demand,
     solve_fixed_point,
 )
+from ondemand_pricing import competition
+from ondemand_pricing.competition import (
+    ResidualDemandCurve,
+    _best_response,
+    _optimize_vs_residual,
+    _residual_rate,
+)
 from tests.conftest import unit_uniform_class
 
 SQRT2 = math.sqrt(2.0)
+
+SCAN_POINTS = 10_000
+SCAN_REFINE = 2_000
+
+
+def scan_best_response(curve, floor):
+    """Test-only reference: the two-stage dense scan of (p - floor) * demand(p)
+    over the valuation support that the residual optimizer once used. Returns
+    the first maximizer on the refined grid and the refined step."""
+    law = curve.customer_class.valuation
+    xs = np.linspace(law.lower, law.upper, SCAN_POINTS)
+    i = int(np.argmax([(float(x) - floor) * curve.demand(float(x)) for x in xs]))
+    fine = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], SCAN_REFINE)
+    j = int(np.argmax([(float(x) - floor) * curve.demand(float(x)) for x in fine]))
+    return float(fine[j]), float(fine[1] - fine[0])
+
+
+def scan_optimize_vs_residual(curves, cost):
+    """Test-only reference: the reserve iteration on scanned best responses."""
+    reserve = 0.0
+    for _ in range(500):
+        prices = tuple(scan_best_response(c, cost + reserve)[0] for c in curves)
+        achieved = _residual_rate(curves, prices, cost)
+        if abs(achieved - reserve) <= 1e-12:
+            break
+        reserve = achieved
+    return prices, achieved
 
 
 def test_busy_fraction_single_class(single_class_scenario):
@@ -211,3 +249,81 @@ def test_best_response_fixed_point_for_ranked(ranked_fleet_scenario):
     got = report.fixed_profile
     assert abs(got[0] - want[0]) <= 0.02 + 1e-12
     assert abs(got[1] - want[1]) <= 0.02 + 1e-12
+
+
+def _class(law, arrival_rate=1.0):
+    return CustomerClass(arrival_rate=arrival_rate, duration=ExponentialDuration(1.3),
+                         valuation=law)
+
+
+UNIFORM = UniformValuation(0.2, 1.4)
+EXPONENTIAL = ExponentialValuation(1.7)
+PIECEWISE = PiecewiseLinearValuation(((0.1, 0.0), (0.6, 0.3), (1.5, 1.0)))
+
+# (class, upstream (price, busy fraction) levels): 1-3 levels with prices
+# below, inside and above the support, and busy fractions of 0 and 1
+BEST_RESPONSE_CASES = {
+    "uniform_one_inside": (_class(UNIFORM), ((0.8, 0.4),)),
+    "uniform_below_and_inside": (_class(UNIFORM), ((0.1, 0.6), (0.9, 0.3))),
+    "uniform_three_with_idle": (_class(UNIFORM), ((1.1, 0.5), (0.7, 0.0), (0.4, 0.8))),
+    "uniform_always_busy": (_class(UNIFORM), ((0.6, 1.0),)),
+    "uniform_above": (_class(UNIFORM), ((2.0, 0.2),)),
+    "exponential_one_inside": (_class(EXPONENTIAL), ((0.5, 0.45),)),
+    "exponential_two_inside": (_class(EXPONENTIAL), ((0.9, 0.3), (0.35, 0.6))),
+    "exponential_three": (_class(EXPONENTIAL), ((0.0, 0.7), (1.2, 0.2), (0.4, 0.5))),
+    "piecewise_at_knot": (_class(PIECEWISE), ((0.6, 0.35),)),
+    "piecewise_two_inside": (_class(PIECEWISE), ((1.0, 0.25), (0.45, 0.5))),
+    "piecewise_three_mixed": (_class(PIECEWISE), ((0.05, 0.9), (0.8, 1.0), (3.0, 0.1))),
+    "piecewise_idle_inside": (_class(PIECEWISE), ((0.9, 0.0),)),
+    "commission_uniform": (apply_commission(_class(UNIFORM), 0.8), ((0.6, 0.4),)),
+    "commission_piecewise": (apply_commission(_class(PIECEWISE, 2.1), 0.7),
+                             ((0.5, 0.3), (0.8, 0.6))),
+    "zero_arrivals": (_class(UNIFORM, 0.0), ((0.8, 0.4),)),
+}
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.15, 0.4, 5.0])
+@pytest.mark.parametrize("case", sorted(BEST_RESPONSE_CASES))
+def test_best_response_matches_scan(case, floor):
+    cls, levels = BEST_RESPONSE_CASES[case]
+    curve = ResidualDemandCurve(cls, levels)
+
+    def objective(p):
+        return (p - floor) * curve.demand(p)
+
+    price = _best_response(curve, floor)
+    scanned, step = scan_best_response(curve, floor)
+    law = cls.valuation
+    assert law.lower <= price <= law.upper
+    best, reference = objective(price), objective(scanned)
+    assert best >= reference - 1e-15 * abs(reference)
+    if best > 0.0:
+        # a positive maximum sits at one price in every case here
+        assert abs(price - scanned) <= step
+    elif cls.arrival_rate == 0.0:
+        assert price == law.lower
+
+
+def test_residual_optimizer_matches_scan_two_classes_with_commission():
+    classes = (apply_commission(_class(PIECEWISE, 1.4), 0.85),
+               apply_commission(_class(EXPONENTIAL, 0.9), 0.85))
+    curves = [ResidualDemandCurve(classes[0], ((0.7, 0.45), (0.4, 0.3))),
+              ResidualDemandCurve(classes[1], ((0.6, 0.45), (0.3, 0.3)))]
+    prices, rate, converged = _optimize_vs_residual(curves, 0.05)
+    assert converged
+    assert rate == _residual_rate(curves, prices, 0.05)
+    _, want = scan_optimize_vs_residual(curves, 0.05)
+    assert rate >= want - 1e-15 * want
+
+
+def test_equilibrium_reports_convergence(ranked_fleet_scenario, monkeypatch):
+    scn = Scenario(classes=(ranked_fleet_scenario.classes[0],),
+                   workers=(WorkerSpec(rank=1), WorkerSpec(rank=2), WorkerSpec(rank=3)))
+    assert all(o.converged for o in ranked_price_equilibrium(scn).outcomes)
+    curves = [ResidualDemandCurve(scn.classes[0], ((0.6, 0.3),))]
+    assert _optimize_vs_residual(curves, 0.0, max_iter=1)[2] is False
+    # one reserve step cannot reach the fixed point: every lower rank says so
+    monkeypatch.setattr(competition, "_optimize_vs_residual",
+                        functools.partial(_optimize_vs_residual, max_iter=1))
+    capped = ranked_price_equilibrium(scn)
+    assert [o.converged for o in capped.outcomes] == [True, False, False]

@@ -273,6 +273,9 @@ def test_exit_code_bad_config(tmp_path, monkeypatch, capsys, argv):
     assert run_cli(command, flag, str(CONFIGS / name), "--out", "o", *rest) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not Path("o", "manifest.json").exists()
+    if "--trace" in rest:
+        # rejected before any solve and before --out is created
+        assert not Path("o").exists()
 
 
 def test_exit_code_validate_zero_rate_queue(tmp_path, capsys):
@@ -427,6 +430,7 @@ def test_compete_equilibrium(tmp_path, capsys):
     top = payload["workers"][0]
     assert top["rank"] == 1
     assert top["prices"][0] == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-9)
+    assert all(worker["converged"] is True for worker in payload["workers"])
     assert "deviation_scans" not in payload
 
 

@@ -5,13 +5,17 @@ import pytest
 
 from ondemand_pricing import (
     CustomerClass,
+    EmpiricalDuration,
     ExponentialDiscount,
     ExponentialDuration,
+    ExponentialValuation,
     MixtureDiscount,
     ModelMismatch,
+    PiecewiseLinearValuation,
     Scenario,
     SingularSystem,
     UniformValuation,
+    WorkerSpec,
     discounted_value,
     effective_load,
     first_step_solve,
@@ -245,3 +249,25 @@ def test_mixture_requires_mixture_discount(single_class_scenario, discounted_sce
         mixture_horizon_value(single_class_scenario, (0.5,))
     with pytest.raises(ModelMismatch):
         mixture_horizon_value(discounted_scenario, (0.5,))
+
+
+def test_optimizers_report_the_public_objective_bit_for_bit():
+    # the searches evaluate a private objective set up once per call; the
+    # value they report must be exactly what the public function returns
+    piecewise = PiecewiseLinearValuation(((0.1, 0.0), (0.6, 0.3), (1.5, 1.0)))
+    queue = Scenario(
+        classes=(CustomerClass(0.9, ExponentialDuration(1.4), piecewise),
+                 CustomerClass(1.2, ExponentialDuration(0.7), ExponentialValuation(1.8))),
+        workers=(WorkerSpec(cost=0.05),),
+        queue_capacity=1,
+    )
+    prices, rate = queue_optimize(queue)
+    assert rate == queue_rate(queue, *prices)
+    mixture = Scenario(
+        classes=(CustomerClass(0.8, EmpiricalDuration((0.3, 1.7, 0.9, 0.45)), piecewise),
+                 CustomerClass(1.1, ExponentialDuration(1.6), UniformValuation(0.2, 1.3))),
+        workers=(WorkerSpec(cost=0.08),),
+        discount=MixtureDiscount((0.3, 0.7), (0.6, 2.2)),
+    )
+    prices, value = mixture_horizon_optimize(mixture)
+    assert value == mixture_horizon_value(mixture, prices)

@@ -31,7 +31,7 @@ from ondemand_pricing import (
     solve_discounted,
     solve_fixed_point,
 )
-from ondemand_pricing.simulate import Counts, _merged_events, _stats
+from ondemand_pricing.simulate import Counts, _mean_se, _merged_events, _stats
 from tests.conftest import queue_scenario, unit_uniform_class
 
 
@@ -448,3 +448,28 @@ def test_deviation_scan_equals_separate_simulations(ranked_fleet_scenario):
         reps = reference_simulate(cfg, [[0.6], [price]]).per_worker_reps[1]
         assert (point.mean, point.delta) == (float(np.mean(reps)),
                                               float(np.mean(np.subtract(reps, base))))
+
+
+@pytest.mark.parametrize("worker_index", [0, 1, 2])
+def test_deviation_scan_three_worker_fleet_equals_separate_simulations(worker_index):
+    # ranks out of scenario order, so the workers ranked above and below the
+    # scanned one are not its neighbours by index
+    cls = CustomerClass(arrival_rate=1.3, duration=EmpiricalDuration((0.3, 1.2, 0.7)),
+                        valuation=PiecewiseLinearValuation(((0.1, 0.0), (0.6, 0.3),
+                                                            (1.5, 1.0))))
+    scenario = Scenario(classes=(cls,), workers=(WorkerSpec(cost=0.05, rank=3),
+                                                 WorkerSpec(cost=0.0, rank=1),
+                                                 WorkerSpec(cost=0.02, rank=2)))
+    cfg = SimConfig(scenario=scenario, expected_arrivals=2_000.0, replications=4,
+                    base_seed=31)
+    matrix = [[0.35], [0.7], [0.5]]
+    grid = [0.3, 0.45, 0.6, 0.8]
+    report = deviation_scan(cfg, matrix, worker_index, grid)
+    base = reference_simulate(cfg, matrix).per_worker_reps[worker_index]
+    assert (report.baseline_mean, report.baseline_se) == _mean_se(base)
+    for point, price in zip(report.points, grid):
+        trial = [row[:] for row in matrix]
+        trial[worker_index] = [price]
+        reps = reference_simulate(cfg, trial).per_worker_reps[worker_index]
+        assert (point.mean, point.se) == _mean_se(reps)
+        assert point.delta == float(np.mean(np.subtract(reps, base)))
