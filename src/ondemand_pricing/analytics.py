@@ -16,15 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ModelMismatch, NonFiniteRate
-from .model import (
-    CustomerClass,
-    DeterministicDuration,
-    EmpiricalDuration,
-    ExponentialDiscount,
-    ExponentialDuration,
-    Scenario,
-    check_prices,
-)
+from .model import CustomerClass, ExponentialDiscount, Scenario, check_prices
 
 
 def _require_plain_loss(scenario: Scenario, op: str) -> None:
@@ -58,16 +50,7 @@ def effective_load(cls: CustomerClass, gamma: float) -> float:
     for an exponential(gamma) evaluation horizon."""
     if not math.isfinite(gamma) or gamma <= 0.0:
         raise ValueError("discount rate must be positive")
-    lam = cls.arrival_rate
-    dur = cls.duration
-    if isinstance(dur, ExponentialDuration):
-        return lam / (dur.rate + gamma)
-    if isinstance(dur, DeterministicDuration):
-        return lam * (-math.expm1(-gamma * dur.value)) / gamma
-    if isinstance(dur, EmpiricalDuration):
-        xs = np.asarray(dur.samples)
-        return lam * float(np.mean(-np.expm1(-gamma * xs))) / gamma
-    raise ModelMismatch(f"unsupported duration law {type(dur).__name__}")
+    return cls.duration.censored_mean(gamma, cls.arrival_rate)
 
 
 def discount_adjusted(scenario: Scenario, gamma: float) -> Scenario:

@@ -25,7 +25,7 @@ from .competition import (
     ranked_price_equilibrium,
 )
 from .config import load_scenario
-from .errors import ConfigError, IrregularDistribution, PricingError
+from .errors import ConfigError, IrregularDistribution, ModelMismatch, PricingError
 from .model import ExponentialDiscount, ExponentialDuration, MixtureDiscount, Scenario, apply_commission
 from .queues import (
     first_step_solve,
@@ -155,6 +155,8 @@ def cmd_solve(scenario: Scenario, outdir: Path) -> list[str]:
 
 
 def _sweep_r(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
+    if scenario.num_classes != 2:
+        raise ModelMismatch("sweep over r varies the second class of a two-class scenario")
     rows = []
     for r in grid:
         second = replace(

@@ -30,9 +30,11 @@ from .model import (
     apply_commission,
     check_prices,
 )
-from .solver import _increasing_root, solve_fixed_point
+from .solver import solve_fixed_point
 
 _MAX_FLEET = 10
+_BISECT_TOL = 1e-13
+_BISECT_MAX = 200
 
 
 def busy_fraction(scenario: Scenario, prices) -> float:
@@ -100,6 +102,25 @@ def _residual_rate(curves, prices, cost: float) -> float:
         num += weight * (p - cost)
         den += weight
     return num / den
+
+
+def _increasing_root(gap, lo: float, hi: float) -> float:
+    """Root of a nondecreasing function on [lo, hi] by bisection.
+
+    Returns lo when gap(lo) >= 0 and the midpoint of the final bracket
+    otherwise, which tends to hi when gap stays negative on the interval.
+    """
+    if gap(lo) >= 0.0:
+        return lo
+    for _ in range(_BISECT_MAX):
+        if hi - lo <= _BISECT_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if gap(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def _best_response(curve: ResidualDemandCurve, floor: float) -> float:

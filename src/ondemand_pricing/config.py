@@ -47,23 +47,21 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
             raise ConfigError(f"{path}: missing required key {key!r}")
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    value = obj[key]
+def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
+        raise ConfigError(f"{path}: expected a number")
     return float(value)
+
+
+def _number(obj: dict, key: str, path: str) -> float:
+    return _as_number(obj[key], f"{path}.{key}")
 
 
 def _number_list(obj: dict, key: str, path: str) -> list[float]:
     value = obj[key]
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}.{key}: expected a nonempty array of numbers")
-    out = []
-    for i, x in enumerate(value):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{path}.{key}[{i}]: expected a number")
-        out.append(float(x))
-    return out
+    return [_as_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(value)]
 
 
 def _law(doc, kinds: dict, path: str):
@@ -88,7 +86,9 @@ def _law(doc, kinds: dict, path: str):
             for i, pair in enumerate(knots):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ConfigError(f"{ppath}.knots[{i}]: expected a [value, cdf] pair")
-                parsed.append((float(pair[0]), float(pair[1])))
+                parsed.append(tuple(
+                    _as_number(x, f"{ppath}.knots[{i}][{j}]") for j, x in enumerate(pair)
+                ))
             return ctor(tuple(parsed))
         return ctor(**{f: _number(params, f, ppath) for f in fields})
     except ConfigError as exc:

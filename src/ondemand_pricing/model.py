@@ -18,9 +18,8 @@ from .errors import ConfigError, ModelMismatch, ZeroDensity
 # drops below this mass.
 TAIL_CUTOFF = 1e-12
 
-# Grid size used by the regularity scan.
-_REGULARITY_GRID = 10_000
-_STRICT_MARGIN = 1e-9
+# A virtual-value drop at a knot no larger than this is taken as rounding.
+_DROP_ALLOWANCE = 1e-12
 
 
 # --- valuation laws ---
@@ -62,6 +61,19 @@ class UniformValuation:
             return 1.0 / (self.high - self.low)
         return 0.0
 
+    def best_price(self, floor: float) -> float:
+        """Least price >= max(floor, low) whose virtual value 2p - high reaches
+        floor; the upper bound when it cannot."""
+        if self.high <= floor:
+            return self.high
+        return max(self.low, (floor + self.high) / 2.0)
+
+    def regularity(self) -> str:
+        return "strictly_regular"
+
+    def scaled(self, retention: float) -> UniformValuation:
+        return UniformValuation(retention * self.low, retention * self.high)
+
     def sample(self, rng, n: int):
         return rng.uniform(self.low, self.high, n)
 
@@ -97,6 +109,20 @@ class ExponentialValuation:
         if p < 0.0:
             return 0.0
         return self.rate * math.exp(-self.rate * p)
+
+    def best_price(self, floor: float) -> float:
+        """Least price >= max(floor, 0) whose virtual value p - 1/rate reaches
+        floor, capped at the operational upper bound."""
+        upper = self.upper
+        if upper <= floor:
+            return upper
+        return min(max(floor + 1.0 / self.rate, 0.0), upper)
+
+    def regularity(self) -> str:
+        return "strictly_regular"
+
+    def scaled(self, retention: float) -> ExponentialValuation:
+        return ExponentialValuation(self.rate / retention)
 
     def sample(self, rng, n: int):
         return rng.exponential(1.0 / self.rate, n)
@@ -140,8 +166,19 @@ class PiecewiseLinearValuation:
     def upper(self) -> float:
         return self.knots[-1][0]
 
+    @cached_property
+    def _values(self) -> tuple[float, ...]:
+        return tuple(v for v, _ in self.knots)
+
+    @cached_property
+    def _slopes(self) -> tuple[float, ...]:
+        """Density on each knot interval."""
+        return tuple(
+            (f1 - f0) / (v1 - v0) for (v0, f0), (v1, f1) in zip(self.knots, self.knots[1:])
+        )
+
     def _interval(self, p: float) -> int:
-        vs = [v for v, _ in self.knots]
+        vs = self._values
         i = bisect_right(vs, p) - 1
         if i >= len(vs) - 1:
             i = len(vs) - 2
@@ -162,9 +199,43 @@ class PiecewiseLinearValuation:
     def density(self, p: float) -> float:
         if p < self.lower or p > self.upper:
             return 0.0
-        i = self._interval(p)
-        (v0, f0), (v1, f1) = self.knots[i], self.knots[i + 1]
-        return (f1 - f0) / (v1 - v0)
+        return self._slopes[self._interval(p)]
+
+    def best_price(self, floor: float) -> float:
+        """Least price >= max(floor, lower) whose virtual value reaches floor;
+        the upper bound when none does.
+
+        On the interval from knot (v0, f0) with slope d the virtual value is
+        2p - v0 - (1 - f0)/d, so its root there is (floor + v0 + (1 - f0)/d)/2.
+        The first interval whose root, clipped to it, lies before its right
+        end holds the price; a knot where the virtual value jumps over floor
+        is returned exactly. Intervals without density never sell.
+        """
+        if self.upper <= floor:
+            return self.upper
+        lo = max(floor, self.lower)
+        for (v0, f0), (v1, _), d in zip(self.knots, self.knots[1:], self._slopes):
+            if d > 0.0:
+                price = max(lo, v0, (floor + v0 + (1.0 - f0) / d) / 2.0)
+                if price < v1:
+                    return price
+        return self.upper
+
+    def regularity(self) -> str:
+        """Exact O(knots) test. The virtual value rises with slope 2 on every
+        interval and jumps by tail(k) * (1/d_left - 1/d_right) at an interior
+        knot k, so the law is strictly regular unless an interval has no
+        density or some jump is a drop beyond rounding."""
+        slopes = self._slopes
+        if any(d <= 0.0 for d in slopes):
+            return "irregular"
+        for (_, f), left, right in zip(self.knots[1:], slopes, slopes[1:]):
+            if (1.0 - f) * (1.0 / left - 1.0 / right) <= -_DROP_ALLOWANCE:
+                return "irregular"
+        return "strictly_regular"
+
+    def scaled(self, retention: float) -> PiecewiseLinearValuation:
+        return PiecewiseLinearValuation(tuple((retention * v, f) for v, f in self.knots))
 
     def sample(self, rng, n: int):
         import numpy as np
@@ -189,31 +260,14 @@ def virtual_value(law: ValuationLaw, p: float) -> float:
 
 @lru_cache(maxsize=None)
 def regularity_check(law: ValuationLaw) -> str:
-    """Classify a valuation law by scanning virtual values on a support grid.
+    """Classify a valuation law: "strictly_regular" when its virtual value is
+    increasing on the support, "irregular" otherwise.
 
-    Returns "strictly_regular" when the scan is increasing with a positive
-    margin, "regular" when merely nondecreasing, "irregular" otherwise.
+    The test is exact. Uniform and exponential virtual values are linear with
+    positive slope; a piecewise-linear law is checked at its knots. A merely
+    nondecreasing ("regular") virtual value cannot arise for these laws.
     """
-    lo, hi = law.lower, law.upper
-    n = _REGULARITY_GRID
-    step = (hi - lo) / (n - 1)
-    prev = None
-    verdict = "strictly_regular"
-    for i in range(n):
-        # rounding in lo + step*i must never push the probe past the support
-        p = min(lo + step * i, hi)
-        d = law.density(p)
-        if d <= 0.0:
-            return "irregular"
-        psi = p - law.tail(p) / d
-        if prev is not None:
-            diff = psi - prev
-            if diff <= -1e-12:
-                return "irregular"
-            if diff <= _STRICT_MARGIN:
-                verdict = "regular"
-        prev = psi
-    return verdict
+    return law.regularity()
 
 
 # --- duration laws ---
@@ -233,6 +287,13 @@ class ExponentialDuration:
     def mean(self) -> float:
         return 1.0 / self.rate
 
+    def censored_mean(self, gamma: float, scale: float = 1.0) -> float:
+        """scale * E[min(duration, Y)] for Y ~ exponential(gamma).
+
+        `scale` (an arrival rate) enters before the last division, as in the
+        effective-load formulas, so loads keep their last bits."""
+        return scale / (self.rate + gamma)
+
     def sample(self, rng, n: int):
         return rng.exponential(self.mean, n)
 
@@ -250,6 +311,10 @@ class DeterministicDuration:
     @property
     def mean(self) -> float:
         return self.value
+
+    def censored_mean(self, gamma: float, scale: float = 1.0) -> float:
+        """scale * E[min(value, Y)] for Y ~ exponential(gamma)."""
+        return scale * (-math.expm1(-gamma * self.value)) / gamma
 
     def sample(self, rng, n: int):
         import numpy as np
@@ -274,6 +339,14 @@ class EmpiricalDuration:
     @cached_property
     def mean(self) -> float:
         return math.fsum(self.samples) / len(self.samples)
+
+    def censored_mean(self, gamma: float, scale: float = 1.0) -> float:
+        """scale * E[min(duration, Y)] for Y ~ exponential(gamma), averaged
+        over the samples."""
+        import numpy as np
+
+        xs = np.asarray(self.samples)
+        return scale * float(np.mean(-np.expm1(-gamma * xs))) / gamma
 
     def sample(self, rng, n: int):
         import numpy as np
@@ -313,8 +386,8 @@ class MixtureDiscount:
         object.__setattr__(self, "rates", rates)
         if len(weights) != len(rates) or not weights:
             raise ConfigError("mixture weights and rates must have equal nonzero length")
-        if any(w <= 0.0 for w in weights):
-            raise ConfigError("mixture weights must be positive")
+        if any(not math.isfinite(w) or w <= 0.0 for w in weights):
+            raise ConfigError("mixture weights must be positive and finite")
         if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ConfigError("mixture weights must sum to 1")
         if any(not math.isfinite(g) or g <= 0.0 for g in rates):
@@ -431,18 +504,7 @@ def apply_commission(cls: CustomerClass, retention: float) -> CustomerClass:
         raise ConfigError("commission_retention must lie in (0, 1]")
     if retention == 1.0:
         return cls
-    law = cls.valuation
-    if isinstance(law, UniformValuation):
-        scaled = UniformValuation(retention * law.low, retention * law.high)
-    elif isinstance(law, ExponentialValuation):
-        scaled = ExponentialValuation(law.rate / retention)
-    elif isinstance(law, PiecewiseLinearValuation):
-        scaled = PiecewiseLinearValuation(
-            tuple((retention * v, f) for v, f in law.knots)
-        )
-    else:
-        raise ConfigError(f"unsupported valuation law {type(law).__name__}")
-    return replace(cls, valuation=scaled)
+    return replace(cls, valuation=cls.valuation.scaled(retention))
 
 
 def per_job_price(rate: float, cls: CustomerClass) -> float:

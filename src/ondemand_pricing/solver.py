@@ -26,48 +26,19 @@ from .model import (
     regularity_check,
 )
 
-_BISECT_TOL = 1e-13
-_BISECT_MAX = 200
-
 
 def price_response(cls: CustomerClass, reserve: float, cost: float) -> float:
     """Best price for one class when a busy hour is worth cost + reserve.
 
     Returns the upper support bound when even the highest valuation cannot
     cover the shadow price; otherwise the unique root of
-    p - tail(p)/density(p) = cost + reserve, clamped into the support.
+    p - tail(p)/density(p) = cost + reserve, clamped into the support, in the
+    law's closed form.
     """
     law = cls.valuation
     if regularity_check(law) != "strictly_regular":
         raise IrregularDistribution(f"{type(law).__name__} is not strictly regular")
-    floor = cost + reserve
-    ceiling = law.upper
-    if ceiling <= floor:
-        return ceiling
-    return _increasing_root(
-        lambda p: (p - floor) - law.tail(p) / law.density(p),
-        max(floor, law.lower),
-        ceiling,
-    )
-
-
-def _increasing_root(gap, lo: float, hi: float) -> float:
-    """Root of a nondecreasing function on [lo, hi] by bisection.
-
-    Returns lo when gap(lo) >= 0 and the midpoint of the final bracket
-    otherwise, which tends to hi when gap stays negative on the interval.
-    """
-    if gap(lo) >= 0.0:
-        return lo
-    for _ in range(_BISECT_MAX):
-        if hi - lo <= _BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return law.best_price(cost + reserve)
 
 
 def rate_map(scenario: Scenario, reserve: float) -> tuple[float, PriceVector]:

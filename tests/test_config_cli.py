@@ -249,6 +249,44 @@ def test_solve_discounted(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def piecewise_doc(knots):
+    return {
+        "classes": [
+            {
+                "arrival_rate": 1.0,
+                "duration": {"kind": "exponential", "params": {"rate": 1.0}},
+                "valuation": {"kind": "piecewise_linear_cdf", "params": {"knots": knots}},
+            }
+        ]
+    }
+
+
+def nan_weight_mixture_doc():
+    doc = read_json(CONFIGS / "mixture.json")
+    doc["discount"]["params"]["weights"] = [math.nan, 1.0]
+    return doc
+
+
+# configs the exit-code tests write into their temporary directory
+GENERATED_CONFIGS = {
+    "knot_string.json": piecewise_doc([[0, "a"], [1, 1]]),
+    "knot_null.json": piecewise_doc([[0, None], [1, 1]]),
+    "knot_bool.json": piecewise_doc([[0, 0], [1, True]]),
+    "nan_weight.json": nan_weight_mixture_doc(),
+    "narrow_flat.json": piecewise_doc([[0.0, 0.0], [0.5, 0.5], [0.50001, 0.5], [1.0, 1.0]]),
+    "knot_drop.json": piecewise_doc([[0.0, 0.0], [0.5, 0.50002], [1.0, 1.0]]),
+}
+
+
+def config_path(name):
+    """A bundled config, or one of GENERATED_CONFIGS written to the working
+    directory."""
+    if name not in GENERATED_CONFIGS:
+        return str(CONFIGS / name)
+    Path(name).write_text(json.dumps(GENERATED_CONFIGS[name]))
+    return name
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -262,16 +300,26 @@ def test_solve_discounted(tmp_path):
         ("simulate", "--config", "mixture.json", "--trace"),
         ("simulate", "--config", "queue.json", "--trace"),
         ("solve", "--config", "two_class.json", "--out", "a_file"),
+        ("solve", "--config", "knot_string.json"),
+        ("solve", "--config", "knot_null.json"),
+        ("solve", "--config", "knot_bool.json"),
+        ("solve", "--config", "nan_weight.json"),
+        ("sweep", "--config", "single_class.json", "--param", "r", "--grid", "0.5,1"),
     ],
     ids=["missing_config", "grid_list", "grid_range", "prices", "solve_fleet", "sweep_fleet",
-         "trace_discounted", "trace_mixture", "trace_queue", "out_is_file"],
+         "trace_discounted", "trace_mixture", "trace_queue", "out_is_file",
+         "knot_string", "knot_null", "knot_bool", "nan_weight", "sweep_r_one_class"],
 )
 def test_exit_code_bad_config(tmp_path, monkeypatch, capsys, argv):
     command, flag, name, *rest = argv
     monkeypatch.chdir(tmp_path)
     Path("a_file").write_text("")
-    assert run_cli(command, flag, str(CONFIGS / name), "--out", "o", *rest) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert run_cli(command, flag, config_path(name), "--out", "o", *rest) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if name.startswith("knot_"):
+        # the key path names the offending knot entry
+        assert "scenario.classes[0].valuation.params.knots[" in err
     assert not Path("o", "manifest.json").exists()
     if "--trace" in rest:
         # rejected before any solve and before --out is created
@@ -304,6 +352,15 @@ def test_exit_code_irregular(tmp_path, capsys):
     cfg = tmp_path / "irregular.json"
     cfg.write_text(json.dumps(doc))
     assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+    assert "regular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["narrow_flat.json", "knot_drop.json"])
+def test_exit_code_irregular_between_grid_points(tmp_path, monkeypatch, capsys, name):
+    # a flat stretch of width 1e-5 and a 4e-5 drop at a knot, both narrower
+    # than a 10 000-point scan of the support can see
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("solve", "--config", config_path(name), "--out", "o") == 3
     assert "regular" in capsys.readouterr().err
 
 

@@ -153,6 +153,43 @@ def test_regularity_verdicts():
 
 
 @pytest.mark.parametrize(
+    "knots",
+    [
+        # the virtual value drops by 4e-5 at 0.5, between the points of a
+        # 10 000-point scan of the support
+        ((0.0, 0.0), (0.5, 0.50002), (1.0, 1.0)),
+        # an interior flat stretch 1e-5 wide
+        ((0.0, 0.0), (0.5, 0.5), (0.50001, 0.5), (1.0, 1.0)),
+        # flat first and last segments
+        ((0.0, 0.0), (0.3, 0.0), (1.0, 1.0)),
+        ((0.0, 0.0), (0.7, 1.0), (1.0, 1.0)),
+    ],
+    ids=["knot_drop", "narrow_flat", "flat_first", "flat_last"],
+)
+def test_regularity_exact_irregular(knots):
+    assert regularity_check(PiecewiseLinearValuation(knots)) == "irregular"
+
+
+def test_regularity_collinear_knots_are_strictly_regular():
+    uniform = UniformValuation(0.2, 1.2)
+    knots = ((0.2, 0.0), (0.5, 0.3), (0.9, 0.7), (1.1, 0.9), (1.2, 1.0))
+    law = PiecewiseLinearValuation(knots)
+    assert regularity_check(law) == "strictly_regular"
+    for floor in (-0.5, 0.0, 0.3, 0.5, 0.9, 1.15, 1.2, 2.0):
+        assert law.best_price(floor) == pytest.approx(uniform.best_price(floor), abs=1e-15)
+
+
+def test_regularity_check_keeps_its_cache():
+    assert callable(regularity_check.cache_clear)
+    law = PiecewiseLinearValuation(((0.0, 0.0), (0.3, 0.1), (1.0, 1.0)))
+    regularity_check.cache_clear()
+    regularity_check(law)
+    regularity_check(law)
+    info = regularity_check.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+@pytest.mark.parametrize(
     "law",
     [UniformValuation(0.5, 2.0), ExponentialValuation(1.5),
      PiecewiseLinearValuation(((0.0, 0.0), (0.4, 0.2), (1.0, 1.0)))],
@@ -174,6 +211,20 @@ def test_apply_commission_identity_and_validation():
     for bad in (0.0, -0.2, 1.5):
         with pytest.raises(ConfigError):
             apply_commission(cls, bad)
+
+
+@pytest.mark.parametrize(
+    "dur",
+    [ExponentialDuration(1.5), DeterministicDuration(0.8), EmpiricalDuration((0.2, 0.5, 3.0))],
+)
+def test_censored_mean_matches_simulated_min(dur):
+    rng = np.random.default_rng(17)
+    gamma, n = 0.7, 400_000
+    both = np.minimum(dur.sample(rng, n), rng.exponential(1.0 / gamma, n))
+    se = both.std(ddof=1) / math.sqrt(n)
+    assert abs(dur.censored_mean(gamma) - both.mean()) <= 4.0 * se
+    assert dur.censored_mean(gamma, 2.5) == pytest.approx(2.5 * dur.censored_mean(gamma),
+                                                          rel=1e-15)
 
 
 def test_duration_means_and_samples():

@@ -84,6 +84,102 @@ def test_price_response_maximizes_reserve_adjusted_revenue():
             assert abs(star - best) < 1e-4
 
 
+def bisect_price_response(cls, reserve, cost):
+    """Reference for price_response: 200-step bisection of the virtual-value
+    gap (p - floor) - tail(p)/density(p) on [max(floor, lower), upper]."""
+    law = cls.valuation
+    floor = cost + reserve
+    lo, hi = max(floor, law.lower), law.upper
+    if hi <= floor:
+        return hi
+
+    def gap(p):
+        return (p - floor) - law.tail(p) / law.density(p)
+
+    if gap(lo) >= 0.0:
+        return lo
+    for _ in range(200):
+        if hi - lo <= 1e-13:
+            break
+        mid = 0.5 * (lo + hi)
+        if gap(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def random_regular_piecewise(rng):
+    """2-5 knots with nondecreasing slopes; about a third of the laws repeat
+    a slope, which puts collinear knots on the CDF."""
+    n = int(rng.integers(1, 5))
+    slopes = np.sort(rng.uniform(0.2, 2.0, n))
+    if n > 1 and rng.uniform() < 0.35:
+        i = int(rng.integers(1, n))
+        slopes[i] = slopes[i - 1]
+    widths = rng.uniform(0.2, 1.0, n)
+    mass = float(np.sum(slopes * widths))
+    value, cdf = float(rng.uniform(0.0, 0.5)), 0.0
+    knots = [(value, 0.0)]
+    for slope, width in zip(slopes, widths):
+        value += float(width)
+        cdf += float(slope * width) / mass
+        knots.append((value, cdf))
+    knots[-1] = (value, 1.0)
+    return PiecewiseLinearValuation(tuple(knots))
+
+
+def random_law(rng, kind):
+    if kind == "uniform":
+        low = float(rng.uniform(0.0, 0.5))
+        return UniformValuation(low, low + float(rng.uniform(0.3, 2.0)))
+    if kind == "exponential":
+        return ExponentialValuation(float(rng.uniform(0.5, 3.0)))
+    return random_regular_piecewise(rng)
+
+
+def probe_floors(rng, law):
+    """Floors below the support, inside it, at every knot and above it."""
+    lo, hi = law.lower, law.upper
+    floors = [lo - float(rng.uniform(0.05, 2.0)), hi, hi + float(rng.uniform(0.0, 1.0))]
+    # an exponential law's operational upper bound is far out in its tail
+    floors += [float(x) for x in rng.uniform(lo, min(hi, lo + 4.0), 8)]
+    if isinstance(law, PiecewiseLinearValuation):
+        floors += [v for v, _ in law.knots]
+    return floors
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exponential", "piecewise"])
+def test_price_response_closed_form_matches_bisection(kind):
+    rng = np.random.default_rng({"uniform": 51, "exponential": 52, "piecewise": 53}[kind])
+    for _ in range(60):
+        law = random_law(rng, kind)
+        cls = CustomerClass(1.0, ExponentialDuration(1.0), law)
+        for floor in probe_floors(rng, law):
+            closed = price_response(cls, floor, 0.0)
+            assert abs(closed - bisect_price_response(cls, floor, 0.0)) <= 1e-12
+            assert law.lower <= closed <= law.upper
+
+
+def test_price_response_returns_knot_where_virtual_value_jumps_over_floor():
+    rng = np.random.default_rng(54)
+    jumps = 0
+    for _ in range(60):
+        law = random_regular_piecewise(rng)
+        cls = CustomerClass(1.0, ExponentialDuration(1.0), law)
+        for (v, f), left, right in zip(law.knots[1:], law._slopes, law._slopes[1:]):
+            below, above = v - (1.0 - f) / left, v - (1.0 - f) / right
+            if above - below > 1e-6:
+                jumps += 1
+                assert price_response(cls, 0.5 * (below + above), 0.0) == v
+    assert jumps > 20
+    # psi jumps from 0 to 0.5 at the knot 1.0
+    law = PiecewiseLinearValuation(((0.0, 0.0), (1.0, 0.5), (1.5, 1.0)))
+    cls = CustomerClass(1.0, ExponentialDuration(1.0), law)
+    for floor in (1e-9, 0.25, 0.5 - 1e-9):
+        assert price_response(cls, floor, 0.0) == 1.0
+
+
 def test_price_response_rejects_irregular_law():
     spike = PiecewiseLinearValuation(((0.0, 0.0), (0.5, 0.1), (0.6, 0.9), (1.0, 1.0)))
     cls = CustomerClass(1.0, ExponentialDuration(1.0), spike)
@@ -284,7 +380,7 @@ def test_grid_search_equals_brute_force_three_classes():
 
 
 def test_price_response_randomized_roots():
-    # bisection root must satisfy the stationarity equation to solver tolerance
+    # the closed-form root must satisfy the stationarity equation to solver tolerance
     rng = np.random.default_rng(31)
     for _ in range(100):
         high = rng.uniform(0.5, 3.0)
