@@ -15,22 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ModelMismatch, NonFiniteRate
-from .model import CustomerClass, ExponentialDiscount, Scenario, check_prices
-
-
-def _require_plain_loss(scenario: Scenario, op: str) -> None:
-    if len(scenario.workers) != 1:
-        raise ModelMismatch(f"{op} applies to single-worker scenarios")
-    if scenario.queue_capacity != 0:
-        raise ModelMismatch(f"{op} applies to scenarios without queueing room")
+from .errors import NonFiniteRate
+from .model import CustomerClass, Scenario, check_prices
 
 
 def avg_earning_rate(scenario: Scenario, prices) -> float:
     """Long-run average net earning rate of the sole worker at the given prices."""
-    _require_plain_loss(scenario, "avg_earning_rate")
-    if scenario.discount is not None:
-        raise ModelMismatch("avg_earning_rate applies to undiscounted scenarios")
+    scenario.require("avg_earning_rate", "loss")
     prices = check_prices(scenario, prices)
     c = scenario.sole_worker.cost
     num = 0.0
@@ -56,7 +47,7 @@ def effective_load(cls: CustomerClass, gamma: float) -> float:
 def discount_adjusted(scenario: Scenario, gamma: float) -> Scenario:
     """Undiscounted copy of the scenario whose offered loads equal the
     discount-adjusted loads at rate gamma."""
-    _require_plain_loss(scenario, "discount_adjusted")
+    scenario.require("discount_adjusted", "loss", "discounted", "mixture")
     classes = []
     for cls in scenario.classes:
         target = effective_load(cls, gamma)
@@ -66,9 +57,7 @@ def discount_adjusted(scenario: Scenario, gamma: float) -> Scenario:
 
 def discounted_value(scenario: Scenario, prices) -> float:
     """Expected discounted net earnings from an idle start at the given prices."""
-    _require_plain_loss(scenario, "discounted_value")
-    if not isinstance(scenario.discount, ExponentialDiscount):
-        raise ModelMismatch("discounted_value needs an exponential discount rate")
+    scenario.require("discounted_value", "discounted")
     gamma = scenario.discount.rate
     return avg_earning_rate(discount_adjusted(scenario, gamma), prices) / gamma
 

@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .competition import (
 )
 from .config import load_scenario
 from .errors import ConfigError, IrregularDistribution, ModelMismatch, PricingError
-from .model import ExponentialDiscount, ExponentialDuration, MixtureDiscount, Scenario, apply_commission
+from .model import ExponentialDiscount, ExponentialDuration, Scenario, apply_commission
 from .queues import (
     first_step_solve,
     mixture_horizon_optimize,
@@ -103,50 +104,111 @@ def _default_r_grid() -> list[float]:
     return sorted(dict.fromkeys(low + high))
 
 
+# --- one model per scenario kind ---
+
+
+@dataclass(frozen=True)
+class Solved:
+    """A model's optimum: the prices to simulate at, and what `solve` reports."""
+
+    prices: list  # one per class; one row per worker for a fleet
+    summary: str = ""
+    payload: dict | None = None
+    trace: tuple | None = None  # (reserve, achieved rate) per fixed-point iteration
+
+
+def _fmts(prices) -> str:
+    return ", ".join(_fmt(p) for p in prices)
+
+
+def _fixed_point_solved(model: str, title: str, sol) -> Solved:
+    payload = {"model": model, "prices": list(sol.prices), "rate": sol.rate,
+               "iterations": sol.iterations, "converged": sol.converged}
+    value = ""
+    if sol.value is not None:
+        payload["value"] = sol.value
+        value = f", value = {_fmt(sol.value)}"
+    summary = (f"{title}: prices = {_fmts(sol.prices)}, rate = {_fmt(sol.rate)}{value}, "
+               f"iterations = {sol.iterations}")
+    return Solved(list(sol.prices), summary, payload, sol.trace)
+
+
+def _solve_loss(scenario: Scenario) -> Solved:
+    return _fixed_point_solved("loss", "optimum", solve_fixed_point(scenario))
+
+
+def _solve_discounted(scenario: Scenario) -> Solved:
+    return _fixed_point_solved("discounted", "discounted optimum", solve_discounted(scenario))
+
+
+def _solve_mixture(scenario: Scenario) -> Solved:
+    prices, value = mixture_horizon_optimize(scenario)
+    summary = f"mixture-horizon optimum: prices = {_fmts(prices)}, value = {_fmt(value)}"
+    return Solved(list(prices), summary,
+                  {"model": "mixture_horizon", "prices": list(prices), "value": value})
+
+
+def _solve_queue(scenario: Scenario) -> Solved:
+    prices, rate = queue_optimize(scenario)
+    summary = (f"queue optimum: p_A* = {_fmt(prices[0])}, p_B* = {_fmt(prices[1])}, "
+               f"rate = {_fmt(rate)}")
+    return Solved(list(prices), summary, {"model": "queue", "prices": list(prices), "rate": rate})
+
+
+def _solve_fleet(scenario: Scenario) -> Solved:
+    eq = ranked_price_equilibrium(scenario)
+    return Solved([list(eq.by_rank(w.rank).prices) for w in scenario.workers])
+
+
+def _simulate_queue(config: SimConfig, prices) -> SimStats:
+    if len(prices) != 2:
+        raise ConfigError("queue simulation takes exactly two prices")
+    return simulate_queue(config, prices[0], prices[1])
+
+
+class Model(NamedTuple):
+    """How the CLI solves, simulates and validates one scenario kind."""
+
+    solve: Callable[[Scenario], Solved]
+    simulate: Callable[[SimConfig, list], SimStats]
+    objective: Callable[[Scenario, list], float] | None  # None: the fleet check
+    check: str
+
+
+def _model(scenario: Scenario) -> Model:
+    """The scenario's row of the kind table. The table is built per call, so it
+    holds the module's current bindings (a tracer or a test may rebind them)."""
+    return {
+        "loss": Model(_solve_loss, simulate, avg_earning_rate, "loss_rate_vs_simulation"),
+        "fleet": Model(_solve_fleet, simulate, None, "best_ranked_worker_unaffected_by_fleet"),
+        "discounted": Model(_solve_discounted, simulate_discounted, discounted_value,
+                            "discounted_value_vs_simulation"),
+        "mixture": Model(_solve_mixture, simulate_discounted, mixture_horizon_value,
+                         "mixture_value_vs_simulation"),
+        "queue": Model(_solve_queue, _simulate_queue, lambda s, p: queue_rate(s, p[0], p[1]),
+                       "queue_rate_vs_simulation"),
+    }[scenario.kind]
+
+
+# Commands that serve only some kinds; any other kind exits 2 before --out is made.
+_SERVES = {
+    "solve": ("loss", "discounted", "mixture", "queue"),
+    "compete": ("fleet",),
+    "simulate --trace": ("loss", "fleet"),
+}
+
+
 # --- solve ---
 
 
 def cmd_solve(scenario: Scenario, outdir: Path) -> list[str]:
+    solved = _model(scenario).solve(scenario)
+    print(solved.summary)
     outputs = []
-    if scenario.queue_capacity == 1:
-        prices, rate = queue_optimize(scenario)
-        print(f"queue optimum: p_A* = {_fmt(prices[0])}, p_B* = {_fmt(prices[1])}, "
-              f"rate = {_fmt(rate)}")
-        payload = {"model": "queue", "prices": list(prices), "rate": rate}
-    elif isinstance(scenario.discount, MixtureDiscount):
-        prices, value = mixture_horizon_optimize(scenario)
-        print("mixture-horizon optimum: prices = "
-              + ", ".join(_fmt(p) for p in prices) + f", value = {_fmt(value)}")
-        payload = {"model": "mixture_horizon", "prices": list(prices), "value": value}
-    elif isinstance(scenario.discount, ExponentialDiscount):
-        sol = solve_discounted(scenario)
-        print("discounted optimum: prices = " + ", ".join(_fmt(p) for p in sol.prices)
-              + f", rate = {_fmt(sol.rate)}, value = {_fmt(sol.value)}, "
-              f"iterations = {sol.iterations}")
-        payload = {
-            "model": "discounted",
-            "prices": list(sol.prices),
-            "rate": sol.rate,
-            "value": sol.value,
-            "iterations": sol.iterations,
-            "converged": sol.converged,
-        }
-        _write_csv(outdir / "trace.csv", ["t", "R_t"], _trace_rows(sol.trace))
+    if solved.trace is not None:
+        _write_csv(outdir / "trace.csv", ["t", "R_t"], _trace_rows(solved.trace))
         outputs.append("trace.csv")
-    else:
-        sol = solve_fixed_point(scenario)
-        print("optimum: prices = " + ", ".join(_fmt(p) for p in sol.prices)
-              + f", rate = {_fmt(sol.rate)}, iterations = {sol.iterations}")
-        payload = {
-            "model": "loss",
-            "prices": list(sol.prices),
-            "rate": sol.rate,
-            "iterations": sol.iterations,
-            "converged": sol.converged,
-        }
-        _write_csv(outdir / "trace.csv", ["t", "R_t"], _trace_rows(sol.trace))
-        outputs.append("trace.csv")
-    _write_json(outdir / "solution.json", payload)
+    _write_json(outdir / "solution.json", solved.payload)
     outputs.append("solution.json")
     return outputs
 
@@ -244,52 +306,23 @@ def _parse_prices(spec: str, scenario: Scenario):
         matrix = [[float(x) for x in row.split(",")] for row in rows]
     except ValueError as exc:
         raise ConfigError(f"bad price list {spec!r}: {exc}") from exc
-    if len(scenario.workers) == 1:
+    if scenario.kind != "fleet":
         if len(matrix) != 1:
             raise ConfigError("single-worker scenario takes one price row")
         return matrix[0]
     return matrix
 
 
-def _solved_prices(scenario: Scenario):
-    if scenario.queue_capacity == 1:
-        prices, _ = queue_optimize(scenario)
-        return list(prices)
-    if isinstance(scenario.discount, MixtureDiscount):
-        prices, _ = mixture_horizon_optimize(scenario)
-        return list(prices)
-    if isinstance(scenario.discount, ExponentialDiscount):
-        return list(solve_discounted(scenario).prices)
-    if len(scenario.workers) == 1:
-        return list(solve_fixed_point(scenario).prices)
-    eq = ranked_price_equilibrium(scenario)
-    return [list(eq.by_rank(w.rank).prices) for w in scenario.workers]
-
-
-def _require_traceable(scenario: Scenario) -> None:
-    """Reject --trace up front on models whose simulators write no event trace,
-    before any solve runs or --out is created."""
-    if scenario.queue_capacity == 1 or scenario.discount is not None:
-        raise ConfigError("event traces cover loss systems only, not queue or "
-                          "discounted runs")
-
-
 def cmd_simulate(scenario: Scenario, prices_spec: str, seed: int, outdir: Path,
                  trace: bool) -> list[str]:
+    model = _model(scenario)
     if prices_spec == "solved":
-        prices = _solved_prices(scenario)
+        prices = model.solve(scenario).prices
     else:
         prices = _parse_prices(prices_spec, scenario)
     trace_path = str(outdir / "events.csv") if trace else None
     cfg = SimConfig(scenario=scenario, base_seed=seed, trace_path=trace_path)
-    if scenario.queue_capacity == 1:
-        if len(prices) != 2:
-            raise ConfigError("queue simulation takes exactly two prices")
-        stats = simulate_queue(cfg, prices[0], prices[1])
-    elif scenario.discount is not None:
-        stats = simulate_discounted(cfg, prices)
-    else:
-        stats = simulate(cfg, prices)
+    stats = model.simulate(cfg, prices)
     payload = {"prices": prices, "seed": seed, "stats": stats.to_dict()}
     _write_json(outdir / "stats.json", payload)
     print(f"simulated {stats.kind}: mean = {_fmt(stats.mean)}, "
@@ -306,14 +339,11 @@ def cmd_simulate(scenario: Scenario, prices_spec: str, seed: int, outdir: Path,
 
 def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
                 dynamics: bool) -> list[str]:
-    if len(scenario.workers) < 2:
-        raise ConfigError("compete needs at least two workers")
     if dynamics:
         report = best_response_dynamics(scenario)
         if report.fixed_profile is not None:
-            print("best-response dynamics settled at "
-                  + ", ".join(_fmt(p) for p in report.fixed_profile)
-                  + f" after {report.rounds_run} rounds")
+            print(f"best-response dynamics settled at {_fmts(report.fixed_profile)}"
+                  f" after {report.rounds_run} rounds")
         elif report.cycle_length is not None:
             print(f"best-response dynamics cycles: length {report.cycle_length} "
                   f"starting at round {report.cycle_start} "
@@ -340,9 +370,8 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
     eq = ranked_price_equilibrium(scenario)
     workers_payload = []
     for outcome in eq.outcomes:
-        print(f"rank {outcome.rank}: prices = "
-              + ", ".join(_fmt(p) for p in outcome.prices)
-              + f", rate = {_fmt(outcome.rate)}, busy = {_fmt(outcome.busy_fraction)}")
+        print(f"rank {outcome.rank}: prices = {_fmts(outcome.prices)}"
+              f", rate = {_fmt(outcome.rate)}, busy = {_fmt(outcome.busy_fraction)}")
         workers_payload.append(
             {
                 "rank": outcome.rank,
@@ -413,74 +442,40 @@ def _check_close(name: str, analytic: float, stats: SimStats) -> CheckResult:
     )
 
 
+def _fleet_check(name: str, scenario: Scenario, seed: int, matrix,
+                 fleet_stats: SimStats) -> CheckResult:
+    best_index = min(range(len(scenario.workers)), key=lambda i: scenario.workers[i].rank)
+    solo = Scenario(classes=scenario.classes, workers=(scenario.workers[best_index],))
+    solo_stats = simulate(_sim_config(solo, seed + 1), matrix[best_index])
+    fleet_mean, fleet_se = fleet_stats.worker_mean_se(best_index)
+    gap = abs(fleet_mean - solo_stats.mean)
+    bound = 3.0 * (fleet_se**2 + solo_stats.se**2) ** 0.5
+    return CheckResult(name, bool(gap <= bound), f"fleet {_fmt(fleet_mean)}, solo "
+                       f"{_fmt(solo_stats.mean)} (|gap| {_fmt(gap)} vs {_fmt(bound)})")
+
+
 def validation_checks(scenario: Scenario, seed: int) -> list[CheckResult]:
     """Cross-check battery: every analytic model against its simulator."""
+    model = _model(scenario)
+    solved = model.solve(scenario)
+    prices = solved.prices
+    analytic = None if model.objective is None else model.objective(scenario, prices)
     checks: list[CheckResult] = []
-    if scenario.queue_capacity == 1:
-        prices, rate = queue_optimize(scenario)
-        closed = queue_rate(scenario, prices[0], prices[1])
+    if scenario.kind == "queue":
         renewal = first_step_solve(scenario, prices[0], prices[1]).rate
-        gap = abs(closed - renewal)
-        checks.append(
-            CheckResult(
-                "queue_closed_form_vs_renewal_equations",
-                bool(gap <= 1e-9),
-                f"closed form {_fmt(closed)}, renewal solve {_fmt(renewal)}",
-            )
-        )
-        stats = simulate_queue(_sim_config(scenario, seed), prices[0], prices[1])
-        checks.append(_check_close("queue_rate_vs_simulation", closed, stats))
-    elif isinstance(scenario.discount, MixtureDiscount):
-        prices, _ = mixture_horizon_optimize(scenario)
-        stats = simulate_discounted(_sim_config(scenario, seed), prices)
-        checks.append(
-            _check_close("mixture_value_vs_simulation",
-                         mixture_horizon_value(scenario, prices), stats)
-        )
-    elif isinstance(scenario.discount, ExponentialDiscount):
-        sol = solve_discounted(scenario)
-        stats = simulate_discounted(_sim_config(scenario, seed), sol.prices)
-        checks.append(
-            _check_close("discounted_value_vs_simulation",
-                         discounted_value(scenario, sol.prices), stats)
-        )
-    elif len(scenario.workers) == 1:
-        sol = solve_fixed_point(scenario)
-        achieved, _ = rate_map(scenario, sol.rate)
-        checks.append(
-            CheckResult(
-                "fixed_point_consistency",
-                bool(abs(achieved - sol.rate) <= 1e-8),
-                f"rate {_fmt(sol.rate)}, map at rate {_fmt(achieved)}",
-            )
-        )
-        stats = simulate(_sim_config(scenario, seed), sol.prices)
-        checks.append(
-            _check_close("loss_rate_vs_simulation",
-                         avg_earning_rate(scenario, sol.prices), stats)
-        )
+        checks.append(CheckResult("queue_closed_form_vs_renewal_equations",
+                                  bool(abs(analytic - renewal) <= 1e-9),
+                                  f"closed form {_fmt(analytic)}, renewal solve {_fmt(renewal)}"))
+    elif scenario.kind == "loss":
+        rate = solved.payload["rate"]
+        achieved, _ = rate_map(scenario, rate)
+        checks.append(CheckResult("fixed_point_consistency", bool(abs(achieved - rate) <= 1e-8),
+                                  f"rate {_fmt(rate)}, map at rate {_fmt(achieved)}"))
+    stats = model.simulate(_sim_config(scenario, seed), prices)
+    if analytic is None:
+        checks.append(_fleet_check(model.check, scenario, seed, prices, stats))
     else:
-        eq = ranked_price_equilibrium(scenario)
-        matrix = [list(eq.by_rank(w.rank).prices) for w in scenario.workers]
-        fleet_stats = simulate(_sim_config(scenario, seed), matrix)
-        best_index = min(
-            range(len(scenario.workers)), key=lambda i: scenario.workers[i].rank
-        )
-        solo = Scenario(
-            classes=scenario.classes, workers=(scenario.workers[best_index],)
-        )
-        solo_stats = simulate(_sim_config(solo, seed + 1), matrix[best_index])
-        fleet_mean, fleet_se = fleet_stats.worker_mean_se(best_index)
-        gap = abs(fleet_mean - solo_stats.mean)
-        bound = 3.0 * (fleet_se**2 + solo_stats.se**2) ** 0.5
-        checks.append(
-            CheckResult(
-                "best_ranked_worker_unaffected_by_fleet",
-                bool(gap <= bound),
-                f"fleet {_fmt(fleet_mean)}, solo {_fmt(solo_stats.mean)} "
-                f"(|gap| {_fmt(gap)} vs {_fmt(bound)})",
-            )
-        )
+        checks.append(_check_close(model.check, analytic, stats))
     return checks
 
 
@@ -529,8 +524,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         scenario = load_scenario(args.config)
-        if args.command == "simulate" and args.trace:
-            _require_traceable(scenario)
+        op = "simulate --trace" if args.command == "simulate" and args.trace else args.command
+        if op in _SERVES:
+            scenario.require(op, *_SERVES[op])
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         ok = True

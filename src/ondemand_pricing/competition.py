@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import _require_plain_loss
 from .errors import ConfigError, ModelMismatch
 from .model import (
     CustomerClass,
@@ -39,9 +38,7 @@ _BISECT_MAX = 200
 
 def busy_fraction(scenario: Scenario, prices) -> float:
     """Long-run probability that the sole worker is serving a job."""
-    _require_plain_loss(scenario, "busy_fraction")
-    if scenario.discount is not None:
-        raise ModelMismatch("busy_fraction applies to undiscounted scenarios")
+    scenario.require("busy_fraction", "loss")
     prices = check_prices(scenario, prices)
     offered = sum(
         cls.load * cls.valuation.tail(p) for cls, p in zip(scenario.classes, prices)
@@ -220,10 +217,7 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
     prices are net (retained) rates. Each outcome says whether that worker's
     reserve-rate iteration converged.
     """
-    if scenario.queue_capacity != 0 or scenario.discount is not None:
-        raise ModelMismatch(
-            "ranked_price_equilibrium applies to undiscounted loss scenarios"
-        )
+    scenario.require("ranked_price_equilibrium", "loss", "fleet")
     scenario = _uniform_retention(scenario)
     ordered = sorted(scenario.workers, key=lambda w: w.rank)
     if len({w.rank for w in ordered}) != len(ordered):
@@ -256,7 +250,8 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
 # --- exact fleet chain, single class ---
 
 
-def _fleet_parts(scenario: Scenario):
+def _fleet_parts(scenario: Scenario, op: str, *kinds: str):
+    scenario.require(op, *kinds)
     if scenario.num_classes != 1:
         raise ModelMismatch("fleet chain supports a single customer class")
     cls = scenario.classes[0]
@@ -276,7 +271,7 @@ def fleet_rates(scenario: Scenario, prices: tuple[float, ...],
     rule "cheapest": customers take the cheapest available worker they can
     afford, splitting ties evenly.
     """
-    cls, workers = _fleet_parts(scenario)
+    cls, workers = _fleet_parts(scenario, "fleet_rates", "loss", "fleet")
     if rule not in ("ranked", "cheapest"):
         raise ConfigError(f"unknown choice rule {rule!r}")
     if rule == "ranked" and len({w.rank for w in workers}) != len(workers):
@@ -347,9 +342,7 @@ def best_response_dynamics(scenario: Scenario, grid_step: float = 0.01,
     undifferentiated (cheapest-available) choice a cycle is the expected
     outcome; under ranked choice the dynamics settle.
     """
-    cls, workers = _fleet_parts(scenario)
-    if len(workers) < 2:
-        raise ModelMismatch("best-response dynamics needs at least two workers")
+    cls, workers = _fleet_parts(scenario, "best_response_dynamics", "fleet")
     ranks = {w.rank for w in workers}
     rule = "ranked" if len(ranks) == len(workers) else "cheapest"
     axis = [float(x) for x in np.arange(0.0, cls.valuation.upper + grid_step / 2.0, grid_step)]

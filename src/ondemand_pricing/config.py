@@ -148,15 +148,21 @@ def _parse_discount(doc, path: str):
     params = doc.get("params")
     if params is None:
         raise ConfigError(f"{path}: missing required key 'params'")
-    if kind == "exponential":
-        _check_keys(params, {"rate"}, {"rate"}, f"{path}.params")
-        return ExponentialDiscount(rate=_number(params, "rate", f"{path}.params"))
-    if kind == "mixture":
-        _check_keys(params, {"weights", "rates"}, {"weights", "rates"}, f"{path}.params")
-        return MixtureDiscount(
-            weights=tuple(_number_list(params, "weights", f"{path}.params")),
-            rates=tuple(_number_list(params, "rates", f"{path}.params")),
-        )
+    ppath = f"{path}.params"
+    try:
+        if kind == "exponential":
+            _check_keys(params, {"rate"}, {"rate"}, ppath)
+            return ExponentialDiscount(rate=_number(params, "rate", ppath))
+        if kind == "mixture":
+            _check_keys(params, {"weights", "rates"}, {"weights", "rates"}, ppath)
+            return MixtureDiscount(
+                weights=tuple(_number_list(params, "weights", ppath)),
+                rates=tuple(_number_list(params, "rates", ppath)),
+            )
+    except ConfigError as exc:
+        if str(exc).startswith(path):
+            raise
+        raise ConfigError(f"{ppath}: {exc}") from exc
     raise ConfigError(
         f"{path}.kind: unknown kind {kind!r} (expected none, exponential, or mixture)"
     )

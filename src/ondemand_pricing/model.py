@@ -456,6 +456,28 @@ class Scenario:
         ranks = [w.rank for w in self.workers]
         if len(set(ranks)) not in (1, len(ranks)):
             raise ConfigError("worker ranks must be all equal or all distinct")
+        if self.queue_capacity and len(self.workers) > 1:
+            raise ConfigError("scenario.queue_capacity: the queue takes a single worker")
+        if self.discount is not None and (self.queue_capacity or len(self.workers) > 1):
+            raise ConfigError("scenario.discount: discounting takes a single worker, no queue")
+
+    @property
+    def kind(self) -> str:
+        """The model the scenario poses: "queue" with a waiting spot, else
+        "mixture" or "discounted" by its discount, else "loss" for a lone worker
+        and "fleet" for several. __post_init__ rejects every other shape."""
+        if self.queue_capacity:
+            return "queue"
+        if isinstance(self.discount, MixtureDiscount):
+            return "mixture"
+        if self.discount is not None:
+            return "discounted"
+        return "loss" if len(self.workers) == 1 else "fleet"
+
+    def require(self, op: str, *kinds: str) -> None:
+        """Raise ModelMismatch unless the scenario's kind is one of `kinds`."""
+        if self.kind not in kinds:
+            raise ModelMismatch(f"{op} applies to {' or '.join(kinds)} scenarios, not {self.kind}")
 
     @property
     def num_classes(self) -> int:

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import avg_earning_rate, discount_adjusted, effective_load
+from .analytics import effective_load
 from .errors import ModelMismatch, SingularSystem
 from .model import (
     CustomerClass,
     ExponentialDuration,
-    MixtureDiscount,
     PriceVector,
     Scenario,
     WorkerSpec,
@@ -30,16 +29,13 @@ from .solver import price_response, solve_fixed_point
 _RESTARTS = 20
 
 
-def _queue_parts(scenario: Scenario) -> tuple[CustomerClass, CustomerClass, float]:
-    if len(scenario.workers) != 1:
-        raise ModelMismatch("queue operations apply to single-worker scenarios")
-    if scenario.queue_capacity != 1:
-        raise ModelMismatch("queue operations need queue_capacity = 1")
+def _queue_parts(scenario: Scenario, op: str) -> tuple[CustomerClass, CustomerClass, float]:
+    scenario.require(op, "queue")
     if scenario.num_classes != 2:
-        raise ModelMismatch("queue operations support exactly two classes")
+        raise ModelMismatch(f"{op} supports exactly two classes")
     for cls in scenario.classes:
         if not isinstance(cls.duration, ExponentialDuration):
-            raise ModelMismatch("queue operations need exponential durations")
+            raise ModelMismatch(f"{op} needs exponential durations")
     return scenario.classes[0], scenario.classes[1], scenario.workers[0].cost
 
 
@@ -60,7 +56,7 @@ def _queue_rate(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
 
 def queue_rate(scenario: Scenario, price_a: float, price_b: float) -> float:
     """Long-run average earning rate with one waiting spot, in closed form."""
-    return _queue_rate(*_queue_parts(scenario), price_a, price_b)
+    return _queue_rate(*_queue_parts(scenario, "queue_rate"), price_a, price_b)
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class FirstStepSolution:
 
 def first_step_solve(scenario: Scenario, price_a: float, price_b: float) -> FirstStepSolution:
     """Solve the renewal first-step equations directly (cross-check of queue_rate)."""
-    cls_a, cls_b, cost = _queue_parts(scenario)
+    cls_a, cls_b, cost = _queue_parts(scenario, "first_step_solve")
     admit_a = cls_a.arrival_rate * cls_a.valuation.tail(price_a)
     admit_b = cls_b.arrival_rate * cls_b.valuation.tail(price_b)
     mu_a = cls_a.duration.rate
@@ -147,7 +143,7 @@ def _search_starts(bounds, objective, coarse: bool = True) -> list[list[float]]:
 def queue_optimize(scenario: Scenario) -> tuple[PriceVector, float]:
     """Jointly optimal prices for the capacity-one queue via multi-start
     coordinate ascent on the closed-form rate."""
-    parts = _queue_parts(scenario)
+    parts = _queue_parts(scenario, "queue_optimize")
 
     def objective(p) -> float:
         return _queue_rate(*parts, p[0], p[1])
@@ -196,11 +192,8 @@ def hybrid_solve(on_demand: CustomerClass, patient: CustomerClass,
     )
 
 
-def _mixture_parts(scenario: Scenario):
-    if not isinstance(scenario.discount, MixtureDiscount):
-        raise ModelMismatch("mixture operations need a mixture discount")
-    if len(scenario.workers) != 1 or scenario.queue_capacity != 0:
-        raise ModelMismatch("mixture operations apply to the single-worker loss system")
+def _mixture_parts(scenario: Scenario, op: str):
+    scenario.require(op, "mixture")
     mix = scenario.discount
     cost = scenario.workers[0].cost
     branch_loads = [
@@ -228,13 +221,13 @@ def mixture_horizon_value(scenario: Scenario, prices) -> float:
 
     For a single branch with rate 1 this coincides with discounted_value.
     """
-    parts = _mixture_parts(scenario)
+    parts = _mixture_parts(scenario, "mixture_horizon_value")
     return _mixture_value(scenario, parts, check_prices(scenario, prices))
 
 
 def mixture_horizon_optimize(scenario: Scenario) -> tuple[PriceVector, float]:
     """Maximize mixture_horizon_value by multi-start coordinate ascent."""
-    parts = _mixture_parts(scenario)
+    parts = _mixture_parts(scenario, "mixture_horizon_optimize")
 
     def objective(p) -> float:
         # the search keeps p finite inside the nonnegative price box

@@ -28,12 +28,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, ModelMismatch
-from .model import (
-    ExponentialDiscount,
-    ExponentialDuration,
-    MixtureDiscount,
-    Scenario,
-)
+from .model import ExponentialDuration, Scenario
 
 # Discount weight e^{-gamma t} is below 4e-18 past this many inverse rates, so
 # discounted runs truncate their horizon there.
@@ -312,13 +307,10 @@ def _check_matrix(scenario: Scenario, prices) -> list[list[float]]:
     return matrix
 
 
-def _loss_matrix(scenario: Scenario, prices) -> list[list[float]]:
+def _loss_matrix(scenario: Scenario, prices, op: str) -> list[list[float]]:
     """The validated price matrix, one row per worker, of a loss-system run."""
-    if scenario.queue_capacity != 0:
-        raise ModelMismatch("use simulate_queue for scenarios with waiting room")
-    if scenario.discount is not None:
-        raise ModelMismatch("use simulate_discounted for discounted scenarios")
-    if len(scenario.workers) == 1:
+    scenario.require(op, "loss", "fleet")
+    if scenario.kind == "loss":
         return [_check_single_prices(scenario, prices)]
     matrix = _check_matrix(scenario, prices)
     ranks = [w.rank for w in scenario.workers]
@@ -331,7 +323,7 @@ def simulate(config: SimConfig, prices) -> SimStats:
     """Simulate the loss system: a lone worker, or a ranked fleet under
     best-affordable-worker choice. Returns rate statistics over replications."""
     scenario = config.scenario
-    matrix = _loss_matrix(scenario, prices)
+    matrix = _loss_matrix(scenario, prices, "simulate")
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
     span = horizon - warm
@@ -382,13 +374,12 @@ def simulate_discounted(config: SimConfig, prices, gamma: float | None = None) -
     mixture_horizon_value.
     """
     scenario = config.scenario
-    if len(scenario.workers) != 1 or scenario.queue_capacity != 0:
-        raise ModelMismatch("simulate_discounted applies to a lone worker, no queue")
+    scenario.require("simulate_discounted", "loss", "discounted", "mixture")
     mixture = False
     if gamma is None:
-        if isinstance(scenario.discount, ExponentialDiscount):
+        if scenario.kind == "discounted":
             gamma = scenario.discount.rate
-        elif isinstance(scenario.discount, MixtureDiscount):
+        elif scenario.kind == "mixture":
             mixture = True
         else:
             raise ConfigError("no discount rate given and none in the scenario")
@@ -438,10 +429,9 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     the waiting job starts when the current one ends.
     """
     scenario = config.scenario
-    if scenario.queue_capacity != 1 or scenario.num_classes != 2:
-        raise ModelMismatch("simulate_queue needs queue_capacity 1 and two classes")
-    if len(scenario.workers) != 1:
-        raise ModelMismatch("simulate_queue applies to a lone worker")
+    scenario.require("simulate_queue", "queue")
+    if scenario.num_classes != 2:
+        raise ModelMismatch("simulate_queue needs two classes")
     for cls in scenario.classes:
         if not isinstance(cls.duration, ExponentialDuration):
             raise ModelMismatch("simulate_queue needs exponential durations")
@@ -534,7 +524,7 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
         raise ModelMismatch("deviation_scan supports single-class scenarios")
     if config.replications < 2:
         raise ConfigError("deviation_scan needs at least two replications")
-    matrix = _loss_matrix(scenario, equilibrium_prices)
+    matrix = _loss_matrix(scenario, equilibrium_prices, "deviation_scan")
     if not 0 <= worker_index < len(scenario.workers):
         raise ConfigError(f"no worker at index {worker_index}")
     base_price = matrix[worker_index][0]

@@ -17,10 +17,9 @@ from operator import add
 import numpy as np
 
 from .analytics import avg_earning_rate, discount_adjusted
-from .errors import IrregularDistribution, ModelMismatch
+from .errors import IrregularDistribution
 from .model import (
     CustomerClass,
-    ExponentialDiscount,
     PriceVector,
     Scenario,
     regularity_check,
@@ -44,6 +43,7 @@ def price_response(cls: CustomerClass, reserve: float, cost: float) -> float:
 def rate_map(scenario: Scenario, reserve: float) -> tuple[float, PriceVector]:
     """Best achievable earning rate when busy time is shadow priced at `reserve`,
     together with the prices attaining it."""
+    scenario.require("rate_map", "loss")
     cost = scenario.sole_worker.cost
     prices = tuple(price_response(cls, reserve, cost) for cls in scenario.classes)
     return avg_earning_rate(scenario, prices), prices
@@ -68,8 +68,7 @@ def solve_fixed_point(scenario: Scenario, r0: float = 0.0, tol: float = 1e-10,
     The trace records (reserve, achieved rate) per iteration; after the first
     step the reserve sequence is nondecreasing and bounded by the optimum.
     """
-    if scenario.discount is not None:
-        raise ModelMismatch("solve_fixed_point applies to undiscounted scenarios")
+    scenario.require("solve_fixed_point", "loss")
     for i, cls in enumerate(scenario.classes):
         if regularity_check(cls.valuation) != "strictly_regular":
             raise IrregularDistribution(
@@ -104,8 +103,7 @@ def solve_discounted(scenario: Scenario) -> Solution:
     Solves the fixed point of the discount-adjusted scenario; `value` carries
     the expected discounted earnings from an idle start, rate / discount rate.
     """
-    if not isinstance(scenario.discount, ExponentialDiscount):
-        raise ModelMismatch("solve_discounted needs an exponential discount rate")
+    scenario.require("solve_discounted", "discounted")
     gamma = scenario.discount.rate
     sol = solve_fixed_point(discount_adjusted(scenario, gamma))
     return replace(sol, value=sol.rate / gamma)
@@ -122,8 +120,7 @@ def grid_search_optimum(scenario: Scenario, step: float = 1e-3) -> tuple[PriceVe
     per-class argmax of gains - R*weights with R = N/D, rising strictly until
     it reaches the grid optimum; it holds for any number of classes.
     """
-    if scenario.discount is not None:
-        raise ModelMismatch("grid_search_optimum applies to undiscounted scenarios")
+    scenario.require("grid_search_optimum", "loss")
     cost = scenario.sole_worker.cost
     axes, gains, weights = [], [], []
     for cls in scenario.classes:

@@ -267,14 +267,39 @@ def nan_weight_mixture_doc():
     return doc
 
 
+def bundled_with(name, **keys):
+    """A bundled config with some top-level keys added or replaced."""
+    return dict(read_json(CONFIGS / name), **keys)
+
+
+EXPONENTIAL = {"kind": "exponential", "params": {"rate": 1.0}}
+MIXTURE = {"kind": "mixture", "params": {"weights": [0.5, 0.5], "rates": [1.0, 2.0]}}
+
+# configs whose shape no model covers: Scenario rejects them at parse time
+SHAPELESS_CONFIGS = {
+    "queue_exponential.json": bundled_with("queue.json", discount=EXPONENTIAL),
+    "queue_mixture.json": bundled_with("queue.json", discount=MIXTURE),
+    "queue_two_workers.json": bundled_with("queue.json", workers=[{"rank": 1}, {"rank": 2}]),
+    "fleet_exponential.json": bundled_with("compete_ranked.json", discount=EXPONENTIAL),
+}
+
+
 # configs the exit-code tests write into their temporary directory
 GENERATED_CONFIGS = {
     "knot_string.json": piecewise_doc([[0, "a"], [1, 1]]),
     "knot_null.json": piecewise_doc([[0, None], [1, 1]]),
     "knot_bool.json": piecewise_doc([[0, 0], [1, True]]),
     "nan_weight.json": nan_weight_mixture_doc(),
+    "negative_weight.json": bundled_with(
+        "mixture.json",
+        discount={"kind": "mixture", "params": {"weights": [-0.5, 1.5], "rates": [1.0, 2.0]}},
+    ),
+    "zero_rate.json": bundled_with(
+        "discounted.json", discount={"kind": "exponential", "params": {"rate": 0.0}}
+    ),
     "narrow_flat.json": piecewise_doc([[0.0, 0.0], [0.5, 0.5], [0.50001, 0.5], [1.0, 1.0]]),
     "knot_drop.json": piecewise_doc([[0.0, 0.0], [0.5, 0.50002], [1.0, 1.0]]),
+    **SHAPELESS_CONFIGS,
 }
 
 
@@ -305,10 +330,13 @@ def config_path(name):
         ("solve", "--config", "knot_bool.json"),
         ("solve", "--config", "nan_weight.json"),
         ("sweep", "--config", "single_class.json", "--param", "r", "--grid", "0.5,1"),
+        ("solve", "--config", "negative_weight.json"),
+        ("solve", "--config", "zero_rate.json"),
     ],
     ids=["missing_config", "grid_list", "grid_range", "prices", "solve_fleet", "sweep_fleet",
          "trace_discounted", "trace_mixture", "trace_queue", "out_is_file",
-         "knot_string", "knot_null", "knot_bool", "nan_weight", "sweep_r_one_class"],
+         "knot_string", "knot_null", "knot_bool", "nan_weight", "sweep_r_one_class",
+         "negative_weight", "zero_rate"],
 )
 def test_exit_code_bad_config(tmp_path, monkeypatch, capsys, argv):
     command, flag, name, *rest = argv
@@ -320,10 +348,26 @@ def test_exit_code_bad_config(tmp_path, monkeypatch, capsys, argv):
     if name.startswith("knot_"):
         # the key path names the offending knot entry
         assert "scenario.classes[0].valuation.params.knots[" in err
+    if name in ("nan_weight.json", "negative_weight.json", "zero_rate.json"):
+        assert err.startswith("error: scenario.discount.params: ")
     assert not Path("o", "manifest.json").exists()
     if "--trace" in rest:
         # rejected before any solve and before --out is created
         assert not Path("o").exists()
+
+
+@pytest.mark.parametrize("name", SHAPELESS_CONFIGS)
+@pytest.mark.parametrize(
+    "command",
+    [("solve",), ("simulate",), ("validate",), ("sweep", "--param", "r", "--grid", "0.5,1"),
+     ("compete",)],
+    ids=["solve", "simulate", "validate", "sweep_r", "compete"],
+)
+def test_exit_code_shape_no_model_covers(tmp_path, monkeypatch, capsys, command, name):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command[0], "--config", config_path(name), "--out", "o", *command[1:]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario.")
+    assert not Path("o").exists()
 
 
 def test_exit_code_validate_zero_rate_queue(tmp_path, capsys):
