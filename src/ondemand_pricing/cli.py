@@ -60,11 +60,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+# The first file a run writes makes --out, so a run that fails leaves none.
 def _write_json(path: Path, payload) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -190,7 +193,7 @@ def _model(scenario: Scenario) -> Model:
     }[scenario.kind]
 
 
-# Commands that serve only some kinds; any other kind exits 2 before --out is made.
+# Commands that serve only some kinds; any other kind exits 2 before any work.
 _SERVES = {
     "solve": ("loss", "discounted", "mixture", "queue"),
     "compete": ("fleet",),
@@ -361,8 +364,7 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
         _write_json(outdir / "dynamics.json", payload)
         return ["dynamics.json"]
 
-    ranks = [w.rank for w in scenario.workers]
-    if len(set(ranks)) != len(ranks):
+    if scenario.choice != "ranked":
         raise NoEquilibrium(
             "undifferentiated workers admit no pure price equilibrium; "
             "rerun with --dynamics to see the cycling behaviour"
@@ -528,7 +530,6 @@ def main(argv=None) -> int:
         if op in _SERVES:
             scenario.require(op, *_SERVES[op])
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         ok = True
         if args.command == "solve":
             outputs = cmd_solve(scenario, outdir)

@@ -1,11 +1,12 @@
 """Competition between workers posting per-unit-time prices to shared demand.
 
-Two customer choice rules are covered. Quality-ranked choice: every customer
+Two customer choice rules are covered, and a fleet's ranks pick one
+(`Scenario.choice`). Quality-ranked choice (distinct ranks): every customer
 prefers the highest-ranked worker she can afford among those currently
 available, which yields a hierarchical equilibrium solvable one rank at a
-time against residual demand. Undifferentiated choice: customers take the
-cheapest available worker they can afford, for which no pure equilibrium need
-exist and best-response dynamics can cycle.
+time against residual demand. Undifferentiated choice (equal ranks):
+customers take the cheapest available worker they can afford, for which no
+pure equilibrium need exist and best-response dynamics can cycle.
 
 Payoffs for best-response dynamics come from the exact stationary distribution
 of the fleet's busy-set Markov chain rather than from the residual-demand
@@ -218,10 +219,10 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
     reserve-rate iteration converged.
     """
     scenario.require("ranked_price_equilibrium", "loss", "fleet")
+    if scenario.choice != "ranked":
+        raise ModelMismatch("quality ranks must be distinct")
     scenario = _uniform_retention(scenario)
     ordered = sorted(scenario.workers, key=lambda w: w.rank)
-    if len({w.rank for w in ordered}) != len(ordered):
-        raise ModelMismatch("quality ranks must be distinct")
 
     curves = [ResidualDemandCurve(cls) for cls in scenario.classes]
     outcomes = []
@@ -263,22 +264,26 @@ def _fleet_parts(scenario: Scenario, op: str, *kinds: str):
     return cls, scenario.workers
 
 
-def fleet_rates(scenario: Scenario, prices: tuple[float, ...],
-                rule: str) -> tuple[float, ...]:
-    """Each worker's exact long-run earning rate when the fleet posts `prices`.
+def fleet_rates(scenario: Scenario, prices: tuple[float, ...]) -> tuple[float, ...]:
+    """Each worker's exact long-run earning rate when worker i posts prices[i].
 
-    rule "ranked": customers take the best-ranked affordable available worker.
-    rule "cheapest": customers take the cheapest available worker they can
-    afford, splitting ties evenly.
+    The scenario's choice rule applies (`Scenario.choice`): with distinct
+    ranks customers take the best-ranked affordable available worker; with
+    equal ranks they take the cheapest available worker they can afford,
+    splitting ties evenly.
     """
     cls, workers = _fleet_parts(scenario, "fleet_rates", "loss", "fleet")
-    if rule not in ("ranked", "cheapest"):
-        raise ConfigError(f"unknown choice rule {rule!r}")
-    if rule == "ranked" and len({w.rank for w in workers}) != len(workers):
-        raise ModelMismatch("ranked choice needs distinct quality ranks")
+    if len(prices) != len(workers):
+        raise ConfigError(f"expected {len(workers)} prices, one per worker, got {len(prices)}")
+    # the chain has one class, so each worker's price row is a single price
+    prices = [check_prices(scenario, (p,))[0] for p in prices]
+    return _chain_rates(cls, workers, scenario.choice == "cheapest", prices)
+
+
+def _chain_rates(cls: CustomerClass, workers, cheapest: bool, prices) -> tuple[float, ...]:
+    """Each worker's earning rate under the busy-set chain's stationary law, on
+    inputs already checked: fleet_rates' own, or best-response grid prices."""
     n = len(workers)
-    if len(prices) != n:
-        raise ModelMismatch(f"expected {n} prices, got {len(prices)}")
     lam = cls.arrival_rate
     mu = cls.duration.rate
     law = cls.valuation
@@ -290,7 +295,7 @@ def fleet_rates(scenario: Scenario, prices: tuple[float, ...],
             if state & (1 << i):
                 q[state, state ^ (1 << i)] += mu
         if available:
-            if rule == "cheapest":
+            if cheapest:
                 floor = min(prices[i] for i in available)
                 winners = [i for i in available if prices[i] == floor]
                 share = lam * law.tail(floor) / len(winners)
@@ -343,8 +348,7 @@ def best_response_dynamics(scenario: Scenario, grid_step: float = 0.01,
     outcome; under ranked choice the dynamics settle.
     """
     cls, workers = _fleet_parts(scenario, "best_response_dynamics", "fleet")
-    ranks = {w.rank for w in workers}
-    rule = "ranked" if len(ranks) == len(workers) else "cheapest"
+    cheapest = scenario.choice == "cheapest"
     axis = [float(x) for x in np.arange(0.0, cls.valuation.upper + grid_step / 2.0, grid_step)]
 
     def solo_rate(price: float, cost: float) -> float:
@@ -367,7 +371,7 @@ def best_response_dynamics(scenario: Scenario, grid_step: float = 0.01,
             for candidate in axis:
                 trial = list(profile)
                 trial[i] = candidate
-                value = fleet_rates(scenario, tuple(trial), rule)[i]
+                value = _chain_rates(cls, workers, cheapest, trial)[i]
                 if value > best_v + 1e-15:
                     best_p, best_v = candidate, value
             profile[i] = best_p

@@ -474,6 +474,13 @@ class Scenario:
             return "discounted"
         return "loss" if len(self.workers) == 1 else "fleet"
 
+    @property
+    def choice(self) -> str:
+        """How customers pick among available workers: "ranked" (the
+        best-ranked one they can afford) when ranks are distinct, as for a
+        lone worker, else "cheapest". __post_init__ allows no mixed ranks."""
+        return "ranked" if len({w.rank for w in self.workers}) == len(self.workers) else "cheapest"
+
     def require(self, op: str, *kinds: str) -> None:
         """Raise ModelMismatch unless the scenario's kind is one of `kinds`."""
         if self.kind not in kinds:
@@ -496,15 +503,26 @@ PriceVector = tuple[float, ...]
 
 
 def check_prices(scenario: Scenario, prices) -> PriceVector:
-    """Validate a per-class price vector against a scenario."""
-    prices = tuple(float(p) for p in prices)
+    """Validate a per-class price vector against a scenario: one hourly rate
+    per class, each finite and nonnegative. Every operation that takes prices
+    checks them here."""
+    prices = tuple(map(float, prices))
     if len(prices) != scenario.num_classes:
-        raise ConfigError(
-            f"expected {scenario.num_classes} prices, got {len(prices)}"
-        )
-    if any(not math.isfinite(p) or p < 0.0 for p in prices):
+        raise ConfigError(f"expected {scenario.num_classes} prices, got {len(prices)}")
+    if not all(0.0 <= p < math.inf for p in prices):  # NaN fails every comparison
         raise ConfigError("prices must be finite and nonnegative")
     return prices
+
+
+def queue_parts(scenario: Scenario, op: str) -> tuple[CustomerClass, CustomerClass, float]:
+    """The two classes and the worker's cost of a queue scenario. The queue
+    model covers exactly two classes, both with exponential durations."""
+    scenario.require(op, "queue")
+    if scenario.num_classes != 2:
+        raise ModelMismatch(f"{op} supports exactly two classes")
+    if not all(isinstance(cls.duration, ExponentialDuration) for cls in scenario.classes):
+        raise ModelMismatch(f"{op} needs exponential durations")
+    return scenario.classes[0], scenario.classes[1], scenario.workers[0].cost
 
 
 def clamp_prices(scenario: Scenario, prices) -> PriceVector:

@@ -22,21 +22,12 @@ from .model import (
     Scenario,
     WorkerSpec,
     check_prices,
+    queue_parts,
 )
 from .search import multi_start_ascent
 from .solver import price_response, solve_fixed_point
 
 _RESTARTS = 20
-
-
-def _queue_parts(scenario: Scenario, op: str) -> tuple[CustomerClass, CustomerClass, float]:
-    scenario.require(op, "queue")
-    if scenario.num_classes != 2:
-        raise ModelMismatch(f"{op} supports exactly two classes")
-    for cls in scenario.classes:
-        if not isinstance(cls.duration, ExponentialDuration):
-            raise ModelMismatch(f"{op} needs exponential durations")
-    return scenario.classes[0], scenario.classes[1], scenario.workers[0].cost
 
 
 def _queue_rate(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
@@ -56,7 +47,8 @@ def _queue_rate(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
 
 def queue_rate(scenario: Scenario, price_a: float, price_b: float) -> float:
     """Long-run average earning rate with one waiting spot, in closed form."""
-    return _queue_rate(*_queue_parts(scenario, "queue_rate"), price_a, price_b)
+    parts = queue_parts(scenario, "queue_rate")
+    return _queue_rate(*parts, *check_prices(scenario, (price_a, price_b)))
 
 
 @dataclass(frozen=True)
@@ -82,7 +74,8 @@ class FirstStepSolution:
 
 def first_step_solve(scenario: Scenario, price_a: float, price_b: float) -> FirstStepSolution:
     """Solve the renewal first-step equations directly (cross-check of queue_rate)."""
-    cls_a, cls_b, cost = _queue_parts(scenario, "first_step_solve")
+    cls_a, cls_b, cost = queue_parts(scenario, "first_step_solve")
+    price_a, price_b = check_prices(scenario, (price_a, price_b))
     admit_a = cls_a.arrival_rate * cls_a.valuation.tail(price_a)
     admit_b = cls_b.arrival_rate * cls_b.valuation.tail(price_b)
     mu_a = cls_a.duration.rate
@@ -143,7 +136,7 @@ def _search_starts(bounds, objective, coarse: bool = True) -> list[list[float]]:
 def queue_optimize(scenario: Scenario) -> tuple[PriceVector, float]:
     """Jointly optimal prices for the capacity-one queue via multi-start
     coordinate ascent on the closed-form rate."""
-    parts = _queue_parts(scenario, "queue_optimize")
+    parts = queue_parts(scenario, "queue_optimize")
 
     def objective(p) -> float:
         return _queue_rate(*parts, p[0], p[1])

@@ -23,12 +23,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import ConfigError, ModelMismatch
-from .model import ExponentialDuration, Scenario
+from .model import Scenario, check_prices, queue_parts
 
 # Discount weight e^{-gamma t} is below 4e-18 past this many inverse rates, so
 # discounted runs truncate their horizon there.
@@ -273,8 +274,10 @@ def _loss_rep(events, workers, matrix, warm: float, horizon: float):
 
 
 def _write_trace(path: str, events, chosen, lost_price) -> None:
-    """Per-event CSV of one replication, in arrival order."""
+    """Per-event CSV of one replication, in arrival order. The file's
+    directory is made here, so a run whose inputs fail makes none."""
     times, ks, vs, _ = events
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "event", "class", "worker", "value"])
@@ -296,27 +299,25 @@ def _no_trace(config: SimConfig, model: str) -> None:
         raise ConfigError(f"event traces cover loss systems only, not {model} runs")
 
 
-def _check_matrix(scenario: Scenario, prices) -> list[list[float]]:
+def _check_matrix(scenario: Scenario, prices) -> list:
+    """The rows of a fleet's price matrix, checked for shape only."""
     n, k = len(scenario.workers), scenario.num_classes
     try:
-        matrix = [[float(p) for p in row] for row in prices]
-    except TypeError as exc:
-        raise ConfigError("fleet simulation needs one price row per worker") from exc
-    if len(matrix) != n or any(len(row) != k for row in matrix):
-        raise ConfigError(f"expected a {n}x{k} price matrix")
-    return matrix
+        if len(prices) == n and all(len(row) == k for row in prices):
+            return list(prices)
+    except TypeError:
+        pass
+    raise ConfigError(f"expected a {n}x{k} price matrix, one row per worker")
 
 
-def _loss_matrix(scenario: Scenario, prices, op: str) -> list[list[float]]:
+def _loss_matrix(scenario: Scenario, prices, op: str) -> list[tuple[float, ...]]:
     """The validated price matrix, one row per worker, of a loss-system run."""
     scenario.require(op, "loss", "fleet")
     if scenario.kind == "loss":
-        return [_check_single_prices(scenario, prices)]
-    matrix = _check_matrix(scenario, prices)
-    ranks = [w.rank for w in scenario.workers]
-    if len(set(ranks)) != len(ranks):
+        return [check_prices(scenario, prices)]
+    if scenario.choice != "ranked":
         raise ConfigError("fleet simulation needs distinct quality ranks")
-    return matrix
+    return [check_prices(scenario, row) for row in _check_matrix(scenario, prices)]
 
 
 def simulate(config: SimConfig, prices) -> SimStats:
@@ -351,55 +352,37 @@ def simulate(config: SimConfig, prices) -> SimStats:
     )
 
 
-def _check_single_prices(scenario: Scenario, prices) -> list[float]:
-    out = [float(p) for p in prices]
-    if len(out) != scenario.num_classes:
-        raise ConfigError(
-            f"expected {scenario.num_classes} prices, got {len(out)}"
-        )
-    return out
-
-
-def simulate_discounted(config: SimConfig, prices, gamma: float | None = None) -> SimStats:
-    """Estimate discounted earnings from an idle start for a lone worker.
+def simulate_discounted(config: SimConfig, prices) -> SimStats:
+    """Estimate discounted earnings from an idle start for a lone worker,
+    at the scenario's own discount.
 
     Each replication chops its horizon into windows of 40 inverse discount
     rates. Poisson arrivals over disjoint intervals are independent, so every
     window restarted idle is a fresh draw of the idle-start value (the weight
     past a window end is below 5e-18); the replication reports the window
-    mean. With `gamma` given, every replication discounts at that rate.
-    Otherwise the scenario's discount applies; a mixture draws its branch
-    rate per replication, and each replication is weighted by its branch
-    rate so the estimate targets the same branch-rate-weighted objective as
-    mixture_horizon_value.
+    mean. A discounted scenario discounts every replication at its rate. A
+    mixture draws its branch rate per replication, and each replication is
+    weighted by its branch rate so the estimate targets the same
+    branch-rate-weighted objective as mixture_horizon_value.
     """
     scenario = config.scenario
-    scenario.require("simulate_discounted", "loss", "discounted", "mixture")
-    mixture = False
-    if gamma is None:
-        if scenario.kind == "discounted":
-            gamma = scenario.discount.rate
-        elif scenario.kind == "mixture":
-            mixture = True
-        else:
-            raise ConfigError("no discount rate given and none in the scenario")
-    elif not gamma > 0.0:
-        raise ConfigError("gamma must be positive")
+    scenario.require("simulate_discounted", "discounted", "mixture")
     _no_trace(config, "discounted")
-    price_arr = np.asarray(_check_single_prices(scenario, prices))
+    price_arr = np.asarray(check_prices(scenario, prices))
     cost = scenario.workers[0].cost
     base = Scenario(classes=scenario.classes, workers=scenario.workers)
     budget = config.horizon_hours()
 
     rep_values = []
     counts = Counts()
-    mix = scenario.discount if mixture else None
+    discount = scenario.discount
+    mixture = scenario.kind == "mixture"
     for rep in range(config.replications):
         if mixture:
             aux = _rep_stream(config.base_seed, rep)
-            g = float(aux.choice(np.asarray(mix.rates), p=np.asarray(mix.weights)))
+            g = float(aux.choice(np.asarray(discount.rates), p=np.asarray(discount.weights)))
         else:
-            g = float(gamma)
+            g = float(discount.rate)
         window = min(_DISCOUNT_SPAN / g, budget)
         n_win = max(1, int(budget / window))
         times, ks, vs, ds = _merged_events(base, config.base_seed, rep, n_win * window)
@@ -429,15 +412,9 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     the waiting job starts when the current one ends.
     """
     scenario = config.scenario
-    scenario.require("simulate_queue", "queue")
-    if scenario.num_classes != 2:
-        raise ModelMismatch("simulate_queue needs two classes")
-    for cls in scenario.classes:
-        if not isinstance(cls.duration, ExponentialDuration):
-            raise ModelMismatch("simulate_queue needs exponential durations")
+    _, _, cost = queue_parts(scenario, "simulate_queue")
     _no_trace(config, "queue")
-    prices = [float(price_a), float(price_b)]
-    cost = scenario.workers[0].cost
+    prices = check_prices(scenario, (price_a, price_b))
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
     span = horizon - warm
@@ -530,9 +507,12 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     base_price = matrix[worker_index][0]
     if price_grid is None:
         price_grid = np.linspace(0.8 * base_price, 1.2 * base_price, 21)
-    price_grid = [float(p) for p in price_grid]
+    candidates = [check_prices(scenario, (p,)) for p in price_grid]
+    if not candidates:
+        raise ConfigError("deviation_scan needs at least one grid price")
+    price_grid = [row[0] for row in candidates]
     z = NormalDist().inv_cdf(1.0 - 0.025 / len(price_grid))
-    rows = [matrix[worker_index]] + [[candidate] for candidate in price_grid]
+    rows = [matrix[worker_index], *candidates]
     order = _rank_order(scenario.workers)
     above = order[:order.index(worker_index)]
     cost = scenario.workers[worker_index].cost

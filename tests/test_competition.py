@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ondemand_pricing import (
-    ConfigError,
     CustomerClass,
     ExponentialDuration,
     ExponentialValuation,
@@ -193,7 +192,7 @@ def test_equilibrium_rejects_duplicate_ranks(undifferentiated_scenario):
 def test_fleet_rates_two_ranked_workers(ranked_fleet_scenario):
     eq = ranked_price_equilibrium(ranked_fleet_scenario)
     prices = (eq.by_rank(1).prices[0], eq.by_rank(2).prices[0])
-    rates = fleet_rates(ranked_fleet_scenario, prices, rule="ranked")
+    rates = fleet_rates(ranked_fleet_scenario, prices)
     # the exact chain keeps the best-ranked worker at the single-worker optimum
     assert rates[0] == pytest.approx(3.0 - 2.0 * SQRT2, abs=1e-14)
     assert rates[1] == pytest.approx(0.0910709, abs=1e-6)
@@ -201,7 +200,7 @@ def test_fleet_rates_two_ranked_workers(ranked_fleet_scenario):
 
 def test_fleet_rates_cheapest_symmetric_pair(undifferentiated_scenario):
     p = 0.5
-    rates = fleet_rates(undifferentiated_scenario, (p, p), rule="cheapest")
+    rates = fleet_rates(undifferentiated_scenario, (p, p))
     # two identical servers, admitted load a = tail(p): Erlang-style weights
     a = 0.5
     states = np.array([1.0, a, a * a / 2.0])
@@ -214,23 +213,19 @@ def test_fleet_rates_sum_bounded_by_admitted_revenue(ranked_fleet_scenario):
     rng = np.random.default_rng(29)
     for _ in range(20):
         prices = tuple(sorted(rng.uniform(0.1, 0.9, 2), reverse=True))
-        rates = fleet_rates(ranked_fleet_scenario, prices, rule="ranked")
+        rates = fleet_rates(ranked_fleet_scenario, prices)
         assert all(r >= 0.0 for r in rates)
         # no worker can beat the single-worker optimum
         assert rates[0] <= 3.0 - 2.0 * SQRT2 + 1e-12
 
 
-def test_fleet_rates_guards(ranked_fleet_scenario, undifferentiated_scenario):
-    with pytest.raises(ModelMismatch):
-        fleet_rates(undifferentiated_scenario, (0.5, 0.5), rule="ranked")
-    with pytest.raises(ConfigError):
-        fleet_rates(ranked_fleet_scenario, (0.5, 0.5), rule="nearest")
+def test_fleet_rates_guards(ranked_fleet_scenario):
     big = Scenario(
         classes=ranked_fleet_scenario.classes,
         workers=tuple(WorkerSpec(rank=i + 1) for i in range(11)),
     )
     with pytest.raises(ModelMismatch):
-        fleet_rates(big, (0.5,) * 11, rule="ranked")
+        fleet_rates(big, (0.5,) * 11)
 
 
 def test_best_response_cycle_for_undifferentiated(undifferentiated_scenario):

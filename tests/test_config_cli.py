@@ -370,6 +370,51 @@ def test_exit_code_shape_no_model_covers(tmp_path, monkeypatch, capsys, command,
     assert not Path("o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--config", "two_class.json", "--param", "r"),
+        ("sweep", "--config", "queue.json", "--param", "rho", "--grid", "0.5,1"),
+        ("sweep", "--config", "compete_ranked.json", "--param", "gamma", "--grid", "1"),
+        ("validate", "--config", "undifferentiated.json"),
+        ("simulate", "--config", "undifferentiated.json"),
+        ("simulate", "--config", "undifferentiated.json", "--prices", "0.5;0.5"),
+    ],
+    ids=["sweep_r_loss", "sweep_rho_queue", "sweep_gamma_fleet", "validate_undifferentiated",
+         "simulate_undifferentiated", "simulate_undifferentiated_prices"],
+)
+def test_exit_code_failed_run_makes_no_out(tmp_path, monkeypatch, capsys, argv):
+    command, flag, name, *rest = argv
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, flag, config_path(name), "--out", "o", *rest) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not Path("o").exists()
+
+
+@pytest.mark.parametrize(
+    "name, prices, rest",
+    [
+        ("single_class.json", "nan", ()),
+        ("single_class.json", "inf", ()),
+        ("single_class.json", "-1", ()),
+        ("single_class.json", "nan", ("--trace",)),
+        ("queue.json", "nan,0.5", ()),
+        ("queue.json", "0.5,inf", ()),
+        ("queue.json", "0.5,-1", ()),
+        ("compete_ranked.json", "nan;0.4", ()),
+        ("compete_ranked.json", "0.6;inf", ()),
+        ("compete_ranked.json", "0.6;-1", ()),
+        ("compete_ranked.json", "0.6;nan", ("--trace",)),
+    ],
+)
+def test_exit_code_bad_prices(tmp_path, monkeypatch, capsys, name, prices, rest):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--config", config_path(name), "--prices", prices,
+                   "--out", "o", *rest) == 2
+    assert capsys.readouterr().err == "error: prices must be finite and nonnegative\n"
+    assert not Path("o").exists()
+
+
 def test_exit_code_validate_zero_rate_queue(tmp_path, capsys):
     doc = json.loads((CONFIGS / "queue.json").read_text())
     for cls in doc["classes"]:

@@ -69,11 +69,11 @@ OPERATIONS = {
     "first_step_solve": (("queue",), lambda s: first_step_solve(s, 0.5, 0.5)),
     "queue_optimize": (("queue",), queue_optimize),
     "ranked_price_equilibrium": (("loss", "fleet"), ranked_price_equilibrium),
-    "fleet_rates": (("loss", "fleet"), lambda s: fleet_rates(s, (0.5,), "ranked")),
+    "fleet_rates": (("loss", "fleet"), lambda s: fleet_rates(s, (0.5,))),
     "best_response_dynamics": (("fleet",), best_response_dynamics),
     "simulate": (("loss", "fleet"), lambda s: simulate(config(s), (0.5,))),
-    "simulate_discounted": (("loss", "discounted", "mixture"),
-                            lambda s: simulate_discounted(config(s), (0.5,), 1.0)),
+    "simulate_discounted": (("discounted", "mixture"),
+                            lambda s: simulate_discounted(config(s), (0.5,))),
     "simulate_queue": (("queue",), lambda s: simulate_queue(config(s), 0.5, 0.5)),
     "deviation_scan": (("loss", "fleet"), lambda s: deviation_scan(config(s), (0.5,), 0)),
 }

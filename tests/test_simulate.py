@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,12 +91,11 @@ def test_discounted_simulation_matches_analytic(discounted_scenario):
     assert abs(stats.mean - sol.value) < 3.0 * stats.se
 
 
-def test_discounted_explicit_gamma_overrides(single_class_scenario):
+def test_discounted_steep_rate_earns_almost_nothing(single_class_scenario):
+    steep = replace(single_class_scenario, discount=ExponentialDiscount(1000.0))
     stats = simulate_discounted(
-        small_config(single_class_scenario, expected_arrivals=10_000.0,
-                     replications=6),
+        small_config(steep, expected_arrivals=10_000.0, replications=6),
         (0.55,),
-        gamma=1000.0,
     )
     # almost no time to earn anything before the weight dies
     assert stats.mean < 1e-4
@@ -161,8 +161,6 @@ def test_model_shape_guards(two_class_scenario, discounted_scenario):
         simulate_queue(small_config(two_class_scenario), 0.5, 0.5)
     with pytest.raises(ConfigError):
         simulate(small_config(two_class_scenario), (0.5,))
-    with pytest.raises(ConfigError):
-        simulate_discounted(small_config(discounted_scenario), (0.5,), gamma=-1.0)
 
 
 def test_config_validation(single_class_scenario):
@@ -295,12 +293,10 @@ def reference_simulate(config, prices):
                   per_worker_reps=tuple(tuple(row) for row in worker_reps))
 
 
-def reference_simulate_discounted(config, prices, gamma=None):
+def reference_simulate_discounted(config, prices):
     scenario = config.scenario
-    mix = scenario.discount if gamma is None and isinstance(scenario.discount, MixtureDiscount) \
-        else None
-    if gamma is None and mix is None:
-        gamma = scenario.discount.rate
+    mix = scenario.discount if isinstance(scenario.discount, MixtureDiscount) else None
+    gamma = None if mix is not None else scenario.discount.rate
     price_list = [float(p) for p in prices]
     cost = scenario.workers[0].cost
     base = Scenario(classes=scenario.classes, workers=scenario.workers)
@@ -417,14 +413,14 @@ def test_loss_kernel_matches_event_loop_below_cost_in_warmup():
     assert 0.0 in got.rep_values
 
 
-@pytest.mark.parametrize("gamma", [None, 0.8, 25.0])
+@pytest.mark.parametrize("gamma", [4.0, 0.8, 25.0])
 def test_discounted_kernel_matches_event_loop(gamma):
     scenario = Scenario(classes=mixed_classes(3), workers=(WorkerSpec(cost=0.05),),
-                        discount=ExponentialDiscount(4.0))
+                        discount=ExponentialDiscount(gamma))
     cfg = small_config(scenario, expected_arrivals=4_000.0, replications=4)
     prices = (0.4, 0.3, 0.6)
-    assert_same_stats(simulate_discounted(cfg, prices, gamma=gamma),
-                      reference_simulate_discounted(cfg, prices, gamma=gamma))
+    assert_same_stats(simulate_discounted(cfg, prices),
+                      reference_simulate_discounted(cfg, prices))
 
 
 def test_mixture_kernel_matches_event_loop():
