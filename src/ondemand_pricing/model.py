@@ -502,13 +502,22 @@ class Scenario:
 PriceVector = tuple[float, ...]
 
 
+def _price_floats(scenario: Scenario, prices) -> PriceVector:
+    """A per-class price vector as floats, one per class."""
+    try:
+        prices = tuple(map(float, prices))
+    except (TypeError, ValueError):
+        raise ConfigError("prices must be a sequence of numbers") from None
+    if len(prices) != scenario.num_classes:
+        raise ConfigError(f"expected {scenario.num_classes} prices, got {len(prices)}")
+    return prices
+
+
 def check_prices(scenario: Scenario, prices) -> PriceVector:
     """Validate a per-class price vector against a scenario: one hourly rate
     per class, each finite and nonnegative. Every operation that takes prices
     checks them here."""
-    prices = tuple(map(float, prices))
-    if len(prices) != scenario.num_classes:
-        raise ConfigError(f"expected {scenario.num_classes} prices, got {len(prices)}")
+    prices = _price_floats(scenario, prices)
     if not all(0.0 <= p < math.inf for p in prices):  # NaN fails every comparison
         raise ConfigError("prices must be finite and nonnegative")
     return prices
@@ -526,11 +535,13 @@ def queue_parts(scenario: Scenario, op: str) -> tuple[CustomerClass, CustomerCla
 
 
 def clamp_prices(scenario: Scenario, prices) -> PriceVector:
-    """Clamp each price into [0, upper support bound] for its class."""
-    return tuple(
-        min(max(float(p), 0.0), cls.valuation.upper)
-        for p, cls in zip(prices, scenario.classes, strict=True)
-    )
+    """Clamp each price into [0, upper support bound] for its class. NaN has
+    no place in that range and is refused."""
+    prices = _price_floats(scenario, prices)
+    if any(math.isnan(p) for p in prices):
+        raise ConfigError("prices must not be NaN")
+    return tuple(min(max(p, 0.0), cls.valuation.upper)
+                 for p, cls in zip(prices, scenario.classes))
 
 
 def apply_commission(cls: CustomerClass, retention: float) -> CustomerClass:

@@ -14,8 +14,10 @@ successor for every job, and a pointer chase visits the accepted jobs only.
 A ranked fleet is a cascade of the kernel: workers in rank order each run it
 on the arrivals they can afford that no better-ranked worker took. The
 discounted simulator caps each successor at the first arrival of the next
-window, where the worker restarts idle. Only the one-waiting-spot queue keeps
-an event loop.
+window, where the worker restarts idle. The one-waiting-spot queue still
+steps through its affordable arrivals, since a waiting job's start depends on
+history, but that loop only decides which jobs are served and when each
+starts. Every simulator adds up earnings as arrays, in start order.
 """
 
 from __future__ import annotations
@@ -232,6 +234,12 @@ def _running_sum(terms) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+def _earnings(margins, starts, ends, warm: float, horizon: float) -> float:
+    """Earnings over [warm, horizon] of jobs busy on [starts, ends), in order."""
+    overlap = np.maximum(0.0, np.minimum(ends, horizon) - np.maximum(starts, warm))
+    return _running_sum(margins * overlap)
+
+
 def _rank_order(workers) -> list[int]:
     return sorted(range(len(workers)), key=lambda w: workers[w].rank)
 
@@ -243,10 +251,7 @@ def _serve(events, ends, free, row, cost: float, warm: float, horizon: float):
     prices = np.asarray(row)[ks]
     offered = np.flatnonzero(free & (prices <= vs))
     taken = offered[_loss_accepts(times[offered], ends[offered])]
-    overlap = np.maximum(
-        0.0, np.minimum(ends[taken], horizon) - np.maximum(times[taken], warm)
-    )
-    return taken, _running_sum((prices[taken] - cost) * overlap)
+    return taken, _earnings(prices[taken] - cost, times[taken], ends[taken], warm, horizon)
 
 
 def _loss_rep(events, workers, matrix, warm: float, horizon: float):
@@ -288,10 +293,6 @@ def _write_trace(path: str, events, chosen, lost_price) -> None:
             else:
                 event = "lost_price" if priced_out else "lost_busy"
                 writer.writerow([repr(t), event, k, "", repr(v)])
-
-
-def _window_overlap(start: float, end: float, lo: float, hi: float) -> float:
-    return max(0.0, min(end, hi) - max(start, lo))
 
 
 def _no_trace(config: SimConfig, model: str) -> None:
@@ -393,11 +394,12 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         fits = np.flatnonzero(~(vs[:n_arr] < job_prices))
         t, w = times[fits], wins[fits]
         taken = _loss_accepts(t, t + ds[fits], cut=np.searchsorted(w, w, "right"))
-        local = t[taken] - w[taken] * window
-        value = 0.0
-        for margin, start, d in zip((job_prices[fits][taken] - cost).tolist(),
-                                    local.tolist(), ds[fits][taken].tolist()):
-            value += margin * (math.exp(-g * start) - math.exp(-g * (start + d))) / g
+        jobs = fits[taken]
+        local = times[jobs] - wins[jobs] * window
+        # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the last bit
+        head = np.array(list(map(math.exp, (-g * local).tolist())))
+        tail = np.array(list(map(math.exp, (-g * (local + ds[jobs])).tolist())))
+        value = _running_sum((price_arr[ks[jobs]] - cost) * (head - tail) / g)
         n_price = n_arr - fits.size
         counts += Counts(n_arr, taken.size, n_arr - taken.size - n_price, n_price)
         mean_value = value / n_win
@@ -414,7 +416,7 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     scenario = config.scenario
     _, _, cost = queue_parts(scenario, "simulate_queue")
     _no_trace(config, "queue")
-    prices = check_prices(scenario, (price_a, price_b))
+    price_arr = np.asarray(check_prices(scenario, (price_a, price_b)))
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
     span = horizon - warm
@@ -425,34 +427,38 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
         times, ks, vs, ds = _merged_events(scenario, config.base_seed, rep, horizon)
         # A priced-out arrival changes no state, and a waiting job starts at
         # service_end whichever arrival comes next, so the loop skips them.
-        fits = np.flatnonzero(~(vs < np.asarray(prices)[ks]))
-        n_arr, n_price = times.size, times.size - fits.size
+        # It records which affordable arrivals start, in start order, and when.
+        fits = np.flatnonzero(~(vs < price_arr[ks]))
+        durs = ds[fits].tolist()
+        order: list[int] = []
+        starts: list[float] = []
         service_end = 0.0
-        pending: tuple[int, float] | None = None
-        earned = 0.0
-        n_acc = n_busy = 0
-
-        def start_job(k: int, start: float, dur: float) -> float:
-            nonlocal earned
-            earned += (prices[k] - cost) * _window_overlap(start, start + dur, warm, horizon)
-            return start + dur
-
-        for t, k, d in zip(times[fits].tolist(), ks[fits].tolist(), ds[fits].tolist()):
-            if pending is not None and service_end <= t:
-                service_end = start_job(pending[0], service_end, pending[1])
-                pending = None
+        pending = -1
+        n_busy = 0
+        for i, t in enumerate(times[fits].tolist()):
+            if pending >= 0 and service_end <= t:
+                order.append(pending)
+                starts.append(service_end)
+                service_end += durs[pending]
+                pending = -1
             if service_end <= t:
-                n_acc += 1
-                service_end = start_job(k, t, d)
-            elif pending is None:
-                n_acc += 1
-                pending = (k, d)
+                order.append(i)
+                starts.append(t)
+                service_end = t + durs[i]
+            elif pending < 0:
+                pending = i
             else:
                 n_busy += 1
-        if pending is not None:
-            start_job(pending[0], service_end, pending[1])
-        assert n_acc + n_busy + n_price == n_arr
-        counts += Counts(n_arr, n_acc, n_busy, n_price)
+        if pending >= 0:
+            order.append(pending)
+            starts.append(service_end)
+        jobs = fits[order]
+        start = np.array(starts)
+        earned = _earnings(price_arr[ks[jobs]] - cost, start, start + ds[jobs],
+                           warm, horizon)
+        n_arr, n_price = times.size, times.size - fits.size
+        assert jobs.size + n_busy + n_price == n_arr
+        counts += Counts(n_arr, jobs.size, n_busy, n_price)
         rep_rates.append(earned / span)
     return _stats("rate", rep_rates, counts)
 

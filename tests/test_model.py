@@ -327,5 +327,16 @@ def test_check_and_clamp_prices(two_class_scenario):
         check_prices(two_class_scenario, [0.5, -1.0])
     with pytest.raises(ConfigError):
         check_prices(two_class_scenario, [0.5, math.inf])
+    with pytest.raises(ConfigError, match="sequence of numbers"):
+        check_prices(two_class_scenario, 0.5)
+    with pytest.raises(ConfigError, match="sequence of numbers"):
+        check_prices(two_class_scenario, [0.5, "x"])
     assert clamp_prices(two_class_scenario, [-0.5, 9.0]) == (0.0, 2.0)
     assert clamp_prices(two_class_scenario, [0.3, 1.2]) == (0.3, 1.2)
+    assert clamp_prices(two_class_scenario, [-math.inf, math.inf]) == (0.0, 2.0)
+
+
+@pytest.mark.parametrize("prices", [[math.nan, 1.0], [0.5, math.nan], 0.5, [0.5]])
+def test_clamp_prices_refuses_nan_and_bad_shapes(two_class_scenario, prices):
+    with pytest.raises(ConfigError, match="prices"):
+        clamp_prices(two_class_scenario, prices)

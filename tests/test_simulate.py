@@ -1,6 +1,7 @@
 import csv
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,11 @@ from ondemand_pricing import (
     solve_discounted,
     solve_fixed_point,
 )
+from ondemand_pricing.config import load_scenario
 from ondemand_pricing.simulate import Counts, _mean_se, _merged_events, _stats
 from tests.conftest import queue_scenario, unit_uniform_class
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(scenario, **kw):
@@ -340,6 +344,50 @@ def reference_simulate_discounted(config, prices):
     return _stats("value", rep_values, counts)
 
 
+def reference_simulate_queue(config, price_a, price_b):
+    scenario = config.scenario
+    cost = scenario.workers[0].cost
+    prices = (float(price_a), float(price_b))
+    horizon = config.horizon_hours()
+    warm = config.warmup_fraction * horizon
+    span = horizon - warm
+
+    rep_rates = []
+    counts = Counts()
+    for rep in range(config.replications):
+        times, ks, vs, ds = _merged_events(scenario, config.base_seed, rep, horizon)
+        fits = np.flatnonzero(~(vs < np.asarray(prices)[ks]))
+        n_arr, n_price = times.size, times.size - fits.size
+        service_end = 0.0
+        pending = None
+        earned = 0.0
+        n_acc = n_busy = 0
+
+        def start_job(k, start, dur):
+            nonlocal earned
+            earned += (prices[k] - cost) * max(0.0, min(start + dur, horizon) - max(start, warm))
+            return start + dur
+
+        for t, k, d in zip(times[fits].tolist(), ks[fits].tolist(), ds[fits].tolist()):
+            if pending is not None and service_end <= t:
+                service_end = start_job(pending[0], service_end, pending[1])
+                pending = None
+            if service_end <= t:
+                n_acc += 1
+                service_end = start_job(k, t, d)
+            elif pending is None:
+                n_acc += 1
+                pending = (k, d)
+            else:
+                n_busy += 1
+        if pending is not None:
+            start_job(pending[0], service_end, pending[1])
+        assert n_acc + n_busy + n_price == n_arr
+        counts += Counts(n_arr, n_acc, n_busy, n_price)
+        rep_rates.append(earned / span)
+    return _stats("rate", rep_rates, counts)
+
+
 def assert_same_stats(got, want):
     assert got == want
     assert repr(got) == repr(want)  # also tells 0.0 from -0.0
@@ -430,6 +478,47 @@ def test_mixture_kernel_matches_event_loop():
     for prices in ((0.5, 0.35), (1.0, 1e9)):
         assert_same_stats(simulate_discounted(cfg, prices),
                           reference_simulate_discounted(cfg, prices))
+
+
+QUEUE_CASES = {
+    "bundled_config": (load_scenario(CONFIGS / "queue.json"), (0.6, 0.7), {}),
+    "free_prices": (queue_scenario(0.5), (0.0, 0.0), {}),
+    "choke_prices": (queue_scenario(0.5), (1.0, 1.0), {}),
+    "class_b_priced_out": (queue_scenario(2.0), (0.4, 1e9), {}),
+    "no_warmup": (queue_scenario(0.5), (0.5, 0.3), {"warmup_fraction": 0.0}),
+    "half_warmup": (queue_scenario(0.5), (0.5, 0.3), {"warmup_fraction": 0.5}),
+    # slow jobs on a short horizon: many straddle the warm-up end or the horizon
+    "straddling_jobs": (
+        Scenario(classes=(unit_uniform_class(arrival_rate=2.0, service_rate=0.4),
+                          unit_uniform_class(arrival_rate=0.7, service_rate=0.9)),
+                 workers=(WorkerSpec(cost=0.3),), queue_capacity=1),
+        (0.2, 0.5), {"horizon": 6.0, "warmup_fraction": 0.5, "replications": 40},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUEUE_CASES))
+def test_queue_kernel_matches_event_loop(case):
+    scenario, prices, kw = QUEUE_CASES[case]
+    cfg = small_config(scenario, **{"expected_arrivals": 4_000.0, "replications": 4,
+                                    "base_seed": 77, **kw})
+    got = simulate_queue(cfg, *prices)
+    want = reference_simulate_queue(cfg, *prices)
+    assert repr(got.rep_values) == repr(want.rep_values)  # also tells 0.0 from -0.0
+    assert repr(got.counts) == repr(want.counts)
+
+
+def test_queue_kernel_matches_event_loop_below_cost_in_warmup():
+    # as for the loss kernel: a replication whose only jobs are priced below
+    # cost inside the warm-up earns -0.0 per job and must report 0.0
+    scenario = Scenario(classes=(unit_uniform_class(service_rate=50.0),
+                                 unit_uniform_class(arrival_rate=0.5, service_rate=80.0)),
+                        workers=(WorkerSpec(cost=0.5),), queue_capacity=1)
+    cfg = SimConfig(scenario=scenario, horizon=2.0, replications=40, base_seed=5,
+                    warmup_fraction=0.5)
+    got = simulate_queue(cfg, 0.2, 0.1)
+    assert_same_stats(got, reference_simulate_queue(cfg, 0.2, 0.1))
+    assert 0.0 in got.rep_values
 
 
 def test_deviation_scan_equals_separate_simulations(ranked_fleet_scenario):
