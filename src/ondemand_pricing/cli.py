@@ -29,6 +29,7 @@ from .config import load_scenario
 from .errors import ConfigError, IrregularDistribution, ModelMismatch, PricingError
 from .model import ExponentialDiscount, ExponentialDuration, Scenario, apply_commission
 from .queues import (
+    _queue_solve,
     first_step_solve,
     mixture_horizon_optimize,
     mixture_horizon_value,
@@ -152,10 +153,12 @@ def _solve_mixture(scenario: Scenario) -> Solved:
 
 
 def _solve_queue(scenario: Scenario) -> Solved:
-    prices, rate = queue_optimize(scenario)
-    summary = (f"queue optimum: p_A* = {_fmt(prices[0])}, p_B* = {_fmt(prices[1])}, "
-               f"rate = {_fmt(rate)}")
-    return Solved(list(prices), summary, {"model": "queue", "prices": list(prices), "rate": rate})
+    sol = _queue_solve(scenario)
+    summary = (f"queue optimum: p_A* = {_fmt(sol.prices[0])}, p_B* = {_fmt(sol.prices[1])}, "
+               f"rate = {_fmt(sol.rate)}, iterations = {sol.iterations}")
+    return Solved(list(sol.prices), summary,
+                  {"model": "queue", "prices": list(sol.prices), "rate": sol.rate,
+                   "iterations": sol.iterations, "converged": sol.converged})
 
 
 def _solve_fleet(scenario: Scenario) -> Solved:

@@ -225,6 +225,8 @@ def test_solve_queue(tmp_path, capsys):
     payload = read_json(out / "solution.json")
     assert payload["model"] == "queue"
     assert payload["prices"][1] > payload["prices"][0]
+    assert payload["converged"] is True
+    assert payload["iterations"] > 0
 
 
 def test_solve_mixture(tmp_path, capsys):
@@ -442,6 +444,61 @@ def test_exit_code_irregular(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
     assert "regular" in capsys.readouterr().err
+
+
+def queue_with(doc_edit):
+    doc = read_json(CONFIGS / "queue.json")
+    doc_edit(doc)
+    return doc
+
+
+def test_exit_code_irregular_queue(tmp_path, capsys):
+    law = piecewise_doc([[0.0, 0.0], [0.5, 0.1], [0.6, 0.9], [1.0, 1.0]])["classes"][0]["valuation"]
+    cfg = tmp_path / "irregular_queue.json"
+    cfg.write_text(json.dumps(queue_with(lambda doc: doc["classes"][1].update(valuation=law))))
+    assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+    assert "regular" in capsys.readouterr().err
+
+
+def test_queue_nobody_admitted_reports_positive_zero(tmp_path, capsys):
+    # at cost 100 no price in [0, 1] covers the cost, so both classes are shut out
+    cfg = tmp_path / "costly_queue.json"
+    cfg.write_text(json.dumps(bundled_with("queue.json", workers=[{"cost": 100.0}])))
+    assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+    assert ", rate = 0," in capsys.readouterr().out
+    rate = read_json(tmp_path / "o" / "solution.json")["rate"]
+    assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
+    # no admitted arrivals: the renewal cross-check has no cycle to solve
+    assert run_cli("validate", "--config", str(cfg), "--out", str(tmp_path / "v")) == 2
+    assert capsys.readouterr().err.startswith("error: no admitted arrivals")
+
+
+def set_service_rates(doc, rates):
+    for cls, rate in zip(doc["classes"], rates):
+        if rate is not None:
+            cls["duration"]["params"]["rate"] = rate
+
+
+@pytest.mark.parametrize(
+    "command, rates, code",
+    [
+        ("solve", (1e308, None), 0),
+        ("validate", (1e308, None), 0),
+        # both rates at 1e308: the closed-form rate overflows to NaN everywhere
+        ("solve", (1e308, 1e308), 2),
+        ("validate", (1e308, 1e308), 2),
+        # both rates at 1e-300: the first-step equations are singular in floats
+        ("validate", (1e-300, 1e-300), 2),
+    ],
+    ids=["solve_one_huge", "validate_one_huge", "solve_two_huge", "validate_two_huge",
+         "validate_two_tiny"],
+)
+def test_exit_code_extreme_queue_service_rates(tmp_path, capsys, command, rates, code):
+    cfg = tmp_path / "extreme_queue.json"
+    cfg.write_text(json.dumps(queue_with(lambda doc: set_service_rates(doc, rates))))
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("name", ["narrow_flat.json", "knot_drop.json"])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ondemand_pricing import (
     ExponentialDiscount,
     ExponentialDuration,
     ExponentialValuation,
+    IrregularDistribution,
     MixtureDiscount,
     ModelMismatch,
     PiecewiseLinearValuation,
@@ -20,12 +22,27 @@ from ondemand_pricing import (
     effective_load,
     first_step_solve,
     hybrid_solve,
+    load_scenario,
     mixture_horizon_optimize,
     mixture_horizon_value,
     queue_optimize,
     queue_rate,
 )
+from ondemand_pricing import search
+from ondemand_pricing.cli import main
+from ondemand_pricing.model import queue_parts
+from ondemand_pricing.queues import (
+    _price_box,
+    _queue_rate,
+    _queue_solve,
+    _queue_terms,
+    _search_starts,
+)
+from ondemand_pricing.search import multi_start_ascent
+from ondemand_pricing.solver import price_response
 from tests.conftest import queue_scenario, unit_uniform_class
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_queue_scenario(rng):
@@ -271,3 +288,173 @@ def test_optimizers_report_the_public_objective_bit_for_bit():
     )
     prices, value = mixture_horizon_optimize(mixture)
     assert value == mixture_horizon_value(mixture, prices)
+
+
+# --- the marginal-cost fixed point against the multi-start ascent it replaced ---
+
+
+def ascent_reference(scn):
+    """Multi-start coordinate ascent on the closed-form rate: a 41 x 41 coarse
+    grid winner, the box midpoint and 20 fixed random starts."""
+    parts = queue_parts(scn, "ascent_reference")
+
+    def objective(p):
+        return _queue_rate(*parts, p[0], p[1])
+
+    bounds = _price_box(scn)
+    return multi_start_ascent(objective, bounds, _search_starts(bounds, objective))
+
+
+def random_law(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        low = rng.uniform(0.0, 0.5)
+        return UniformValuation(low, low + rng.uniform(0.6, 2.0))
+    if kind == 1:
+        return ExponentialValuation(rng.uniform(1.0, 3.0))
+    # increasing slopes make the virtual value jump up at every knot: regular
+    widths = rng.uniform(0.3, 1.0, rng.integers(2, 5))
+    slopes = np.sort(rng.uniform(0.2, 1.0, len(widths)) + 0.3 * np.arange(len(widths)))
+    values = rng.uniform(0.0, 0.4) + np.concatenate(([0.0], np.cumsum(widths)))
+    cdf = np.concatenate(([0.0], np.cumsum(slopes * widths)))
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    return PiecewiseLinearValuation(tuple(zip(values, cdf)))
+
+
+def random_loaded_queue(rng, index):
+    """Loads scaled by 0.05 to 50 (log-uniform); cost 0, drawn, or 0.5 in turn."""
+    scale = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+    classes = tuple(
+        CustomerClass(rng.uniform(0.3, 1.5) * scale, ExponentialDuration(rng.uniform(0.5, 2.0)),
+                      random_law(rng))
+        for _ in range(2)
+    )
+    cost = (0.0, rng.uniform(0.02, 0.15), 0.5)[index % 3]
+    return Scenario(classes=classes, workers=(WorkerSpec(cost=cost),), queue_capacity=1)
+
+
+def reference_instances():
+    yield from (queue_scenario(r) for r in sorted(QUEUE_OPTIMA))
+    yield load_scenario(CONFIGS / "queue.json")
+    rng = np.random.default_rng(2024)
+    yield from (random_loaded_queue(rng, i) for i in range(200))
+
+
+def test_queue_fixed_point_never_below_the_ascent():
+    for scn in reference_instances():
+        sol = _queue_solve(scn)
+        _, reference = ascent_reference(scn)
+        assert sol.converged
+        assert sol.rate >= reference - 1e-12 * abs(reference)
+        assert sol.rate == queue_rate(scn, *sol.prices)
+
+
+# Heavy loads: admitting class A at all costs more than it brings. The interior
+# fixed point reached from the monopoly prices earns 2.08974; shutting class A
+# out (its price at the top of its support) earns more.
+SHUT_OUT = Scenario(
+    classes=(
+        CustomerClass(26.74868470102036, ExponentialDuration(1.7738084943548182),
+                      UniformValuation(0.34883030097286016, 2.0223130179301743)),
+        CustomerClass(32.88904764880376, ExponentialDuration(0.6292997893115034),
+                      ExponentialValuation(1.3423979160004604)),
+    ),
+    queue_capacity=1,
+)
+
+
+def test_queue_solve_finds_a_shut_out_class():
+    sol = _queue_solve(SHUT_OUT)
+    assert sol.converged
+    assert sol.prices[0] == SHUT_OUT.classes[0].valuation.upper
+    assert sol.rate >= 2.095384624319243  # the ascent's value, 0.27 % above the interior point
+
+
+# The plain map p <- target(p) alternates between (0.6938, 1.2600) and
+# (0.7308, 1.3350) here, at rates 0.64393 and 0.65183; the optimum is 0.66168.
+TWO_CYCLE = Scenario(
+    classes=(
+        CustomerClass(19.145867177029388, ExponentialDuration(0.5941834624599847),
+                      UniformValuation(0.05189283586762994, 0.747899597518689)),
+        CustomerClass(3.715214039594792, ExponentialDuration(0.8089380692289898),
+                      ExponentialValuation(1.6140856792927698)),
+    ),
+    workers=(WorkerSpec(cost=0.10845199651363217),),
+    queue_capacity=1,
+)
+
+
+def test_queue_solve_settles_where_the_plain_map_cycles():
+    parts = queue_parts(TWO_CYCLE, "test")
+    classes, cost = parts[:2], parts[2]
+
+    def target(prices):
+        rate, *factors = _queue_terms(*parts, *prices)
+        return tuple(price_response(cls, rate * m, cost) for cls, m in zip(classes, factors))
+
+    prices = tuple(price_response(cls, 0.0, cost) for cls in classes)
+    for _ in range(200):
+        prices = target(prices)
+    after = target(prices)
+    assert max(abs(a - b) for a, b in zip(after, prices)) > 0.03
+    assert target(after) == pytest.approx(prices, abs=1e-9)
+    assert max(queue_rate(TWO_CYCLE, *prices), queue_rate(TWO_CYCLE, *after)) < 0.652
+    sol = _queue_solve(TWO_CYCLE)
+    assert sol.converged
+    assert sol.rate >= 0.661684
+    assert sol.prices == pytest.approx((0.71909, 1.31157), abs=1e-5)
+
+
+def test_queue_optimize_rejects_an_irregular_law():
+    irregular = PiecewiseLinearValuation(((0.0, 0.0), (0.5, 0.1), (0.6, 0.9), (1.0, 1.0)))
+    scn = Scenario(
+        classes=(unit_uniform_class(), CustomerClass(1.0, ExponentialDuration(1.0), irregular)),
+        queue_capacity=1,
+    )
+    with pytest.raises(IrregularDistribution):
+        queue_optimize(scn)
+
+
+def test_queue_solve_without_arrivals_returns_monopoly_prices():
+    scn = Scenario(
+        classes=(unit_uniform_class(arrival_rate=0.0),
+                 unit_uniform_class(arrival_rate=0.0, service_rate=0.5)),
+        workers=(WorkerSpec(cost=0.2),),
+        queue_capacity=1,
+    )
+    sol = _queue_solve(scn)
+    assert sol.prices == (0.6, 0.6)  # best_price(cost) of uniform[0, 1]
+    assert sol.rate == 0.0 and math.copysign(1.0, sol.rate) == 1.0
+    assert sol.converged
+
+
+def test_queue_rate_is_positive_zero_when_nobody_is_admitted():
+    # num is (p - cost) * 0 with p < cost, which is -0.0 in floating point
+    scn = Scenario(classes=queue_scenario(0.5).classes, workers=(WorkerSpec(cost=100.0),),
+                   queue_capacity=1)
+    rate = queue_rate(scn, 1.0, 1.0)
+    assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
+    (pa, pb), rate = queue_optimize(scn)
+    assert (pa, pb) == (1.0, 1.0)
+    assert math.copysign(1.0, rate) == 1.0
+
+
+def test_queue_solve_never_calls_the_search(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the queue solve called golden_section_max")
+
+    monkeypatch.setattr(search, "golden_section_max", refuse)
+    for r in sorted(QUEUE_OPTIMA):
+        queue_optimize(queue_scenario(r))
+    assert main(["solve", "--config", str(CONFIGS / "queue.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert "p_A*" in capsys.readouterr().out
+    # the mixture optimiser still searches, so the patch is live
+    with pytest.raises(AssertionError, match="golden_section_max"):
+        mixture_horizon_optimize(load_scenario(CONFIGS / "mixture.json"))
+
+
+def test_mixture_optimize_unchanged_on_the_bundled_config():
+    result = mixture_horizon_optimize(load_scenario(CONFIGS / "mixture.json"))
+    assert repr(result) == "((0.5676099587423191, 0.5670890085713876), 0.13233964250919603)"
