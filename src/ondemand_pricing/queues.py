@@ -47,6 +47,8 @@ def _queue_terms(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
     m_k = 1 + mu_k * (mu_k - (T/B) * (2s + mu_A + mu_B)) / B.
     m_k divides by B twice rather than squaring it: a float power raises
     OverflowError on huge service rates, where products only overflow to inf.
+    Tiny service rates with no admitted arrivals underflow B to 0, where the
+    closed form is 0/0.
     """
     admit_a = cls_a.arrival_rate * cls_a.valuation.tail(price_a)
     admit_b = cls_b.arrival_rate * cls_b.valuation.tail(price_b)
@@ -54,7 +56,11 @@ def _queue_terms(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
     mu_b = cls_b.duration.rate
     s = admit_a + admit_b
     both = (s + mu_a) * (s + mu_b)
-    idle_weight = (admit_a * mu_a + admit_b * mu_b + mu_a * mu_b) / both
+    try:
+        idle_weight = (admit_a * mu_a + admit_b * mu_b + mu_a * mu_b) / both
+    except ZeroDivisionError:
+        raise NonFiniteRate(f"queue earning rate is not finite at prices {(price_a, price_b)}: "
+                            f"(s + mu_A)(s + mu_B) underflows to 0") from None
     num = (price_a - cost) * admit_a / mu_a + (price_b - cost) * admit_b / mu_b
     den = idle_weight + admit_a / mu_a + admit_b / mu_b
     # with no admitted arrivals num is (p - cost) * 0, which is -0.0 when p < cost
@@ -315,7 +321,8 @@ def mixture_horizon_value(scenario: Scenario, prices) -> float:
 
 
 def mixture_horizon_optimize(scenario: Scenario) -> tuple[PriceVector, float]:
-    """Maximize mixture_horizon_value by multi-start coordinate ascent."""
+    """Maximize mixture_horizon_value by multi-start coordinate ascent, or
+    price every class out when that earns more."""
     parts = _mixture_parts(scenario, "mixture_horizon_optimize")
 
     def objective(p) -> float:
@@ -326,4 +333,10 @@ def mixture_horizon_optimize(scenario: Scenario) -> tuple[PriceVector, float]:
     prices, value = multi_start_ascent(
         objective, bounds, _search_starts(bounds, objective)
     )
+    # Pricing every class out earns 0; an ascent that ends just inside the
+    # tops of the supports earns slightly less when cost exceeds them.
+    corner = tuple(hi for _, hi in bounds)
+    corner_value = objective(corner)
+    if corner_value > value:
+        return corner, corner_value
     return prices, value

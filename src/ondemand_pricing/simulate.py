@@ -10,7 +10,8 @@ the idle start because the start state is part of the quantity.
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
 first arrival it can afford at or after t + d; one `searchsorted` gives that
-successor for every job, and a pointer chase visits the accepted jobs only.
+successor for every job, and pointer doubling finds the chain of accepted jobs
+in about log2(accepted) array passes.
 A ranked fleet is a cascade of the kernel: workers in rank order each run it
 on the arrivals they can afford that no better-ranked worker took. The
 discounted simulator caps each successor at the first arrival of the next
@@ -22,7 +23,6 @@ starts. Every simulator adds up earnings as arrays, in start order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,8 +55,8 @@ class SimConfig:
             raise ConfigError("replications must be at least 1")
         if not (0.0 <= self.warmup_fraction <= 0.5):
             raise ConfigError("warmup_fraction must lie in [0, 0.5]")
-        if self.horizon is not None and not self.horizon > 0.0:
-            raise ConfigError("horizon must be positive")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite")
         if self.expected_arrivals <= 0.0:
             raise ConfigError("expected_arrivals must be positive")
 
@@ -66,7 +66,12 @@ class SimConfig:
         total = sum(cls.arrival_rate for cls in self.scenario.classes)
         if total <= 0.0:
             raise ConfigError("cannot size a horizon: total arrival rate is zero")
-        return self.expected_arrivals / total
+        horizon = self.expected_arrivals / total
+        # an overflowing or underflowing rate sizes a horizon of 0 or inf
+        if not 0.0 < horizon < math.inf:
+            raise ConfigError(f"cannot size a horizon: total arrival rate {total!r} "
+                              f"gives {horizon!r} hours")
+        return horizon
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,8 @@ def _merged_events(scenario: Scenario, base_seed: int, rep: int, horizon: float)
         all_k.append(np.full(t.size, k, dtype=int))
         all_v.append(v)
         all_d.append(d)
+    if len(all_t) == 1:  # one class is drawn in time order
+        return all_t[0], all_k[0], all_v[0], all_d[0]
     times = np.concatenate(all_t) if all_t else np.empty(0)
     order = np.argsort(times, kind="stable")
     return (
@@ -213,18 +220,31 @@ def _loss_accepts(times, ends, cut=None) -> np.ndarray:
     arrival at or after ends[i], capped at cut[i] when `cut` is given. A job
     whose end rounds to its start (t + d == t) frees the worker for the next
     arrival, even one at the same instant.
+
+    The successors form a forest whose roots sit at n, and the accepted jobs
+    are the path from job 0 to its root. Pointer doubling finds that path:
+    while `path` holds the first 2**k jobs on it, `jump` is the 2**k-th
+    successor, so jump[path] holds the next 2**k, and squaring the table
+    doubles the stride. Each pass appends in path order, so `path` stays
+    sorted. It takes about log2(accepted) passes over the table.
     """
-    nxt = np.searchsorted(times, ends, "left")
+    n = times.size
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    jump = np.empty(n + 1, dtype=np.intp)
+    jump[:n] = np.searchsorted(times, ends, "left")
     if cut is not None:
-        np.minimum(nxt, cut, out=nxt)
-    nxt = nxt.tolist()
-    taken = []
-    i, n = 0, len(nxt)
-    while i < n:
-        taken.append(i)
-        j = nxt[i]
-        i = j if j > i else i + 1
-    return np.array(taken, dtype=np.intp)
+        np.minimum(jump[:n], cut, out=jump[:n])
+    np.maximum(jump[:n], np.arange(1, n + 1), out=jump[:n])
+    jump[n] = n
+    path = np.zeros(1, dtype=np.intp)
+    while True:
+        step = jump[path]
+        inside = step[:np.searchsorted(step, n)]
+        path = np.concatenate((path, inside))
+        if inside.size < step.size:  # a step reached the root
+            return path
+        jump = jump[jump]
 
 
 def _running_sum(terms) -> float:
@@ -279,20 +299,20 @@ def _loss_rep(events, workers, matrix, warm: float, horizon: float):
 
 
 def _write_trace(path: str, events, chosen, lost_price) -> None:
-    """Per-event CSV of one replication, in arrival order. The file's
-    directory is made here, so a run whose inputs fail makes none."""
+    """Per-event CSV of one replication, in arrival order, written row by row
+    in the bytes csv.writer would give. The file's directory is made here, so
+    a run whose inputs fail makes none."""
     times, ks, vs, _ = events
+    rows = zip(map(repr, times.tolist()), ks.tolist(), map(repr, vs.tolist()),
+               chosen.tolist(), lost_price.tolist())
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "event", "class", "worker", "value"])
-        for t, k, v, w, priced_out in zip(times.tolist(), ks.tolist(), vs.tolist(),
-                                          chosen.tolist(), lost_price.tolist()):
-            if w >= 0:
-                writer.writerow([repr(t), "accept", k, w, repr(v)])
-            else:
-                event = "lost_price" if priced_out else "lost_busy"
-                writer.writerow([repr(t), event, k, "", repr(v)])
+        fh.write("time,event,class,worker,value\r\n")
+        fh.writelines(
+            f"{t},accept,{k},{w},{v}\r\n" if w >= 0
+            else f"{t},{'lost_price' if priced_out else 'lost_busy'},{k},,{v}\r\n"
+            for t, k, v, w, priced_out in rows
+        )
 
 
 def _no_trace(config: SimConfig, model: str) -> None:

@@ -501,6 +501,48 @@ def test_exit_code_extreme_queue_service_rates(tmp_path, capsys, command, rates,
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_exit_code_queue_service_rates_underflow(tmp_path, capsys):
+    # at cost 100 nobody is admitted, so (s + mu_A)(s + mu_B) is 1e-600: 0.0 in floats
+    doc = bundled_with("queue.json", workers=[{"cost": 100.0}])
+    set_service_rates(doc, (1e-300, 1e-300))
+    cfg = tmp_path / "tiny_queue.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: queue earning rate is not finite")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("simulate", "two_class.json"), ("validate", "two_class.json"),
+     ("validate", "queue.json")],
+)
+def test_exit_code_overflowing_arrival_rates(tmp_path, capsys, command, name):
+    # the rates sum to inf, which would size a horizon of 0 hours
+    doc = read_json(CONFIGS / name)
+    for cls in doc["classes"]:
+        cls["arrival_rate"] = 1e308
+    cfg = tmp_path / "crowded.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: cannot size a horizon")
+    assert not (tmp_path / "o").exists()
+
+
+def test_mixture_priced_out_reports_positive_zero(tmp_path, capsys):
+    # at cost 100 no price in [0, 1] covers the cost: pricing every class out
+    # earns 0, more than the ascent, which stops just inside the supports
+    cfg = tmp_path / "costly_mixture.json"
+    cfg.write_text(json.dumps(bundled_with("mixture.json", workers=[{"cost": 100.0}])))
+    assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+    assert capsys.readouterr().out == "mixture-horizon optimum: prices = 1, 1, value = 0\n"
+    payload = read_json(tmp_path / "o" / "solution.json")
+    assert payload["prices"] == [1.0, 1.0]
+    assert payload["value"] == 0.0 and math.copysign(1.0, payload["value"]) == 1.0
+    assert run_cli("validate", "--config", str(cfg), "--out", str(tmp_path / "v")) == 0
+    assert capsys.readouterr().out.startswith("[PASS] mixture_value_vs_simulation: analytic 0,")
+
+
 @pytest.mark.parametrize("name", ["narrow_flat.json", "knot_drop.json"])
 def test_exit_code_irregular_between_grid_points(tmp_path, monkeypatch, capsys, name):
     # a flat stretch of width 1e-5 and a 4e-5 drop at a knot, both narrower

@@ -34,7 +34,16 @@ from ondemand_pricing import (
     solve_fixed_point,
 )
 from ondemand_pricing.config import load_scenario
-from ondemand_pricing.simulate import Counts, _mean_se, _merged_events, _stats
+from ondemand_pricing.simulate import (
+    Counts,
+    _class_arrivals,
+    _class_stream,
+    _loss_accepts,
+    _mean_se,
+    _merged_events,
+    _stats,
+    _write_trace,
+)
 from tests.conftest import queue_scenario, unit_uniform_class
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -174,6 +183,10 @@ def test_config_validation(single_class_scenario):
         SimConfig(scenario=single_class_scenario, warmup_fraction=0.9)
     with pytest.raises(ConfigError):
         SimConfig(scenario=single_class_scenario, horizon=-1.0)
+    with pytest.raises(ConfigError):
+        SimConfig(scenario=single_class_scenario, horizon=math.inf)
+    with pytest.raises(ConfigError):
+        SimConfig(scenario=single_class_scenario, expected_arrivals=math.inf).horizon_hours()
     cfg = SimConfig(scenario=single_class_scenario, horizon=123.0)
     assert cfg.horizon_hours() == 123.0
     bare = SimConfig(scenario=single_class_scenario, expected_arrivals=500.0)
@@ -558,3 +571,91 @@ def test_deviation_scan_three_worker_fleet_equals_separate_simulations(worker_in
         reps = reference_simulate(cfg, trial).per_worker_reps[worker_index]
         assert (point.mean, point.se) == _mean_se(reps)
         assert point.delta == float(np.mean(np.subtract(reps, base)))
+
+
+# --- the loss kernel, the event merge and the trace writer, part by part ---
+
+
+def reference_loss_accepts(times, ends, cut=None):
+    """The accepted jobs, by walking from job 0 to each job's successor."""
+    taken, i, n = [], 0, len(times)
+    while i < n:
+        taken.append(i)
+        j = int(np.searchsorted(times, ends[i], "left"))
+        if cut is not None:
+            j = min(j, int(cut[i]))
+        i = max(j, i + 1)
+    return taken
+
+
+def kernel_instance(kind, n, seed):
+    """Sorted arrival times, completion times and (for "cut") window caps."""
+    rng = np.random.default_rng(seed)
+    if kind == "tied_times":
+        times = np.sort(rng.integers(0, max(1, n // 4), n)).astype(float)
+        return times, times + rng.choice([0.0, 0.5, 2.0], n), None
+    times = np.cumsum(rng.exponential(1.0, n))
+    if kind == "below_ulp":
+        # half the jobs end where they start: t + 1e-300 == t
+        durations = np.where(rng.random(n) < 0.5, 1e-300, rng.exponential(1.5, n))
+        return times, times + durations, None
+    ends = times + rng.exponential({"light": 0.2, "heavy": 6.0, "cut": 3.0}[kind], n)
+    if kind == "cut":
+        windows = (times / 25.0).astype(np.int64)
+        return times, ends, np.searchsorted(windows, windows, "right")
+    return times, ends, None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000, 5000])
+@pytest.mark.parametrize("kind", ["light", "heavy", "tied_times", "below_ulp", "cut"])
+def test_loss_accepts_matches_plain_loop(kind, n):
+    for seed in range(3):
+        times, ends, cut = kernel_instance(kind, n, seed)
+        got = _loss_accepts(times, ends, cut)
+        assert got.dtype == np.intp
+        assert got.tolist() == reference_loss_accepts(times, ends, cut)
+
+
+@pytest.mark.parametrize("n", range(18))
+def test_loss_accepts_path_ending_at_last_job(n):
+    # every job is accepted: path lengths 0 to 17 cross each power of two,
+    # and the path ends exactly at job n - 1
+    times = np.arange(n, dtype=float)
+    assert _loss_accepts(times, times + 0.5).tolist() == list(range(n))
+    # job 0 jumps straight to the last job
+    if n >= 2:
+        assert _loss_accepts(times, np.full(n, n - 1.5)).tolist() == [0, n - 1]
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.7, 40.0])
+def test_merged_events_one_class_is_the_stable_sort(rate):
+    cls = replace(mixed_classes(1)[0], arrival_rate=rate)
+    got = _merged_events(Scenario(classes=(cls,)), 11, 2, 300.0)
+    times, vs, ds = _class_arrivals(cls, _class_stream(11, 2, 0), 300.0)
+    order = np.argsort(times, kind="stable")
+    want = (times[order], np.zeros(times.size, dtype=int), vs[order], ds[order])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def test_event_trace_bytes_match_csv_writer(tmp_path):
+    # floats whose repr is in exponent form, next to plain ones
+    times = np.array([1e-05, 0.25, 3.0, 1e+16, 1e+16])
+    ks = np.array([0, 1, 0, 1, 0])
+    vs = np.array([1e-05, 2.5e-07, 0.1, 1e+16, 7.0])
+    chosen = np.array([0, -1, -1, 2, -1])
+    lost_price = np.array([False, True, False, False, False])
+    got = tmp_path / "new_dir" / "events.csv"
+    _write_trace(str(got), (times, ks, vs, None), chosen, lost_price)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "event", "class", "worker", "value"])
+        for t, k, v, w, priced_out in zip(times.tolist(), ks.tolist(), vs.tolist(),
+                                          chosen.tolist(), lost_price.tolist()):
+            event = "accept" if w >= 0 else "lost_price" if priced_out else "lost_busy"
+            writer.writerow([repr(t), event, k, w if w >= 0 else "", repr(v)])
+    assert got.read_bytes() == want.read_bytes()
+    assert b"\r\n1e-05,accept,0,0,1e-05\r\n" in got.read_bytes()
+    assert b"\r\n1e+16,accept,1,2,1e+16\r\n" in got.read_bytes()
