@@ -9,9 +9,7 @@ discrete-event simulator that cross-checks every analytic result.
 """
 
 from .analytics import (
-    RatioEstimate,
     avg_earning_rate,
-    deadline_censor_ratio,
     discount_adjusted,
     discounted_value,
     effective_load,
@@ -25,7 +23,6 @@ from .competition import (
     busy_fraction,
     fleet_rates,
     ranked_price_equilibrium,
-    residual_demand,
 )
 from .config import load_scenario, parse_scenario
 from .errors import (
@@ -51,8 +48,6 @@ from .model import (
     WorkerSpec,
     apply_commission,
     check_prices,
-    clamp_prices,
-    per_job_price,
     regularity_check,
     virtual_value,
 )
@@ -95,11 +90,9 @@ __all__ = [
     "BestResponseReport",
     "busy_fraction",
     "check_prices",
-    "clamp_prices",
     "ConfigError",
     "Counts",
     "CustomerClass",
-    "deadline_censor_ratio",
     "DeterministicDuration",
     "deviation_scan",
     "DeviationPoint",
@@ -125,7 +118,6 @@ __all__ = [
     "ModelMismatch",
     "NonFiniteRate",
     "parse_scenario",
-    "per_job_price",
     "PiecewiseLinearValuation",
     "price_response",
     "PricingError",
@@ -134,9 +126,7 @@ __all__ = [
     "ranked_price_equilibrium",
     "RankedEquilibrium",
     "rate_map",
-    "RatioEstimate",
     "regularity_check",
-    "residual_demand",
     "ResidualDemandCurve",
     "Scenario",
     "SimConfig",

@@ -11,9 +11,7 @@ functional with discount-adjusted loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import replace
 
 from .errors import NonFiniteRate
 from .model import CustomerClass, Scenario, check_prices
@@ -61,33 +59,3 @@ def discounted_value(scenario: Scenario, prices) -> float:
     gamma = scenario.discount.rate
     return avg_earning_rate(discount_adjusted(scenario, gamma), prices) / gamma
 
-
-@dataclass(frozen=True)
-class RatioEstimate:
-    """Monte Carlo ratio estimate with a delta-method standard error."""
-
-    ratio: float
-    se: float
-    draws: int
-
-
-def deadline_censor_ratio(duration, rate: float, draws: int = 1_000_000,
-                          seed: int = 0) -> RatioEstimate:
-    """Estimate P(deadline <= duration) / E[min(duration, deadline)] by simulation,
-    where the deadline is exponential with the given rate.
-
-    For any positive duration law this ratio equals the deadline rate; the
-    estimator exists to let tests check that identity on samples.
-    """
-    rng = np.random.default_rng(seed)
-    x = np.asarray(duration.sample(rng, draws), dtype=float)
-    y = rng.exponential(1.0 / rate, draws)
-    hit = (y <= x).astype(float)
-    both = np.minimum(x, y)
-    a, b = float(hit.mean()), float(both.mean())
-    var_a = float(hit.var(ddof=1))
-    var_b = float(both.var(ddof=1))
-    cov = float(np.cov(hit, both, ddof=1)[0, 1])
-    ratio = a / b
-    var_ratio = (var_a / b**2 + a**2 * var_b / b**4 - 2.0 * a * cov / b**3) / draws
-    return RatioEstimate(ratio=ratio, se=math.sqrt(max(var_ratio, 0.0)), draws=draws)

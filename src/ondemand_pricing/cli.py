@@ -40,7 +40,6 @@ from .simulate import SimConfig, SimStats, deviation_scan, simulate, simulate_di
 from .solver import rate_map, solve_discounted, solve_fixed_point
 
 DEFAULT_SEED = 20260815
-SWEEPABLES = ("r", "gamma", "rho", "beta", "reserve")
 
 
 class NoEquilibrium(PricingError):
@@ -278,8 +277,18 @@ def _sweep_reserve(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
     return ["reserve", "achieved_rate"], rows
 
 
+_SWEEPS = {
+    "r": _sweep_r,
+    "gamma": _sweep_gamma,
+    "rho": _sweep_rho,
+    "beta": _sweep_beta,
+    "reserve": _sweep_reserve,
+}
+SWEEPABLES = tuple(_SWEEPS)
+
+
 def cmd_sweep(scenario: Scenario, param: str, grid_spec: str | None, outdir: Path) -> list[str]:
-    if param not in SWEEPABLES:
+    if param not in _SWEEPS:
         raise ConfigError(f"unknown sweep parameter {param!r} (one of {SWEEPABLES})")
     if grid_spec is not None:
         grid = _parse_grid(grid_spec)
@@ -287,16 +296,7 @@ def cmd_sweep(scenario: Scenario, param: str, grid_spec: str | None, outdir: Pat
         grid = _default_r_grid()
     else:
         raise ConfigError(f"--grid is required for parameter {param!r}")
-    if param == "r":
-        header, rows = _sweep_r(scenario, grid)
-    elif param == "gamma":
-        header, rows = _sweep_gamma(scenario, grid)
-    elif param == "rho":
-        header, rows = _sweep_rho(scenario, grid)
-    elif param == "beta":
-        header, rows = _sweep_beta(scenario, grid)
-    else:
-        header, rows = _sweep_reserve(scenario, grid)
+    header, rows = _SWEEPS[param](scenario, grid)
     name = f"sweep_{param}.csv"
     _write_csv(outdir / name, header, rows)
     print(f"swept {param} over {len(rows)} points -> {outdir / name}")
@@ -356,15 +356,7 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
                   f"(detected after {report.rounds_run} rounds)")
         else:
             print(f"best-response dynamics open after {report.rounds_run} rounds")
-        payload = {
-            "mode": "dynamics",
-            "fixed_profile": list(report.fixed_profile) if report.fixed_profile else None,
-            "cycle_start": report.cycle_start,
-            "cycle_length": report.cycle_length,
-            "rounds_run": report.rounds_run,
-            "trajectory": [list(p) for p in report.trajectory],
-        }
-        _write_json(outdir / "dynamics.json", payload)
+        _write_json(outdir / "dynamics.json", {"mode": "dynamics", **asdict(report)})
         return ["dynamics.json"]
 
     if scenario.choice != "ranked":
@@ -373,20 +365,10 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
             "rerun with --dynamics to see the cycling behaviour"
         )
     eq = ranked_price_equilibrium(scenario)
-    workers_payload = []
     for outcome in eq.outcomes:
         print(f"rank {outcome.rank}: prices = {_fmts(outcome.prices)}"
               f", rate = {_fmt(outcome.rate)}, busy = {_fmt(outcome.busy_fraction)}")
-        workers_payload.append(
-            {
-                "rank": outcome.rank,
-                "prices": list(outcome.prices),
-                "rate": outcome.rate,
-                "busy_fraction": outcome.busy_fraction,
-                "converged": outcome.converged,
-            }
-        )
-    payload = {"mode": "equilibrium", "workers": workers_payload}
+    payload = {"mode": "equilibrium", "workers": [asdict(o) for o in eq.outcomes]}
     outputs = ["equilibrium.json"]
     if verify:
         matrix = [list(eq.by_rank(w.rank).prices) for w in scenario.workers]

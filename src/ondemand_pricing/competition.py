@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ModelMismatch
+from .errors import ConfigError, ModelMismatch, SingularSystem
 from .model import (
     CustomerClass,
     ExponentialDuration,
@@ -35,6 +35,13 @@ from .solver import solve_fixed_point
 _MAX_FLEET = 10
 _BISECT_TOL = 1e-13
 _BISECT_MAX = 200
+# Best-response dynamics move on a price grid of this step for at most
+# _MAX_ROUNDS rounds. Each round solves the busy-set chain once per worker and
+# grid point, so a grid past _MAX_GRID_POINTS (a valuation support above 1000)
+# is refused before it is built: it would run for hours or exhaust memory.
+_GRID_STEP = 0.01
+_MAX_ROUNDS = 100
+_MAX_GRID_POINTS = 100_000
 
 
 def busy_fraction(scenario: Scenario, prices) -> float:
@@ -84,12 +91,6 @@ class ResidualDemandCurve:
             upper_tail = law.tail(bounds[j + 1]) if j + 1 < len(bounds) else 0.0
             total += weight * (law.tail(x) - upper_tail)
         return self.customer_class.arrival_rate * total
-
-
-def residual_demand(cls: CustomerClass, upstream_price: float,
-                    upstream_busy: float) -> ResidualDemandCurve:
-    """Residual demand curve below a single upstream worker."""
-    return ResidualDemandCurve(cls, ((upstream_price, upstream_busy),))
 
 
 def _residual_rate(curves, prices, cost: float) -> float:
@@ -319,7 +320,10 @@ def _chain_rates(cls: CustomerClass, workers, cheapest: bool, prices) -> tuple[f
     coeffs[-1, :] = 1.0
     rhs = np.zeros(size)
     rhs[-1] = 1.0
-    pi = np.linalg.solve(coeffs, rhs)
+    try:
+        pi = np.linalg.solve(coeffs, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystem("the busy-set chain is singular in floating point") from None
     rates = []
     for i in range(n):
         busy = sum(pi[s] for s in range(size) if s & (1 << i))
@@ -338,8 +342,7 @@ class BestResponseReport:
     rounds_run: int
 
 
-def best_response_dynamics(scenario: Scenario, grid_step: float = 0.01,
-                           max_rounds: int = 100) -> BestResponseReport:
+def best_response_dynamics(scenario: Scenario) -> BestResponseReport:
     """Iterate exact-payoff best responses worker by worker on a price grid.
 
     Workers update in scenario order within each round. Stops early at a fixed
@@ -349,7 +352,11 @@ def best_response_dynamics(scenario: Scenario, grid_step: float = 0.01,
     """
     cls, workers = _fleet_parts(scenario, "best_response_dynamics", "fleet")
     cheapest = scenario.choice == "cheapest"
-    axis = [float(x) for x in np.arange(0.0, cls.valuation.upper + grid_step / 2.0, grid_step)]
+    upper = cls.valuation.upper
+    if not upper / _GRID_STEP < _MAX_GRID_POINTS:
+        raise ConfigError(f"valuation high {upper!r}: a best-response price grid at step "
+                          f"{_GRID_STEP} would need more than {_MAX_GRID_POINTS} points")
+    axis = [float(x) for x in np.arange(0.0, upper + _GRID_STEP / 2.0, _GRID_STEP)]
 
     def solo_rate(price: float, cost: float) -> float:
         weight = cls.load * cls.valuation.tail(price)
@@ -364,7 +371,7 @@ def best_response_dynamics(scenario: Scenario, grid_step: float = 0.01,
     cycle_start = None
     cycle_length = None
     rounds = 0
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, _MAX_ROUNDS + 1):
         rounds = round_no
         for i in range(len(workers)):
             best_p, best_v = profile[i], -math.inf

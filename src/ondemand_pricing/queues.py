@@ -70,15 +70,10 @@ def _queue_terms(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
             1.0 + mu_b * ((mu_b - spread) / both))
 
 
-def _queue_rate(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
-                price_a: float, price_b: float) -> float:
-    return _queue_terms(cls_a, cls_b, cost, price_a, price_b)[0]
-
-
 def queue_rate(scenario: Scenario, price_a: float, price_b: float) -> float:
     """Long-run average earning rate with one waiting spot, in closed form."""
     parts = queue_parts(scenario, "queue_rate")
-    return _queue_rate(*parts, *check_prices(scenario, (price_a, price_b)))
+    return _queue_terms(*parts, *check_prices(scenario, (price_a, price_b)))[0]
 
 
 @dataclass(frozen=True)

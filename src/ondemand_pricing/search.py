@@ -10,12 +10,15 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
                        tol: float = 1e-6) -> tuple[float, float]:
-    """Maximize f on [lo, hi] assuming unimodality; returns (argmax, value)."""
+    """Maximize f on [lo, hi] assuming unimodality; returns (argmax, value).
+
+    Stops when the bracket is within tol, or when its interior points no
+    longer fall strictly inside it: far from 0 one ulp can exceed tol."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -30,21 +30,22 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError, ModelMismatch
+from .errors import ConfigError, ModelMismatch, NonFiniteRate
 from .model import Scenario, check_prices, queue_parts
 
 # Discount weight e^{-gamma t} is below 4e-18 past this many inverse rates, so
 # discounted runs truncate their horizon there.
 _DISCOUNT_SPAN = 40.0
+# Window numbers are int64, so a horizon holds fewer windows than this.
+_MAX_WINDOWS = 2.0**63
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation sizing: horizon (directly or via expected arrivals), seed, warmup."""
+    """Simulation sizing: expected arrivals (which set the horizon), seed, warmup."""
 
     scenario: Scenario
     expected_arrivals: float = 100_000.0
-    horizon: float | None = None
     replications: int = 30
     base_seed: int = 20260815
     warmup_fraction: float = 0.1
@@ -55,14 +56,10 @@ class SimConfig:
             raise ConfigError("replications must be at least 1")
         if not (0.0 <= self.warmup_fraction <= 0.5):
             raise ConfigError("warmup_fraction must lie in [0, 0.5]")
-        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
-            raise ConfigError("horizon must be positive and finite")
         if self.expected_arrivals <= 0.0:
             raise ConfigError("expected_arrivals must be positive")
 
     def horizon_hours(self) -> float:
-        if self.horizon is not None:
-            return self.horizon
         total = sum(cls.arrival_rate for cls in self.scenario.classes)
         if total <= 0.0:
             raise ConfigError("cannot size a horizon: total arrival rate is zero")
@@ -144,6 +141,8 @@ def _mean_se(values) -> tuple[float, float]:
 def _stats(kind: str, rep_values, counts: Counts,
            per_worker_reps=None) -> SimStats:
     mean, se = _mean_se(rep_values)
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NonFiniteRate(f"simulated {kind} is not finite: mean {mean!r}, SE {se!r}")
     return SimStats(
         kind=kind,
         mean=mean,
@@ -405,7 +404,11 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         else:
             g = float(discount.rate)
         window = min(_DISCOUNT_SPAN / g, budget)
-        n_win = max(1, int(budget / window))
+        windows = budget / window
+        if not windows < _MAX_WINDOWS:
+            raise ConfigError(f"discount rate {g!r} cuts the {budget!r}-hour horizon into "
+                              f"{windows!r} windows, more than int64 can number")
+        n_win = max(1, int(windows))
         times, ks, vs, ds = _merged_events(base, config.base_seed, rep, n_win * window)
         wins = (times / window).astype(np.int64)
         # an arrival at the horizon can fall in window n_win; it is not simulated

@@ -25,6 +25,11 @@ from .model import (
     regularity_check,
 )
 
+# The fixed point is reached when one map step moves the rate by at most
+# _TOL; the iteration gives up after _MAX_ITER steps.
+_TOL = 1e-10
+_MAX_ITER = 100_000
+
 
 def price_response(cls: CustomerClass, reserve: float, cost: float) -> float:
     """Best price for one class when a busy hour is worth cost + reserve.
@@ -61,8 +66,7 @@ class Solution:
     value: float | None = None
 
 
-def solve_fixed_point(scenario: Scenario, r0: float = 0.0, tol: float = 1e-10,
-                      max_iter: int = 100_000) -> Solution:
+def solve_fixed_point(scenario: Scenario, r0: float = 0.0) -> Solution:
     """Iterate the rate map to its fixed point, the optimal earning rate.
 
     The trace records (reserve, achieved rate) per iteration; after the first
@@ -79,10 +83,10 @@ def solve_fixed_point(scenario: Scenario, r0: float = 0.0, tol: float = 1e-10,
     reserve = r0
     trace: list[tuple[float, float]] = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         achieved, _ = rate_map(scenario, reserve)
         trace.append((reserve, achieved))
-        if abs(achieved - reserve) <= tol:
+        if abs(achieved - reserve) <= _TOL:
             converged = True
             reserve = achieved
             break

@@ -23,7 +23,6 @@ from ondemand_pricing import (
     UniformValuation,
     WorkerSpec,
     best_response_dynamics,
-    deadline_censor_ratio,
     deviation_scan,
     discount_adjusted,
     first_step_solve,
@@ -41,7 +40,7 @@ from ondemand_pricing import (
     solve_fixed_point,
 )
 from ondemand_pricing.cli import main
-from tests.conftest import queue_scenario, unit_uniform_class
+from tests.conftest import deadline_censor_ratio, queue_scenario, unit_uniform_class
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -258,7 +257,7 @@ def test_criterion_10_fleet_deviation_and_cycle(
         report = deviation_scan(config, matrix, index)
         assert not report.any_significant
 
-    dynamics = best_response_dynamics(undifferentiated_scenario, max_rounds=100)
+    dynamics = best_response_dynamics(undifferentiated_scenario)
     assert dynamics.fixed_profile is None
     assert dynamics.cycle_start is not None
     assert dynamics.cycle_length is not None and dynamics.cycle_length > 0

@@ -14,12 +14,11 @@ from ondemand_pricing import (
     UniformValuation,
     WorkerSpec,
     avg_earning_rate,
-    deadline_censor_ratio,
     discount_adjusted,
     discounted_value,
     effective_load,
 )
-from tests.conftest import unit_uniform_class
+from tests.conftest import deadline_censor_ratio, unit_uniform_class
 
 
 def test_single_class_benchmark_rate(single_class_scenario):

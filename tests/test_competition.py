@@ -1,16 +1,19 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ondemand_pricing import (
+    ConfigError,
     CustomerClass,
     ExponentialDuration,
     ExponentialValuation,
     ModelMismatch,
     PiecewiseLinearValuation,
     Scenario,
+    SingularSystem,
     UniformValuation,
     WorkerSpec,
     apply_commission,
@@ -18,7 +21,6 @@ from ondemand_pricing import (
     busy_fraction,
     fleet_rates,
     ranked_price_equilibrium,
-    residual_demand,
     solve_fixed_point,
 )
 from ondemand_pricing import competition
@@ -83,7 +85,7 @@ def test_busy_fraction_matches_load_expression(two_class_scenario):
 
 def test_residual_demand_spot_values():
     cls = unit_uniform_class()
-    curve = residual_demand(cls, upstream_price=0.6, upstream_busy=0.3)
+    curve = ResidualDemandCurve(cls, ((0.6, 0.3),))
     # below the upstream price: diverted mass only when the upstream is busy
     assert curve.demand(0.4) == pytest.approx(0.2 + 0.3 * 0.4, abs=1e-14)
     # above the upstream price: everyone preferred upstream first
@@ -94,8 +96,8 @@ def test_residual_demand_spot_values():
 
 def test_residual_demand_degenerate_busy_levels():
     cls = unit_uniform_class()
-    always_busy = residual_demand(cls, 0.6, 1.0)
-    never_busy = residual_demand(cls, 0.6, 0.0)
+    always_busy = ResidualDemandCurve(cls, ((0.6, 1.0),))
+    never_busy = ResidualDemandCurve(cls, ((0.6, 0.0),))
     for p in np.linspace(0.0, 1.0, 101):
         assert always_busy.demand(p) == pytest.approx(cls.valuation.tail(p), abs=1e-14)
         want = max(0.0, cls.valuation.tail(p) - cls.valuation.tail(0.6)) if p < 0.6 else 0.0
@@ -104,7 +106,7 @@ def test_residual_demand_degenerate_busy_levels():
 
 def test_residual_demand_monotone_and_continuous():
     cls = unit_uniform_class()
-    curve = residual_demand(cls, 0.55, 0.4).extended(0.35, 0.7)
+    curve = ResidualDemandCurve(cls, ((0.55, 0.4),)).extended(0.35, 0.7)
     grid = np.linspace(0.0, 1.0, 2001)
     vals = [curve.demand(p) for p in grid]
     assert all(b <= a + 1e-14 for a, b in zip(vals, vals[1:]))
@@ -118,7 +120,7 @@ def test_residual_demand_two_level_cascade():
     cls = unit_uniform_class()
     b1, b2 = 0.5, 0.25
     p1, p2 = 0.6, 0.3
-    curve = residual_demand(cls, p1, b1).extended(p2, b2)
+    curve = ResidualDemandCurve(cls, ((p1, b1),)).extended(p2, b2)
     # valuation bands: [p, .3): direct; [.3, .6): through level 2; [.6, 1]: through both
     assert curve.demand(0.1) == pytest.approx(
         (0.3 - 0.1) + b2 * (0.6 - 0.3) + b1 * b2 * 0.4, abs=1e-14
@@ -153,7 +155,7 @@ def test_equilibrium_second_worker_grid_oracle(ranked_fleet_scenario):
     eq = ranked_price_equilibrium(ranked_fleet_scenario)
     top, second = eq.by_rank(1), eq.by_rank(2)
     cls = ranked_fleet_scenario.classes[0]
-    curve = residual_demand(cls, top.prices[0], top.busy_fraction)
+    curve = ResidualDemandCurve(cls, ((top.prices[0], top.busy_fraction),))
     grid = np.linspace(0.0, 1.0, 400_001)
     demands = np.array([curve.demand(p) for p in grid])
     rates = demands * grid / (1.0 + demands)
@@ -228,8 +230,28 @@ def test_fleet_rates_guards(ranked_fleet_scenario):
         fleet_rates(big, (0.5,) * 11)
 
 
+def test_fleet_rates_singular_chain_is_refused():
+    # nobody buys at the top price, and every job's exit rate underflows
+    slow = Scenario(classes=(unit_uniform_class(service_rate=5e-324),),
+                    workers=(WorkerSpec(rank=1), WorkerSpec(rank=1)))
+    with pytest.raises(SingularSystem, match="busy-set chain"):
+        fleet_rates(slow, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("high", [1e12, 1e308])
+def test_best_response_dynamics_refuses_huge_price_grid(monkeypatch, high):
+    def no_axis(*args, **kwargs):
+        raise AssertionError("the price axis was built")
+
+    monkeypatch.setattr(competition.np, "arange", no_axis)
+    wide = Scenario(classes=(unit_uniform_class(high=high),),
+                    workers=(WorkerSpec(rank=1), WorkerSpec(rank=1)))
+    with pytest.raises(ConfigError, match=re.escape(f"valuation high {high!r}:")):
+        best_response_dynamics(wide)
+
+
 def test_best_response_cycle_for_undifferentiated(undifferentiated_scenario):
-    report = best_response_dynamics(undifferentiated_scenario, grid_step=0.01)
+    report = best_response_dynamics(undifferentiated_scenario)
     assert report.fixed_profile is None
     assert report.cycle_length is not None and report.cycle_length > 1
     assert report.rounds_run <= 100
@@ -237,7 +259,7 @@ def test_best_response_cycle_for_undifferentiated(undifferentiated_scenario):
 
 
 def test_best_response_fixed_point_for_ranked(ranked_fleet_scenario):
-    report = best_response_dynamics(ranked_fleet_scenario, grid_step=0.01)
+    report = best_response_dynamics(ranked_fleet_scenario)
     assert report.fixed_profile is not None
     eq = ranked_price_equilibrium(ranked_fleet_scenario)
     want = (eq.by_rank(1).prices[0], eq.by_rank(2).prices[0])

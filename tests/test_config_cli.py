@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 from pathlib import Path
 
 import pytest
@@ -541,6 +542,103 @@ def test_mixture_priced_out_reports_positive_zero(tmp_path, capsys):
     assert payload["value"] == 0.0 and math.copysign(1.0, payload["value"]) == 1.0
     assert run_cli("validate", "--config", str(cfg), "--out", str(tmp_path / "v")) == 0
     assert capsys.readouterr().out.startswith("[PASS] mixture_value_vs_simulation: analytic 0,")
+
+
+class Overrun(Exception):
+    """A case ran past its time budget. Not an OSError, which main maps to exit 2."""
+
+
+@pytest.fixture
+def time_budget():
+    """Fail a case that runs past 10 s instead of hanging the whole run."""
+    def expire(signum, frame):
+        raise Overrun("past the 10 s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def edited(name, edit):
+    """A bundled config changed in place by `edit`."""
+    doc = read_json(CONFIGS / name)
+    edit(doc)
+    return doc
+
+
+def set_high(index, high):
+    def edit(doc):
+        doc["classes"][index]["valuation"]["params"]["high"] = high
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, high, codes",
+    [
+        ("solve", 1e12, (0,)),
+        ("validate", 1e12, (0, 1)),  # the verdict is statistical: the case checks the run ends
+        ("simulate", 1e12, (0,)),
+        ("solve", 1e308, (0,)),
+        # the simulated values overflow to inf
+        ("validate", 1e308, (2,)),
+        ("simulate", 1e308, (2,)),
+    ],
+    ids=["solve_1e12", "validate_1e12", "simulate_1e12",
+         "solve_1e308", "validate_1e308", "simulate_1e308"],
+)
+def test_exit_code_huge_mixture_valuation(tmp_path, capsys, time_budget, command, high, codes):
+    # far from 0 one ulp of the golden-section bracket exceeds its tolerance
+    cfg = tmp_path / "wide_mixture.json"
+    cfg.write_text(json.dumps(edited("mixture.json", set_high(0, high))))
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) in codes
+
+
+def set_discount_rate(doc):
+    doc["discount"]["params"]["rate"] = 1e308
+
+
+def set_branch_rate(doc):
+    doc["discount"]["params"]["rates"][1] = 1e308
+
+
+def set_duration_rate(doc):
+    doc["classes"][0]["duration"]["params"]["rate"] = 5e-324
+
+
+EXTREME_RUNS = {
+    # 40 inverse discount rates make more windows than int64 can number
+    "simulate_discount_rate": (("simulate",), edited("discounted.json", set_discount_rate),
+                               "error: discount rate 1e+308 cuts"),
+    "validate_discount_rate": (("validate",), edited("discounted.json", set_discount_rate),
+                               "error: discount rate 1e+308 cuts"),
+    "validate_branch_rate": (("validate",), edited("mixture.json", set_branch_rate),
+                             "error: discount rate 1e+308 cuts"),
+    "simulate_inf_value": (("simulate", "--prices", "1,5e307"),
+                           edited("mixture.json", set_high(1, 1e308)),
+                           "error: simulated value is not finite"),
+    # every state's exit rate underflows
+    "dynamics_tiny_duration_rate": (("compete", "--dynamics"),
+                                    edited("undifferentiated.json", set_duration_rate),
+                                    "error: the busy-set chain is singular"),
+    "dynamics_high_1e12": (("compete", "--dynamics"),
+                           edited("undifferentiated.json", set_high(0, 1e12)),
+                           "error: valuation high 1000000000000.0:"),
+    "dynamics_high_1e308": (("compete", "--dynamics"),
+                            edited("undifferentiated.json", set_high(0, 1e308)),
+                            "error: valuation high 1e+308:"),
+}
+
+
+@pytest.mark.parametrize("case", EXTREME_RUNS)
+def test_exit_code_extreme_runs(tmp_path, capsys, time_budget, case):
+    (command, *rest), doc, message = EXTREME_RUNS[case]
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(command, "--config", str(cfg), *rest, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name", ["narrow_flat.json", "knot_drop.json"])

@@ -1,13 +1,18 @@
-"""Every module of the package uses each name it imports, and every private
+"""Every module of the package uses each name it imports, every private
 module-level name is read somewhere in the package (no linter runs on this
-repository, so these are the guards)."""
+repository, so these are the guards), and the public surface is the one the
+README shows."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ondemand_pricing"
+import ondemand_pricing
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ondemand_pricing"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -78,3 +83,20 @@ def test_finder_flags_a_dead_private_name():
 def test_package_has_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def test_all_lists_each_imported_name_once():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = ondemand_pricing.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == imported
+
+
+def test_readme_entry_points_run(monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})

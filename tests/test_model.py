@@ -19,8 +19,6 @@ from ondemand_pricing import (
     ZeroDensity,
     apply_commission,
     check_prices,
-    clamp_prices,
-    per_job_price,
     regularity_check,
     virtual_value,
 )
@@ -245,12 +243,6 @@ def test_duration_means_and_samples():
     assert abs(np.mean(draws) - emp.mean) < 0.02
 
 
-def test_per_job_price():
-    rate = 3.0
-    assert per_job_price(rate, CustomerClass(1.0, ExponentialDuration(2.0), UniformValuation(0, 1))) == 1.5
-    assert per_job_price(rate, CustomerClass(1.0, DeterministicDuration(0.7), UniformValuation(0, 1))) == pytest.approx(2.1)
-
-
 def test_load_property():
     cls = CustomerClass(3.0, ExponentialDuration(2.0), UniformValuation(0.0, 1.0))
     assert cls.load == 1.5
@@ -319,7 +311,7 @@ def test_frozen_dataclasses(single_class_scenario):
         law.high = 2.0
 
 
-def test_check_and_clamp_prices(two_class_scenario):
+def test_check_prices(two_class_scenario):
     assert check_prices(two_class_scenario, [0.5, 1.0]) == (0.5, 1.0)
     with pytest.raises(ConfigError):
         check_prices(two_class_scenario, [0.5])
@@ -331,12 +323,3 @@ def test_check_and_clamp_prices(two_class_scenario):
         check_prices(two_class_scenario, 0.5)
     with pytest.raises(ConfigError, match="sequence of numbers"):
         check_prices(two_class_scenario, [0.5, "x"])
-    assert clamp_prices(two_class_scenario, [-0.5, 9.0]) == (0.0, 2.0)
-    assert clamp_prices(two_class_scenario, [0.3, 1.2]) == (0.3, 1.2)
-    assert clamp_prices(two_class_scenario, [-math.inf, math.inf]) == (0.0, 2.0)
-
-
-@pytest.mark.parametrize("prices", [[math.nan, 1.0], [0.5, math.nan], 0.5, [0.5]])
-def test_clamp_prices_refuses_nan_and_bad_shapes(two_class_scenario, prices):
-    with pytest.raises(ConfigError, match="prices"):
-        clamp_prices(two_class_scenario, prices)

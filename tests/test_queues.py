@@ -33,7 +33,6 @@ from ondemand_pricing.cli import main
 from ondemand_pricing.model import queue_parts
 from ondemand_pricing.queues import (
     _price_box,
-    _queue_rate,
     _queue_solve,
     _queue_terms,
     _search_starts,
@@ -299,7 +298,7 @@ def ascent_reference(scn):
     parts = queue_parts(scn, "ascent_reference")
 
     def objective(p):
-        return _queue_rate(*parts, p[0], p[1])
+        return _queue_terms(*parts, p[0], p[1])[0]
 
     bounds = _price_box(scn)
     return multi_start_ascent(objective, bounds, _search_starts(bounds, objective))

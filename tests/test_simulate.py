@@ -182,13 +182,7 @@ def test_config_validation(single_class_scenario):
     with pytest.raises(ConfigError):
         SimConfig(scenario=single_class_scenario, warmup_fraction=0.9)
     with pytest.raises(ConfigError):
-        SimConfig(scenario=single_class_scenario, horizon=-1.0)
-    with pytest.raises(ConfigError):
-        SimConfig(scenario=single_class_scenario, horizon=math.inf)
-    with pytest.raises(ConfigError):
         SimConfig(scenario=single_class_scenario, expected_arrivals=math.inf).horizon_hours()
-    cfg = SimConfig(scenario=single_class_scenario, horizon=123.0)
-    assert cfg.horizon_hours() == 123.0
     bare = SimConfig(scenario=single_class_scenario, expected_arrivals=500.0)
     assert bare.horizon_hours() == pytest.approx(500.0)
 
@@ -467,7 +461,8 @@ def test_loss_kernel_matches_event_loop_below_cost_in_warmup():
                                duration=DeterministicDuration(0.01)),),
         workers=(WorkerSpec(cost=0.5),),
     )
-    cfg = SimConfig(scenario=scenario, horizon=2.0, replications=40, base_seed=5,
+    # a 2-hour horizon at one arrival an hour
+    cfg = SimConfig(scenario=scenario, expected_arrivals=2.0, replications=40, base_seed=5,
                     warmup_fraction=0.5)
     got = simulate(cfg, (0.2,))
     assert_same_stats(got, reference_simulate(cfg, (0.2,)))
@@ -505,7 +500,9 @@ QUEUE_CASES = {
         Scenario(classes=(unit_uniform_class(arrival_rate=2.0, service_rate=0.4),
                           unit_uniform_class(arrival_rate=0.7, service_rate=0.9)),
                  workers=(WorkerSpec(cost=0.3),), queue_capacity=1),
-        (0.2, 0.5), {"horizon": 6.0, "warmup_fraction": 0.5, "replications": 40},
+        # a 6-hour horizon at 2.7 arrivals an hour
+        (0.2, 0.5), {"expected_arrivals": 6.0 * 2.7, "warmup_fraction": 0.5,
+                     "replications": 40},
     ),
 }
 
@@ -527,7 +524,8 @@ def test_queue_kernel_matches_event_loop_below_cost_in_warmup():
     scenario = Scenario(classes=(unit_uniform_class(service_rate=50.0),
                                  unit_uniform_class(arrival_rate=0.5, service_rate=80.0)),
                         workers=(WorkerSpec(cost=0.5),), queue_capacity=1)
-    cfg = SimConfig(scenario=scenario, horizon=2.0, replications=40, base_seed=5,
+    # a 2-hour horizon at 1.5 arrivals an hour
+    cfg = SimConfig(scenario=scenario, expected_arrivals=3.0, replications=40, base_seed=5,
                     warmup_fraction=0.5)
     got = simulate_queue(cfg, 0.2, 0.1)
     assert_same_stats(got, reference_simulate_queue(cfg, 0.2, 0.1))
