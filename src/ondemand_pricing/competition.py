@@ -36,12 +36,15 @@ _MAX_FLEET = 10
 _BISECT_TOL = 1e-13
 _BISECT_MAX = 200
 # Best-response dynamics move on a price grid of this step for at most
-# _MAX_ROUNDS rounds. Each round solves the busy-set chain once per worker and
-# grid point, so a grid past _MAX_GRID_POINTS (a valuation support above 1000)
-# is refused before it is built: it would run for hours or exhaust memory.
+# _MAX_ROUNDS rounds. Each round sweeps every worker over the whole grid, one
+# busy-set chain per grid point, so a grid past _MAX_GRID_POINTS (a valuation
+# support above 1000) is refused before it is built: it would run for hours or
+# exhaust memory. A sweep's chains are solved stacked, at most _BLOCK_ENTRIES
+# generator entries at a time: one 10-worker generator (8 MB), or many small ones.
 _GRID_STEP = 0.01
 _MAX_ROUNDS = 100
 _MAX_GRID_POINTS = 100_000
+_BLOCK_ENTRIES = 1 << 20
 
 
 def busy_fraction(scenario: Scenario, prices) -> float:
@@ -271,64 +274,87 @@ def fleet_rates(scenario: Scenario, prices: tuple[float, ...]) -> tuple[float, .
     The scenario's choice rule applies (`Scenario.choice`): with distinct
     ranks customers take the best-ranked affordable available worker; with
     equal ranks they take the cheapest available worker they can afford,
-    splitting ties evenly.
+    splitting ties evenly. The rates come from the stationary law of the
+    fleet's busy-set chain, solved as a one-row block of `_chain_rates`.
     """
     cls, workers = _fleet_parts(scenario, "fleet_rates", "loss", "fleet")
     if len(prices) != len(workers):
         raise ConfigError(f"expected {len(workers)} prices, one per worker, got {len(prices)}")
     # the chain has one class, so each worker's price row is a single price
     prices = [check_prices(scenario, (p,))[0] for p in prices]
-    return _chain_rates(cls, workers, scenario.choice == "cheapest", prices)
+    tails = [cls.valuation.tail(p) for p in prices]
+    rates = _chain_rates(cls, workers, scenario.choice == "cheapest",
+                         np.array([prices]), np.array([tails]))
+    return tuple(float(r) for r in rates[0])
 
 
-def _chain_rates(cls: CustomerClass, workers, cheapest: bool, prices) -> tuple[float, ...]:
-    """Each worker's earning rate under the busy-set chain's stationary law, on
-    inputs already checked: fleet_rates' own, or best-response grid prices."""
+def _chain_rates(cls: CustomerClass, workers, cheapest: bool, prices: np.ndarray,
+                 tails: np.ndarray) -> np.ndarray:
+    """Each worker's earning rate under the busy-set chain's stationary law, for
+    G price vectors at once: row g of the (G, n) result is the fleet's rates
+    when worker i posts prices[g, i]. tails[g, i] is the valuation's tail at
+    prices[g, i]. The inputs are already checked: fleet_rates' own, or
+    best-response grid prices.
+
+    State s of the chain is the set of busy workers, bit i for worker i. A
+    busy worker finishes at the duration's rate; an arrival at an available
+    worker comes at lam times the share of valuations that choose it. The
+    generators are filled and solved in blocks of at most _BLOCK_ENTRIES
+    entries.
+    """
     n = len(workers)
     lam = cls.arrival_rate
-    mu = cls.duration.rate
-    law = cls.valuation
     size = 1 << n
-    q = np.zeros((size, size))
-    for state in range(size):
-        available = [i for i in range(n) if not state & (1 << i)]
-        for i in range(n):
-            if state & (1 << i):
-                q[state, state ^ (1 << i)] += mu
-        if available:
-            if cheapest:
-                floor = min(prices[i] for i in available)
-                winners = [i for i in available if prices[i] == floor]
-                share = lam * law.tail(floor) / len(winners)
-                for i in winners:
-                    q[state, state | (1 << i)] += share
-            else:
-                for i in available:
-                    better = [
-                        prices[j]
-                        for j in available
-                        if workers[j].rank < workers[i].rank
-                    ]
-                    cap = min(better) if better else math.inf
-                    if prices[i] >= cap:
-                        continue
-                    mass = law.tail(prices[i]) - (law.tail(cap) if cap < math.inf else 0.0)
-                    if mass > 0.0:
-                        q[state, state | (1 << i)] += lam * mass
-        q[state, state] -= q[state].sum()
-    coeffs = q.T.copy()
-    coeffs[-1, :] = 1.0
+    states = np.arange(size)
+    bits = 1 << np.arange(n)
+    busy = (states[:, None] & bits) != 0  # (state, worker)
+    if not cheapest:
+        ranks = np.array([w.rank for w in workers])
+        # hidden[s, i, j]: worker j is busy in s or ranked below worker i
+        hidden = busy[:, None, :] | (ranks[None, None, :] >= ranks[None, :, None])
+    up_s, up_i = np.nonzero(~busy)
+    down_s, down_i = np.nonzero(busy)
+    members = [states[busy[:, i]] for i in range(n)]
+    costs = np.array([w.cost for w in workers])
     rhs = np.zeros(size)
     rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(coeffs, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystem("the busy-set chain is singular in floating point") from None
-    rates = []
-    for i in range(n):
-        busy = sum(pi[s] for s in range(size) if s & (1 << i))
-        rates.append((prices[i] - workers[i].cost) * float(busy))
-    return tuple(rates)
+    rates = np.empty(prices.shape)
+    step = max(1, _BLOCK_ENTRIES // (size * size))
+    for lo in range(0, len(prices), step):
+        p, t = prices[lo:lo + step], tails[lo:lo + step]
+        g = len(p)
+        rows = np.arange(g)[:, None]
+        if cheapest:
+            offered = np.where(busy, math.inf, p[:, None, :])  # (G, state, worker)
+            winners = offered == offered.min(axis=-1, keepdims=True)
+            # every winner posts the lowest available price: take the first one's tail
+            floor_tail = t[rows, winners.argmax(axis=-1)]
+            share = lam * floor_tail / winners.sum(axis=-1)
+            flow = np.where(winners, share[..., None], 0.0)
+        else:
+            # valuations in [p_i, cap) choose worker i, where cap is the lowest
+            # price among the available workers ranked above it
+            ahead = np.where(hidden, math.inf, p[:, None, None, :])  # (G, state, i, j)
+            cap = ahead.min(axis=-1)
+            cap_tail = np.where(cap < math.inf, t[rows[..., None], ahead.argmin(axis=-1)], 0.0)
+            mass = t[:, None, :] - cap_tail
+            flow = np.where((p[:, None, :] < cap) & (mass > 0.0), lam * mass, 0.0)
+        q = np.zeros((g, size, size))
+        q[:, down_s, down_s ^ bits[down_i]] += cls.duration.rate
+        q[:, up_s, up_s | bits[up_i]] += flow[:, up_s, up_i]
+        q[:, states, states] -= q.sum(axis=-1)
+        coeffs = q.transpose(0, 2, 1).copy()
+        coeffs[:, -1, :] = 1.0
+        try:
+            pi = np.linalg.solve(coeffs, rhs)
+        except np.linalg.LinAlgError:
+            raise SingularSystem("the busy-set chain is singular in floating point") from None
+        for i in range(n):
+            # summed from 0 in state order (a running sum, not numpy's pairwise
+            # sum), so the rates keep their last digits
+            terms = np.concatenate([np.zeros((g, 1)), pi[:, members[i]]], axis=1)
+            rates[lo:lo + step, i] = (p[:, i] - costs[i]) * np.cumsum(terms, axis=1)[:, -1]
+    return rates
 
 
 @dataclass(frozen=True)
@@ -357,16 +383,20 @@ def best_response_dynamics(scenario: Scenario) -> BestResponseReport:
         raise ConfigError(f"valuation high {upper!r}: a best-response price grid at step "
                           f"{_GRID_STEP} would need more than {_MAX_GRID_POINTS} points")
     axis = [float(x) for x in np.arange(0.0, upper + _GRID_STEP / 2.0, _GRID_STEP)]
+    # the solo rates use the Python floats: inf * 0.0 (an infinite load) is a
+    # quiet nan there, and a RuntimeWarning in numpy
+    tail_list = [cls.valuation.tail(p) for p in axis]
+    grid, tails = np.array(axis), np.array(tail_list)
 
-    def solo_rate(price: float, cost: float) -> float:
-        weight = cls.load * cls.valuation.tail(price)
-        return (price - cost) * weight / (1.0 + weight)
+    def solo_rate(k: int, cost: float) -> float:
+        weight = cls.load * tail_list[k]
+        return (axis[k] - cost) * weight / (1.0 + weight)
 
-    profile = [
-        max(axis, key=lambda p, c=w.cost: solo_rate(p, c)) for w in workers
-    ]
-    trajectory: list[tuple[float, ...]] = [tuple(profile)]
-    seen = {tuple(profile): 0}
+    # the profile holds grid indices; prices and tails are looked up on the axis
+    points = range(len(axis))
+    profile = [max(points, key=lambda k, c=w.cost: solo_rate(k, c)) for w in workers]
+    trajectory: list[tuple[float, ...]] = [tuple(axis[k] for k in profile)]
+    seen = {trajectory[0]: 0}
     fixed = None
     cycle_start = None
     cycle_length = None
@@ -374,15 +404,16 @@ def best_response_dynamics(scenario: Scenario) -> BestResponseReport:
     for round_no in range(1, _MAX_ROUNDS + 1):
         rounds = round_no
         for i in range(len(workers)):
-            best_p, best_v = profile[i], -math.inf
-            for candidate in axis:
-                trial = list(profile)
-                trial[i] = candidate
-                value = _chain_rates(cls, workers, cheapest, trial)[i]
+            sweep = np.tile(profile, (len(axis), 1))
+            sweep[:, i] = points
+            values = _chain_rates(cls, workers, cheapest, grid[sweep],
+                                  tails[sweep])[:, i].tolist()
+            best_k, best_v = profile[i], -math.inf
+            for k, value in enumerate(values):
                 if value > best_v + 1e-15:
-                    best_p, best_v = candidate, value
-            profile[i] = best_p
-        snapshot = tuple(profile)
+                    best_k, best_v = k, value
+            profile[i] = best_k
+        snapshot = tuple(axis[k] for k in profile)
         if snapshot == trajectory[-1]:
             fixed = snapshot
             trajectory.append(snapshot)

@@ -138,11 +138,17 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, se
 
 
-def _stats(kind: str, rep_values, counts: Counts,
-           per_worker_reps=None) -> SimStats:
-    mean, se = _mean_se(rep_values)
+def _finite_mean_se(kind: str, values) -> tuple[float, float]:
+    """_mean_se, refusing a mean or SE that is not finite: no gate can test it."""
+    mean, se = _mean_se(values)
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NonFiniteRate(f"simulated {kind} is not finite: mean {mean!r}, SE {se!r}")
+    return mean, se
+
+
+def _stats(kind: str, rep_values, counts: Counts,
+           per_worker_reps=None) -> SimStats:
+    mean, se = _finite_mean_se(kind, rep_values)
     return SimStats(
         kind=kind,
         mean=mean,
@@ -523,7 +529,9 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     rate, with a one-sample standard error. A point counts as a significant
     improvement when its simultaneous 95% interval sits above zero:
     delta > z * SE with z Bonferroni-adjusted across the grid (a single-point
-    grid gives the usual 1.96). Single-class scenarios only.
+    grid gives the usual 1.96). A rate, gain or SE that is not finite raises
+    NonFiniteRate, since no point could then be tested. Single-class scenarios
+    only.
     """
     scenario = config.scenario
     if scenario.num_classes != 1:
@@ -573,14 +581,13 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
             _, earned = _serve(events, ends, free, row, cost, warm, horizon)
             rates[j].append(earned / span)
 
-    base_mean, base_se = _mean_se(rates[0])
+    base_mean, base_se = _finite_mean_se("baseline rate", rates[0])
     base_reps = np.asarray(rates[0])
     points = []
     for candidate, row in zip(price_grid, rates[1:]):
-        mean, se = _mean_se(row)
-        deltas = np.asarray(row) - base_reps
-        delta = float(deltas.mean())
-        delta_se = float(deltas.std(ddof=1) / math.sqrt(deltas.size))
+        mean, se = _finite_mean_se(f"rate at price {candidate!r}", row)
+        delta, delta_se = _finite_mean_se(f"gain at price {candidate!r}",
+                                          np.asarray(row) - base_reps)
         points.append(
             DeviationPoint(
                 price=candidate,

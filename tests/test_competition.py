@@ -25,6 +25,7 @@ from ondemand_pricing import (
 )
 from ondemand_pricing import competition
 from ondemand_pricing.competition import (
+    BestResponseReport,
     ResidualDemandCurve,
     _best_response,
     _optimize_vs_residual,
@@ -60,6 +61,99 @@ def scan_optimize_vs_residual(curves, cost):
             break
         reserve = achieved
     return prices, achieved
+
+
+def reference_chain_rates(cls, workers, cheapest, prices):
+    """Test-only reference: the per-state Python builder of the busy-set
+    generator, one chain and one solve per price vector, that the stacked
+    `_chain_rates` replaced."""
+    n = len(workers)
+    lam = cls.arrival_rate
+    mu = cls.duration.rate
+    law = cls.valuation
+    size = 1 << n
+    q = np.zeros((size, size))
+    for state in range(size):
+        available = [i for i in range(n) if not state & (1 << i)]
+        for i in range(n):
+            if state & (1 << i):
+                q[state, state ^ (1 << i)] += mu
+        if available:
+            if cheapest:
+                floor = min(prices[i] for i in available)
+                winners = [i for i in available if prices[i] == floor]
+                share = lam * law.tail(floor) / len(winners)
+                for i in winners:
+                    q[state, state | (1 << i)] += share
+            else:
+                for i in available:
+                    better = [prices[j] for j in available
+                              if workers[j].rank < workers[i].rank]
+                    cap = min(better) if better else math.inf
+                    if prices[i] >= cap:
+                        continue
+                    mass = law.tail(prices[i]) - (law.tail(cap) if cap < math.inf else 0.0)
+                    if mass > 0.0:
+                        q[state, state | (1 << i)] += lam * mass
+        q[state, state] -= q[state].sum()
+    coeffs = q.T.copy()
+    coeffs[-1, :] = 1.0
+    rhs = np.zeros(size)
+    rhs[-1] = 1.0
+    try:
+        pi = np.linalg.solve(coeffs, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystem("the busy-set chain is singular in floating point") from None
+    rates = []
+    for i in range(n):
+        busy = sum(pi[s] for s in range(size) if s & (1 << i))
+        rates.append((prices[i] - workers[i].cost) * float(busy))
+    return tuple(rates)
+
+
+def reference_dynamics(scenario):
+    """Test-only reference: best-response dynamics with one reference chain
+    solve per worker and grid candidate."""
+    cls, workers = scenario.classes[0], scenario.workers
+    cheapest = scenario.choice == "cheapest"
+    step = competition._GRID_STEP
+    axis = [float(x) for x in np.arange(0.0, cls.valuation.upper + step / 2.0, step)]
+
+    def solo_rate(price, cost):
+        weight = cls.load * cls.valuation.tail(price)
+        return (price - cost) * weight / (1.0 + weight)
+
+    profile = [max(axis, key=lambda p, c=w.cost: solo_rate(p, c)) for w in workers]
+    trajectory = [tuple(profile)]
+    seen = {tuple(profile): 0}
+    fixed = cycle_start = cycle_length = None
+    rounds = 0
+    for round_no in range(1, competition._MAX_ROUNDS + 1):
+        rounds = round_no
+        for i in range(len(workers)):
+            best_p, best_v = profile[i], -math.inf
+            for candidate in axis:
+                trial = list(profile)
+                trial[i] = candidate
+                value = reference_chain_rates(cls, workers, cheapest, trial)[i]
+                if value > best_v + 1e-15:
+                    best_p, best_v = candidate, value
+            profile[i] = best_p
+        snapshot = tuple(profile)
+        if snapshot == trajectory[-1]:
+            fixed = snapshot
+            trajectory.append(snapshot)
+            break
+        if snapshot in seen:
+            cycle_start = seen[snapshot]
+            cycle_length = len(trajectory) - seen[snapshot]
+            trajectory.append(snapshot)
+            break
+        seen[snapshot] = len(trajectory)
+        trajectory.append(snapshot)
+    return BestResponseReport(trajectory=tuple(trajectory), fixed_profile=fixed,
+                              cycle_start=cycle_start, cycle_length=cycle_length,
+                              rounds_run=rounds)
 
 
 def test_busy_fraction_single_class(single_class_scenario):
@@ -344,3 +438,79 @@ def test_equilibrium_reports_convergence(ranked_fleet_scenario, monkeypatch):
                         functools.partial(_optimize_vs_residual, max_iter=1))
     capped = ranked_price_equilibrium(scn)
     assert [o.converged for o in capped.outcomes] == [True, False, False]
+
+
+def _fleet(law, n, ranked, costs=None, arrival_rate=1.0):
+    costs = costs or (0.0,) * n
+    cls = CustomerClass(arrival_rate=arrival_rate, duration=ExponentialDuration(1.3),
+                        valuation=law)
+    return Scenario(classes=(cls,), workers=tuple(
+        WorkerSpec(cost=c, rank=(i + 1) if ranked else 1) for i, c in enumerate(costs)))
+
+
+# grid axes of 61 to 301 points, so the per-candidate reference stays quick
+DYNAMICS_CASES = {
+    "uniform_cheapest_2": _fleet(UniformValuation(0.0, 1.0), 2, False),
+    "uniform_ranked_2": _fleet(UniformValuation(0.0, 1.0), 2, True),
+    "exponential_ranked_3": _fleet(ExponentialValuation(12.0), 3, True, (0.05, 0.0, 0.1)),
+    "exponential_cheapest_3": _fleet(ExponentialValuation(12.0), 3, False),
+    "piecewise_cheapest_3": _fleet(PIECEWISE, 3, False, (0.0, 0.02, 0.0)),
+    "piecewise_ranked_3": _fleet(PIECEWISE, 3, True, (0.1, 0.0, 0.05)),
+    "uniform_cheapest_4": _fleet(UniformValuation(0.2, 0.8), 4, False, (0.0, 0.05, 0.0, 0.1)),
+    "uniform_ranked_4": _fleet(UniformValuation(0.2, 0.8), 4, True, (0.0, 0.05, 0.0, 0.1)),
+    "cost_above_support": _fleet(UniformValuation(0.0, 1.0), 2, False, (0.0, 1.5)),
+    "cost_above_support_ranked": _fleet(UniformValuation(0.0, 1.0), 2, True, (1.5, 0.0)),
+    "zero_arrivals": _fleet(UniformValuation(0.0, 1.0), 2, True, arrival_rate=0.0),
+    "zero_arrivals_cheapest": _fleet(PIECEWISE, 3, False, arrival_rate=0.0),
+    "high_3": _fleet(UniformValuation(0.0, 3.0), 2, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DYNAMICS_CASES))
+def test_best_response_dynamics_matches_reference(case):
+    scenario = DYNAMICS_CASES[case]
+    assert best_response_dynamics(scenario) == reference_dynamics(scenario)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("law", [UNIFORM, EXPONENTIAL, PIECEWISE], ids=["uniform", "exp", "pw"])
+@pytest.mark.parametrize("ranked", [True, False], ids=["ranked", "cheapest"])
+def test_fleet_rates_matches_reference(n, law, ranked):
+    rng = np.random.default_rng(41 + n)
+    scenario = _fleet(law, n, ranked, tuple(rng.uniform(0.0, 0.2, n)), rng.uniform(0.5, 3.0))
+    cls = scenario.classes[0]
+    top = law.upper
+    # free draws, draws rounded to 0.1 (ties), and prices at and above the support's top
+    vectors = [rng.uniform(0.0, top, n) for _ in range(6)]
+    vectors += [np.round(rng.uniform(0.0, top, n), 1) for _ in range(6)]
+    vectors += [np.full(n, 0.3), np.full(n, top), rng.uniform(top, 2.0 * top, n)]
+    for prices in vectors:
+        prices = tuple(float(p) for p in prices)
+        want = reference_chain_rates(cls, scenario.workers, scenario.choice == "cheapest",
+                                     prices)
+        assert fleet_rates(scenario, prices) == want
+
+
+def test_singular_chain_message_matches_reference():
+    slow = Scenario(classes=(unit_uniform_class(service_rate=5e-324),),
+                    workers=(WorkerSpec(rank=1), WorkerSpec(rank=1)))
+    with pytest.raises(SingularSystem) as want:
+        reference_dynamics(slow)
+    with pytest.raises(SingularSystem) as got:
+        best_response_dynamics(slow)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(SingularSystem) as got:
+        fleet_rates(slow, (1.0, 1.0))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("case", ["uniform_cheapest_2", "exponential_ranked_3",
+                                  "piecewise_ranked_3"])
+def test_dynamics_blocking_keeps_results(monkeypatch, case):
+    scenario = DYNAMICS_CASES[case]
+    whole = best_response_dynamics(scenario)
+    size = 1 << len(scenario.workers)
+    # one candidate per block, then three (the grids' lengths are no multiple of 3)
+    for entries in (1, 3 * size * size):
+        monkeypatch.setattr(competition, "_BLOCK_ENTRIES", entries)
+        assert best_response_dynamics(scenario) == whole

@@ -628,6 +628,10 @@ EXTREME_RUNS = {
     "dynamics_high_1e308": (("compete", "--dynamics"),
                             edited("undifferentiated.json", set_high(0, 1e308)),
                             "error: valuation high 1e+308:"),
+    # every simulated rate overflows, so no deviation gain can be tested
+    "verify_high_1e308": (("compete", "--verify"),
+                          edited("compete_ranked.json", set_high(0, 1e308)),
+                          "error: simulated baseline rate is not finite"),
 }
 
 
@@ -639,6 +643,19 @@ def test_exit_code_extreme_runs(tmp_path, capsys, time_budget, case):
     assert run_cli(command, "--config", str(cfg), *rest, "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("high, outcome", [
+    (3.0, "best-response dynamics cycles: length "),
+    (10.0, "best-response dynamics open after 100 rounds"),
+], ids=["high_3", "high_10"])
+def test_compete_dynamics_wide_support_in_budget(tmp_path, capsys, time_budget, high, outcome):
+    # grids of 301 and 1001 points: each worker's sweep is one stacked chain solve
+    cfg = tmp_path / "wide_undifferentiated.json"
+    cfg.write_text(json.dumps(edited("undifferentiated.json", set_high(0, high))))
+    assert run_cli("compete", "--config", str(cfg), "--dynamics",
+                   "--out", str(tmp_path / "o")) == 0
+    assert capsys.readouterr().out.startswith(outcome)
 
 
 @pytest.mark.parametrize("name", ["narrow_flat.json", "knot_drop.json"])
