@@ -29,9 +29,9 @@ from .config import load_scenario
 from .errors import ConfigError, IrregularDistribution, ModelMismatch, PricingError
 from .model import ExponentialDiscount, ExponentialDuration, Scenario, apply_commission
 from .queues import (
+    _mixture_solve,
     _queue_solve,
     first_step_solve,
-    mixture_horizon_optimize,
     mixture_horizon_value,
     queue_optimize,
     queue_rate,
@@ -145,10 +145,11 @@ def _solve_discounted(scenario: Scenario) -> Solved:
 
 
 def _solve_mixture(scenario: Scenario) -> Solved:
-    prices, value = mixture_horizon_optimize(scenario)
-    summary = f"mixture-horizon optimum: prices = {_fmts(prices)}, value = {_fmt(value)}"
-    return Solved(list(prices), summary,
-                  {"model": "mixture_horizon", "prices": list(prices), "value": value})
+    sol = _mixture_solve(scenario)
+    summary = f"mixture-horizon optimum: prices = {_fmts(sol.prices)}, value = {_fmt(sol.value)}"
+    return Solved(list(sol.prices), summary,
+                  {"model": "mixture_horizon", "prices": list(sol.prices), "value": sol.value,
+                   "iterations": sol.iterations, "converged": sol.converged})
 
 
 def _solve_queue(scenario: Scenario) -> Solved:

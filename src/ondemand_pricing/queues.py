@@ -5,8 +5,9 @@ The capacity-one queue admits an arrival while the worker is busy only if
 nobody is already waiting; the queued customer commits at arrival (paying the
 posted rate for their class) and starts service when the current job ends.
 Its prices meet the loss system's first-order condition with a class-specific
-opportunity cost, so they come from the same per-class price response.
-Mixture horizons are still priced by multi-start coordinate ascent.
+opportunity cost, so they come from the same per-class price response. So do
+the prices under a mixture of horizons, whose opportunity cost weighs the
+branch rates; both run the iteration of `search.marginal_cost_ascent`.
 """
 
 from __future__ import annotations
@@ -27,13 +28,8 @@ from .model import (
     check_prices,
     queue_parts,
 )
-from .search import multi_start_ascent
+from .search import marginal_cost_ascent
 from .solver import Solution, price_response, solve_fixed_point
-
-_RESTARTS = 20
-_MAX_ITERATIONS = 10_000
-_PRICE_TOL = 1e-13
-_RATE_ULPS = 8  # rounding allowance of the closed-form rate, in units in the last place
 
 
 def _queue_terms(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
@@ -134,78 +130,6 @@ def first_step_solve(scenario: Scenario, price_a: float, price_b: float) -> Firs
     )
 
 
-def _price_box(scenario: Scenario) -> list[tuple[float, float]]:
-    return [(cls.valuation.lower, cls.valuation.upper) for cls in scenario.classes]
-
-
-def _search_starts(bounds, objective, coarse: bool = True) -> list[list[float]]:
-    """Deterministic multi-start set: box midpoint, a coarse grid winner, and
-    fixed pseudo-random interior points."""
-    rng = np.random.default_rng(0)
-    starts = [[0.5 * (lo + hi) for lo, hi in bounds]]
-    if coarse and len(bounds) == 2:
-        (lo0, hi0), (lo1, hi1) = bounds
-        xs = np.linspace(lo0, hi0, 41)
-        ys = np.linspace(lo1, hi1, 41)
-        best, arg = -math.inf, starts[0]
-        for x in xs:
-            for y in ys:
-                v = objective((float(x), float(y)))
-                if v > best:
-                    best, arg = v, [float(x), float(y)]
-        starts.append(arg)
-    for _ in range(_RESTARTS):
-        starts.append(
-            [float(rng.uniform(lo, hi)) for lo, hi in bounds]
-        )
-    return starts
-
-
-def _queue_ascent(parts: tuple[CustomerClass, CustomerClass, float], prices: PriceVector,
-                  pinned: int | None = None) -> Solution:
-    """The marginal-cost iteration from `prices`, with class `pinned` (if any)
-    held at its price.
-
-    Each iteration steps toward the target prices. When the targets at the
-    full step land on the other side (the plain map can settle into a
-    2-cycle), the step shrinks to the secant root of the gap along the line.
-    It is then halved until the rate does not fall by more than the closed
-    form's rounding. The iteration stops when the targets lie within
-    _PRICE_TOL of the prices (relative to prices above 1); it is not converged
-    when it reaches the cap or no step longer than that keeps the rate.
-    """
-    classes, cost = parts[:2], parts[2]
-
-    def evaluate(point):
-        rate, *factors = _queue_terms(*parts, *point)
-        gaps = tuple(0.0 if k == pinned else price_response(cls, rate * m, cost) - p
-                     for k, (cls, m, p) in enumerate(zip(classes, factors, point)))
-        return rate, gaps
-
-    def toward(step):
-        return tuple(p + step * g for p, g in zip(prices, gaps))
-
-    rate, gaps = evaluate(prices)
-    for iteration in range(1, _MAX_ITERATIONS + 1):
-        move = max(map(abs, gaps))
-        tol = _PRICE_TOL * max(1.0, *prices)
-        if move <= tol or not math.isfinite(move):  # not finite: the rate overflowed
-            return Solution(prices, rate, iteration, (), move <= tol)
-        step = 1.0
-        trial_rate, trial_gaps = evaluate(toward(step))
-        turn = sum(t * g for t, g in zip(trial_gaps, gaps)) / sum(g * g for g in gaps)
-        if turn < 0.0:
-            step = 1.0 / (1.0 - turn)
-            trial_rate, trial_gaps = evaluate(toward(step))
-        while not trial_rate >= rate - _RATE_ULPS * math.ulp(rate):  # NaN falls
-            step *= 0.5
-            if step * move <= tol:
-                return Solution(prices, rate, iteration, (), False)
-            trial_rate, trial_gaps = evaluate(toward(step))
-        prices, rate, gaps = toward(step), trial_rate, trial_gaps
-    return Solution(prices, rate, _MAX_ITERATIONS, (), False)
-
-
 def _queue_solve(scenario: Scenario) -> Solution:
     """Optimal prices of the capacity-one queue by the marginal-cost fixed point.
 
@@ -220,14 +144,19 @@ def _queue_solve(scenario: Scenario) -> Solution:
     """
     parts = queue_parts(scenario, "queue_optimize")
     classes, cost = parts[:2], parts[2]
+
+    def terms(prices):
+        rate, m_a, m_b = _queue_terms(*parts, *prices)
+        return rate, (rate * m_a, rate * m_b)
+
     monopoly = tuple(price_response(cls, 0.0, cost) for cls in classes)
-    runs = [_queue_ascent(parts, monopoly)]
+    runs = [marginal_cost_ascent(terms, classes, cost, monopoly)]
     iterations = 0
     for k, cls in enumerate(classes):
         shut = tuple(cls.valuation.upper if i == k else p for i, p in enumerate(monopoly))
-        settled = _queue_ascent(parts, shut, pinned=k)
+        settled = marginal_cost_ascent(terms, classes, cost, shut, pinned=k)
         iterations += settled.iterations
-        runs.append(_queue_ascent(parts, settled.prices))
+        runs.append(marginal_cost_ascent(terms, classes, cost, settled.prices))
     finite = [run for run in runs if math.isfinite(run.rate)]
     if not finite:
         raise NonFiniteRate(f"queue earning rate is not finite at prices {monopoly}")
@@ -292,17 +221,28 @@ def _mixture_parts(scenario: Scenario, op: str):
     return mix, cost, branch_loads
 
 
-def _mixture_value(scenario: Scenario, parts, prices) -> float:
+def _mixture_terms(scenario: Scenario, parts, prices) -> tuple[float, list[float]]:
+    """The mixture objective V = sum_w w * N_w / D_w, and each class's weighted
+    opportunity cost Rbar_k = sum_w a_wk * R_w / sum_w a_wk, with R_w = N_w / D_w
+    the branch's rate and a_wk = w * load_wk / D_w. A class with no load in any
+    branch has no opportunity cost: its shadow is 0.
+    """
     mix, cost, branch_loads = parts
     tails = [cls.valuation.tail(p) for cls, p in zip(scenario.classes, prices)]
     total = 0.0
+    weights = [0.0] * len(tails)
+    shadows = [0.0] * len(tails)
     for w, loads in zip(mix.weights, branch_loads):
         num = sum(
             load * (p - cost) * tail for load, p, tail in zip(loads, prices, tails)
         )
         den = 1.0 + sum(load * tail for load, tail in zip(loads, tails))
         total += w * num / den
-    return total
+        share, branch_rate = w / den, num / den
+        for k, load in enumerate(loads):
+            weights[k] += share * load
+            shadows[k] += share * load * branch_rate
+    return total, [s / a if a > 0.0 else 0.0 for s, a in zip(shadows, weights)]
 
 
 def mixture_horizon_value(scenario: Scenario, prices) -> float:
@@ -312,26 +252,41 @@ def mixture_horizon_value(scenario: Scenario, prices) -> float:
     For a single branch with rate 1 this coincides with discounted_value.
     """
     parts = _mixture_parts(scenario, "mixture_horizon_value")
-    return _mixture_value(scenario, parts, check_prices(scenario, prices))
+    return _mixture_terms(scenario, parts, check_prices(scenario, prices))[0]
+
+
+def _mixture_solve(scenario: Scenario) -> Solution:
+    """Optimal prices under a mixture of horizons by the marginal-cost fixed point.
+
+    The objective is a sum of ratios; setting dV/dp_k = 0 gives
+    psi_k(p_k) = cost + Rbar_k, the loss system's condition with each class's
+    busy hour shadow priced at the branch rates weighted by how much that
+    class's load counts in each branch. The iteration runs from the monopoly
+    prices. A sum of ratios need not be unimodal, so pricing every class out
+    (each price at the top of its support, worth 0) replaces the finisher
+    when that earns more. `rate` and `value` both carry the objective, and
+    `trace` is empty.
+    """
+    parts = _mixture_parts(scenario, "mixture_horizon_optimize")
+    classes, cost = scenario.classes, parts[1]
+
+    def terms(prices):
+        return _mixture_terms(scenario, parts, prices)
+
+    monopoly = tuple(price_response(cls, 0.0, cost) for cls in classes)
+    sol = marginal_cost_ascent(terms, classes, cost, monopoly)
+    corner = tuple(cls.valuation.upper for cls in classes)
+    corner_value = terms(corner)[0]
+    if corner_value > sol.rate:
+        sol = replace(sol, prices=corner, rate=corner_value)
+    return replace(sol, value=sol.rate)
 
 
 def mixture_horizon_optimize(scenario: Scenario) -> tuple[PriceVector, float]:
-    """Maximize mixture_horizon_value by multi-start coordinate ascent, or
-    price every class out when that earns more."""
-    parts = _mixture_parts(scenario, "mixture_horizon_optimize")
+    """Optimal prices under a mixture of horizons and the value they earn, by
+    the marginal-cost fixed point of `_mixture_solve`.
 
-    def objective(p) -> float:
-        # the search keeps p finite inside the nonnegative price box
-        return _mixture_value(scenario, parts, p)
-
-    bounds = _price_box(scenario)
-    prices, value = multi_start_ascent(
-        objective, bounds, _search_starts(bounds, objective)
-    )
-    # Pricing every class out earns 0; an ascent that ends just inside the
-    # tops of the supports earns slightly less when cost exceeds them.
-    corner = tuple(hi for _, hi in bounds)
-    corner_value = objective(corner)
-    if corner_value > value:
-        return corner, corner_value
-    return prices, value
+    Raises IrregularDistribution when a class's valuation law is not strictly
+    regular."""
+    sol = _mixture_solve(scenario)
+    return sol.prices, sol.value

@@ -1,73 +1,65 @@
-"""Small derivative-free search helpers: golden-section and coordinate ascent."""
+"""The marginal-cost price iteration shared by the queue and mixture solves.
+
+Both models meet the loss system's first-order condition with a class-specific
+opportunity cost: psi_k(p_k) = cost + shadow_k(p), so each class is priced by
+the loss system's price response at its own shadow price.
+"""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .model import CustomerClass, PriceVector
+from .solver import Solution, price_response
+
+_MAX_ITERATIONS = 10_000
+_PRICE_TOL = 1e-13
+_RATE_ULPS = 8  # rounding allowance of the closed-form rate, in units in the last place
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-6) -> tuple[float, float]:
-    """Maximize f on [lo, hi] assuming unimodality; returns (argmax, value).
+def marginal_cost_ascent(terms: Callable[[PriceVector], tuple[float, Sequence[float]]],
+                         classes: Sequence[CustomerClass], cost: float, prices: PriceVector,
+                         pinned: int | None = None) -> Solution:
+    """The marginal-cost iteration from `prices`, with class `pinned` (if any)
+    held at its price. `terms(prices)` returns the objective and each class's
+    shadow price of a busy hour beyond `cost`.
 
-    Stops when the bracket is within tol, or when its interior points no
-    longer fall strictly inside it: far from 0 one ulp can exceed tol."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol and a < c < d < b:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def coordinate_ascent(f: Callable[[Sequence[float]], float],
-                      bounds: Sequence[tuple[float, float]],
-                      start: Sequence[float],
-                      tol: float = 1e-6,
-                      max_sweeps: int = 80) -> tuple[tuple[float, ...], float]:
-    """Cyclic coordinate ascent with golden-section line searches.
-
-    Stops when no coordinate moved more than tol in a full sweep.
+    Each iteration steps toward the target prices, the price responses at the
+    shadows. When the targets at the full step land on the other side (the
+    plain map can settle into a 2-cycle), the step shrinks to the secant root
+    of the gap along the line. It is then halved until the objective does not
+    fall by more than its closed form's rounding. The iteration stops when the
+    targets lie within _PRICE_TOL of the prices (relative to prices above 1);
+    it is not converged when it reaches the cap or no step longer than that
+    keeps the objective.
     """
-    x = [float(v) for v in start]
-    for _ in range(max_sweeps):
-        moved = 0.0
-        for i, (lo, hi) in enumerate(bounds):
 
-            def axis(t: float, i: int = i) -> float:
-                y = list(x)
-                y[i] = t
-                return f(y)
+    def evaluate(point):
+        rate, shadows = terms(point)
+        gaps = tuple(0.0 if k == pinned else price_response(cls, shadow, cost) - p
+                     for k, (cls, shadow, p) in enumerate(zip(classes, shadows, point)))
+        return rate, gaps
 
-            xi, _ = golden_section_max(axis, lo, hi, tol)
-            moved = max(moved, abs(xi - x[i]))
-            x[i] = xi
-        if moved <= tol:
-            break
-    return tuple(x), f(x)
+    def toward(step):
+        return tuple(p + step * g for p, g in zip(prices, gaps))
 
-
-def multi_start_ascent(f: Callable[[Sequence[float]], float],
-                       bounds: Sequence[tuple[float, float]],
-                       starts: Sequence[Sequence[float]],
-                       tol: float = 1e-6) -> tuple[tuple[float, ...], float]:
-    """Run coordinate ascent from every start and keep the best finisher."""
-    best_x: tuple[float, ...] | None = None
-    best_v = -math.inf
-    for start in starts:
-        x, v = coordinate_ascent(f, bounds, start, tol)
-        if v > best_v:
-            best_x, best_v = x, v
-    assert best_x is not None
-    return best_x, best_v
+    rate, gaps = evaluate(prices)
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        move = max(map(abs, gaps))
+        tol = _PRICE_TOL * max(1.0, *prices)
+        if move <= tol or not math.isfinite(move):  # not finite: the rate overflowed
+            return Solution(prices, rate, iteration, (), move <= tol)
+        step = 1.0
+        trial_rate, trial_gaps = evaluate(toward(step))
+        turn = sum(t * g for t, g in zip(trial_gaps, gaps)) / sum(g * g for g in gaps)
+        if turn < 0.0:
+            step = 1.0 / (1.0 - turn)
+            trial_rate, trial_gaps = evaluate(toward(step))
+        while not trial_rate >= rate - _RATE_ULPS * math.ulp(rate):  # NaN falls
+            step *= 0.5
+            if step * move <= tol:
+                return Solution(prices, rate, iteration, (), False)
+            trial_rate, trial_gaps = evaluate(toward(step))
+        prices, rate, gaps = toward(step), trial_rate, trial_gaps
+    return Solution(prices, rate, _MAX_ITERATIONS, (), False)

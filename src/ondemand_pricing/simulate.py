@@ -131,6 +131,13 @@ class SimStats:
         return out
 
 
+def _quiet(func):
+    """`func` without numpy's overflow and invalid-value warnings: the inf or
+    NaN it then returns reaches _finite_mean_se, which refuses it."""
+    return np.errstate(over="ignore", invalid="ignore")(func)
+
+
+@_quiet
 def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -252,6 +259,7 @@ def _loss_accepts(times, ends, cut=None) -> np.ndarray:
         jump = jump[jump]
 
 
+@_quiet
 def _running_sum(terms) -> float:
     """Left-to-right sum from 0.0, as a running total adds it up: np.sum
     pairs terms, which can change the last bit, and would keep the sign of
@@ -259,6 +267,7 @@ def _running_sum(terms) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+@_quiet
 def _earnings(margins, starts, ends, warm: float, horizon: float) -> float:
     """Earnings over [warm, horizon] of jobs busy on [starts, ends), in order."""
     overlap = np.maximum(0.0, np.minimum(ends, horizon) - np.maximum(starts, warm))

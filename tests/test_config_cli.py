@@ -1,6 +1,7 @@
 import json
 import math
 import signal
+import warnings
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,8 @@ def test_solve_mixture(tmp_path, capsys):
     assert pa == pytest.approx(0.56761, abs=1e-3)
     assert pb == pytest.approx(0.567089, abs=1e-3)
     assert pa != pb
+    assert payload["converged"] is True
+    assert payload["iterations"] > 0
 
 
 def test_solve_discounted(tmp_path):
@@ -589,7 +592,7 @@ def set_high(index, high):
          "solve_1e308", "validate_1e308", "simulate_1e308"],
 )
 def test_exit_code_huge_mixture_valuation(tmp_path, capsys, time_budget, command, high, codes):
-    # far from 0 one ulp of the golden-section bracket exceeds its tolerance
+    # prices far from 0: the solve and the runs end within the time budget
     cfg = tmp_path / "wide_mixture.json"
     cfg.write_text(json.dumps(edited("mixture.json", set_high(0, high))))
     assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) in codes
@@ -643,6 +646,20 @@ def test_exit_code_extreme_runs(tmp_path, capsys, time_budget, case):
     assert run_cli(command, "--config", str(cfg), *rest, "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["simulate_inf_value", "verify_high_1e308"])
+def test_overflowing_runs_print_no_numpy_warning(tmp_path, capsys, time_budget, case):
+    # the simulated sums overflow; the error line must be all stderr says
+    (command, *rest), doc, _ = EXTREME_RUNS[case]
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, "--config", str(cfg), *rest,
+                       "--out", str(tmp_path / "o")) == 2
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("high, outcome", [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ondemand_pricing import (
     CustomerClass,
+    DeterministicDuration,
     EmpiricalDuration,
     ExponentialDiscount,
     ExponentialDuration,
@@ -28,16 +30,14 @@ from ondemand_pricing import (
     queue_optimize,
     queue_rate,
 )
-from ondemand_pricing import search
-from ondemand_pricing.cli import main
 from ondemand_pricing.model import queue_parts
 from ondemand_pricing.queues import (
-    _price_box,
+    _mixture_parts,
+    _mixture_solve,
+    _mixture_terms,
     _queue_solve,
     _queue_terms,
-    _search_starts,
 )
-from ondemand_pricing.search import multi_start_ascent
 from ondemand_pricing.solver import price_response
 from tests.conftest import queue_scenario, unit_uniform_class
 
@@ -289,19 +289,74 @@ def test_optimizers_report_the_public_objective_bit_for_bit():
     assert value == mixture_horizon_value(mixture, prices)
 
 
-# --- the marginal-cost fixed point against the multi-start ascent it replaced ---
+# --- the marginal-cost fixed points against the multi-start ascent they replaced ---
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def ascent_reference(scn):
-    """Multi-start coordinate ascent on the closed-form rate: a 41 x 41 coarse
-    grid winner, the box midpoint and 20 fixed random starts."""
-    parts = queue_parts(scn, "ascent_reference")
+def golden_section_max(f, lo, hi, tol=1e-6):
+    """Maximize f on [lo, hi] assuming unimodality; returns (argmax, value).
 
-    def objective(p):
-        return _queue_terms(*parts, p[0], p[1])[0]
+    Stops when the bracket is within tol, or when its interior points no
+    longer fall strictly inside it: far from 0 one ulp can exceed tol."""
+    a, b = float(lo), float(hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol and a < c < d < b:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
-    bounds = _price_box(scn)
-    return multi_start_ascent(objective, bounds, _search_starts(bounds, objective))
+
+def coordinate_ascent(f, bounds, start, tol=1e-6, max_sweeps=80):
+    """Cyclic coordinate ascent with golden-section line searches; stops when
+    no coordinate moved more than tol in a full sweep."""
+    x = [float(v) for v in start]
+    for _ in range(max_sweeps):
+        moved = 0.0
+        for i, (lo, hi) in enumerate(bounds):
+
+            def axis(t, i=i):
+                y = list(x)
+                y[i] = t
+                return f(y)
+
+            xi, _ = golden_section_max(axis, lo, hi, tol)
+            moved = max(moved, abs(xi - x[i]))
+            x[i] = xi
+        if moved <= tol:
+            break
+    return tuple(x), f(x)
+
+
+def ascent_reference(objective, scn):
+    """Multi-start coordinate ascent over the price box: from its midpoint,
+    the winner of a 41 x 41 coarse grid (two classes only) and 20 fixed
+    random starts; the best finisher wins."""
+    bounds = [(cls.valuation.lower, cls.valuation.upper) for cls in scn.classes]
+    starts = [[0.5 * (lo + hi) for lo, hi in bounds]]
+    if len(bounds) == 2:
+        (lo0, hi0), (lo1, hi1) = bounds
+        grid = [[float(x), float(y)] for x in np.linspace(lo0, hi0, 41)
+                for y in np.linspace(lo1, hi1, 41)]
+        starts.append(max(grid, key=objective))
+    rng = np.random.default_rng(0)
+    starts += [[float(rng.uniform(lo, hi)) for lo, hi in bounds] for _ in range(20)]
+    return max((coordinate_ascent(objective, bounds, start) for start in starts),
+               key=lambda run: run[1])
+
+
+def queue_reference(scn):
+    parts = queue_parts(scn, "queue_reference")
+    return ascent_reference(lambda p: _queue_terms(*parts, p[0], p[1])[0], scn)
 
 
 def random_law(rng):
@@ -343,7 +398,7 @@ def reference_instances():
 def test_queue_fixed_point_never_below_the_ascent():
     for scn in reference_instances():
         sol = _queue_solve(scn)
-        _, reference = ascent_reference(scn)
+        _, reference = queue_reference(scn)
         assert sol.converged
         assert sol.rate >= reference - 1e-12 * abs(reference)
         assert sol.rate == queue_rate(scn, *sol.prices)
@@ -415,6 +470,14 @@ def test_queue_optimize_rejects_an_irregular_law():
         queue_optimize(scn)
 
 
+def test_mixture_optimize_rejects_an_irregular_law(mixture_scenario):
+    irregular = PiecewiseLinearValuation(((0.0, 0.0), (0.5, 0.1), (0.6, 0.9), (1.0, 1.0)))
+    scn = replace(mixture_scenario, classes=(
+        mixture_scenario.classes[0], replace(mixture_scenario.classes[1], valuation=irregular)))
+    with pytest.raises(IrregularDistribution):
+        mixture_horizon_optimize(scn)
+
+
 def test_queue_solve_without_arrivals_returns_monopoly_prices():
     scn = Scenario(
         classes=(unit_uniform_class(arrival_rate=0.0),
@@ -439,21 +502,63 @@ def test_queue_rate_is_positive_zero_when_nobody_is_admitted():
     assert math.copysign(1.0, rate) == 1.0
 
 
-def test_queue_solve_never_calls_the_search(monkeypatch, tmp_path, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the queue solve called golden_section_max")
-
-    monkeypatch.setattr(search, "golden_section_max", refuse)
-    for r in sorted(QUEUE_OPTIMA):
-        queue_optimize(queue_scenario(r))
-    assert main(["solve", "--config", str(CONFIGS / "queue.json"),
-                 "--out", str(tmp_path)]) == 0
-    assert "p_A*" in capsys.readouterr().out
-    # the mixture optimiser still searches, so the patch is live
-    with pytest.raises(AssertionError, match="golden_section_max"):
-        mixture_horizon_optimize(load_scenario(CONFIGS / "mixture.json"))
+def random_duration(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        return ExponentialDuration(rng.uniform(0.5, 2.0))
+    if kind == 1:
+        return DeterministicDuration(rng.uniform(0.5, 2.0))
+    return EmpiricalDuration(tuple(rng.uniform(0.2, 2.0, rng.integers(1, 6))))
 
 
-def test_mixture_optimize_unchanged_on_the_bundled_config():
-    result = mixture_horizon_optimize(load_scenario(CONFIGS / "mixture.json"))
-    assert repr(result) == "((0.5676099587423191, 0.5670890085713876), 0.13233964250919603)"
+def random_mixture(rng, index):
+    """Loads scaled by 0.05 to 50 (log-uniform), one to three classes and
+    branches, every law and duration kind; cost 0, drawn, or 0.5 in turn."""
+    scale = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+    classes = tuple(
+        CustomerClass(rng.uniform(0.3, 1.5) * scale, random_duration(rng), random_law(rng))
+        for _ in range(rng.integers(1, 4))
+    )
+    weights = rng.uniform(0.2, 1.0, rng.integers(1, 4))
+    discount = MixtureDiscount(tuple(weights / weights.sum()),
+                               tuple(rng.uniform(0.2, 5.0, weights.size)))
+    cost = (0.0, rng.uniform(0.02, 0.15), 0.5)[index % 3]
+    return Scenario(classes=classes, workers=(WorkerSpec(cost=cost),), discount=discount)
+
+
+def mixture_reference(scn):
+    """The ascent, or every class priced out when that earns more."""
+    parts = _mixture_parts(scn, "mixture_reference")
+
+    def objective(p):
+        return _mixture_terms(scn, parts, p)[0]
+
+    corner = tuple(cls.valuation.upper for cls in scn.classes)
+    return max(ascent_reference(objective, scn), (corner, objective(corner)),
+               key=lambda run: run[1])
+
+
+def mixture_instances():
+    yield load_scenario(CONFIGS / "mixture.json")
+    rng = np.random.default_rng(2025)
+    yield from (random_mixture(rng, i) for i in range(200))
+
+
+def test_mixture_fixed_point_never_below_the_ascent():
+    for scn in mixture_instances():
+        sol = _mixture_solve(scn)
+        _, reference = mixture_reference(scn)
+        assert sol.converged
+        assert sol.value >= reference - 1e-12 * abs(reference)
+        assert sol.value == mixture_horizon_value(scn, sol.prices)
+
+
+def test_mixture_class_without_arrivals_gets_its_monopoly_price():
+    bundled = load_scenario(CONFIGS / "mixture.json")
+    idle = replace(bundled.classes[1], arrival_rate=0.0)
+    scn = replace(bundled, classes=(bundled.classes[0], idle))
+    (pa, pb), value = mixture_horizon_optimize(scn)
+    assert pb == 0.5  # best_price(cost 0) of uniform[0, 1]
+    alone = replace(bundled, classes=bundled.classes[:1])
+    assert (pa,) == mixture_horizon_optimize(alone)[0]
+    assert value == mixture_horizon_value(scn, (pa, pb))
