@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -89,13 +90,21 @@ def _parse_grid(spec: str) -> list[float]:
             return [float(x) for x in spec.split(",")]
         if ":" in spec:
             parts = spec.split(":")
-            if len(parts) == 4 and parts[3] == "log":
-                a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+            log = len(parts) == 4 and parts[3] == "log"
+            if len(parts) != 3 and not log:
+                raise ConfigError(f"bad grid spec {spec!r} (use a:b:n, a:b:n:log, or a comma list)")
+            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+            # refused here, before numpy would warn or return no points
+            if not math.isfinite(b - a):
+                raise ConfigError(f"bad grid spec {spec!r}: the ends and their distance "
+                                  "must be finite")
+            if n < 1:
+                raise ConfigError(f"bad grid spec {spec!r}: a range needs at least one point")
+            if log:
+                if min(a, b) <= 0.0:
+                    raise ConfigError(f"bad grid spec {spec!r}: log ends must be positive")
                 return [float(x) for x in np.logspace(np.log10(a), np.log10(b), n)]
-            if len(parts) == 3:
-                a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-                return [float(x) for x in np.linspace(a, b, n)]
-            raise ConfigError(f"bad grid spec {spec!r} (use a:b:n, a:b:n:log, or a comma list)")
+            return [float(x) for x in np.linspace(a, b, n)]
         return [float(spec)]
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}: {exc}") from exc

@@ -382,11 +382,11 @@ def best_response_dynamics(scenario: Scenario) -> BestResponseReport:
     if not upper / _GRID_STEP < _MAX_GRID_POINTS:
         raise ConfigError(f"valuation high {upper!r}: a best-response price grid at step "
                           f"{_GRID_STEP} would need more than {_MAX_GRID_POINTS} points")
-    axis = [float(x) for x in np.arange(0.0, upper + _GRID_STEP / 2.0, _GRID_STEP)]
+    grid = np.arange(0.0, upper + _GRID_STEP / 2.0, _GRID_STEP)
+    tails = cls.valuation.tails(grid)
     # the solo rates use the Python floats: inf * 0.0 (an infinite load) is a
     # quiet nan there, and a RuntimeWarning in numpy
-    tail_list = [cls.valuation.tail(p) for p in axis]
-    grid, tails = np.array(axis), np.array(tail_list)
+    axis, tail_list = grid.tolist(), tails.tolist()
 
     def solo_rate(k: int, cost: float) -> float:
         weight = cls.load * tail_list[k]

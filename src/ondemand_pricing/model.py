@@ -12,6 +12,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .errors import ConfigError, ModelMismatch, ZeroDensity
 
 # Operational upper bound for laws with unbounded support: cut where the tail
@@ -52,6 +54,12 @@ class UniformValuation:
         if p >= self.high:
             return 0.0
         return (self.high - p) / (self.high - self.low)
+
+    def tails(self, prices: np.ndarray) -> np.ndarray:
+        """tail at each price of an array, bit for bit."""
+        p = np.asarray(prices, dtype=float)
+        inner = (self.high - p) / (self.high - self.low)
+        return np.where(p <= self.low, 1.0, np.where(p >= self.high, 0.0, inner))
 
     def cdf(self, p: float) -> float:
         return 1.0 - self.tail(p)
@@ -101,6 +109,15 @@ class ExponentialValuation:
         if p <= 0.0:
             return 1.0
         return math.exp(-self.rate * p)
+
+    def tails(self, prices: np.ndarray) -> np.ndarray:
+        """tail at each price of an array, bit for bit: libm's exp, as the
+        scalar uses, not numpy's, which may differ in the last bit."""
+        p = np.asarray(prices, dtype=float)
+        out = np.ones_like(p)
+        sold = p > 0.0
+        out[sold] = list(map(math.exp, (-self.rate * p[sold]).tolist()))
+        return out
 
     def cdf(self, p: float) -> float:
         return 1.0 - self.tail(p)
@@ -196,6 +213,17 @@ class PiecewiseLinearValuation:
     def tail(self, p: float) -> float:
         return 1.0 - self.cdf(p)
 
+    def tails(self, prices: np.ndarray) -> np.ndarray:
+        """tail at each price of an array, bit for bit: the interval of
+        _interval and the arithmetic of cdf."""
+        p = np.asarray(prices, dtype=float)
+        vs = np.array(self._values)
+        fs = np.array([f for _, f in self.knots])
+        i = np.clip(np.searchsorted(vs, p, "right") - 1, 0, len(vs) - 2)
+        v0, v1, f0, f1 = vs[i], vs[i + 1], fs[i], fs[i + 1]
+        cdf = f0 + (f1 - f0) * (p - v0) / (v1 - v0)
+        return 1.0 - np.where(p <= self.lower, 0.0, np.where(p >= self.upper, 1.0, cdf))
+
     def density(self, p: float) -> float:
         if p < self.lower or p > self.upper:
             return 0.0
@@ -238,8 +266,6 @@ class PiecewiseLinearValuation:
         return PiecewiseLinearValuation(tuple((retention * v, f) for v, f in self.knots))
 
     def sample(self, rng, n: int):
-        import numpy as np
-
         fs = np.array([f for _, f in self.knots])
         vs = np.array([v for v, _ in self.knots])
         return np.interp(rng.random(n), fs, vs)
@@ -317,8 +343,6 @@ class DeterministicDuration:
         return scale * (-math.expm1(-gamma * self.value)) / gamma
 
     def sample(self, rng, n: int):
-        import numpy as np
-
         return np.full(n, self.value)
 
 
@@ -343,14 +367,10 @@ class EmpiricalDuration:
     def censored_mean(self, gamma: float, scale: float = 1.0) -> float:
         """scale * E[min(duration, Y)] for Y ~ exponential(gamma), averaged
         over the samples."""
-        import numpy as np
-
         xs = np.asarray(self.samples)
         return scale * float(np.mean(-np.expm1(-gamma * xs))) / gamma
 
     def sample(self, rng, n: int):
-        import numpy as np
-
         pool = np.asarray(self.samples)
         return pool[rng.integers(0, len(pool), n)]
 

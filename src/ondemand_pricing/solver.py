@@ -17,7 +17,7 @@ from operator import add
 import numpy as np
 
 from .analytics import avg_earning_rate, discount_adjusted
-from .errors import IrregularDistribution
+from .errors import ConfigError, IrregularDistribution
 from .model import (
     CustomerClass,
     PriceVector,
@@ -47,8 +47,11 @@ def price_response(cls: CustomerClass, reserve: float, cost: float) -> float:
 
 def rate_map(scenario: Scenario, reserve: float) -> tuple[float, PriceVector]:
     """Best achievable earning rate when busy time is shadow priced at `reserve`,
-    together with the prices attaining it."""
+    together with the prices attaining it. A reserve of +-inf gives the
+    limiting prices; a NaN reserve is refused."""
     scenario.require("rate_map", "loss")
+    if math.isnan(reserve):
+        raise ConfigError("reserve must be a number, got nan")
     cost = scenario.sole_worker.cost
     prices = tuple(price_response(cls, reserve, cost) for cls in scenario.classes)
     return avg_earning_rate(scenario, prices), prices
@@ -125,11 +128,13 @@ def grid_search_optimum(scenario: Scenario, step: float = 1e-3) -> tuple[PriceVe
     it reaches the grid optimum; it holds for any number of classes.
     """
     scenario.require("grid_search_optimum", "loss")
+    if not 0.0 < step < math.inf:  # NaN fails every comparison
+        raise ConfigError(f"grid step must be positive and finite, got {step!r}")
     cost = scenario.sole_worker.cost
     axes, gains, weights = [], [], []
     for cls in scenario.classes:
         axis = np.arange(0.0, cls.valuation.upper + step / 2.0, step)
-        tails = np.array([cls.valuation.tail(p) for p in axis])
+        tails = cls.valuation.tails(axis)
         axes.append(axis)
         gains.append(cls.load * (axis - cost) * tails)
         weights.append(cls.load * tails)

@@ -187,6 +187,16 @@ def test_parse_grid_forms():
     assert log == pytest.approx([1.0, 10.0, 100.0])
     with pytest.raises(ConfigError):
         _parse_grid("1:2")
+    # degenerate ranges are refused before numpy runs: no points, a
+    # non-finite end or span, a log end at or below zero
+    for spec in ("1:2:0", "1:2:-3", "1e400:2:3", "1:-1e400:3", "nan:1:3",
+                 "-1e308:1e308:3", "0:1:3:log", "1:-2:3:log", "1e400:1:3:log"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="bad grid spec"):
+                _parse_grid(spec)
+    assert _parse_grid("2:2:1") == [2.0]
+    assert _parse_grid("3:3:1:log") == pytest.approx([3.0])
 
 
 # --- CLI commands ---
@@ -706,6 +716,23 @@ def test_sweep_reserve_matches_rate_map(tmp_path):
     for raw in rows:
         reserve, achieved = float(raw[0]), float(raw[1])
         assert achieved == rate_map(scn, reserve)[0]
+
+
+@pytest.mark.parametrize("param, grid", [
+    ("rho", "1:2:0"),
+    ("rho", "1e400:2:3"),
+    ("rho", "0:1:3:log"),
+    ("reserve", "nan"),
+], ids=["no_points", "infinite_end", "log_zero_end", "nan_reserve"])
+def test_sweep_refuses_a_degenerate_grid(tmp_path, capsys, param, grid):
+    # exit 2 with the error as stderr's first line, and no output written
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("sweep", "--config", str(CONFIGS / "two_class.json"),
+                       "--param", param, "--grid", grid, "--out", str(tmp_path / "o")) == 2
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_single_point_equals_solve(tmp_path):

@@ -50,6 +50,22 @@ def test_tail_monotone_and_bounded(law):
     assert law.tail(law.lower) == 1.0
 
 
+@pytest.mark.parametrize(
+    "law",
+    LAWS + [apply_commission(CustomerClass(1.0, ExponentialDuration(1.0), law), beta).valuation
+            for law in LAWS for beta in (0.8, 0.37)],
+)
+def test_tails_match_tail_bit_for_bit(law):
+    # the array form repeats the scalar arithmetic, so the grid oracle's tables
+    # are the scalar tails exactly; -1000 would overflow a vectorised exp
+    edges = [-1000.0, -1.0, -1e-12, 0.0, law.lower, law.upper, law.upper + 1e-9,
+             law.upper + 1.0, 1e300] + [v for v, _ in getattr(law, "knots", ())]
+    axes = [np.arange(0.0, law.upper + 5.0 * step, step) for step in (1e-3, 4e-3, 0.025)]
+    for prices in axes + [np.array(edges), np.array([]), np.array(edges[:1])]:
+        expected = np.array([law.tail(p) for p in prices.tolist()], dtype=float)
+        assert law.tails(prices).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("law", LAWS)
 def test_density_nonnegative_integrates_to_one(law):
     grid = np.linspace(law.lower, law.upper, 10_001)

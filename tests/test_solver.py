@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ondemand_pricing import (
+    ConfigError,
     CustomerClass,
     ExponentialDiscount,
     ExponentialDuration,
@@ -196,6 +197,15 @@ def test_rate_map_branch_formulas(two_class_scenario):
         assert rate_map(two_class_scenario, r)[0] == pytest.approx(want, abs=1e-12)
 
 
+def test_rate_map_refuses_a_nan_reserve(two_class_scenario):
+    # max(low, nan) is low, so a NaN reserve would price every class at its floor
+    with pytest.raises(ConfigError, match="reserve"):
+        rate_map(two_class_scenario, math.nan)
+    # an infinite reserve is valid: it gives the limiting prices
+    assert rate_map(two_class_scenario, math.inf)[0] == 0.0
+    assert rate_map(two_class_scenario, -math.inf)[0] == rate_map(two_class_scenario, -1e9)[0]
+
+
 def test_two_class_solution_from_any_start(two_class_scenario):
     for r0 in (0.0, 1.0, 2.0):
         sol = solve_fixed_point(two_class_scenario, r0=r0)
@@ -292,6 +302,12 @@ def test_grid_search_single_class(single_class_scenario):
     assert abs(prices[0] - sol.prices[0]) <= 2e-3
     assert rate <= sol.rate + 1e-12
     assert rate >= sol.rate - 1e-4
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_grid_search_refuses_a_bad_step(two_class_scenario, step):
+    with pytest.raises(ConfigError, match="grid step"):
+        grid_search_optimum(two_class_scenario, step)
 
 
 def test_grid_search_two_classes(two_class_scenario):
