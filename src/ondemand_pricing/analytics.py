@@ -11,6 +11,7 @@ functional with discount-adjusted loads.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import replace
 
 from .errors import NonFiniteRate
@@ -20,17 +21,24 @@ from .model import CustomerClass, Scenario, check_prices
 def avg_earning_rate(scenario: Scenario, prices) -> float:
     """Long-run average net earning rate of the sole worker at the given prices."""
     scenario.require("avg_earning_rate", "loss")
-    prices = check_prices(scenario, prices)
-    c = scenario.sole_worker.cost
+    return earning_rate(scenario.classes, scenario.sole_worker.cost,
+                        check_prices(scenario, prices))
+
+
+def earning_rate(classes: Sequence[CustomerClass], cost: float, prices) -> float:
+    """The rate functional itself, with no check of its inputs: one price per
+    class, each finite and nonnegative. Public callers go through
+    `avg_earning_rate`; the solver's iterations call this on the prices they
+    build. Raises NonFiniteRate when the rate overflows."""
     num = 0.0
     den = 1.0
-    for cls, p in zip(scenario.classes, prices):
+    for cls, p in zip(classes, prices):
         weight = cls.load * cls.valuation.tail(p)
-        num += weight * (p - c)
+        num += weight * (p - cost)
         den += weight
     rate = num / den
     if not math.isfinite(rate):
-        raise NonFiniteRate(f"earning rate is not finite at prices {prices}")
+        raise NonFiniteRate(f"earning rate is not finite at prices {tuple(map(float, prices))}")
     return rate
 
 

@@ -83,6 +83,11 @@ def _trace_rows(trace) -> list[tuple[int, float]]:
     return rows
 
 
+# A sweep range of more points is refused before numpy allocates it (the
+# same cap as the dynamics' price grid).
+_MAX_RANGE_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> list[float]:
     spec = spec.strip()
     try:
@@ -100,6 +105,9 @@ def _parse_grid(spec: str) -> list[float]:
                                   "must be finite")
             if n < 1:
                 raise ConfigError(f"bad grid spec {spec!r}: a range needs at least one point")
+            if n > _MAX_RANGE_POINTS:
+                raise ConfigError(f"bad grid spec {spec!r}: a range takes at most "
+                                  f"{_MAX_RANGE_POINTS} points")
             if log:
                 if min(a, b) <= 0.0:
                     raise ConfigError(f"bad grid spec {spec!r}: log ends must be positive")

@@ -41,9 +41,13 @@ _BISECT_MAX = 200
 # support above 1000) is refused before it is built: it would run for hours or
 # exhaust memory. A sweep's chains are solved stacked, at most _BLOCK_ENTRIES
 # generator entries at a time: one 10-worker generator (8 MB), or many small ones.
+# A round solves n sweeps of G dense 2^n-state chains, work of order n*G*8^n;
+# past _MAX_CHAIN_WORK, that of 8 workers on a 101-point grid (about 1.6 s a
+# round on a 2-core x86-64 host, 9 workers about 10 s), the dynamics are refused.
 _GRID_STEP = 0.01
 _MAX_ROUNDS = 100
 _MAX_GRID_POINTS = 100_000
+_MAX_CHAIN_WORK = 8 * 101 * 8**8
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -383,6 +387,10 @@ def best_response_dynamics(scenario: Scenario) -> BestResponseReport:
         raise ConfigError(f"valuation high {upper!r}: a best-response price grid at step "
                           f"{_GRID_STEP} would need more than {_MAX_GRID_POINTS} points")
     grid = np.arange(0.0, upper + _GRID_STEP / 2.0, _GRID_STEP)
+    n, width = len(workers), len(grid)
+    if n * width * 8**n > _MAX_CHAIN_WORK:
+        raise ConfigError(f"best-response dynamics of {n} workers on a {width}-point price "
+                          "grid: a round's chain work exceeds that of 8 workers on 101 points")
     tails = cls.valuation.tails(grid)
     # the solo rates use the Python floats: inf * 0.0 (an infinite load) is a
     # quiet nan there, and a RuntimeWarning in numpy

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ModelMismatch, ZeroDensity
+from .errors import ConfigError, IrregularDistribution, ModelMismatch, ZeroDensity
 
 # Operational upper bound for laws with unbounded support: cut where the tail
 # drops below this mass.
@@ -194,6 +194,20 @@ class PiecewiseLinearValuation:
             (f1 - f0) / (v1 - v0) for (v0, f0), (v1, f1) in zip(self.knots, self.knots[1:])
         )
 
+    @cached_property
+    def _regularity(self) -> str:
+        """Exact O(knots) test. The virtual value rises with slope 2 on every
+        interval and jumps by tail(k) * (1/d_left - 1/d_right) at an interior
+        knot k, so the law is strictly regular unless an interval has no
+        density or some jump is a drop beyond rounding."""
+        slopes = self._slopes
+        if any(d <= 0.0 for d in slopes):
+            return "irregular"
+        for (_, f), left, right in zip(self.knots[1:], slopes, slopes[1:]):
+            if (1.0 - f) * (1.0 / left - 1.0 / right) <= -_DROP_ALLOWANCE:
+                return "irregular"
+        return "strictly_regular"
+
     def _interval(self, p: float) -> int:
         vs = self._values
         i = bisect_right(vs, p) - 1
@@ -237,8 +251,11 @@ class PiecewiseLinearValuation:
         2p - v0 - (1 - f0)/d, so its root there is (floor + v0 + (1 - f0)/d)/2.
         The first interval whose root, clipped to it, lies before its right
         end holds the price; a knot where the virtual value jumps over floor
-        is returned exactly. Intervals without density never sell.
+        is returned exactly. Intervals without density never sell. An
+        irregular law has no such price and is refused.
         """
+        if self._regularity != "strictly_regular":
+            raise IrregularDistribution("PiecewiseLinearValuation is not strictly regular")
         if self.upper <= floor:
             return self.upper
         lo = max(floor, self.lower)
@@ -250,17 +267,8 @@ class PiecewiseLinearValuation:
         return self.upper
 
     def regularity(self) -> str:
-        """Exact O(knots) test. The virtual value rises with slope 2 on every
-        interval and jumps by tail(k) * (1/d_left - 1/d_right) at an interior
-        knot k, so the law is strictly regular unless an interval has no
-        density or some jump is a drop beyond rounding."""
-        slopes = self._slopes
-        if any(d <= 0.0 for d in slopes):
-            return "irregular"
-        for (_, f), left, right in zip(self.knots[1:], slopes, slopes[1:]):
-            if (1.0 - f) * (1.0 / left - 1.0 / right) <= -_DROP_ALLOWANCE:
-                return "irregular"
-        return "strictly_regular"
+        """The law's class, worked out once per instance by `_regularity`."""
+        return self._regularity
 
     def scaled(self, retention: float) -> PiecewiseLinearValuation:
         return PiecewiseLinearValuation(tuple((retention * v, f) for v, f in self.knots))

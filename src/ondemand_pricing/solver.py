@@ -16,7 +16,7 @@ from operator import add
 
 import numpy as np
 
-from .analytics import avg_earning_rate, discount_adjusted
+from .analytics import discount_adjusted, earning_rate
 from .errors import ConfigError, IrregularDistribution
 from .model import (
     CustomerClass,
@@ -37,12 +37,10 @@ def price_response(cls: CustomerClass, reserve: float, cost: float) -> float:
     Returns the upper support bound when even the highest valuation cannot
     cover the shadow price; otherwise the unique root of
     p - tail(p)/density(p) = cost + reserve, clamped into the support, in the
-    law's closed form.
+    law's closed form. The law refuses itself when it is not strictly regular
+    (IrregularDistribution), so no check runs here.
     """
-    law = cls.valuation
-    if regularity_check(law) != "strictly_regular":
-        raise IrregularDistribution(f"{type(law).__name__} is not strictly regular")
-    return law.best_price(cost + reserve)
+    return cls.valuation.best_price(cost + reserve)
 
 
 def rate_map(scenario: Scenario, reserve: float) -> tuple[float, PriceVector]:
@@ -52,9 +50,13 @@ def rate_map(scenario: Scenario, reserve: float) -> tuple[float, PriceVector]:
     scenario.require("rate_map", "loss")
     if math.isnan(reserve):
         raise ConfigError("reserve must be a number, got nan")
-    cost = scenario.sole_worker.cost
-    prices = tuple(price_response(cls, reserve, cost) for cls in scenario.classes)
-    return avg_earning_rate(scenario, prices), prices
+    return _rate_map(scenario.classes, scenario.sole_worker.cost, reserve)
+
+
+def _rate_map(classes, cost: float, reserve: float) -> tuple[float, PriceVector]:
+    """rate_map on checked inputs: the step the fixed point iterates."""
+    prices = tuple(price_response(cls, reserve, cost) for cls in classes)
+    return earning_rate(classes, cost, prices), prices
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,9 @@ class Solution:
 def solve_fixed_point(scenario: Scenario, r0: float = 0.0) -> Solution:
     """Iterate the rate map to its fixed point, the optimal earning rate.
 
+    The scenario's kind, each class's regularity and `r0` are checked once
+    here; the iteration then runs unchecked on the reserves it builds.
+
     The trace records (reserve, achieved rate) per iteration; after the first
     step the reserve sequence is nondecreasing and bounded by the optimum.
     """
@@ -83,18 +88,19 @@ def solve_fixed_point(scenario: Scenario, r0: float = 0.0) -> Solution:
             )
     if not math.isfinite(r0) or r0 < 0.0:
         raise ValueError("starting rate must be finite and nonnegative")
+    classes, cost = scenario.classes, scenario.sole_worker.cost
     reserve = r0
     trace: list[tuple[float, float]] = []
     converged = False
     for _ in range(_MAX_ITER):
-        achieved, _ = rate_map(scenario, reserve)
+        achieved, _ = _rate_map(classes, cost, reserve)
         trace.append((reserve, achieved))
         if abs(achieved - reserve) <= _TOL:
             converged = True
             reserve = achieved
             break
         reserve = achieved
-    rate, prices = rate_map(scenario, reserve)
+    rate, prices = _rate_map(classes, cost, reserve)
     return Solution(
         prices=prices,
         rate=rate,

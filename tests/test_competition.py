@@ -344,6 +344,44 @@ def test_best_response_dynamics_refuses_huge_price_grid(monkeypatch, high):
         best_response_dynamics(wide)
 
 
+class ChainBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers, high, refused", [
+    (9, 1.0, True),    # 9 * 101 * 8^9: eight times the limit
+    (8, 1.01, True),   # one grid point past 8 workers on 101 points
+    (8, 1.0, False),   # the limit itself
+    (5, 1.0, False),
+], ids=["nine_workers", "eight_workers_102_points", "eight_workers_101_points",
+        "five_workers"])
+def test_best_response_dynamics_bounds_the_chain_work(monkeypatch, workers, high, refused):
+    def no_chain(*args, **kwargs):
+        raise ChainBuilt
+
+    monkeypatch.setattr(competition, "_chain_rates", no_chain)
+    fleet = Scenario(classes=(unit_uniform_class(high=high),),
+                     workers=(WorkerSpec(rank=1),) * workers)
+    if refused:
+        points = 101 if high == 1.0 else 102
+        with pytest.raises(ConfigError, match=f"^best-response dynamics of {workers} workers "
+                                              f"on a {points}-point price grid: "):
+            best_response_dynamics(fleet)
+    else:
+        with pytest.raises(ChainBuilt):
+            best_response_dynamics(fleet)
+
+
+def test_fleet_rates_keeps_its_worker_cap():
+    # the chain-work bound is the dynamics'; one chain solve takes up to 10 workers
+    cls = unit_uniform_class()
+    ten = Scenario(classes=(cls,), workers=(WorkerSpec(rank=1),) * 10)
+    assert len(fleet_rates(ten, (0.5,) * 10)) == 10
+    eleven = Scenario(classes=(cls,), workers=(WorkerSpec(rank=1),) * 11)
+    with pytest.raises(ModelMismatch, match="at most 10 workers"):
+        fleet_rates(eleven, (0.5,) * 11)
+
+
 def test_best_response_cycle_for_undifferentiated(undifferentiated_scenario):
     report = best_response_dynamics(undifferentiated_scenario)
     assert report.fixed_profile is None

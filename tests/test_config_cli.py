@@ -188,14 +188,17 @@ def test_parse_grid_forms():
     with pytest.raises(ConfigError):
         _parse_grid("1:2")
     # degenerate ranges are refused before numpy runs: no points, a
-    # non-finite end or span, a log end at or below zero
+    # non-finite end or span, a log end at or below zero, more points than
+    # the 100 000 a range takes (numpy would allocate 745 GiB for the first)
     for spec in ("1:2:0", "1:2:-3", "1e400:2:3", "1:-1e400:3", "nan:1:3",
-                 "-1e308:1e308:3", "0:1:3:log", "1:-2:3:log", "1e400:1:3:log"):
+                 "-1e308:1e308:3", "0:1:3:log", "1:-2:3:log", "1e400:1:3:log",
+                 "1:2:99999999999", "1:2:100001", "1:2:100001:log"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="bad grid spec"):
                 _parse_grid(spec)
     assert _parse_grid("2:2:1") == [2.0]
+    assert len(_parse_grid("1:2:100000")) == 100_000
     assert _parse_grid("3:3:1:log") == pytest.approx([3.0])
 
 
@@ -620,6 +623,16 @@ def set_duration_rate(doc):
     doc["classes"][0]["duration"]["params"]["rate"] = 5e-324
 
 
+def set_overflowing_loads(doc):
+    for cls in doc["classes"]:
+        cls["arrival_rate"] = 1e308
+        cls["duration"]["params"]["rate"] = 1e-300
+
+
+def set_nine_workers(doc):
+    doc["workers"] = [{"rank": 1}] * 9
+
+
 EXTREME_RUNS = {
     # 40 inverse discount rates make more windows than int64 can number
     "simulate_discount_rate": (("simulate",), edited("discounted.json", set_discount_rate),
@@ -641,6 +654,13 @@ EXTREME_RUNS = {
     "dynamics_high_1e308": (("compete", "--dynamics"),
                             edited("undifferentiated.json", set_high(0, 1e308)),
                             "error: valuation high 1e+308:"),
+    # a round of 9 workers' chains, refused before the first one is built
+    "dynamics_nine_workers": (("compete", "--dynamics"),
+                              edited("undifferentiated.json", set_nine_workers),
+                              "error: best-response dynamics of 9 workers on a 101-point"),
+    # loads of 1e308 * 1e300: the fixed point's first step overflows
+    "solve_rate_overflow": (("solve",), edited("two_class.json", set_overflowing_loads),
+                            "error: earning rate is not finite at prices (0.5, 1.0)\n"),
     # every simulated rate overflows, so no deviation gain can be tested
     "verify_high_1e308": (("compete", "--verify"),
                           edited("compete_ranked.json", set_high(0, 1e308)),
@@ -723,7 +743,8 @@ def test_sweep_reserve_matches_rate_map(tmp_path):
     ("rho", "1e400:2:3"),
     ("rho", "0:1:3:log"),
     ("reserve", "nan"),
-], ids=["no_points", "infinite_end", "log_zero_end", "nan_reserve"])
+    ("rho", "1:2:99999999999"),
+], ids=["no_points", "infinite_end", "log_zero_end", "nan_reserve", "huge_range"])
 def test_sweep_refuses_a_degenerate_grid(tmp_path, capsys, param, grid):
     # exit 2 with the error as stderr's first line, and no output written
     with warnings.catch_warnings(record=True) as caught:

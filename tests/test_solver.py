@@ -19,9 +19,11 @@ from ondemand_pricing import (
     grid_search_optimum,
     price_response,
     rate_map,
+    regularity_check,
     solve_discounted,
     solve_fixed_point,
 )
+from ondemand_pricing import solver
 from tests.conftest import unit_uniform_class
 
 # two-class optimum: R* solves 3R^2 - 16R + 6 = 0 on [0, 1]
@@ -181,11 +183,21 @@ def test_price_response_returns_knot_where_virtual_value_jumps_over_floor():
         assert price_response(cls, floor, 0.0) == 1.0
 
 
-def test_price_response_rejects_irregular_law():
-    spike = PiecewiseLinearValuation(((0.0, 0.0), (0.5, 0.1), (0.6, 0.9), (1.0, 1.0)))
-    cls = CustomerClass(1.0, ExponentialDuration(1.0), spike)
-    with pytest.raises(IrregularDistribution):
-        price_response(cls, 0.0, 0.0)
+# a virtual-value drop at the knot 0.6, and an interval without density
+SPIKE = PiecewiseLinearValuation(((0.0, 0.0), (0.5, 0.1), (0.6, 0.9), (1.0, 1.0)))
+FLAT = PiecewiseLinearValuation(((0.0, 0.0), (0.4, 0.5), (0.6, 0.5), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("law", [SPIKE, FLAT], ids=["spike", "flat"])
+def test_price_response_rejects_irregular_law(law):
+    # the law refuses itself, at every floor: above its support too
+    cls = CustomerClass(1.0, ExponentialDuration(1.0), law)
+    message = "^PiecewiseLinearValuation is not strictly regular$"
+    for floor in (0.0, 0.3, 2.0):
+        with pytest.raises(IrregularDistribution, match=message):
+            price_response(cls, floor, 0.0)
+        with pytest.raises(IrregularDistribution, match=message):
+            law.best_price(floor)
 
 
 def test_rate_map_branch_formulas(two_class_scenario):
@@ -252,15 +264,32 @@ def test_each_class_term_maximized_at_solution(two_class_scenario):
 
 
 def test_solver_rejects_irregular_class():
-    spike = PiecewiseLinearValuation(((0.0, 0.0), (0.5, 0.1), (0.6, 0.9), (1.0, 1.0)))
     scn = Scenario(
         classes=(
             unit_uniform_class(),
-            CustomerClass(1.0, ExponentialDuration(1.0), spike),
+            CustomerClass(1.0, ExponentialDuration(1.0), SPIKE),
         )
     )
-    with pytest.raises(IrregularDistribution, match=r"classes\[1\]"):
+    with pytest.raises(IrregularDistribution,
+                       match=r"^classes\[1\] valuation law is not strictly regular$"):
         solve_fixed_point(scn)
+
+
+def test_solver_checks_regularity_once_per_class(monkeypatch):
+    # checked at the entry point; the iteration's steps run on the checked laws
+    knotted = PiecewiseLinearValuation(((0.2, 0.0), (1.0, 0.2), (1.8, 0.6), (2.4, 1.0)))
+    scn = Scenario(classes=(unit_uniform_class(),
+                            CustomerClass(0.7, ExponentialDuration(0.8), knotted)))
+    seen = []
+
+    def counting(law):
+        seen.append(law)
+        return regularity_check(law)
+
+    monkeypatch.setattr(solver, "regularity_check", counting)
+    sol = solve_fixed_point(scn)
+    assert sol.converged and sol.iterations >= 3
+    assert seen == [cls.valuation for cls in scn.classes]
 
 
 def test_solve_discounted_value_and_small_gamma_limit(single_class_scenario):
