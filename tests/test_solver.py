@@ -10,6 +10,7 @@ from ondemand_pricing import (
     ExponentialDuration,
     ExponentialValuation,
     IrregularDistribution,
+    NonFiniteRate,
     PiecewiseLinearValuation,
     Scenario,
     UniformValuation,
@@ -188,16 +189,16 @@ SPIKE = PiecewiseLinearValuation(((0.0, 0.0), (0.5, 0.1), (0.6, 0.9), (1.0, 1.0)
 FLAT = PiecewiseLinearValuation(((0.0, 0.0), (0.4, 0.5), (0.6, 0.5), (1.0, 1.0)))
 
 
-@pytest.mark.parametrize("law", [SPIKE, FLAT], ids=["spike", "flat"])
-def test_price_response_rejects_irregular_law(law):
+def test_price_response_rejects_irregular_law():
     # the law refuses itself, at every floor: above its support too
-    cls = CustomerClass(1.0, ExponentialDuration(1.0), law)
     message = "^PiecewiseLinearValuation is not strictly regular$"
-    for floor in (0.0, 0.3, 2.0):
-        with pytest.raises(IrregularDistribution, match=message):
-            price_response(cls, floor, 0.0)
-        with pytest.raises(IrregularDistribution, match=message):
-            law.best_price(floor)
+    for law in (SPIKE, FLAT):
+        cls = CustomerClass(1.0, ExponentialDuration(1.0), law)
+        for floor in (0.0, 0.3, 2.0):
+            with pytest.raises(IrregularDistribution, match=message):
+                price_response(cls, floor, 0.0)
+            with pytest.raises(IrregularDistribution, match=message):
+                law.best_price(floor)
 
 
 def test_rate_map_branch_formulas(two_class_scenario):
@@ -216,6 +217,17 @@ def test_rate_map_refuses_a_nan_reserve(two_class_scenario):
     # an infinite reserve is valid: it gives the limiting prices
     assert rate_map(two_class_scenario, math.inf)[0] == 0.0
     assert rate_map(two_class_scenario, -math.inf)[0] == rate_map(two_class_scenario, -1e9)[0]
+
+
+def test_rate_map_names_float_prices_when_the_rate_overflows():
+    # a law built with int bounds prices at its int low; the message prints
+    # floats, as check_prices makes them for avg_earning_rate
+    crowded = Scenario(classes=(CustomerClass(1e308, ExponentialDuration(1e-300),
+                                              UniformValuation(0, 1)),))
+    with pytest.raises(NonFiniteRate, match=r"^earning rate is not finite at prices \(0\.0,\)$"):
+        rate_map(crowded, -math.inf)
+    with pytest.raises(NonFiniteRate, match=r"^earning rate is not finite at prices \(0\.0,\)$"):
+        avg_earning_rate(crowded, (0,))
 
 
 def test_two_class_solution_from_any_start(two_class_scenario):
