@@ -66,6 +66,73 @@ def test_tails_match_tail_bit_for_bit(law):
         assert law.tails(prices).tobytes() == expected.tobytes()
 
 
+def _reference_upper(law):
+    """Each law's upper bound as first written: the last knot, the uniform's
+    high end, and the exponential's quantile at the tail cutoff 1e-12."""
+    if isinstance(law, UniformValuation):
+        return law.high
+    if isinstance(law, ExponentialValuation):
+        return -math.log(1e-12) / law.rate
+    return law.knots[-1][0]
+
+
+def _reference_best_price(law, floor):
+    """Each law's best_price as first written, slopes recomputed per interval."""
+    upper = _reference_upper(law)
+    if upper <= floor:
+        return upper
+    if isinstance(law, UniformValuation):
+        return max(law.low, (floor + law.high) / 2.0)
+    if isinstance(law, ExponentialValuation):
+        return min(max(floor + 1.0 / law.rate, 0.0), upper)
+    lo = max(floor, law.knots[0][0])
+    for (v0, f0), (v1, f1) in zip(law.knots, law.knots[1:]):
+        d = (f1 - f0) / (v1 - v0)
+        if d > 0.0:
+            price = max(lo, v0, (floor + v0 + (1.0 - f0) / d) / 2.0)
+            if price < v1:
+                return price
+    return upper
+
+
+def _seeded_laws():
+    """Strictly regular piecewise laws of 2 to 6 knots (rising slopes), and
+    uniform and exponential laws, drawn from fixed seeds."""
+    laws = []
+    for seed in range(15):
+        rng = np.random.default_rng(seed)
+        widths = rng.uniform(0.05, 1.5, 1 + seed % 5)
+        slopes = np.sort(rng.uniform(0.1, 2.0, len(widths)))
+        values = rng.uniform(0.0, 1.0) + np.concatenate(([0.0], np.cumsum(widths)))
+        cdf = np.concatenate(([0.0], np.cumsum(slopes * widths)))
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+        laws.append(PiecewiseLinearValuation(tuple(zip(values.tolist(), cdf.tolist()))))
+        low = rng.uniform(0.0, 2.0)
+        laws.append(UniformValuation(low, low + rng.uniform(0.01, 3.0)))
+        laws.append(ExponentialValuation(rng.uniform(0.05, 20.0)))
+    return laws
+
+
+@pytest.mark.parametrize(
+    "law", [law for law in LAWS if law.regularity() == "strictly_regular"] + _seeded_laws()
+)
+def test_best_price_and_upper_match_their_first_formulas_bit_for_bit(law):
+    # floors below the support, at every knot, at each interval's root at its
+    # two ends, beyond the support and at +-inf
+    upper = _reference_upper(law)
+    assert law.upper.hex() == upper.hex()
+    floors = [-math.inf, -1e300, -1.0, law.lower - 0.25, -0.0, 0.0, law.lower,
+              0.5 * (law.lower + upper), upper - 1e-9, upper, upper + 1e-9, upper + 3.0,
+              1e300, math.inf]
+    knots = getattr(law, "knots", ())
+    for (v0, f0), (v1, f1) in zip(knots, knots[1:]):
+        c = (1.0 - f0) / ((f1 - f0) / (v1 - v0))
+        floors += [v0, v1, v0 - c, 2.0 * v1 - v0 - c, 1.5 * v1 - 0.5 * v0 - c]
+    for floor in floors:
+        assert law.best_price(floor).hex() == _reference_best_price(law, floor).hex(), floor
+
+
 @pytest.mark.parametrize("law", LAWS)
 def test_density_nonnegative_integrates_to_one(law):
     grid = np.linspace(law.lower, law.upper, 10_001)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 from ondemand_pricing import (
     CustomerClass,
+    DeterministicDuration,
+    EmpiricalDuration,
     ExponentialDiscount,
     ExponentialDuration,
     ExponentialValuation,
@@ -19,6 +21,7 @@ from ondemand_pricing import (
     PiecewiseLinearValuation,
     PricingError,
     Scenario,
+    UniformValuation,
     WorkerSpec,
     hybrid_solve,
     ranked_price_equilibrium,
@@ -41,9 +44,39 @@ def _mixed_classes():
     return steep, knotted
 
 
+# A heavy-load queue whose best start shuts the piecewise class out: the run
+# from its price at the top of its support earns 1.09277, while the interior
+# point reached from the monopoly prices earns 1.09169.
+SHUT_OUT_QUEUE = Scenario(
+    classes=(
+        CustomerClass(29.752, ExponentialDuration(0.37), ExponentialValuation(2.573)),
+        CustomerClass(7.954, ExponentialDuration(2.738), PiecewiseLinearValuation(
+            ((0.2, 0.0), (0.789, 0.352), (1.628, 1.0)))),
+    ),
+    workers=(WorkerSpec(cost=0.168),),
+    queue_capacity=1,
+)
+
+# Four classes over every duration law, so the loads come from empirical and
+# deterministic means as well as exponential ones.
+FOUR_CLASS_LOSS = Scenario(
+    classes=(
+        CustomerClass(0.9, EmpiricalDuration((0.25, 1.5, 0.8, 2.2, 0.35)),
+                      PiecewiseLinearValuation(((0.1, 0.0), (0.6, 0.1), (1.1, 0.3),
+                                                (1.7, 0.65), (2.0, 1.0)))),
+        CustomerClass(1.6, DeterministicDuration(0.45), UniformValuation(0.2, 1.4)),
+        CustomerClass(0.35, ExponentialDuration(0.7), ExponentialValuation(0.9)),
+        CustomerClass(2.3, DeterministicDuration(1.3),
+                      PiecewiseLinearValuation(((0.0, 0.0), (0.9, 0.4), (1.3, 1.0)))),
+    ),
+    workers=(WorkerSpec(cost=0.05),),
+)
+
+
 def scenarios() -> dict[str, Scenario]:
     """The bundled configs by file stem, plus one scenario of each solvable
-    kind whose classes use exponential and piecewise-linear laws."""
+    kind whose classes use exponential and piecewise-linear laws, a
+    heavy-load queue won by a shut-out start and a four-class loss system."""
     out = {path.stem: load_scenario(path) for path in sorted(CONFIGS.glob("*.json"))}
     steep, knotted = _mixed_classes()
     worker = (WorkerSpec(cost=0.2),)
@@ -55,6 +88,8 @@ def scenarios() -> dict[str, Scenario]:
     out["mixed_queue"] = Scenario(classes=(steep, knotted), workers=worker, queue_capacity=1)
     out["mixed_fleet"] = Scenario(classes=(knotted,),
                                   workers=(WorkerSpec(cost=0.2, rank=1), WorkerSpec(rank=2)))
+    out["shut_out_queue"] = SHUT_OUT_QUEUE
+    out["four_class_loss"] = FOUR_CLASS_LOSS
     return out
 
 
@@ -176,6 +211,26 @@ PINS = {
     ('ranked_price_equilibrium', 'mixed_fleet'):
         ((1, ('0x1.9cf21ef133170p+0',), '0x1.b45dc4566584dp-2', '0x1.34ceb04489459p-2', True),
          (2, ('0x1.196ef1bd261fep+0',), '0x1.26e995d64d7a2p-2', '0x1.0c42cdb9acdf1p-2', True)),
+    ('queue_optimize', 'shut_out_queue'):
+        (('0x1.7fd1f4df0c3bcp+0', '0x1.a0c49ba5e353fp+0'), '0x1.17bf90bcf6f30p+0', None, 58,
+         True),
+    ('hybrid_solve', 'shut_out_queue'):
+        ('0x1.671938f59d644p+0', '0x1.42522fc315623p-2', False, None),
+    ('solve_fixed_point', 'four_class_loss'):
+        (('0x1.8c1d696e62aecp+0', '0x1.18ea363b2f7bap+0', '0x1.e7dfcd2c6a580p+0',
+          '0x1.0c1d696e62aedp+0'), '0x1.7d42728657881p-1', None, 5, True),
+    ('ranked_price_equilibrium', 'four_class_loss'):
+        ((1, ('0x1.8c1d696e62aecp+0', '0x1.18ea363b2f7bap+0', '0x1.e7dfcd2c6a580p+0',
+              '0x1.0c1d696e62aedp+0'), '0x1.7d42728657881p-1', '0x1.49a7fa030f116p-1', True),),
+    ('rate_map@0.0', 'four_class_loss'):
+        ('0x1.57e4751990cf3p-1', ('0x1.2ccccccccccccp+0', '0x1.7333333333333p-1',
+                                  '0x1.293e93e93e93fp+0', '0x1.ccccccccccccdp-1')),
+    ('rate_map@0.1', 'four_class_loss'):
+        ('0x1.5dc12fbd3453bp-1', ('0x1.3999999999998p+0', '0x1.8ccccccccccccp-1',
+                                  '0x1.42d82d82d82d8p+0', '0x1.ccccccccccccdp-1')),
+    ('rate_map@inf', 'four_class_loss'):
+        ('0x1.0d9c381854b69p-36', ('0x1.0000000000000p+1', '0x1.6666666666666p+0',
+                                   '0x1.eb37d8e2e3879p+4', '0x1.4cccccccccccdp+0')),
 }
 
 
@@ -195,3 +250,9 @@ def test_pins_cover_every_bundled_config_each_function_applies_to():
     assert ("ranked_price_equilibrium", "compete_ranked") in pinned
     mixed = {name for _, name in PINS if name not in stems}
     assert mixed == set(scenarios()) - stems
+
+
+def test_the_shut_out_start_wins_the_heavy_queue():
+    sol = _queue_solve(SHUT_OUT_QUEUE)
+    assert sol.prices[1] == SHUT_OUT_QUEUE.classes[1].valuation.upper
+    assert sol.rate > 1.0927  # the interior point from the monopoly start earns 1.09169
