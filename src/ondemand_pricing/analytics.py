@@ -11,7 +11,7 @@ functional with discount-adjusted loads.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import replace
 
 from .errors import NonFiniteRate
@@ -21,19 +21,24 @@ from .model import CustomerClass, Scenario, check_prices
 def avg_earning_rate(scenario: Scenario, prices) -> float:
     """Long-run average net earning rate of the sole worker at the given prices."""
     scenario.require("avg_earning_rate", "loss")
-    return earning_rate(scenario.classes, scenario.sole_worker.cost,
+    return earning_rate(load_tails(scenario.classes), scenario.sole_worker.cost,
                         check_prices(scenario, prices))
 
 
-def earning_rate(classes: Sequence[CustomerClass], cost: float, prices) -> float:
-    """The rate functional itself, with no check of its inputs: one price per
-    class, each finite and nonnegative. Public callers go through
-    `avg_earning_rate`; the solver's iterations call this on the prices they
-    build. Raises NonFiniteRate when the rate overflows."""
+def load_tails(classes: Sequence[CustomerClass]) -> list[tuple[float, Callable]]:
+    """Each class's offered load and tail function, bound once per solve."""
+    return [(cls.load, cls.valuation.tail) for cls in classes]
+
+
+def earning_rate(terms: Sequence[tuple[float, Callable]], cost: float, prices) -> float:
+    """The rate functional itself, on the classes' `load_tails`, with no check
+    of its inputs: one price per class, each finite and nonnegative. Public
+    callers go through `avg_earning_rate`; the solver's iterations call this
+    on the prices they build. Raises NonFiniteRate when the rate overflows."""
     num = 0.0
     den = 1.0
-    for cls, p in zip(classes, prices):
-        weight = cls.load * cls.valuation.tail(p)
+    for (load, tail), p in zip(terms, prices):
+        weight = load * tail(p)
         num += weight * (p - cost)
         den += weight
     rate = num / den

@@ -95,6 +95,10 @@ class ExponentialValuation:
     def __post_init__(self) -> None:
         if not math.isfinite(self.rate) or self.rate <= 0.0:
             raise ConfigError("exponential valuation requires rate > 0")
+        # operational upper bound, the quantile at the tail cutoff, worked out
+        # once; a cached_property would write through __dict__, which slows
+        # every later read of `rate` in tail and density
+        object.__setattr__(self, "_upper", -math.log(TAIL_CUTOFF) / self.rate)
 
     @property
     def lower(self) -> float:
@@ -102,8 +106,7 @@ class ExponentialValuation:
 
     @property
     def upper(self) -> float:
-        # operational bound: quantile at the tail cutoff
-        return -math.log(TAIL_CUTOFF) / self.rate
+        return self._upper
 
     def tail(self, p: float) -> float:
         if p <= 0.0:
@@ -130,7 +133,7 @@ class ExponentialValuation:
     def best_price(self, floor: float) -> float:
         """Least price >= max(floor, 0) whose virtual value p - 1/rate reaches
         floor, capped at the operational upper bound."""
-        upper = self.upper
+        upper = self._upper
         if upper <= floor:
             return upper
         return min(max(floor + 1.0 / self.rate, 0.0), upper)
@@ -195,6 +198,12 @@ class PiecewiseLinearValuation:
         )
 
     @cached_property
+    def _selling(self) -> tuple[tuple[float, float, float], ...]:
+        """(v0, v1, (1 - f0)/d) of each knot interval with density d > 0."""
+        return tuple((v0, v1, (1.0 - f0) / d) for (v0, f0), (v1, _), d
+                     in zip(self.knots, self.knots[1:], self._slopes) if d > 0.0)
+
+    @cached_property
     def _regularity(self) -> str:
         """Exact O(knots) test. The virtual value rises with slope 2 on every
         interval and jumps by tail(k) * (1/d_left - 1/d_right) at an interior
@@ -256,15 +265,15 @@ class PiecewiseLinearValuation:
         """
         if self._regularity != "strictly_regular":
             raise IrregularDistribution("PiecewiseLinearValuation is not strictly regular")
-        if self.upper <= floor:
-            return self.upper
+        upper = self.upper
+        if upper <= floor:
+            return upper
         lo = max(floor, self.lower)
-        for (v0, f0), (v1, _), d in zip(self.knots, self.knots[1:], self._slopes):
-            if d > 0.0:
-                price = max(lo, v0, (floor + v0 + (1.0 - f0) / d) / 2.0)
-                if price < v1:
-                    return price
-        return self.upper
+        for v0, v1, c in self._selling:
+            price = max(lo, v0, (floor + v0 + c) / 2.0)
+            if price < v1:
+                return price
+        return upper
 
     def regularity(self) -> str:
         """The law's class, worked out once per instance by `_regularity`."""

@@ -34,8 +34,14 @@ from .solver import Solution, price_response, solve_fixed_point
 
 def _queue_terms(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
                  price_a: float, price_b: float) -> tuple[float, float, float]:
-    """The closed-form rate R = N/D at one price pair, and each class's
-    opportunity-cost factor m_k = mu_k * dD/da_k.
+    """`_queue_evaluator` of the two classes at one price pair."""
+    return _queue_evaluator(cls_a, cls_b, cost)(price_a, price_b)
+
+
+def _queue_evaluator(cls_a: CustomerClass, cls_b: CustomerClass, cost: float):
+    """The closed-form rate R = N/D as a function of the price pair, and each
+    class's opportunity-cost factor m_k = mu_k * dD/da_k, with each class's
+    arrival rate, tail and service rate bound once.
 
     With a_k = lambda_k * tail_k(p_k), s = a_A + a_B, B = (s + mu_A)(s + mu_B)
     and T = a_A mu_A + a_B mu_B + mu_A mu_B, the busy-and-idle weight is
@@ -44,26 +50,33 @@ def _queue_terms(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
     m_k divides by B twice rather than squaring it: a float power raises
     OverflowError on huge service rates, where products only overflow to inf.
     Tiny service rates with no admitted arrivals underflow B to 0, where the
-    closed form is 0/0.
+    closed form is 0/0. T sums left to right, so binding mu_A mu_B once
+    leaves it exact.
     """
-    admit_a = cls_a.arrival_rate * cls_a.valuation.tail(price_a)
-    admit_b = cls_b.arrival_rate * cls_b.valuation.tail(price_b)
-    mu_a = cls_a.duration.rate
-    mu_b = cls_b.duration.rate
-    s = admit_a + admit_b
-    both = (s + mu_a) * (s + mu_b)
-    try:
-        idle_weight = (admit_a * mu_a + admit_b * mu_b + mu_a * mu_b) / both
-    except ZeroDivisionError:
-        raise NonFiniteRate(f"queue earning rate is not finite at prices {(price_a, price_b)}: "
-                            f"(s + mu_A)(s + mu_B) underflows to 0") from None
-    num = (price_a - cost) * admit_a / mu_a + (price_b - cost) * admit_b / mu_b
-    den = idle_weight + admit_a / mu_a + admit_b / mu_b
-    # with no admitted arrivals num is (p - cost) * 0, which is -0.0 when p < cost
-    rate = num / den + 0.0
-    spread = idle_weight * (2.0 * s + mu_a + mu_b)
-    return (rate, 1.0 + mu_a * ((mu_a - spread) / both),
-            1.0 + mu_b * ((mu_b - spread) / both))
+    lam_a, tail_a, mu_a = cls_a.arrival_rate, cls_a.valuation.tail, cls_a.duration.rate
+    lam_b, tail_b, mu_b = cls_b.arrival_rate, cls_b.valuation.tail, cls_b.duration.rate
+    mu_ab = mu_a * mu_b
+
+    def terms(price_a: float, price_b: float) -> tuple[float, float, float]:
+        admit_a = lam_a * tail_a(price_a)
+        admit_b = lam_b * tail_b(price_b)
+        s = admit_a + admit_b
+        both = (s + mu_a) * (s + mu_b)
+        try:
+            idle_weight = (admit_a * mu_a + admit_b * mu_b + mu_ab) / both
+        except ZeroDivisionError:
+            raise NonFiniteRate(f"queue earning rate is not finite at prices "
+                                f"{(price_a, price_b)}: (s + mu_A)(s + mu_B) underflows to 0"
+                                ) from None
+        num = (price_a - cost) * admit_a / mu_a + (price_b - cost) * admit_b / mu_b
+        den = idle_weight + admit_a / mu_a + admit_b / mu_b
+        # with no admitted arrivals num is (p - cost) * 0, which is -0.0 when p < cost
+        rate = num / den + 0.0
+        spread = idle_weight * (2.0 * s + mu_a + mu_b)
+        return (rate, 1.0 + mu_a * ((mu_a - spread) / both),
+                1.0 + mu_b * ((mu_b - spread) / both))
+
+    return terms
 
 
 def queue_rate(scenario: Scenario, price_a: float, price_b: float) -> float:
@@ -144,9 +157,10 @@ def _queue_solve(scenario: Scenario) -> Solution:
     """
     parts = queue_parts(scenario, "queue_optimize")
     classes, cost = parts[:2], parts[2]
+    at = _queue_evaluator(*parts)
 
     def terms(prices):
-        rate, m_a, m_b = _queue_terms(*parts, *prices)
+        rate, m_a, m_b = at(*prices)
         return rate, (rate * m_a, rate * m_b)
 
     monopoly = tuple(price_response(cls, 0.0, cost) for cls in classes)

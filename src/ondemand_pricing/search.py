@@ -34,32 +34,35 @@ def marginal_cost_ascent(terms: Callable[[PriceVector], tuple[float, Sequence[fl
     it is not converged when it reaches the cap or no step longer than that
     keeps the objective.
     """
+    free = [(k, cls) for k, cls in enumerate(classes) if k != pinned]
+    still = [0.0] * len(classes)  # the pinned class's gap
 
     def evaluate(point):
         rate, shadows = terms(point)
-        gaps = tuple(0.0 if k == pinned else price_response(cls, shadow, cost) - p
-                     for k, (cls, shadow, p) in enumerate(zip(classes, shadows, point)))
-        return rate, gaps
+        gaps = still.copy()
+        for k, cls in free:
+            gaps[k] = price_response(cls, shadows[k], cost) - point[k]
+        return point, rate, gaps
 
-    def toward(step):
-        return tuple(p + step * g for p, g in zip(prices, gaps))
+    def toward(step):  # the trial point, kept as the next iterate when accepted
+        return evaluate([p + step * g for p, g in zip(prices, gaps)])
 
-    rate, gaps = evaluate(prices)
+    prices, rate, gaps = evaluate(prices)
     for iteration in range(1, _MAX_ITERATIONS + 1):
         move = max(map(abs, gaps))
         tol = _PRICE_TOL * max(1.0, *prices)
         if move <= tol or not math.isfinite(move):  # not finite: the rate overflowed
-            return Solution(prices, rate, iteration, (), move <= tol)
+            return Solution(tuple(prices), rate, iteration, (), move <= tol)
         step = 1.0
-        trial_rate, trial_gaps = evaluate(toward(step))
-        turn = sum(t * g for t, g in zip(trial_gaps, gaps)) / sum(g * g for g in gaps)
+        trial, trial_rate, trial_gaps = toward(step)
+        turn = sum([t * g for t, g in zip(trial_gaps, gaps)]) / sum([g * g for g in gaps])
         if turn < 0.0:
             step = 1.0 / (1.0 - turn)
-            trial_rate, trial_gaps = evaluate(toward(step))
+            trial, trial_rate, trial_gaps = toward(step)
         while not trial_rate >= rate - _RATE_ULPS * math.ulp(rate):  # NaN falls
             step *= 0.5
             if step * move <= tol:
-                return Solution(prices, rate, iteration, (), False)
-            trial_rate, trial_gaps = evaluate(toward(step))
-        prices, rate, gaps = toward(step), trial_rate, trial_gaps
-    return Solution(prices, rate, _MAX_ITERATIONS, (), False)
+                return Solution(tuple(prices), rate, iteration, (), False)
+            trial, trial_rate, trial_gaps = toward(step)
+        prices, rate, gaps = trial, trial_rate, trial_gaps
+    return Solution(tuple(prices), rate, _MAX_ITERATIONS, (), False)

@@ -16,7 +16,7 @@ from operator import add
 
 import numpy as np
 
-from .analytics import discount_adjusted, earning_rate
+from .analytics import discount_adjusted, earning_rate, load_tails
 from .errors import ConfigError, IrregularDistribution
 from .model import (
     CustomerClass,
@@ -50,13 +50,16 @@ def rate_map(scenario: Scenario, reserve: float) -> tuple[float, PriceVector]:
     scenario.require("rate_map", "loss")
     if math.isnan(reserve):
         raise ConfigError("reserve must be a number, got nan")
-    return _rate_map(scenario.classes, scenario.sole_worker.cost, reserve)
+    classes = scenario.classes
+    return _rate_map(classes, load_tails(classes), scenario.sole_worker.cost, reserve)
 
 
-def _rate_map(classes, cost: float, reserve: float) -> tuple[float, PriceVector]:
-    """rate_map on checked inputs: the step the fixed point iterates."""
-    prices = tuple(price_response(cls, reserve, cost) for cls in classes)
-    return earning_rate(classes, cost, prices), prices
+def _rate_map(classes, terms, cost: float, reserve: float) -> tuple[float, PriceVector]:
+    """rate_map on checked inputs and the classes' `load_tails`: the step the
+    fixed point iterates. It calls the module's `price_response`, not
+    `best_price`, so that perfbench's tracer, bound in its place, counts it."""
+    prices = tuple([price_response(cls, reserve, cost) for cls in classes])
+    return earning_rate(terms, cost, prices), prices
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,8 @@ def solve_fixed_point(scenario: Scenario, r0: float = 0.0) -> Solution:
     """Iterate the rate map to its fixed point, the optimal earning rate.
 
     The scenario's kind, each class's regularity and `r0` are checked once
-    here; the iteration then runs unchecked on the reserves it builds.
+    here, and the classes' loads and tails bound once; the iteration then runs
+    unchecked on the reserves it builds.
 
     The trace records (reserve, achieved rate) per iteration; after the first
     step the reserve sequence is nondecreasing and bounded by the optimum.
@@ -86,21 +90,22 @@ def solve_fixed_point(scenario: Scenario, r0: float = 0.0) -> Solution:
             raise IrregularDistribution(
                 f"classes[{i}] valuation law is not strictly regular"
             )
-    if not math.isfinite(r0) or r0 < 0.0:
-        raise ValueError("starting rate must be finite and nonnegative")
+    if not 0.0 <= r0 < math.inf:  # NaN fails every comparison
+        raise ConfigError(f"r0 must be finite and nonnegative, got {r0!r}")
     classes, cost = scenario.classes, scenario.sole_worker.cost
+    terms = load_tails(classes)
     reserve = r0
     trace: list[tuple[float, float]] = []
     converged = False
     for _ in range(_MAX_ITER):
-        achieved, _ = _rate_map(classes, cost, reserve)
+        achieved, _ = _rate_map(classes, terms, cost, reserve)
         trace.append((reserve, achieved))
         if abs(achieved - reserve) <= _TOL:
             converged = True
             reserve = achieved
             break
         reserve = achieved
-    rate, prices = _rate_map(classes, cost, reserve)
+    rate, prices = _rate_map(classes, terms, cost, reserve)
     return Solution(
         prices=prices,
         rate=rate,

@@ -10,6 +10,9 @@ points. A refactor or speed-up of the solve layer must keep them all.
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from ondemand_pricing import (
     CustomerClass,
     DeterministicDuration,
@@ -21,6 +24,10 @@ from ondemand_pricing import (
     PiecewiseLinearValuation,
     PricingError,
     Scenario,
+    avg_earning_rate,
+    discount_adjusted,
+    mixture_horizon_value,
+    queue_rate,
     UniformValuation,
     WorkerSpec,
     hybrid_solve,
@@ -31,6 +38,7 @@ from ondemand_pricing import (
 )
 from ondemand_pricing.config import load_scenario
 from ondemand_pricing.queues import _mixture_solve, _queue_solve
+from tests.test_queues import random_law
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -256,3 +264,57 @@ def test_the_shut_out_start_wins_the_heavy_queue():
     sol = _queue_solve(SHUT_OUT_QUEUE)
     assert sol.prices[1] == SHUT_OUT_QUEUE.classes[1].valuation.upper
     assert sol.rate > 1.0927  # the interior point from the monopoly start earns 1.09169
+
+
+def _seeded(queue: bool, count: int = 12):
+    """Seeded loss scenarios of one to three classes, or two-class queues,
+    over uniform, exponential and piecewise laws at loads from light to heavy."""
+    rng = np.random.default_rng(29 if queue else 23)
+    out = []
+    for _ in range(count):
+        classes = tuple(
+            CustomerClass(float(rng.uniform(0.1, 2.0) * 10.0 ** rng.uniform(-1.0, 1.5)),
+                          ExponentialDuration(float(rng.uniform(0.3, 3.0))), random_law(rng))
+            for _ in range(2 if queue else int(rng.integers(1, 4)))
+        )
+        out.append(Scenario(classes=classes, workers=(WorkerSpec(float(rng.uniform(0.0, 0.4))),),
+                            queue_capacity=int(queue)))
+    return out
+
+
+def _one_path_cases():
+    """Every bundled config and generated scenario, with the fleets' top
+    worker on its own, and the seeded scenarios of `_seeded`."""
+    out = {}
+    for name, scenario in scenarios().items():
+        if scenario.kind == "fleet":
+            scenario = Scenario(classes=scenario.classes, workers=scenario.workers[:1])
+        out[name] = scenario
+    for i, scenario in enumerate(_seeded(False) + _seeded(True)):
+        out[f"seeded_{scenario.kind}_{i}"] = scenario
+    return out
+
+
+@pytest.mark.parametrize("name, scenario", list(_one_path_cases().items()))
+def test_each_solve_steps_on_the_public_evaluators_bit_for_bit(name, scenario):
+    """One arithmetic path: the fixed point's trace is rate_map's, and the
+    queue and mixture solves' rates are the public rate functions' at their
+    prices, to the bit."""
+    if scenario.kind == "queue":
+        sol = _queue_solve(scenario)
+        assert queue_rate(scenario, *sol.prices).hex() == sol.rate.hex()
+        return
+    if scenario.kind == "mixture":
+        sol = _mixture_solve(scenario)
+        assert mixture_horizon_value(scenario, sol.prices).hex() == sol.rate.hex()
+        return
+    if scenario.kind == "discounted":
+        sol = solve_discounted(scenario)
+        scenario = discount_adjusted(scenario, scenario.discount.rate)
+    else:
+        sol = solve_fixed_point(scenario)
+    assert sol.converged and sol.trace
+    for reserve, achieved in sol.trace:
+        assert rate_map(scenario, reserve)[0].hex() == achieved.hex()
+    assert _hex(rate_map(scenario, sol.trace[-1][1])) == (_hex(sol.rate), _hex(sol.prices))
+    assert avg_earning_rate(scenario, sol.prices).hex() == sol.rate.hex()

@@ -287,6 +287,13 @@ def test_solver_rejects_irregular_class():
         solve_fixed_point(scn)
 
 
+@pytest.mark.parametrize("r0", [math.nan, math.inf, -1.0])
+def test_solver_refuses_a_bad_start_as_a_config_error(two_class_scenario, r0):
+    # a ConfigError is a PricingError, which is what callers of the solver catch
+    with pytest.raises(ConfigError, match=rf"^r0 must be finite and nonnegative, got {r0!r}$"):
+        solve_fixed_point(two_class_scenario, r0=r0)
+
+
 def test_solver_checks_regularity_once_per_class(monkeypatch):
     # checked at the entry point; the iteration's steps run on the checked laws
     knotted = PiecewiseLinearValuation(((0.2, 0.0), (1.0, 0.2), (1.8, 0.6), (2.4, 1.0)))
