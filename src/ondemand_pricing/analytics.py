@@ -21,7 +21,7 @@ from .model import CustomerClass, Scenario, check_prices
 def avg_earning_rate(scenario: Scenario, prices) -> float:
     """Long-run average net earning rate of the sole worker at the given prices."""
     scenario.require("avg_earning_rate", "loss")
-    return earning_rate(load_tails(scenario.classes), scenario.sole_worker.cost,
+    return earning_rate(load_tails(scenario.classes), scenario.workers[0].cost,
                         check_prices(scenario, prices))
 
 
@@ -33,8 +33,9 @@ def load_tails(classes: Sequence[CustomerClass]) -> list[tuple[float, Callable]]
 def earning_rate(terms: Sequence[tuple[float, Callable]], cost: float, prices) -> float:
     """The rate functional itself, on the classes' `load_tails`, with no check
     of its inputs: one price per class, each finite and nonnegative. Public
-    callers go through `avg_earning_rate`; the solver's iterations call this
-    on the prices they build. Raises NonFiniteRate when the rate overflows."""
+    callers go through `avg_earning_rate`; the solver's iterations, and a
+    lower rank's reserve iteration on residual demand, call this on the prices
+    they build. Raises NonFiniteRate when the rate overflows."""
     num = 0.0
     den = 1.0
     for (load, tail), p in zip(terms, prices):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import earning_rate
 from .errors import ConfigError, ModelMismatch, SingularSystem
 from .model import (
     CustomerClass,
@@ -35,6 +36,10 @@ from .solver import solve_fixed_point
 _MAX_FLEET = 10
 _BISECT_TOL = 1e-13
 _BISECT_MAX = 200
+# A lower rank's reserve iteration stops when the rate moves by no more than
+# _RESERVE_TOL, or after _RESERVE_MAX_ITER steps.
+_RESERVE_TOL = 1e-12
+_RESERVE_MAX_ITER = 500
 # Best-response dynamics move on a price grid of this step for at most
 # _MAX_ROUNDS rounds. Each round sweeps every worker over the whole grid, one
 # busy-set chain per grid point, so a grid past _MAX_GRID_POINTS (a valuation
@@ -100,16 +105,6 @@ class ResidualDemandCurve:
         return self.customer_class.arrival_rate * total
 
 
-def _residual_rate(curves, prices, cost: float) -> float:
-    num = 0.0
-    den = 1.0
-    for curve, p in zip(curves, prices):
-        weight = curve.demand(p) * curve.customer_class.duration.mean
-        num += weight * (p - cost)
-        den += weight
-    return num / den
-
-
 def _increasing_root(gap, lo: float, hi: float) -> float:
     """Root of a nondecreasing function on [lo, hi] by bisection.
 
@@ -159,21 +154,23 @@ def _best_response(curve: ResidualDemandCurve, floor: float) -> float:
     return max(sorted(candidates), key=lambda p: (p - floor) * curve.demand(p))
 
 
-def _optimize_vs_residual(curves, cost: float, tol: float = 1e-12,
-                          max_iter: int = 500) -> tuple[PriceVector, float, bool]:
+def _optimize_vs_residual(curves, cost: float) -> tuple[PriceVector, float, bool]:
     """Best prices against fixed residual demand curves, their rate, and
-    whether the reserve iteration converged within max_iter steps.
+    whether the reserve iteration converged within _RESERVE_MAX_ITER steps.
 
     Same reserve-rate decomposition as the loss-system solver: at reserve R
     each class's price maximizes (p - cost - R) times residual demand, and the
-    achieved rate feeds back until it reproduces itself.
+    achieved rate feeds back until it reproduces itself. The rate is the loss
+    system's `earning_rate`, each class's residual demand in place of its tail
+    and its mean duration in place of its load.
     """
+    terms = [(curve.customer_class.duration.mean, curve.demand) for curve in curves]
     reserve = 0.0
     prices: tuple[float, ...] = ()
-    for _ in range(max_iter):
+    for _ in range(_RESERVE_MAX_ITER):
         prices = tuple(_best_response(curve, cost + reserve) for curve in curves)
-        achieved = _residual_rate(curves, prices, cost)
-        if abs(achieved - reserve) <= tol:
+        achieved = earning_rate(terms, cost, prices)
+        if abs(achieved - reserve) <= _RESERVE_TOL:
             return prices, achieved, True
         reserve = achieved
     return prices, reserve, False

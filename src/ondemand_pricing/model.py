@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +24,10 @@ TAIL_CUTOFF = 1e-12
 _DROP_ALLOWANCE = 1e-12
 
 
-# --- valuation laws ---
+# --- valuation and duration laws ---
+# Each law works out its derived tables in __post_init__ and never writes to
+# its instance afterwards: a lazy cache writes through the instance __dict__,
+# which on CPython 3.11 slows every later attribute read in tail and density.
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,7 @@ class ExponentialValuation:
     def __post_init__(self) -> None:
         if not math.isfinite(self.rate) or self.rate <= 0.0:
             raise ConfigError("exponential valuation requires rate > 0")
-        # operational upper bound, the quantile at the tail cutoff, worked out
-        # once; a cached_property would write through __dict__, which slows
-        # every later read of `rate` in tail and density
+        # operational upper bound, the quantile at the tail cutoff
         object.__setattr__(self, "_upper", -math.log(TAIL_CUTOFF) / self.rate)
 
     @property
@@ -177,6 +178,17 @@ class PiecewiseLinearValuation:
             raise ConfigError("piecewise valuation cdf must be nondecreasing")
         if fs[0] != 0.0 or fs[-1] != 1.0:
             raise ConfigError("piecewise valuation cdf must run from 0 to 1")
+        # The tables every call reads, worked out once: the knot values, the
+        # density on each knot interval, (v0, v1, (1 - f0)/d) of each interval
+        # with density d > 0, and the law's class. Each divisor is a positive
+        # gap between distinct finite floats, so it can overflow but not raise.
+        slopes = tuple((f1 - f0) / (v1 - v0) for (v0, f0), (v1, f1) in zip(knots, knots[1:]))
+        object.__setattr__(self, "_values", tuple(vs))
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_selling", tuple(
+            (v0, v1, (1.0 - f0) / d)
+            for (v0, f0), (v1, _), d in zip(knots, knots[1:], slopes) if d > 0.0))
+        object.__setattr__(self, "_regularity", _piecewise_regularity(knots, slopes))
 
     @property
     def lower(self) -> float:
@@ -186,50 +198,15 @@ class PiecewiseLinearValuation:
     def upper(self) -> float:
         return self.knots[-1][0]
 
-    @cached_property
-    def _values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.knots)
-
-    @cached_property
-    def _slopes(self) -> tuple[float, ...]:
-        """Density on each knot interval."""
-        return tuple(
-            (f1 - f0) / (v1 - v0) for (v0, f0), (v1, f1) in zip(self.knots, self.knots[1:])
-        )
-
-    @cached_property
-    def _selling(self) -> tuple[tuple[float, float, float], ...]:
-        """(v0, v1, (1 - f0)/d) of each knot interval with density d > 0."""
-        return tuple((v0, v1, (1.0 - f0) / d) for (v0, f0), (v1, _), d
-                     in zip(self.knots, self.knots[1:], self._slopes) if d > 0.0)
-
-    @cached_property
-    def _regularity(self) -> str:
-        """Exact O(knots) test. The virtual value rises with slope 2 on every
-        interval and jumps by tail(k) * (1/d_left - 1/d_right) at an interior
-        knot k, so the law is strictly regular unless an interval has no
-        density or some jump is a drop beyond rounding."""
-        slopes = self._slopes
-        if any(d <= 0.0 for d in slopes):
-            return "irregular"
-        for (_, f), left, right in zip(self.knots[1:], slopes, slopes[1:]):
-            if (1.0 - f) * (1.0 / left - 1.0 / right) <= -_DROP_ALLOWANCE:
-                return "irregular"
-        return "strictly_regular"
-
-    def _interval(self, p: float) -> int:
-        vs = self._values
-        i = bisect_right(vs, p) - 1
-        if i >= len(vs) - 1:
-            i = len(vs) - 2
-        return max(i, 0)
-
     def cdf(self, p: float) -> float:
-        if p <= self.lower:
+        vs = self._values
+        if p <= vs[0]:
             return 0.0
-        if p >= self.upper:
+        if p >= vs[-1]:
             return 1.0
-        i = self._interval(p)
+        # searching within vs[1:-1] keeps i an interval's index at the top
+        # of the support (density) and for a NaN price
+        i = bisect_right(vs, p, 1, len(vs) - 1) - 1
         (v0, f0), (v1, f1) = self.knots[i], self.knots[i + 1]
         return f0 + (f1 - f0) * (p - v0) / (v1 - v0)
 
@@ -237,8 +214,8 @@ class PiecewiseLinearValuation:
         return 1.0 - self.cdf(p)
 
     def tails(self, prices: np.ndarray) -> np.ndarray:
-        """tail at each price of an array, bit for bit: the interval of
-        _interval and the arithmetic of cdf."""
+        """tail at each price of an array, bit for bit: the interval and the
+        arithmetic of cdf."""
         p = np.asarray(prices, dtype=float)
         vs = np.array(self._values)
         fs = np.array([f for _, f in self.knots])
@@ -248,9 +225,10 @@ class PiecewiseLinearValuation:
         return 1.0 - np.where(p <= self.lower, 0.0, np.where(p >= self.upper, 1.0, cdf))
 
     def density(self, p: float) -> float:
-        if p < self.lower or p > self.upper:
+        vs = self._values
+        if p < vs[0] or p > vs[-1]:
             return 0.0
-        return self._slopes[self._interval(p)]
+        return self._slopes[bisect_right(vs, p, 1, len(vs) - 1) - 1]
 
     def best_price(self, floor: float) -> float:
         """Least price >= max(floor, lower) whose virtual value reaches floor;
@@ -265,10 +243,11 @@ class PiecewiseLinearValuation:
         """
         if self._regularity != "strictly_regular":
             raise IrregularDistribution("PiecewiseLinearValuation is not strictly regular")
-        upper = self.upper
+        vs = self._values
+        upper = vs[-1]
         if upper <= floor:
             return upper
-        lo = max(floor, self.lower)
+        lo = max(floor, vs[0])
         for v0, v1, c in self._selling:
             price = max(lo, v0, (floor + v0 + c) / 2.0)
             if price < v1:
@@ -276,7 +255,7 @@ class PiecewiseLinearValuation:
         return upper
 
     def regularity(self) -> str:
-        """The law's class, worked out once per instance by `_regularity`."""
+        """The law's class, worked out when the law is built."""
         return self._regularity
 
     def scaled(self, retention: float) -> PiecewiseLinearValuation:
@@ -286,6 +265,19 @@ class PiecewiseLinearValuation:
         fs = np.array([f for _, f in self.knots])
         vs = np.array([v for v, _ in self.knots])
         return np.interp(rng.random(n), fs, vs)
+
+
+def _piecewise_regularity(knots, slopes) -> str:
+    """Exact O(knots) test of a piecewise-linear law. The virtual value rises
+    with slope 2 on every interval and jumps by tail(k) * (1/d_left - 1/d_right)
+    at an interior knot k, so the law is strictly regular unless an interval
+    has no density or some jump is a drop beyond rounding."""
+    if any(d <= 0.0 for d in slopes):
+        return "irregular"
+    for (_, f), left, right in zip(knots[1:], slopes, slopes[1:]):
+        if (1.0 - f) * (1.0 / left - 1.0 / right) <= -_DROP_ALLOWANCE:
+            return "irregular"
+    return "strictly_regular"
 
 
 ValuationLaw = UniformValuation | ExponentialValuation | PiecewiseLinearValuation
@@ -365,7 +357,8 @@ class DeterministicDuration:
 
 @dataclass(frozen=True)
 class EmpiricalDuration:
-    """Service times resampled uniformly from recorded samples."""
+    """Service times resampled uniformly from recorded samples; `mean` is
+    their average, worked out when the law is built."""
 
     samples: tuple[float, ...]
 
@@ -376,10 +369,7 @@ class EmpiricalDuration:
             raise ConfigError("empirical duration needs at least one sample")
         if any(not math.isfinite(x) or x <= 0.0 for x in samples):
             raise ConfigError("empirical duration samples must be positive and finite")
-
-    @cached_property
-    def mean(self) -> float:
-        return math.fsum(self.samples) / len(self.samples)
+        object.__setattr__(self, "mean", math.fsum(samples) / len(samples))
 
     def censored_mean(self, gamma: float, scale: float = 1.0) -> float:
         """scale * E[min(duration, Y)] for Y ~ exponential(gamma), averaged
@@ -526,14 +516,6 @@ class Scenario:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    @property
-    def sole_worker(self) -> WorkerSpec:
-        if len(self.workers) != 1:
-            raise ModelMismatch(
-                f"scenario has {len(self.workers)} workers; this model needs exactly one"
-            )
-        return self.workers[0]
 
 
 PriceVector = tuple[float, ...]

@@ -540,9 +540,11 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     delta > z * SE with z Bonferroni-adjusted across the grid (a single-point
     grid gives the usual 1.96). A rate, gain or SE that is not finite raises
     NonFiniteRate, since no point could then be tested. Single-class scenarios
-    only.
+    only; a scan writes no trace, so a set `config.trace_path` is refused.
     """
     scenario = config.scenario
+    if config.trace_path is not None:
+        raise ConfigError("deviation_scan writes no trace; leave trace_path unset")
     if scenario.num_classes != 1:
         raise ModelMismatch("deviation_scan supports single-class scenarios")
     if config.replications < 2:
@@ -575,11 +577,6 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     rates: list[list[float]] = [[] for _ in rows]
     for rep in range(config.replications):
         events = _merged_events(scenario, config.base_seed, rep, horizon)
-        if rep == 0 and config.trace_path is not None:
-            _, _, chosen, lost_price = _loss_rep(
-                events, scenario.workers, matrix, warm, horizon
-            )
-            _write_trace(config.trace_path, events, chosen, lost_price)
         ends = events[0] + events[3]
         free = np.ones(ends.size, dtype=bool)
         for i in above:

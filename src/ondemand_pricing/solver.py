@@ -51,7 +51,7 @@ def rate_map(scenario: Scenario, reserve: float) -> tuple[float, PriceVector]:
     if math.isnan(reserve):
         raise ConfigError("reserve must be a number, got nan")
     classes = scenario.classes
-    return _rate_map(classes, load_tails(classes), scenario.sole_worker.cost, reserve)
+    return _rate_map(classes, load_tails(classes), scenario.workers[0].cost, reserve)
 
 
 def _rate_map(classes, terms, cost: float, reserve: float) -> tuple[float, PriceVector]:
@@ -92,7 +92,7 @@ def solve_fixed_point(scenario: Scenario, r0: float = 0.0) -> Solution:
             )
     if not 0.0 <= r0 < math.inf:  # NaN fails every comparison
         raise ConfigError(f"r0 must be finite and nonnegative, got {r0!r}")
-    classes, cost = scenario.classes, scenario.sole_worker.cost
+    classes, cost = scenario.classes, scenario.workers[0].cost
     terms = load_tails(classes)
     reserve = r0
     trace: list[tuple[float, float]] = []
@@ -141,7 +141,7 @@ def grid_search_optimum(scenario: Scenario, step: float = 1e-3) -> tuple[PriceVe
     scenario.require("grid_search_optimum", "loss")
     if not 0.0 < step < math.inf:  # NaN fails every comparison
         raise ConfigError(f"grid step must be positive and finite, got {step!r}")
-    cost = scenario.sole_worker.cost
+    cost = scenario.workers[0].cost
     axes, gains, weights = [], [], []
     for cls in scenario.classes:
         axis = np.arange(0.0, cls.valuation.upper + step / 2.0, step)

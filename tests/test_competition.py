@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 
@@ -29,8 +28,8 @@ from ondemand_pricing.competition import (
     ResidualDemandCurve,
     _best_response,
     _optimize_vs_residual,
-    _residual_rate,
 )
+from ondemand_pricing.analytics import earning_rate
 from tests.conftest import unit_uniform_class
 
 SQRT2 = math.sqrt(2.0)
@@ -51,12 +50,19 @@ def scan_best_response(curve, floor):
     return float(fine[j]), float(fine[1] - fine[0])
 
 
+def residual_rate(curves, prices, cost):
+    """The earning rate against residual demand curves: each class's mean
+    duration times its residual demand in place of load times tail."""
+    terms = [(c.customer_class.duration.mean, c.demand) for c in curves]
+    return earning_rate(terms, cost, prices)
+
+
 def scan_optimize_vs_residual(curves, cost):
     """Test-only reference: the reserve iteration on scanned best responses."""
     reserve = 0.0
     for _ in range(500):
         prices = tuple(scan_best_response(c, cost + reserve)[0] for c in curves)
-        achieved = _residual_rate(curves, prices, cost)
+        achieved = residual_rate(curves, prices, cost)
         if abs(achieved - reserve) <= 1e-12:
             break
         reserve = achieved
@@ -460,7 +466,7 @@ def test_residual_optimizer_matches_scan_two_classes_with_commission():
               ResidualDemandCurve(classes[1], ((0.6, 0.45), (0.3, 0.3)))]
     prices, rate, converged = _optimize_vs_residual(curves, 0.05)
     assert converged
-    assert rate == _residual_rate(curves, prices, 0.05)
+    assert rate == residual_rate(curves, prices, 0.05)
     _, want = scan_optimize_vs_residual(curves, 0.05)
     assert rate >= want - 1e-15 * want
 
@@ -470,10 +476,9 @@ def test_equilibrium_reports_convergence(ranked_fleet_scenario, monkeypatch):
                    workers=(WorkerSpec(rank=1), WorkerSpec(rank=2), WorkerSpec(rank=3)))
     assert all(o.converged for o in ranked_price_equilibrium(scn).outcomes)
     curves = [ResidualDemandCurve(scn.classes[0], ((0.6, 0.3),))]
-    assert _optimize_vs_residual(curves, 0.0, max_iter=1)[2] is False
     # one reserve step cannot reach the fixed point: every lower rank says so
-    monkeypatch.setattr(competition, "_optimize_vs_residual",
-                        functools.partial(_optimize_vs_residual, max_iter=1))
+    monkeypatch.setattr(competition, "_RESERVE_MAX_ITER", 1)
+    assert _optimize_vs_residual(curves, 0.0)[2] is False
     capped = ranked_price_equilibrium(scn)
     assert [o.converged for o in capped.outcomes] == [True, False, False]
 

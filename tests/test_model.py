@@ -13,6 +13,7 @@ from ondemand_pricing import (
     ExponentialValuation,
     MixtureDiscount,
     PiecewiseLinearValuation,
+    PricingError,
     Scenario,
     UniformValuation,
     WorkerSpec,
@@ -392,6 +393,63 @@ def test_frozen_dataclasses(single_class_scenario):
     law = UniformValuation(0.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         law.high = 2.0
+
+
+# Every model object, built fresh for each test case: each valuation and
+# duration law kind (an irregular piecewise law among them), a customer class,
+# a worker and a scenario.
+MODEL_OBJECTS = {
+    "uniform": lambda: UniformValuation(0.2, 1.4),
+    "exponential": lambda: ExponentialValuation(2.0),
+    "piecewise": lambda: PiecewiseLinearValuation(((0.0, 0.0), (0.4, 0.2), (1.0, 1.0))),
+    "piecewise_irregular": lambda: PiecewiseLinearValuation(
+        ((0.0, 0.0), (0.5, 0.1), (0.6, 0.9), (1.0, 1.0))),
+    "exponential_duration": lambda: ExponentialDuration(1.5),
+    "deterministic_duration": lambda: DeterministicDuration(0.8),
+    "empirical_duration": lambda: EmpiricalDuration((0.5, 1.5, 2.0)),
+    "customer_class": lambda: CustomerClass(
+        1.0, EmpiricalDuration((0.5, 1.5)),
+        PiecewiseLinearValuation(((0.0, 0.0), (0.4, 0.2), (1.0, 1.0)))),
+    "worker": lambda: WorkerSpec(cost=0.1, rank=2, commission_retention=0.9),
+    "scenario": lambda: Scenario(classes=(CustomerClass(
+        1.0, EmpiricalDuration((0.5, 1.5)), UniformValuation(0.0, 1.0)),)),
+}
+
+_PRICES = (-1.0, 0.0, 0.2, 0.4, 0.55, 1.0, 1.4, 30.0)
+# The argument tuples each public method is called with; a public method
+# missing here fails the test, so none goes unchecked.
+_METHOD_CALLS = {
+    "tail": [(p,) for p in _PRICES],
+    "cdf": [(p,) for p in _PRICES],
+    "density": [(p,) for p in _PRICES],
+    "tails": [(np.array(_PRICES),)],
+    "best_price": [(f,) for f in (-1.0, 0.0, 0.3, 0.9, 5.0)],
+    "regularity": [()],
+    "scaled": [(0.8,)],
+    "sample": [(np.random.default_rng(0), 5)],
+    "censored_mean": [(0.5,), (0.5, 2.0)],
+    "require": [("op", "loss"), ("op", "queue")],
+}
+
+
+@pytest.mark.parametrize("build", MODEL_OBJECTS.values(), ids=MODEL_OBJECTS.keys())
+def test_model_objects_never_write_their_instance_after_construction(build):
+    # a law works out its tables when it is built; no later call may cache
+    # into the instance, which would slow every attribute read after it
+    obj = build()
+    before = dict(vars(obj))
+    for name in dir(obj):
+        if name.startswith("_"):
+            continue
+        attr = getattr(obj, name)
+        if not callable(attr):
+            continue
+        for args in _METHOD_CALLS[name]:
+            try:
+                attr(*args)
+            except PricingError:
+                pass  # the irregular law's best_price, the scenario's require
+    assert vars(obj) == before
 
 
 def test_check_prices(two_class_scenario):

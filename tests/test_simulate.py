@@ -243,6 +243,14 @@ def test_deviation_scan_guards(two_class_scenario, single_class_scenario):
         deviation_scan(scan_config(single_class_scenario), (0.5,), 3)
 
 
+def test_deviation_scan_refuses_a_trace_path(single_class_scenario, tmp_path):
+    path = tmp_path / "events.csv"
+    config = replace(scan_config(single_class_scenario), trace_path=str(path))
+    with pytest.raises(ConfigError, match="deviation_scan"):
+        deviation_scan(config, (0.5,), 0)
+    assert not path.exists()
+
+
 # --- bit identity with the per-event loops ---
 # The simulators step through accepted jobs only. These are the per-event
 # loops they replaced, kept as references: same draws, same float operations

@@ -389,7 +389,7 @@ def test_grid_search_three_and_four_classes():
 def brute_force_grid(scenario, step):
     """Reference for grid_search_optimum: the rate at every price vector of
     the grid, summed left to right, and its first maximiser in row-major order."""
-    cost = scenario.sole_worker.cost
+    cost = scenario.workers[0].cost
     k = scenario.num_classes
     axes, num, den = [], None, 1.0
     for index, cls in enumerate(scenario.classes):
