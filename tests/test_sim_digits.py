@@ -1,0 +1,99 @@
+"""The simulate layer's outputs to the last byte.
+
+Every bundled config is run through `simulate`, `simulate --trace`,
+`validate` and `compete --verify` at one fixed seed, and the sha256 of the
+file each writes (`stats.json`, `events.csv`, `validate.json`,
+`equilibrium.json`) is compared with the digest the simulate layer gave
+before its loss kernel found successors by a local scan. A run that the
+config's model refuses is pinned by its exit code, with no file. The
+manifest is left out, since its `wall_time_s` varies. The digests were
+captured with numpy 2.4.6; a refactor or speed-up of the simulate layer must
+keep them all.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from ondemand_pricing import cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SEED = 7
+
+RUNS = {
+    "simulate": (["simulate"], "stats.json"),
+    "simulate --trace": (["simulate", "--trace"], "events.csv"),
+    "validate": (["validate"], "validate.json"),
+    "compete --verify": (["compete", "--verify"], "equilibrium.json"),
+}
+
+# (exit code, sha256 of the output file or None) per config and run.
+PINS = {
+    "compete_ranked": {
+        "simulate": (0, "82d8bc55908538ecf3a22beb0ab10dd900670edf0f9d4b4ba0dfc9ad726cc48d"),
+        "simulate --trace":
+            (0, "19d4ca87c4e37e912874d91aa52b34d1bae40f1e4496121c52f5fa373b47dc0d"),
+        "validate": (0, "c6d3ed31b4bb17fae6d0fd62490005ddb29868754f9df0b34167dac29c9f439e"),
+        "compete --verify":
+            (0, "15c7307369f3c4c26fb945e096734fd3d0500ef5616c08ad62a85da4e19ec9cb"),
+    },
+    "discounted": {
+        "simulate": (0, "e854348df57e9f2368ad41fea4e1b31ce3af8d2d04282383c780bd9ed48928b0"),
+        "simulate --trace": (2, None),
+        "validate": (0, "72f65e2f4db6550821fd3b2bb7d56553e1970e6fb57b2124d80ec72ecb14a1bd"),
+        "compete --verify": (2, None),
+    },
+    "mixture": {
+        "simulate": (0, "0bb4b08dba9996783a93707870a4de4d7b5162f6bc3af7912b03f79886cef6a2"),
+        "simulate --trace": (2, None),
+        "validate": (0, "1873518708bc3b5d04b235b64d6da3ebf93d97f2a0781a2c31d4fd96ea78f038"),
+        "compete --verify": (2, None),
+    },
+    "queue": {
+        "simulate": (0, "270e72c0ffd6cf6ec59231ee95a993ddf35d376922f4d2007b0a6d0d1de200f5"),
+        "simulate --trace": (2, None),
+        "validate": (0, "05bc8de0192a88b49d5c5174d6383ab6d4a2c5546cd50987f116a5576b6703d8"),
+        "compete --verify": (2, None),
+    },
+    "single_class": {
+        "simulate": (0, "5e08747f35b88f1487d411b264bde78f420e5cbef297c873ddc5013d8df0ada3"),
+        "simulate --trace":
+            (0, "0f0d82954fa42ff95396d365dd31901f25fdbff8561c089b2346c29c0a65c93c"),
+        "validate": (0, "88e1ce2b370bf776ddcc92e84c493ca16c3803d1e4f13e99401cbc98866cb43e"),
+        "compete --verify": (2, None),
+    },
+    "two_class": {
+        "simulate": (0, "fc6a2ddbd496dfdf6ed3efb73c4009c0bfa9722d4b9ea9bf39583003c433452e"),
+        "simulate --trace":
+            (0, "0ba47da6c77af8d4c2dcd27d1f1fa01169a4311622950906b2489a62c99ce6c8"),
+        "validate": (0, "272e094df5f413f5689d53bdfabeb3091dbdc71bd59bd78dfc34cedf29b05ac6"),
+        "compete --verify": (2, None),
+    },
+    "undifferentiated": {
+        "simulate": (2, None),
+        "simulate --trace": (2, None),
+        "validate": (2, None),
+        "compete --verify": (4, None),
+    },
+}
+
+
+def run_digest(tmp_path, config: str, run: str):
+    """Exit code of one CLI run and the sha256 of the file it writes."""
+    args, name = RUNS[run]
+    code = cli.main([*args, "--config", str(CONFIGS / f"{config}.json"),
+                     "--seed", str(SEED), "--out", str(tmp_path)])
+    path = tmp_path / name
+    return code, hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+@pytest.mark.parametrize("config", sorted(PINS))
+def test_every_pinned_run_keeps_its_bytes(tmp_path, capsys, config):
+    got = {run: run_digest(tmp_path / run.replace(" ", ""), config, run) for run in RUNS}
+    assert got == PINS[config]
+
+
+def test_pins_cover_every_bundled_config_and_run():
+    assert set(PINS) == {path.stem for path in CONFIGS.glob("*.json")}
+    assert all(set(runs) == set(RUNS) for runs in PINS.values())
