@@ -454,7 +454,7 @@ def _fleet_check(name: str, scenario: Scenario, seed: int, matrix,
     solo_stats = simulate(_sim_config(solo, seed + 1), matrix[best_index])
     fleet_mean, fleet_se = fleet_stats.worker_mean_se(best_index)
     gap = abs(fleet_mean - solo_stats.mean)
-    bound = 3.0 * (fleet_se**2 + solo_stats.se**2) ** 0.5
+    bound = 3.0 * math.hypot(fleet_se, solo_stats.se)
     return CheckResult(name, bool(gap <= bound), f"fleet {_fmt(fleet_mean)}, solo "
                        f"{_fmt(solo_stats.mean)} (|gap| {_fmt(gap)} vs {_fmt(bound)})")
 

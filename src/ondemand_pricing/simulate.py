@@ -9,9 +9,11 @@ the idle start because the start state is part of the quantity.
 
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
-first arrival it can afford at or after t + d; one `searchsorted` gives that
-successor for every job, and pointer doubling finds the chain of accepted jobs
-in about log2(accepted) array passes.
+first arrival it can afford at or after t + d. That successor almost always
+lies a few arrivals ahead, so a local scan of the next few arrivals finds it
+for every job in linear time, and a binary search only for the jobs that
+outlast the scan. Pointer doubling then finds the chain of accepted jobs in
+about log2(accepted) array passes.
 A ranked fleet is a cascade of the kernel: workers in rank order each run it
 on the arrivals they can afford that no better-ranked worker took. The
 discounted simulator caps each successor at the first arrival of the next
@@ -38,6 +40,11 @@ from .model import Scenario, check_prices, queue_parts
 _DISCOUNT_SPAN = 40.0
 # Window numbers are int64, so a horizon holds fewer windows than this.
 _MAX_WINDOWS = 2.0**63
+# The loss kernel compares each job's end with this many later arrivals and
+# binary-searches the successor of a job that outlasts them all.
+_NEAR = 4
+# Squares of replication values past this size could overflow in np.std.
+_HUGE = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,14 @@ def _quiet(func):
 
 @_quiet
 def _mean_se(values) -> tuple[float, float]:
+    """Mean and standard error. Values past _HUGE in size are first scaled
+    by a power of two, which is exact, so np.std's squares stay finite."""
     arr = np.asarray(values, dtype=float)
+    top = float(np.max(np.abs(arr)))
+    if _HUGE < top < math.inf:
+        shift = math.frexp(top)[1]
+        mean, se = _mean_se(np.ldexp(arr, -shift))
+        return float(np.ldexp(mean, shift)), float(np.ldexp(se, shift))
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return mean, se
@@ -224,8 +238,9 @@ def _merged_events(scenario: Scenario, base_seed: int, rep: int, horizon: float)
     )
 
 
-def _loss_accepts(times, ends, cut=None) -> np.ndarray:
-    """Indices of the jobs a loss-system worker takes, starting idle.
+def _successors(times, ends, cut, work) -> np.ndarray:
+    """The successor table of the loss kernel: entry i is the job a worker
+    takes after job i, and entry n is n, the root past the last job.
 
     `times` are the sorted arrival times of the jobs the worker would take
     and `ends` their completion times. The job after job i is the first
@@ -233,30 +248,74 @@ def _loss_accepts(times, ends, cut=None) -> np.ndarray:
     whose end rounds to its start (t + d == t) frees the worker for the next
     arrival, even one at the same instant.
 
+    That successor is i + 1 plus the number of later arrivals before ends[i].
+    The times are sorted, so those arrivals come first among the later ones,
+    and a miss `times[i + k] >= ends[i]` at some k means a miss at every
+    larger k. So each job is compared with its next _NEAR arrivals, one slice
+    compare per k, and its misses are subtracted from i + 1 + _NEAR (or from
+    n, near the end of the stream). A job with no miss there, a NaN end among
+    them, gets its successor by binary search. The compares and the miss
+    counts go to `work`, an int8 buffer of at least 2n bytes that this
+    overwrites.
+    """
+    n = times.size
+    jump = np.arange(1 + _NEAR, n + 2 + _NEAR, dtype=np.intp)
+    jump[-1 - _NEAR:] = n
+    if n > 1:
+        misses = work[:n - 1]
+        miss = work[n:2 * n - 1].view(bool)
+        np.greater_equal(times[1:], ends[:-1], out=misses.view(bool))
+        for k in range(2, min(_NEAR, n - 1) + 1):
+            np.greater_equal(times[k:], ends[:n - k], out=miss[:n - k])
+            misses[:n - k] += miss[:n - k].view(np.int8)
+        jump[:n - 1] -= misses
+        if n > _NEAR:
+            far = np.flatnonzero(np.logical_not(miss[:n - _NEAR], out=miss[:n - _NEAR]))
+            jump[far] = np.searchsorted(times, ends[far], "left")
+    if cut is not None:
+        np.minimum(jump[:n], cut, out=jump[:n])
+    return jump
+
+
+def _loss_accepts(times, ends, cut=None) -> np.ndarray:
+    """Indices of the jobs a loss-system worker takes, starting idle, with
+    `times`, `ends` and `cut` as in `_successors`.
+
+    The path buffer is `_successors`' work buffer first. One buffer in place
+    of several temporaries per call keeps the heap of a long run, and so its
+    peak memory, from growing.
+
     The successors form a forest whose roots sit at n, and the accepted jobs
     are the path from job 0 to its root. Pointer doubling finds that path:
-    while `path` holds the first 2**k jobs on it, `jump` is the 2**k-th
-    successor, so jump[path] holds the next 2**k, and squaring the table
+    while `path` holds the first m = 2**k jobs on it, `jump` is the m-th
+    successor, so jump[path[:m]] holds the next m, and squaring the table
     doubles the stride. Each pass appends in path order, so `path` stays
-    sorted. It takes about log2(accepted) passes over the table.
+    sorted, and the path has at most n jobs, so the buffer never overflows.
+    It takes about log2(accepted) passes over the table.
     """
     n = times.size
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    jump = np.empty(n + 1, dtype=np.intp)
-    jump[:n] = np.searchsorted(times, ends, "left")
-    if cut is not None:
-        np.minimum(jump[:n], cut, out=jump[:n])
-    np.maximum(jump[:n], np.arange(1, n + 1), out=jump[:n])
-    jump[n] = n
-    path = np.zeros(1, dtype=np.intp)
+    path = np.empty(n, dtype=np.intp)
+    jump = _successors(times, ends, cut, path.view(np.int8))
+    path[0] = 0
+    m = 1
     while True:
-        step = jump[path]
-        inside = step[:np.searchsorted(step, n)]
-        path = np.concatenate((path, inside))
-        if inside.size < step.size:  # a step reached the root
-            return path
+        step = jump[path[:m]]
+        if step[-1] == n:  # a step reached the root
+            end = m + int(np.searchsorted(step, n))
+            path[m:end] = step[:end - m]
+            return path[:end]
+        path[m:2 * m] = step
+        m *= 2
         jump = jump[jump]
+
+
+def _run_ends(w) -> np.ndarray:
+    """np.searchsorted(w, w, "right") for sorted `w`: the index just past
+    each entry's run of equal values."""
+    ends = np.append(np.flatnonzero(w[1:] != w[:-1]) + 1, w.size)
+    return np.repeat(ends, np.diff(ends, prepend=0))
 
 
 @_quiet
@@ -431,7 +490,7 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         job_prices = price_arr[ks[:n_arr]]
         fits = np.flatnonzero(~(vs[:n_arr] < job_prices))
         t, w = times[fits], wins[fits]
-        taken = _loss_accepts(t, t + ds[fits], cut=np.searchsorted(w, w, "right"))
+        taken = _loss_accepts(t, t + ds[fits], cut=_run_ends(w))
         jobs = fits[taken]
         local = times[jobs] - wins[jobs] * window
         # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the last bit
@@ -560,7 +619,7 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
         raise ConfigError("deviation_scan needs at least one grid price")
     price_grid = [row[0] for row in candidates]
     z = NormalDist().inv_cdf(1.0 - 0.025 / len(price_grid))
-    rows = [matrix[worker_index], *candidates]
+    baseline = matrix[worker_index]
     order = _rank_order(scenario.workers)
     above = order[:order.index(worker_index)]
     cost = scenario.workers[worker_index].cost
@@ -574,7 +633,9 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
     span = horizon - warm
-    rates: list[list[float]] = [[] for _ in rows]
+    # a grid may repeat a price or the baseline: each distinct row runs once
+    rates: dict[tuple[float, ...], list[float]] = {
+        row: [] for row in (baseline, *candidates)}
     for rep in range(config.replications):
         events = _merged_events(scenario, config.base_seed, rep, horizon)
         ends = events[0] + events[3]
@@ -583,14 +644,15 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
             taken, _ = _serve(events, ends, free, matrix[i], scenario.workers[i].cost,
                               warm, horizon)
             free[taken] = False
-        for j, row in enumerate(rows):
+        for row, reps in rates.items():
             _, earned = _serve(events, ends, free, row, cost, warm, horizon)
-            rates[j].append(earned / span)
+            reps.append(earned / span)
 
-    base_mean, base_se = _finite_mean_se("baseline rate", rates[0])
-    base_reps = np.asarray(rates[0])
+    base_mean, base_se = _finite_mean_se("baseline rate", rates[baseline])
+    base_reps = np.asarray(rates[baseline])
     points = []
-    for candidate, row in zip(price_grid, rates[1:]):
+    for candidate, trial in zip(price_grid, candidates):
+        row = rates[trial]
         mean, se = _finite_mean_se(f"rate at price {candidate!r}", row)
         delta, delta_se = _finite_mean_se(f"gain at price {candidate!r}",
                                           np.asarray(row) - base_reps)

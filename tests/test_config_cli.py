@@ -629,6 +629,40 @@ def set_overflowing_loads(doc):
         cls["duration"]["params"]["rate"] = 1e-300
 
 
+# Rates near 1e199, whose squares overflow: each run must still report a
+# finite standard error.
+HUGE_HIGH_RUNS = {
+    "simulate_single_class": (("simulate",), "single_class.json"),
+    "simulate_compete_ranked": (("simulate",), "compete_ranked.json"),
+    "validate_single_class": (("validate",), "single_class.json"),
+    "validate_compete_ranked": (("validate",), "compete_ranked.json"),
+    "verify_compete_ranked": (("compete", "--verify"), "compete_ranked.json"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_HIGH_RUNS)
+def test_runs_at_high_1e200_report_finite_standard_errors(tmp_path, capsys, time_budget,
+                                                          case):
+    (command, *rest), name = HUGE_HIGH_RUNS[case]
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps(edited(name, set_high(0, 1e200))))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), *rest, "--out", str(out)) in (0, 1)
+    if command == "simulate":
+        ses = [read_json(out / "stats.json")["stats"]["se"]]
+    elif command == "validate":
+        # the simulation check's detail ends with its bound, a multiple of the SE
+        detail = read_json(out / "validate.json")[-1]["detail"]
+        ses = [float(detail.rsplit(" ", 1)[1].rstrip(")"))]
+    else:
+        scans = read_json(out / "equilibrium.json")["deviation_scans"]
+        ses = [scan["baseline_se"] for scan in scans]
+        ses += [point[key] for scan in scans for point in scan["points"]
+                for key in ("se", "delta_se") if point["delta"] != 0.0]
+    assert len(ses) > 0
+    assert all(math.isfinite(se) and se > 1e190 for se in ses)
+
+
 def set_nine_workers(doc):
     doc["workers"] = [{"rank": 1}] * 9
 

@@ -1,7 +1,9 @@
 import csv
+import importlib
 import math
 from dataclasses import replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -35,18 +37,22 @@ from ondemand_pricing import (
 )
 from ondemand_pricing.config import load_scenario
 from ondemand_pricing.simulate import (
+    _NEAR,
     Counts,
     _class_arrivals,
     _class_stream,
     _loss_accepts,
     _mean_se,
     _merged_events,
+    _run_ends,
     _stats,
     _write_trace,
 )
 from tests.conftest import queue_scenario, unit_uniform_class
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the module, which the package's `simulate` function shadows as an attribute
+simulate_module = importlib.import_module("ondemand_pricing.simulate")
 
 
 def small_config(scenario, **kw):
@@ -195,6 +201,48 @@ def test_stats_to_dict(two_class_scenario):
     assert doc["replications"] == 3
     assert len(doc["rep_values"]) == 3
     assert set(doc["counts"]) == {"arrivals", "accepted", "lost_busy", "lost_price"}
+
+
+def reference_mean_se(values):
+    """The mean and SE as they were first computed, with no scaling."""
+    arr = np.asarray(values, dtype=float)
+    mean = float(arr.mean())
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return mean, se
+
+
+ORDINARY_VALUES = [
+    [0.25],
+    [0.0, -0.0],
+    [1.0, 2.0],
+    [-3.5, 1e-300, 7.25],
+    [2.0**500, -(2.0**500), 1.0],
+    *(np.random.default_rng(seed).normal(scale, scale, 30)
+      for seed, scale in enumerate((1e-300, 1e-5, 1.0, 1e100, 1e150))),
+]
+
+
+@pytest.mark.parametrize("values", ORDINARY_VALUES)
+def test_mean_se_on_ordinary_values_is_unchanged(values):
+    got = _mean_se(values)
+    assert tuple(x.hex() for x in got) == tuple(x.hex() for x in reference_mean_se(values))
+
+
+@pytest.mark.parametrize("shift", [501, 700, 1000])
+def test_mean_se_of_huge_values_scales_exactly(shift):
+    values = np.random.default_rng(shift).normal(1.0, 0.5, 30)
+    mean, se = reference_mean_se(values)
+    got = _mean_se(np.ldexp(values, shift))
+    assert got == (float(np.ldexp(mean, shift)), float(np.ldexp(se, shift)))
+    assert all(math.isfinite(x) for x in got)
+
+
+def test_mean_se_of_values_near_the_float_limit_is_finite():
+    big = np.finfo(float).max
+    mean, se = _mean_se([big, big, -big, big])
+    assert mean == big / 2
+    assert math.isfinite(se) and se > 0.0
+    assert _mean_se([1.0, math.inf])[0] == math.inf
 
 
 def test_event_trace_written(tmp_path, two_class_scenario):
@@ -579,6 +627,36 @@ def test_deviation_scan_three_worker_fleet_equals_separate_simulations(worker_in
         assert point.delta == float(np.mean(np.subtract(reps, base)))
 
 
+def test_deviation_scan_repeated_prices_equal_separate_simulations(ranked_fleet_scenario,
+                                                                   monkeypatch):
+    # the grid repeats 0.3 and the baseline 0.4; each distinct row runs once
+    # per replication, and every point still reads its own simulation
+    cfg = SimConfig(scenario=ranked_fleet_scenario, expected_arrivals=2_000.0,
+                    replications=4, base_seed=17)
+    matrix = [[0.6], [0.4]]
+    grid = [0.3, 0.4, 0.55, 0.3, 0.4, 0.4]
+    serves = []
+    serve = simulate_module._serve
+    monkeypatch.setattr(simulate_module, "_serve",
+                        lambda *args: serves.append(args[3]) or serve(*args))
+    report = deviation_scan(cfg, matrix, 1, grid)
+    assert len(serves) == cfg.replications * (1 + 3)
+
+    def hex_mean_se(reps):
+        return tuple(x.hex() for x in _mean_se(reps))
+
+    base = simulate(cfg, matrix).per_worker_reps[1]
+    assert (report.baseline_mean.hex(), report.baseline_se.hex()) == hex_mean_se(base)
+    assert report.z_threshold == NormalDist().inv_cdf(1.0 - 0.025 / len(grid))
+    assert [point.price for point in report.points] == grid
+    for point, price in zip(report.points, grid):
+        reps = simulate(cfg, [[0.6], [price]]).per_worker_reps[1]
+        assert (point.mean.hex(), point.se.hex()) == hex_mean_se(reps)
+        assert (point.delta.hex(), point.delta_se.hex()) == \
+            hex_mean_se(np.subtract(reps, base))
+    assert [p.delta for p in report.points if p.price == 0.4] == [0.0, 0.0, 0.0]
+
+
 # --- the loss kernel, the event merge and the trace writer, part by part ---
 
 
@@ -605,21 +683,50 @@ def kernel_instance(kind, n, seed):
         # half the jobs end where they start: t + 1e-300 == t
         durations = np.where(rng.random(n) < 0.5, 1e-300, rng.exponential(1.5, n))
         return times, times + durations, None
-    ends = times + rng.exponential({"light": 0.2, "heavy": 6.0, "cut": 3.0}[kind], n)
+    if kind == "nan_ends":
+        # a NaN end sorts past every arrival, so it ends the path
+        ends = times + np.where(rng.random(n) < 0.1, np.nan, rng.exponential(1.5, n))
+        return times, ends, None
+    # "far": most jobs outlast the next _NEAR arrivals, so the binary search
+    # finds most successors
+    mean = {"light": 0.2, "heavy": 6.0, "far": 20.0, "cut": 3.0}[kind]
+    ends = times + rng.exponential(mean, n)
     if kind == "cut":
         windows = (times / 25.0).astype(np.int64)
         return times, ends, np.searchsorted(windows, windows, "right")
     return times, ends, None
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000, 5000])
-@pytest.mark.parametrize("kind", ["light", "heavy", "tied_times", "below_ulp", "cut"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 17, 1000, 5000])
+@pytest.mark.parametrize("kind", ["light", "heavy", "far", "tied_times", "below_ulp",
+                                  "nan_ends", "cut"])
 def test_loss_accepts_matches_plain_loop(kind, n):
     for seed in range(3):
         times, ends, cut = kernel_instance(kind, n, seed)
         got = _loss_accepts(times, ends, cut)
         assert got.dtype == np.intp
         assert got.tolist() == reference_loss_accepts(times, ends, cut)
+
+
+def test_far_instances_send_most_jobs_to_the_binary_search():
+    times, ends, _ = kernel_instance("far", 5000, 0)
+    assert np.mean(times[_NEAR:] < ends[:-_NEAR]) > 0.6
+
+
+@pytest.mark.parametrize("windows", [
+    [],
+    [3],
+    [7, 7, 7, 7],
+    [0, 1, 2, 5, 9],
+    *(np.sort(np.random.default_rng(seed).integers(0, 6, 40)) for seed in range(5)),
+], ids=["empty", "one", "single_window", "all_distinct",
+        *(f"random{seed}" for seed in range(5))])
+def test_window_caps_are_the_run_ends(windows):
+    w = np.asarray(windows, dtype=np.int64)
+    got = _run_ends(w)
+    want = np.searchsorted(w, w, "right")
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("n", range(18))
