@@ -9,9 +9,15 @@ config's model refuses is pinned by its exit code, with no file. The
 manifest is left out, since its `wall_time_s` varies. The digests were
 captured with numpy 2.4.6; a refactor or speed-up of the simulate layer must
 keep them all.
+
+`EDGE_PINS` adds runs at given prices where arrivals are priced out: a class
+priced above its valuation support or at zero, and fleets whose lowest price
+to a class is posted by a lower-ranked worker. They were captured before the
+simulators dropped priced-out arrivals ahead of the event merge.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -97,3 +103,93 @@ def test_every_pinned_run_keeps_its_bytes(tmp_path, capsys, config):
 def test_pins_cover_every_bundled_config_and_run():
     assert set(PINS) == {path.stem for path in CONFIGS.glob("*.json")}
     assert all(set(runs) == set(RUNS) for runs in PINS.values())
+
+
+UNIFORM_CLASS = {
+    "arrival_rate": 1.0,
+    "duration": {"kind": "exponential", "params": {"rate": 1.0}},
+    "valuation": {"kind": "uniform", "params": {"low": 0.0, "high": 1.0}},
+}
+WIDE_CLASS = {
+    "arrival_rate": 1.0,
+    "duration": {"kind": "exponential", "params": {"rate": 1.0}},
+    "valuation": {"kind": "uniform", "params": {"low": 0.0, "high": 2.0}},
+}
+# Fleets written out for the edge runs, workers listed out of rank order.
+EDGE_CONFIGS = {
+    "fleet_two_class": {"classes": [UNIFORM_CLASS, WIDE_CLASS],
+                        "workers": [{"rank": 2, "cost": 0.05}, {"rank": 1}]},
+    "fleet_three": {"classes": [UNIFORM_CLASS],
+                    "workers": [{"rank": 3, "cost": 0.05}, {"rank": 1},
+                                {"rank": 2, "cost": 0.02}]},
+}
+
+# name: (config, arguments, output file)
+EDGE_RUNS = {
+    "two_class, class 2 above its support":
+        ("two_class", ["simulate", "--prices", "0.5,2.5"], "stats.json"),
+    "two_class, class 2 above its support, trace":
+        ("two_class", ["simulate", "--trace", "--prices", "0.5,2.5"], "events.csv"),
+    "two_class, class 1 at price 0":
+        ("two_class", ["simulate", "--prices", "0,1.2"], "stats.json"),
+    "compete_ranked, floor from rank 2":
+        ("compete_ranked", ["simulate", "--prices", "0.6;0.3"], "stats.json"),
+    "compete_ranked, floor from rank 2, trace":
+        ("compete_ranked", ["simulate", "--trace", "--prices", "0.6;0.3"], "events.csv"),
+    "fleet_two_class, floors from both ranks":
+        ("fleet_two_class", ["simulate", "--prices", "0.3,0.9;0.6,0.5"], "stats.json"),
+    "fleet_two_class, floors from both ranks, trace":
+        ("fleet_two_class", ["simulate", "--trace", "--prices", "0.3,0.9;0.6,0.5"],
+         "events.csv"),
+    "fleet_three, compete --verify":
+        ("fleet_three", ["compete", "--verify"], "equilibrium.json"),
+    "queue, class B above its support":
+        ("queue", ["simulate", "--prices", "0.5,1.5"], "stats.json"),
+    "mixture, class 1 above its support":
+        ("mixture", ["simulate", "--prices", "1.5,0.4"], "stats.json"),
+    "discounted, price 0":
+        ("discounted", ["simulate", "--prices", "0"], "stats.json"),
+}
+
+# name: (exit code, sha256 of the output file)
+EDGE_PINS = {
+    "compete_ranked, floor from rank 2":
+        (0, "0bf2a8cc6d894377dfbecfbb20f1a72137422128d38e21040264b5378c5ee504"),
+    "compete_ranked, floor from rank 2, trace":
+        (0, "1df002606c75baa211c3721c7d217d2bcae8d9993b3aa9f6f7af5e8f8f74d4bb"),
+    "discounted, price 0":
+        (0, "1e4f2ba3c90bb4eae8cb90cfa9efe361ccf6bff200ac02a64776196fcad539a8"),
+    "fleet_three, compete --verify":
+        (0, "90f066eeac506ec49bea797860dbfa6a82cccb01290c866f50a847c25b5cd014"),
+    "fleet_two_class, floors from both ranks":
+        (0, "c1a567bdb705709816af8910cf2e05b4a6e85c4a55a47fa100b50ca22c8a4272"),
+    "fleet_two_class, floors from both ranks, trace":
+        (0, "ddac0bf4df5257d3c54f6873d37d6fd1cad36a0cdcb248a306c7f0bfe41bbf24"),
+    "mixture, class 1 above its support":
+        (0, "e9329a265fd62901882521b1ac0a2dfffabdae09eeef854aabc1146c475464ea"),
+    "queue, class B above its support":
+        (0, "e36c02ca212a4d778a4481536029dee858eaa68ff1e1075d670c9b269927fd25"),
+    "two_class, class 1 at price 0":
+        (0, "866a613e75ad7b074f81917b75c42afa5b515e950de3794289ae2ac45cc05416"),
+    "two_class, class 2 above its support":
+        (0, "3c4b9b97b052baf027fd41a9957209359e81439da9014c09176787c3c9d275c1"),
+    "two_class, class 2 above its support, trace":
+        (0, "67e7787883060a8af164257154be96fd2b96b53baef3d07b16c28903837eb823"),
+}
+
+
+def edge_digest(tmp_path, name: str):
+    config, args, output = EDGE_RUNS[name]
+    path = CONFIGS / f"{config}.json"
+    if config in EDGE_CONFIGS:
+        path = tmp_path / f"{config}.json"
+        path.write_text(json.dumps(EDGE_CONFIGS[config]))
+    out = tmp_path / "out"
+    code = cli.main([*args, "--config", str(path), "--seed", str(SEED), "--out", str(out)])
+    written = out / output
+    return code, hashlib.sha256(written.read_bytes()).hexdigest() if written.exists() else None
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_RUNS))
+def test_every_edge_run_keeps_its_bytes(tmp_path, capsys, name):
+    assert edge_digest(tmp_path, name) == EDGE_PINS[name]
