@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -496,6 +497,9 @@ def cmd_validate(scenario: Scenario, seed: int, outdir: Path) -> tuple[list[str]
 # --- entry point ---
 
 
+# Built once per process: parse_args fills a fresh namespace on every call
+# and leaves the parser as it found it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ondemand-pricing",

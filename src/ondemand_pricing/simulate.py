@@ -7,6 +7,14 @@ never perturbs another stream. Earnings accrue at (price - cost) per busy
 hour; rate estimates discard a warmup prefix, discounted estimates run from
 the idle start because the start state is part of the quantity.
 
+A replication runs in four steps: draw each class; drop the arrivals valued
+below the lowest price any worker (or any scan point) posts to their class,
+which leave without changing any state; merge the rest into one
+time-ordered stream, freeing each class's arrays as they are merged; run the
+kernel on that stream. Counts still count every arrival drawn, the dropped
+ones as priced out. A traced replication keeps its priced-out arrivals,
+since the trace lists them, and the trace is written a chunk at a time.
+
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
 first arrival it can afford at or after t + d. That successor almost always
@@ -20,12 +28,14 @@ discounted simulator caps each successor at the first arrival of the next
 window, where the worker restarts idle. The one-waiting-spot queue still
 steps through its affordable arrivals, since a waiting job's start depends on
 history, but that loop only decides which jobs are served and when each
-starts. Every simulator adds up earnings as arrays, in start order.
+starts, reading the arrivals as Python floats a chunk at a time. Every
+simulator adds up earnings as arrays, in start order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
@@ -45,6 +55,9 @@ _MAX_WINDOWS = 2.0**63
 _NEAR = 4
 # Squares of replication values past this size could overflow in np.std.
 _HUGE = 2.0**500
+# The trace writer and the queue loop turn arrays into Python objects this
+# many arrivals at a time.
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -216,26 +229,55 @@ def _class_arrivals(cls, rng, horizon: float):
     return times, valuations, durations
 
 
+def _merge(parts):
+    """Time-ordered (time, class, valuation, duration) arrays from each
+    class's (times, valuations, durations), in class order. `parts` is
+    emptied and each class's arrays are freed once merged, so beyond its
+    result the merge holds at most two arrays as long as the stream."""
+    if len(parts) == 1:  # one class is drawn in time order
+        times, vs, ds = parts.pop()
+        return times, np.zeros(times.size, dtype=int), vs, ds
+    ts, vs, ds = map(list, zip(*parts))
+    parts.clear()
+    sizes = [t.size for t in ts]
+    times = np.concatenate(ts)
+    ts.clear()
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    ks = np.repeat(np.arange(len(sizes), dtype=int), sizes)[order]
+
+    def gather(arrays):
+        whole = np.concatenate(arrays)
+        arrays.clear()
+        return whole[order]
+
+    return times, ks, gather(vs), gather(ds)
+
+
 def _merged_events(scenario: Scenario, base_seed: int, rep: int, horizon: float):
     """Time-ordered (time, class, valuation, duration) arrays for one replication."""
-    all_t, all_k, all_v, all_d = [], [], [], []
+    return _merge([_class_arrivals(cls, _class_stream(base_seed, rep, k), horizon)
+                   for k, cls in enumerate(scenario.classes)])
+
+
+def _priced_in(times, vs, ds, floor):
+    """One class's arrivals without those valued below `floor`, the lowest
+    price any worker posts to the class: none of them is ever served. A NaN
+    valuation stays, as it stays in the kernels' own price tests."""
+    keep = np.flatnonzero(~(vs < floor))
+    return times[keep], vs[keep], ds[keep]
+
+
+def _offered_events(scenario: Scenario, base_seed: int, rep: int, horizon: float, floors):
+    """_merged_events without the arrivals of class k valued below
+    floors[k], and the number of arrivals drawn. The draws are the same."""
+    parts, drawn = [], 0
     for k, cls in enumerate(scenario.classes):
-        rng = _class_stream(base_seed, rep, k)
-        t, v, d = _class_arrivals(cls, rng, horizon)
-        all_t.append(t)
-        all_k.append(np.full(t.size, k, dtype=int))
-        all_v.append(v)
-        all_d.append(d)
-    if len(all_t) == 1:  # one class is drawn in time order
-        return all_t[0], all_k[0], all_v[0], all_d[0]
-    times = np.concatenate(all_t) if all_t else np.empty(0)
-    order = np.argsort(times, kind="stable")
-    return (
-        times[order],
-        np.concatenate(all_k)[order],
-        np.concatenate(all_v)[order],
-        np.concatenate(all_d)[order],
-    )
+        times, vs, ds = _class_arrivals(cls, _class_stream(base_seed, rep, k), horizon)
+        drawn += times.size
+        parts.append(_priced_in(times, vs, ds, floors[k]))
+    del times, vs, ds  # the last class's full draw, before the merge
+    return _merge(parts), drawn
 
 
 def _successors(times, ends, cut, work) -> np.ndarray:
@@ -319,18 +361,20 @@ def _run_ends(w) -> np.ndarray:
 
 
 @_quiet
-def _running_sum(terms) -> float:
-    """Left-to-right sum from 0.0, as a running total adds it up: np.sum
+def _running_sum(terms, total: float = 0.0) -> float:
+    """Left-to-right sum from `total`, as a running total adds it up: np.sum
     pairs terms, which can change the last bit, and would keep the sign of
     an all -0.0 sum (a job priced below cost inside the warm-up)."""
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 @_quiet
-def _earnings(margins, starts, ends, warm: float, horizon: float) -> float:
-    """Earnings over [warm, horizon] of jobs busy on [starts, ends), in order."""
+def _earnings(margins, starts, ends, warm: float, horizon: float,
+              total: float = 0.0) -> float:
+    """Earnings over [warm, horizon] of jobs busy on [starts, ends), in
+    order, added on to `total`."""
     overlap = np.maximum(0.0, np.minimum(ends, horizon) - np.maximum(starts, warm))
-    return _running_sum(margins * overlap)
+    return _running_sum(margins * overlap, total)
 
 
 def _rank_order(workers) -> list[int]:
@@ -350,11 +394,10 @@ def _serve(events, ends, free, row, cost: float, warm: float, horizon: float):
 def _loss_rep(events, workers, matrix, warm: float, horizon: float):
     """One replication of the loss system under best-affordable-worker choice.
 
-    Returns each worker's earnings over [warm, horizon], the replication's
-    counts, the chosen worker per arrival (-1 when lost) and the mask of
-    arrivals priced out by every worker.
+    Returns each worker's earnings over [warm, horizon] and the chosen worker
+    per arrival (-1 when lost).
     """
-    times, ks, vs, ds = events
+    times, _, _, ds = events
     ends = times + ds
     chosen = np.full(times.size, -1, dtype=np.intp)
     free = np.ones(times.size, dtype=bool)
@@ -364,28 +407,33 @@ def _loss_rep(events, workers, matrix, warm: float, horizon: float):
                                   warm, horizon)
         free[taken] = False
         chosen[taken] = i
-    lost_price = vs < np.min(np.asarray(matrix), axis=0)[ks]
-    n_acc = int(np.count_nonzero(chosen >= 0))
-    n_price = int(np.count_nonzero(lost_price))
-    counts = Counts(times.size, n_acc, times.size - n_acc - n_price, n_price)
-    return earned, counts, chosen, lost_price
+    return earned, chosen
+
+
+def _trace_lines(times, ks, vs, chosen, lost_price):
+    """The trace's lines for these arrivals, in the bytes csv.writer would give."""
+    rows = zip(map(repr, times.tolist()), ks.tolist(), map(repr, vs.tolist()),
+               chosen.tolist(), lost_price.tolist())
+    for t, k, v, w, priced_out in rows:
+        if w >= 0:
+            yield f"{t},accept,{k},{w},{v}\r\n"
+        else:
+            yield f"{t},{'lost_price' if priced_out else 'lost_busy'},{k},,{v}\r\n"
 
 
 def _write_trace(path: str, events, chosen, lost_price) -> None:
-    """Per-event CSV of one replication, in arrival order, written row by row
-    in the bytes csv.writer would give. The file's directory is made here, so
-    a run whose inputs fail makes none."""
+    """Per-event CSV of one replication, in arrival order. Lines are made
+    _CHUNK arrivals at a time, so the Python objects held do not grow with
+    the replication. The file's directory is made here, so a run whose
+    inputs fail makes none."""
     times, ks, vs, _ = events
-    rows = zip(map(repr, times.tolist()), ks.tolist(), map(repr, vs.tolist()),
-               chosen.tolist(), lost_price.tolist())
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("time,event,class,worker,value\r\n")
-        fh.writelines(
-            f"{t},accept,{k},{w},{v}\r\n" if w >= 0
-            else f"{t},{'lost_price' if priced_out else 'lost_busy'},{k},,{v}\r\n"
-            for t, k, v, w, priced_out in rows
-        )
+        for lo in range(0, times.size, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            fh.writelines(_trace_lines(times[part], ks[part], vs[part], chosen[part],
+                                       lost_price[part]))
 
 
 def _no_trace(config: SimConfig, model: str) -> None:
@@ -423,17 +471,25 @@ def simulate(config: SimConfig, prices) -> SimStats:
     warm = config.warmup_fraction * horizon
     span = horizon - warm
 
+    floors = np.min(np.asarray(matrix), axis=0)
     rep_totals = []
     worker_reps: list[list[float]] = [[] for _ in scenario.workers]
     counts = Counts()
     for rep in range(config.replications):
-        events = _merged_events(scenario, config.base_seed, rep, horizon)
-        earned, rep_counts, chosen, lost_price = _loss_rep(
-            events, scenario.workers, matrix, warm, horizon
-        )
-        if rep == 0 and config.trace_path is not None:
+        traced = rep == 0 and config.trace_path is not None
+        if traced:  # the trace lists every arrival, the priced-out ones too
+            events = _merged_events(scenario, config.base_seed, rep, horizon)
+            drawn = events[0].size
+        else:
+            events, drawn = _offered_events(scenario, config.base_seed, rep, horizon, floors)
+        earned, chosen = _loss_rep(events, scenario.workers, matrix, warm, horizon)
+        priced_in = events[0].size
+        if traced:
+            lost_price = events[2] < floors[events[1]]
             _write_trace(config.trace_path, events, chosen, lost_price)
-        counts += rep_counts
+            priced_in -= int(np.count_nonzero(lost_price))
+        n_acc = int(np.count_nonzero(chosen >= 0))
+        counts += Counts(drawn, n_acc, priced_in - n_acc, drawn - priced_in)
         rates = [e / span for e in earned]
         for i, r in enumerate(rates):
             worker_reps[i].append(r)
@@ -483,25 +539,76 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
             raise ConfigError(f"discount rate {g!r} cuts the {budget!r}-hour horizon into "
                               f"{windows!r} windows, more than int64 can number")
         n_win = max(1, int(windows))
-        times, ks, vs, ds = _merged_events(base, config.base_seed, rep, n_win * window)
+        parts, n_arr = [], 0
+        for k, cls in enumerate(base.classes):
+            times, vs, ds = _class_arrivals(cls, _class_stream(config.base_seed, rep, k),
+                                            n_win * window)
+            # an arrival at the horizon can fall in window n_win; it is not simulated
+            n_arr += bisect_left(times, n_win, key=lambda t: int(t / window))
+            parts.append(_priced_in(times, vs, ds, price_arr[k]))
+        del times, vs, ds  # the last class's full draw, before the merge
+        times, ks, _, ds = _merge(parts)
         wins = (times / window).astype(np.int64)
-        # an arrival at the horizon can fall in window n_win; it is not simulated
-        n_arr = int(np.searchsorted(wins, n_win, "left"))
-        job_prices = price_arr[ks[:n_arr]]
-        fits = np.flatnonzero(~(vs[:n_arr] < job_prices))
-        t, w = times[fits], wins[fits]
-        taken = _loss_accepts(t, t + ds[fits], cut=_run_ends(w))
-        jobs = fits[taken]
+        n_fit = int(np.searchsorted(wins, n_win, "left"))
+        t, w = times[:n_fit], wins[:n_fit]
+        jobs = _loss_accepts(t, t + ds[:n_fit], cut=_run_ends(w))
         local = times[jobs] - wins[jobs] * window
         # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the last bit
         head = np.array(list(map(math.exp, (-g * local).tolist())))
         tail = np.array(list(map(math.exp, (-g * (local + ds[jobs])).tolist())))
         value = _running_sum((price_arr[ks[jobs]] - cost) * (head - tail) / g)
-        n_price = n_arr - fits.size
-        counts += Counts(n_arr, taken.size, n_arr - taken.size - n_price, n_price)
+        counts += Counts(n_arr, jobs.size, n_fit - jobs.size, n_arr - n_fit)
         mean_value = value / n_win
         rep_values.append(g * mean_value if mixture else mean_value)
     return _stats("value", rep_values, counts)
+
+
+def _queue_rep(times, ks, ds, prices, cost: float, warm: float, horizon: float):
+    """One replication of the one-waiting-spot queue over arrivals that can
+    all afford their price. Returns the earnings over [warm, horizon], the
+    number of jobs served and the number lost busy.
+
+    A waiting job starts at service_end whichever arrival comes next, so the
+    loop only records which arrivals start, in start order, and when. It
+    reads the arrivals as Python floats _CHUNK at a time; the worker's state
+    (service_end and the waiting job with its duration) carries from chunk to
+    chunk, and each chunk's earnings are added on in start order.
+    """
+    earned = 0.0
+    service_end = 0.0
+    pending, pending_d = -1, 0.0
+    n_served = n_busy = 0
+
+    def add(order, starts):
+        nonlocal earned, n_served
+        jobs = np.array(order, dtype=np.intp)
+        start = np.array(starts, dtype=float)
+        earned = _earnings(prices[ks[jobs]] - cost, start, start + ds[jobs], warm, horizon,
+                           earned)
+        n_served += jobs.size
+
+    for lo in range(0, times.size, _CHUNK):
+        order: list[int] = []
+        starts: list[float] = []
+        hi = lo + _CHUNK
+        for i, (t, d) in enumerate(zip(times[lo:hi].tolist(), ds[lo:hi].tolist()), lo):
+            if pending >= 0 and service_end <= t:
+                order.append(pending)
+                starts.append(service_end)
+                service_end += pending_d
+                pending = -1
+            if service_end <= t:
+                order.append(i)
+                starts.append(t)
+                service_end = t + d
+            elif pending < 0:
+                pending, pending_d = i, d
+            else:
+                n_busy += 1
+        add(order, starts)
+    if pending >= 0:
+        add([pending], [service_end])
+    return earned, n_served, n_busy
 
 
 def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStats:
@@ -521,41 +628,13 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     rep_rates = []
     counts = Counts()
     for rep in range(config.replications):
-        times, ks, vs, ds = _merged_events(scenario, config.base_seed, rep, horizon)
-        # A priced-out arrival changes no state, and a waiting job starts at
-        # service_end whichever arrival comes next, so the loop skips them.
-        # It records which affordable arrivals start, in start order, and when.
-        fits = np.flatnonzero(~(vs < price_arr[ks]))
-        durs = ds[fits].tolist()
-        order: list[int] = []
-        starts: list[float] = []
-        service_end = 0.0
-        pending = -1
-        n_busy = 0
-        for i, t in enumerate(times[fits].tolist()):
-            if pending >= 0 and service_end <= t:
-                order.append(pending)
-                starts.append(service_end)
-                service_end += durs[pending]
-                pending = -1
-            if service_end <= t:
-                order.append(i)
-                starts.append(t)
-                service_end = t + durs[i]
-            elif pending < 0:
-                pending = i
-            else:
-                n_busy += 1
-        if pending >= 0:
-            order.append(pending)
-            starts.append(service_end)
-        jobs = fits[order]
-        start = np.array(starts)
-        earned = _earnings(price_arr[ks[jobs]] - cost, start, start + ds[jobs],
-                           warm, horizon)
-        n_arr, n_price = times.size, times.size - fits.size
-        assert jobs.size + n_busy + n_price == n_arr
-        counts += Counts(n_arr, jobs.size, n_busy, n_price)
+        # a priced-out arrival changes no state, so it is dropped at the draw
+        (times, ks, _, ds), n_arr = _offered_events(scenario, config.base_seed, rep,
+                                                    horizon, price_arr)
+        earned, n_acc, n_busy = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
+        n_price = n_arr - times.size
+        assert n_acc + n_busy + n_price == n_arr
+        counts += Counts(n_arr, n_acc, n_busy, n_price)
         rep_rates.append(earned / span)
     return _stats("rate", rep_rates, counts)
 
@@ -636,8 +715,9 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     # a grid may repeat a price or the baseline: each distinct row runs once
     rates: dict[tuple[float, ...], list[float]] = {
         row: [] for row in (baseline, *candidates)}
+    floors = np.min(np.asarray([*matrix, *candidates]), axis=0)
     for rep in range(config.replications):
-        events = _merged_events(scenario, config.base_seed, rep, horizon)
+        events, _ = _offered_events(scenario, config.base_seed, rep, horizon, floors)
         ends = events[0] + events[3]
         free = np.ones(ends.size, dtype=bool)
         for i in above:

@@ -22,7 +22,7 @@ from ondemand_pricing import (
     solve_discounted,
     solve_fixed_point,
 )
-from ondemand_pricing.cli import _parse_grid, main
+from ondemand_pricing.cli import DEFAULT_SEED, _build_parser, _parse_grid, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -843,6 +843,33 @@ def test_simulate_repeat_runs_byte_identical(tmp_path):
         assert run_cli("simulate", "--config", str(CONFIGS / "single_class.json"),
                        "--prices", "0.6", "--seed", "7", "--out", str(out)) == 0
     assert (out1 / "stats.json").read_bytes() == (out2 / "stats.json").read_bytes()
+
+
+def test_successive_runs_in_one_process_share_no_parsed_state(tmp_path, capsys):
+    # the parser is built once per process, and each run reads only its own flags
+    assert _build_parser() is _build_parser()
+    two_class = str(CONFIGS / "two_class.json")
+    traced, plain, bad, good, bare = (tmp_path / name
+                                      for name in ("traced", "plain", "bad", "good", "bare"))
+    assert run_cli("simulate", "--config", two_class, "--prices", "0.5,0.9", "--trace",
+                   "--seed", "7", "--out", str(traced)) == 0
+    assert run_cli("simulate", "--config", two_class, "--prices", "0.5,0.9",
+                   "--out", str(plain)) == 0
+    assert (traced / "events.csv").exists()
+    assert read_json(plain / "manifest.json")["outputs"] == ["stats.json"]
+    assert not (plain / "events.csv").exists()
+    assert read_json(plain / "stats.json")["seed"] == DEFAULT_SEED
+    assert run_cli("sweep", "--config", two_class, "--param", "rho", "--grid", "x,y",
+                   "--out", str(bad)) == 2
+    assert not bad.exists()
+    with pytest.raises(SystemExit):
+        run_cli("simulate", "--config", two_class, "--no-such-flag")
+    assert run_cli("sweep", "--config", two_class, "--param", "rho", "--grid", "0.5,1",
+                   "--out", str(good)) == 0
+    assert read_json(good / "manifest.json")["seed"] == DEFAULT_SEED
+    assert len(read_csv_rows(good / "sweep_rho.csv")[1]) == 2
+    # no grid carries over from the calls before
+    assert run_cli("sweep", "--config", two_class, "--param", "rho", "--out", str(bare)) == 2
 
 
 def test_simulate_solved_prices_with_trace(tmp_path, capsys):

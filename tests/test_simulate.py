@@ -1,6 +1,7 @@
 import csv
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -37,13 +38,19 @@ from ondemand_pricing import (
 )
 from ondemand_pricing.config import load_scenario
 from ondemand_pricing.simulate import (
+    _CHUNK,
     _NEAR,
     Counts,
+    DeviationPoint,
+    DeviationScanReport,
     _class_arrivals,
     _class_stream,
     _loss_accepts,
     _mean_se,
     _merged_events,
+    _offered_events,
+    _priced_in,
+    _queue_rep,
     _run_ends,
     _stats,
     _write_trace,
@@ -752,7 +759,9 @@ def test_merged_events_one_class_is_the_stable_sort(rate):
         assert g.tobytes() == w.tobytes()
 
 
-def test_event_trace_bytes_match_csv_writer(tmp_path):
+@pytest.mark.parametrize("chunk", [1, 2, _CHUNK])
+def test_event_trace_bytes_match_csv_writer(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
     # floats whose repr is in exponent form, next to plain ones
     times = np.array([1e-05, 0.25, 3.0, 1e+16, 1e+16])
     ks = np.array([0, 1, 0, 1, 0])
@@ -772,3 +781,213 @@ def test_event_trace_bytes_match_csv_writer(tmp_path):
     assert got.read_bytes() == want.read_bytes()
     assert b"\r\n1e-05,accept,0,0,1e-05\r\n" in got.read_bytes()
     assert b"\r\n1e+16,accept,1,2,1e+16\r\n" in got.read_bytes()
+
+
+# --- dropping priced-out arrivals at the draw ---
+# Every simulator drops the arrivals valued below the lowest price posted to
+# their class before the merge. The references above step through every
+# arrival of _merged_events, so each simulator must still match them field
+# for field, counts included.
+
+
+def run_queue(cfg, prices):
+    return simulate_queue(cfg, *prices)
+
+
+def reference_queue(cfg, prices):
+    return reference_simulate_queue(cfg, *prices)
+
+
+LOSS = (simulate, reference_simulate)
+DISCOUNTED = (simulate_discounted, reference_simulate_discounted)
+QUEUE = (run_queue, reference_queue)
+ZERO_RATE_CLASS = CustomerClass(arrival_rate=0.0, valuation=UniformValuation(0.0, 1.0),
+                                duration=ExponentialDuration(1.0))
+# valuations of 0.5 or the next float up: priced at 0.5, many tie the price
+TIE_CLASS = CustomerClass(arrival_rate=1.0,
+                          valuation=UniformValuation(0.5, math.nextafter(0.5, 1.0)),
+                          duration=ExponentialDuration(1.0))
+
+# (simulator and reference, scenario, prices). Class 0 of mixed_classes is
+# valued uniform on [0, 1] and class 2 up to 1.5, so 1.5 and 1.6 price them
+# above every valuation.
+PRUNING_CASES = {
+    "loss_one_class": (LOSS, Scenario(classes=mixed_classes(1)), (0.45,)),
+    "loss_two_classes": (LOSS, Scenario(classes=mixed_classes(2)), (0.6, 0.3)),
+    "loss_three_classes": (LOSS, Scenario(classes=mixed_classes(3)), (0.5, 0.4, 0.7)),
+    "loss_four_classes": (LOSS, Scenario(classes=mixed_classes(4),
+                                         workers=(WorkerSpec(cost=0.1),)),
+                          (0.5, 0.4, 0.7, 0.9)),
+    "loss_price_zero": (LOSS, Scenario(classes=mixed_classes(2)), (0.0, 0.3)),
+    "loss_above_every_valuation": (LOSS, Scenario(classes=mixed_classes(3)),
+                                   (1.5, 0.3, 1.6)),
+    "loss_zero_rate_class": (LOSS, Scenario(classes=(*mixed_classes(2), ZERO_RATE_CLASS)),
+                             (0.5, 0.3, 0.2)),
+    "loss_valuations_tie_the_price": (LOSS, Scenario(classes=(TIE_CLASS, *mixed_classes(1))),
+                                      (0.5, 0.45)),
+    "fleet_lower_rank_posts_lower": (
+        LOSS,
+        Scenario(classes=mixed_classes(2),
+                 workers=(WorkerSpec(rank=1), WorkerSpec(rank=2, cost=0.05))),
+        ((0.6, 0.5), (0.3, 0.2)),
+    ),
+    "fleet_floors_from_every_rank": (
+        LOSS,
+        Scenario(classes=mixed_classes(3),
+                 workers=(WorkerSpec(rank=2), WorkerSpec(rank=1, cost=0.1),
+                          WorkerSpec(rank=3))),
+        ((0.4, 0.7, 1.6), (0.6, 0.3, 0.5), (0.2, 0.9, 0.0)),
+    ),
+    "discounted": (DISCOUNTED, Scenario(classes=mixed_classes(3),
+                                        workers=(WorkerSpec(cost=0.05),),
+                                        discount=ExponentialDiscount(4.0)),
+                   (0.4, 0.3, 0.6)),
+    "discounted_price_zero_and_above_every_valuation": (
+        DISCOUNTED, Scenario(classes=mixed_classes(3), discount=ExponentialDiscount(0.8)),
+        (0.0, 0.3, 1.6)),
+    "discounted_zero_rate_class": (
+        DISCOUNTED, Scenario(classes=(ZERO_RATE_CLASS, *mixed_classes(1)),
+                             discount=ExponentialDiscount(4.0)),
+        (0.3, 0.45)),
+    "mixture": (DISCOUNTED, Scenario(classes=mixed_classes(2),
+                                     discount=MixtureDiscount(weights=(0.3, 0.7),
+                                                              rates=(6.0, 20.0))),
+                (0.5, 0.35)),
+    "mixture_above_every_valuation": (
+        DISCOUNTED, Scenario(classes=mixed_classes(2),
+                             discount=MixtureDiscount(weights=(0.5, 0.5), rates=(1.0, 2.0))),
+        (1.5, 0.35)),
+    "queue": (QUEUE, load_scenario(CONFIGS / "queue.json"), (0.6, 0.7)),
+    "queue_price_zero": (QUEUE, queue_scenario(0.5), (0.0, 0.5)),
+    "queue_above_every_valuation": (QUEUE, queue_scenario(2.0), (0.4, 1.5)),
+    "queue_valuations_tie_the_price": (
+        QUEUE, Scenario(classes=(TIE_CLASS, unit_uniform_class(0.5, 0.5)), queue_capacity=1),
+        (0.5, 0.6)),
+    "queue_zero_rate_class": (
+        QUEUE, Scenario(classes=(unit_uniform_class(), ZERO_RATE_CLASS), queue_capacity=1),
+        (0.5, 0.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+def test_pruned_runs_equal_the_unpruned_reference(case):
+    (run, reference), scenario, prices = PRUNING_CASES[case]
+    cfg = SimConfig(scenario=scenario, expected_arrivals=3_000.0, replications=4,
+                    base_seed=77)
+    assert_same_stats(run(cfg, prices), reference(cfg, prices))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 500])
+@pytest.mark.parametrize("case", ["queue", "queue_above_every_valuation"])
+def test_queue_chunks_carry_the_worker_state(monkeypatch, case, chunk):
+    # a waiting job often crosses a chunk boundary when chunks are short
+    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
+    _, scenario, prices = PRUNING_CASES[case]
+    cfg = SimConfig(scenario=scenario, expected_arrivals=2_000.0, replications=3,
+                    base_seed=5)
+    assert_same_stats(run_queue(cfg, prices), reference_queue(cfg, prices))
+
+
+def reference_deviation_scan(cfg, matrix, worker_index, grid):
+    """The scan's report from one reference_simulate run per price."""
+    base = reference_simulate(cfg, matrix).per_worker_reps[worker_index]
+    z = NormalDist().inv_cdf(1.0 - 0.025 / len(grid))
+    points = []
+    for price in grid:
+        trial = [list(row) for row in matrix]
+        trial[worker_index] = [price]
+        reps = reference_simulate(cfg, trial).per_worker_reps[worker_index]
+        mean, se = _mean_se(reps)
+        delta, delta_se = _mean_se(np.subtract(reps, base))
+        points.append(DeviationPoint(price, mean, se, delta, delta_se, delta > z * delta_se))
+    return DeviationScanReport(worker_index, matrix[worker_index][0], *_mean_se(base), z,
+                               tuple(points))
+
+
+@pytest.mark.parametrize("worker_index, grid", [
+    (1, [0.2, 0.35, 0.4, 0.5]),   # the grid reaches below the baseline
+    (0, [0.1, 0.45, 0.7]),        # and below the lower-ranked worker's price
+    (1, [0.0, 0.4, 1.2]),         # price 0 and a price above every valuation
+])
+def test_pruned_deviation_scan_equals_the_unpruned_reference(ranked_fleet_scenario,
+                                                             worker_index, grid):
+    cfg = SimConfig(scenario=ranked_fleet_scenario, expected_arrivals=2_000.0,
+                    replications=4, base_seed=9)
+    matrix = [[0.6], [0.4]]
+    got = deviation_scan(cfg, matrix, worker_index, grid)
+    want = reference_deviation_scan(cfg, matrix, worker_index, grid)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("classes", [
+    mixed_classes(1), mixed_classes(2), mixed_classes(4), (*mixed_classes(2), ZERO_RATE_CLASS),
+], ids=["one", "two", "four", "zero_rate_class"])
+def test_offered_events_are_the_merged_events_priced_in(classes):
+    scenario = Scenario(classes=classes)
+    floors = np.array([0.45, 0.0, 0.7, 1.6][:len(classes)])
+    full = _merged_events(scenario, 77, 3, 800.0)
+    got, drawn = _offered_events(scenario, 77, 3, 800.0, floors)
+    keep = ~(full[2] < floors[full[1]])
+    assert drawn == full[0].size
+    assert 0 < np.count_nonzero(keep) < drawn
+    assert full[1].dtype == np.dtype(int)
+    for g, w in zip(got, full):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w[keep].tobytes()
+
+
+def test_priced_in_keeps_nan_valuations():
+    times = np.array([0.1, 0.2, 0.3, 0.4])
+    vs = np.array([np.nan, 0.3, 0.5, 0.7])
+    ds = np.array([1.0, 2.0, 3.0, 4.0])
+    got = _priced_in(times, vs, ds, 0.5)
+    assert [a.tolist() for a in got[::2]] == [[0.1, 0.3, 0.4], [1.0, 3.0, 4.0]]
+    assert np.isnan(got[1][0]) and got[1][1:].tolist() == [0.5, 0.7]
+
+
+# --- bounded working sets ---
+
+
+def traced_peak(func, *args):
+    """The peak bytes tracemalloc sees while `func(*args)` runs."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def trace_rows(n):
+    rng = np.random.default_rng(n)
+    times = np.cumsum(rng.exponential(1.0, n))
+    events = (times, rng.integers(0, 3, n), rng.random(n), None)
+    chosen = np.where(rng.random(n) < 0.4, rng.integers(0, 2, n), -1)
+    return events, chosen, rng.random(n) < 0.3
+
+
+def test_trace_writer_peak_does_not_grow_with_rows(tmp_path):
+    small, large = trace_rows(10_000), trace_rows(100_000)
+    peak_small = traced_peak(_write_trace, str(tmp_path / "small.csv"), *small)
+    peak_large = traced_peak(_write_trace, str(tmp_path / "large.csv"), *large)
+    assert peak_large < 1.25 * peak_small
+    # the writer holds a few chunks of Python objects, not the replication
+    assert peak_large < 40 * 8 * _CHUNK
+
+
+def queue_arrivals(n):
+    rng = np.random.default_rng(n)
+    times = np.cumsum(rng.exponential(1.0, n))
+    return times, rng.integers(0, 2, n), rng.exponential(0.8, n)
+
+
+def test_queue_loop_peak_does_not_grow_with_arrivals():
+    prices = np.array([0.5, 0.65])
+    peaks = []
+    for n in (10_000, 100_000):
+        times, ks, ds = queue_arrivals(n)
+        peaks.append(traced_peak(_queue_rep, times, ks, ds, prices, 0.1, 0.1 * times[-1],
+                                 times[-1]))
+    assert peaks[1] < 1.25 * peaks[0]
+    assert peaks[1] < 40 * 8 * _CHUNK
