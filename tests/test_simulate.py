@@ -759,9 +759,7 @@ def test_merged_events_one_class_is_the_stable_sort(rate):
         assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("chunk", [1, 2, _CHUNK])
-def test_event_trace_bytes_match_csv_writer(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
+def test_event_trace_bytes_match_csv_writer(tmp_path):
     # floats whose repr is in exponent form, next to plain ones
     times = np.array([1e-05, 0.25, 3.0, 1e+16, 1e+16])
     ks = np.array([0, 1, 0, 1, 0])
@@ -781,6 +779,15 @@ def test_event_trace_bytes_match_csv_writer(tmp_path, monkeypatch, chunk):
     assert got.read_bytes() == want.read_bytes()
     assert b"\r\n1e-05,accept,0,0,1e-05\r\n" in got.read_bytes()
     assert b"\r\n1e+16,accept,1,2,1e+16\r\n" in got.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_event_trace_in_short_chunks_keeps_its_bytes(tmp_path, monkeypatch, chunk):
+    events, chosen, lost_price = trace_rows(7)
+    _write_trace(str(tmp_path / "whole.csv"), events, chosen, lost_price)
+    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
+    _write_trace(str(tmp_path / "chunked.csv"), events, chosen, lost_price)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 # --- dropping priced-out arrivals at the draw ---
