@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -293,7 +292,6 @@ def virtual_value(law: ValuationLaw, p: float) -> float:
     return p - law.tail(p) / d
 
 
-@lru_cache(maxsize=None)
 def regularity_check(law: ValuationLaw) -> str:
     """Classify a valuation law: "strictly_regular" when its virtual value is
     increasing on the support, "irregular" otherwise.
@@ -301,6 +299,7 @@ def regularity_check(law: ValuationLaw) -> str:
     The test is exact. Uniform and exponential virtual values are linear with
     positive slope; a piecewise-linear law is checked at its knots. A merely
     nondecreasing ("regular") virtual value cannot arise for these laws.
+    Each law finds its verdict at construction, so this reads it.
     """
     return law.regularity()
 

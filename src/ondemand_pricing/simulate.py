@@ -7,13 +7,14 @@ never perturbs another stream. Earnings accrue at (price - cost) per busy
 hour; rate estimates discard a warmup prefix, discounted estimates run from
 the idle start because the start state is part of the quantity.
 
-A replication runs in four steps: draw each class; drop the arrivals valued
-below the lowest price any worker (or any scan point) posts to their class,
-which leave without changing any state; merge the rest into one
-time-ordered stream, freeing each class's arrays as they are merged; run the
-kernel on that stream. Counts still count every arrival drawn, the dropped
-ones as priced out. A traced replication keeps its priced-out arrivals,
-since the trace lists them, and the trace is written a chunk at a time.
+Every simulator draws a replication through `_offered_events`: it draws
+each class, drops the arrivals valued below the lowest price any worker (or
+any scan point) posts to their class, which leave without changing any
+state, and merges the rest into one time-ordered stream, freeing each
+class's arrays as they are merged. `_counts` counts the dropped ones as
+priced out. The trace is a view of replication 0: it redraws the full
+stream, in which the priced-in arrivals keep their order, and scatters the
+kernel's choices back onto them, writing a chunk at a time.
 
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
@@ -22,8 +23,10 @@ lies a few arrivals ahead, so a local scan of the next few arrivals finds it
 for every job in linear time, and a binary search only for the jobs that
 outlast the scan. Pointer doubling then finds the chain of accepted jobs in
 about log2(accepted) array passes.
-A ranked fleet is a cascade of the kernel: workers in rank order each run it
-on the arrivals they can afford that no better-ranked worker took. The
+A ranked fleet is a cascade of the kernel, `_loss_rep`: workers in rank
+order each run it on the arrivals they can afford that no better-ranked
+worker took. A deviation scan runs the cascade down to the scanned worker,
+then the scanned worker once per distinct price. The
 discounted simulator caps each successor at the first arrival of the next
 window, where the worker restarts idle. The one-waiting-spot queue still
 steps through its affordable arrivals, since a waiting job's start depends on
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import NormalDist
 
@@ -78,6 +81,8 @@ class SimConfig:
             raise ConfigError("warmup_fraction must lie in [0, 0.5]")
         if self.expected_arrivals <= 0.0:
             raise ConfigError("expected_arrivals must be positive")
+        if self.base_seed < 0:
+            raise ConfigError(f"seed must be non-negative, not {self.base_seed!r}")
 
     def horizon_hours(self) -> float:
         total = sum(cls.arrival_rate for cls in self.scenario.classes)
@@ -105,6 +110,12 @@ class Counts:
             self.lost_busy + other.lost_busy,
             self.lost_price + other.lost_price,
         )
+
+
+def _counts(drawn: int, priced_in: int, accepted: int) -> Counts:
+    """One replication's counts: of `drawn` arrivals, `priced_in` could
+    afford a price, `accepted` of those were served and the rest lost busy."""
+    return Counts(drawn, accepted, priced_in - accepted, drawn - priced_in)
 
 
 @dataclass(frozen=True)
@@ -137,12 +148,7 @@ class SimStats:
             "ci_high": self.ci_high,
             "replications": self.replications,
             "rep_values": list(self.rep_values),
-            "counts": {
-                "arrivals": self.counts.arrivals,
-                "accepted": self.counts.accepted,
-                "lost_busy": self.counts.lost_busy,
-                "lost_price": self.counts.lost_price,
-            },
+            "counts": asdict(self.counts),
         }
         if self.per_worker_reps is not None:
             out["per_worker_mean"] = [
@@ -268,13 +274,15 @@ def _priced_in(times, vs, ds, floor):
     return times[keep], vs[keep], ds[keep]
 
 
-def _offered_events(scenario: Scenario, base_seed: int, rep: int, horizon: float, floors):
+def _offered_events(scenario: Scenario, base_seed: int, rep: int, horizon: float, floors,
+                    count=np.size):
     """_merged_events without the arrivals of class k valued below
-    floors[k], and the number of arrivals drawn. The draws are the same."""
+    floors[k], and the arrivals drawn: the sum of `count` over each class's
+    times, all of them by default. The draws are the same."""
     parts, drawn = [], 0
     for k, cls in enumerate(scenario.classes):
         times, vs, ds = _class_arrivals(cls, _class_stream(base_seed, rep, k), horizon)
-        drawn += times.size
+        drawn += count(times)
         parts.append(_priced_in(times, vs, ds, floors[k]))
     del times, vs, ds  # the last class's full draw, before the merge
     return _merge(parts), drawn
@@ -391,18 +399,19 @@ def _serve(events, ends, free, row, cost: float, warm: float, horizon: float):
     return taken, _earnings(prices[taken] - cost, times[taken], ends[taken], warm, horizon)
 
 
-def _loss_rep(events, workers, matrix, warm: float, horizon: float):
-    """One replication of the loss system under best-affordable-worker choice.
+def _loss_rep(events, workers, matrix, ranks, warm: float, horizon: float):
+    """One replication of the loss system under best-affordable-worker choice,
+    served by the workers `ranks` lists, best rank first.
 
-    Returns each worker's earnings over [warm, horizon] and the chosen worker
-    per arrival (-1 when lost).
+    Returns each worker's earnings over [warm, horizon] (0.0 for a worker not
+    in `ranks`) and the chosen worker per arrival (-1 when none took it).
     """
     times, _, _, ds = events
     ends = times + ds
     chosen = np.full(times.size, -1, dtype=np.intp)
     free = np.ones(times.size, dtype=bool)
     earned = [0.0] * len(workers)
-    for i in _rank_order(workers):
+    for i in ranks:
         taken, earned[i] = _serve(events, ends, free, matrix[i], workers[i].cost,
                                   warm, horizon)
         free[taken] = False
@@ -434,6 +443,17 @@ def _write_trace(path: str, events, chosen, lost_price) -> None:
             part = slice(lo, lo + _CHUNK)
             fh.writelines(_trace_lines(times[part], ks[part], vs[part], chosen[part],
                                        lost_price[part]))
+
+
+def _trace_first_rep(config: SimConfig, horizon: float, floors, chosen) -> None:
+    """Write replication 0's trace: `chosen`, its kernel's choices on the
+    priced-in stream, scattered back onto the full stream redrawn here. The
+    full stream lives only as long as this call."""
+    events = _merged_events(config.scenario, config.base_seed, 0, horizon)
+    lost_price = events[2] < floors[events[1]]
+    shown = np.full(lost_price.size, -1, dtype=np.intp)
+    shown[~lost_price] = chosen
+    _write_trace(config.trace_path, events, shown, lost_price)
 
 
 def _no_trace(config: SimConfig, model: str) -> None:
@@ -472,34 +492,19 @@ def simulate(config: SimConfig, prices) -> SimStats:
     span = horizon - warm
 
     floors = np.min(np.asarray(matrix), axis=0)
-    rep_totals = []
-    worker_reps: list[list[float]] = [[] for _ in scenario.workers]
+    ranks = _rank_order(scenario.workers)
+    rows = []  # each worker's rate, one row per replication
     counts = Counts()
     for rep in range(config.replications):
-        traced = rep == 0 and config.trace_path is not None
-        if traced:  # the trace lists every arrival, the priced-out ones too
-            events = _merged_events(scenario, config.base_seed, rep, horizon)
-            drawn = events[0].size
-        else:
-            events, drawn = _offered_events(scenario, config.base_seed, rep, horizon, floors)
-        earned, chosen = _loss_rep(events, scenario.workers, matrix, warm, horizon)
-        priced_in = events[0].size
-        if traced:
-            lost_price = events[2] < floors[events[1]]
-            _write_trace(config.trace_path, events, chosen, lost_price)
-            priced_in -= int(np.count_nonzero(lost_price))
-        n_acc = int(np.count_nonzero(chosen >= 0))
-        counts += Counts(drawn, n_acc, priced_in - n_acc, drawn - priced_in)
-        rates = [e / span for e in earned]
-        for i, r in enumerate(rates):
-            worker_reps[i].append(r)
-        rep_totals.append(sum(rates))
-    return _stats(
-        "rate",
-        rep_totals,
-        counts,
-        per_worker_reps=tuple(tuple(row) for row in worker_reps),
-    )
+        events, drawn = _offered_events(scenario, config.base_seed, rep, horizon, floors)
+        earned, chosen = _loss_rep(events, scenario.workers, matrix, ranks, warm, horizon)
+        counts += _counts(drawn, chosen.size, int(np.count_nonzero(chosen >= 0)))
+        rows.append([e / span for e in earned])
+        if rep == 0 and config.trace_path is not None:
+            del events  # the trace's redraw needs only `chosen`
+            _trace_first_rep(config, horizon, floors, chosen)
+    return _stats("rate", [sum(row) for row in rows], counts,
+                  per_worker_reps=tuple(zip(*rows)))
 
 
 def simulate_discounted(config: SimConfig, prices) -> SimStats:
@@ -520,7 +525,6 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
     _no_trace(config, "discounted")
     price_arr = np.asarray(check_prices(scenario, prices))
     cost = scenario.workers[0].cost
-    base = Scenario(classes=scenario.classes, workers=scenario.workers)
     budget = config.horizon_hours()
 
     rep_values = []
@@ -539,15 +543,10 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
             raise ConfigError(f"discount rate {g!r} cuts the {budget!r}-hour horizon into "
                               f"{windows!r} windows, more than int64 can number")
         n_win = max(1, int(windows))
-        parts, n_arr = [], 0
-        for k, cls in enumerate(base.classes):
-            times, vs, ds = _class_arrivals(cls, _class_stream(config.base_seed, rep, k),
-                                            n_win * window)
-            # an arrival at the horizon can fall in window n_win; it is not simulated
-            n_arr += bisect_left(times, n_win, key=lambda t: int(t / window))
-            parts.append(_priced_in(times, vs, ds, price_arr[k]))
-        del times, vs, ds  # the last class's full draw, before the merge
-        times, ks, _, ds = _merge(parts)
+        # an arrival at the horizon can fall in window n_win; it is not simulated
+        (times, ks, _, ds), n_arr = _offered_events(
+            scenario, config.base_seed, rep, n_win * window, price_arr,
+            lambda t: bisect_left(t, n_win, key=lambda x: int(x / window)))
         wins = (times / window).astype(np.int64)
         n_fit = int(np.searchsorted(wins, n_win, "left"))
         t, w = times[:n_fit], wins[:n_fit]
@@ -557,7 +556,7 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         head = np.array(list(map(math.exp, (-g * local).tolist())))
         tail = np.array(list(map(math.exp, (-g * (local + ds[jobs])).tolist())))
         value = _running_sum((price_arr[ks[jobs]] - cost) * (head - tail) / g)
-        counts += Counts(n_arr, jobs.size, n_fit - jobs.size, n_arr - n_fit)
+        counts += _counts(n_arr, n_fit, jobs.size)
         mean_value = value / n_win
         rep_values.append(g * mean_value if mixture else mean_value)
     return _stats("value", rep_values, counts)
@@ -632,9 +631,8 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
         (times, ks, _, ds), n_arr = _offered_events(scenario, config.base_seed, rep,
                                                     horizon, price_arr)
         earned, n_acc, n_busy = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
-        n_price = n_arr - times.size
-        assert n_acc + n_busy + n_price == n_arr
-        counts += Counts(n_arr, n_acc, n_busy, n_price)
+        assert n_acc + n_busy == times.size
+        counts += _counts(n_arr, times.size, n_acc)
         rep_rates.append(earned / span)
     return _stats("rate", rep_rates, counts)
 
@@ -718,12 +716,9 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     floors = np.min(np.asarray([*matrix, *candidates]), axis=0)
     for rep in range(config.replications):
         events, _ = _offered_events(scenario, config.base_seed, rep, horizon, floors)
+        _, chosen = _loss_rep(events, scenario.workers, matrix, above, warm, horizon)
+        free = chosen < 0
         ends = events[0] + events[3]
-        free = np.ones(ends.size, dtype=bool)
-        for i in above:
-            taken, _ = _serve(events, ends, free, matrix[i], scenario.workers[i].cost,
-                              warm, horizon)
-            free[taken] = False
         for row, reps in rates.items():
             _, earned = _serve(events, ends, free, row, cost, warm, horizon)
             reps.append(earned / span)

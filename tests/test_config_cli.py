@@ -351,11 +351,15 @@ def config_path(name):
         ("sweep", "--config", "single_class.json", "--param", "r", "--grid", "0.5,1"),
         ("solve", "--config", "negative_weight.json"),
         ("solve", "--config", "zero_rate.json"),
+        ("simulate", "--config", "two_class.json", "--seed", "-1"),
+        ("validate", "--config", "two_class.json", "--seed", "-1"),
+        ("compete", "--config", "compete_ranked.json", "--verify", "--seed", "-1"),
     ],
     ids=["missing_config", "grid_list", "grid_range", "prices", "solve_fleet", "sweep_fleet",
          "trace_discounted", "trace_mixture", "trace_queue", "out_is_file",
          "knot_string", "knot_null", "knot_bool", "nan_weight", "sweep_r_one_class",
-         "negative_weight", "zero_rate"],
+         "negative_weight", "zero_rate", "negative_seed_simulate", "negative_seed_validate",
+         "negative_seed_compete_verify"],
 )
 def test_exit_code_bad_config(tmp_path, monkeypatch, capsys, argv):
     command, flag, name, *rest = argv
@@ -369,6 +373,8 @@ def test_exit_code_bad_config(tmp_path, monkeypatch, capsys, argv):
         assert "scenario.classes[0].valuation.params.knots[" in err
     if name in ("nan_weight.json", "negative_weight.json", "zero_rate.json"):
         assert err.startswith("error: scenario.discount.params: ")
+    if "--seed" in rest:
+        assert err == "error: seed must be non-negative, not -1\n"
     assert not Path("o", "manifest.json").exists()
     if "--trace" in rest:
         # rejected before any solve and before --out is created

@@ -35,6 +35,7 @@ from ondemand_pricing.queues import (
     _mixture_parts,
     _mixture_solve,
     _mixture_terms,
+    _queue_evaluator,
     _queue_solve,
     _queue_terms,
 )
@@ -355,8 +356,8 @@ def ascent_reference(objective, scn):
 
 
 def queue_reference(scn):
-    parts = queue_parts(scn, "queue_reference")
-    return ascent_reference(lambda p: _queue_terms(*parts, p[0], p[1])[0], scn)
+    at = _queue_evaluator(*queue_parts(scn, "queue_reference"))
+    return ascent_reference(lambda p: at(p[0], p[1])[0], scn)
 
 
 def random_law(rng):

@@ -196,6 +196,8 @@ def test_config_validation(single_class_scenario):
         SimConfig(scenario=single_class_scenario, warmup_fraction=0.9)
     with pytest.raises(ConfigError):
         SimConfig(scenario=single_class_scenario, expected_arrivals=math.inf).horizon_hours()
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        SimConfig(scenario=single_class_scenario, base_seed=-1)
     bare = SimConfig(scenario=single_class_scenario, expected_arrivals=500.0)
     assert bare.horizon_hours() == pytest.approx(500.0)
 
@@ -876,12 +878,24 @@ PRUNING_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PRUNING_CASES))
-def test_pruned_runs_equal_the_unpruned_reference(case):
+@pytest.mark.parametrize("case, traced", [
+    *(pytest.param(case, False, id=case) for case in sorted(PRUNING_CASES)),
+    # the trace scatters the kernel's choices on the priced-in stream back
+    # onto the full one
+    *(pytest.param(case, True, id=f"{case}-traced") for case in sorted(PRUNING_CASES)
+      if PRUNING_CASES[case][0] is LOSS),
+])
+def test_pruned_runs_equal_the_unpruned_reference(tmp_path, case, traced):
     (run, reference), scenario, prices = PRUNING_CASES[case]
     cfg = SimConfig(scenario=scenario, expected_arrivals=3_000.0, replications=4,
                     base_seed=77)
-    assert_same_stats(run(cfg, prices), reference(cfg, prices))
+    if not traced:
+        assert_same_stats(run(cfg, prices), reference(cfg, prices))
+        return
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert_same_stats(run(replace(cfg, trace_path=str(got)), prices),
+                      reference(replace(cfg, trace_path=str(want)), prices))
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])
