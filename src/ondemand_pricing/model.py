@@ -23,6 +23,16 @@ TAIL_CUTOFF = 1e-12
 _DROP_ALLOWANCE = 1e-12
 
 
+def exponentials(rng, scale: float, n: int) -> np.ndarray:
+    """n exponential draws of mean `scale`: the values and the stream use of
+    numpy's Generator.exponential, which draws each element as
+    scale * standard_exponential(). Scaling the standard draws in place
+    gives the same bits without a second array."""
+    draws = rng.standard_exponential(n)
+    draws *= scale
+    return draws
+
+
 # --- valuation and duration laws ---
 # Each law works out its derived tables in __post_init__ and never writes to
 # its instance afterwards: a lazy cache writes through the instance __dict__,
@@ -85,7 +95,11 @@ class UniformValuation:
         return UniformValuation(retention * self.low, retention * self.high)
 
     def sample(self, rng, n: int):
-        return rng.uniform(self.low, self.high, n)
+        # Generator.uniform's own arithmetic, low + (high - low) * random(), in place
+        draws = rng.random(n)
+        draws *= self.high - self.low
+        draws += self.low
+        return draws
 
 
 @dataclass(frozen=True)
@@ -145,7 +159,7 @@ class ExponentialValuation:
         return ExponentialValuation(self.rate / retention)
 
     def sample(self, rng, n: int):
-        return rng.exponential(1.0 / self.rate, n)
+        return exponentials(rng, 1.0 / self.rate, n)
 
 
 @dataclass(frozen=True)
@@ -188,6 +202,11 @@ class PiecewiseLinearValuation:
             (v0, v1, (1.0 - f0) / d)
             for (v0, f0), (v1, _), d in zip(knots, knots[1:], slopes) if d > 0.0))
         object.__setattr__(self, "_regularity", _piecewise_regularity(knots, slopes))
+        # the knot values and cdfs again as read-only arrays, for tails and sample
+        values, cdfs = np.array(vs), np.array(fs)
+        values.flags.writeable = cdfs.flags.writeable = False
+        object.__setattr__(self, "_value_array", values)
+        object.__setattr__(self, "_cdf_array", cdfs)
 
     @property
     def lower(self) -> float:
@@ -216,8 +235,7 @@ class PiecewiseLinearValuation:
         """tail at each price of an array, bit for bit: the interval and the
         arithmetic of cdf."""
         p = np.asarray(prices, dtype=float)
-        vs = np.array(self._values)
-        fs = np.array([f for _, f in self.knots])
+        vs, fs = self._value_array, self._cdf_array
         i = np.clip(np.searchsorted(vs, p, "right") - 1, 0, len(vs) - 2)
         v0, v1, f0, f1 = vs[i], vs[i + 1], fs[i], fs[i + 1]
         cdf = f0 + (f1 - f0) * (p - v0) / (v1 - v0)
@@ -261,9 +279,7 @@ class PiecewiseLinearValuation:
         return PiecewiseLinearValuation(tuple((retention * v, f) for v, f in self.knots))
 
     def sample(self, rng, n: int):
-        fs = np.array([f for _, f in self.knots])
-        vs = np.array([v for v, _ in self.knots])
-        return np.interp(rng.random(n), fs, vs)
+        return np.interp(rng.random(n), self._cdf_array, self._value_array)
 
 
 def _piecewise_regularity(knots, slopes) -> str:
@@ -329,7 +345,7 @@ class ExponentialDuration:
         return scale / (self.rate + gamma)
 
     def sample(self, rng, n: int):
-        return rng.exponential(self.mean, n)
+        return exponentials(rng, self.mean, n)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
@@ -225,38 +226,52 @@ def hybrid_solve(on_demand: CustomerClass, patient: CustomerClass,
     )
 
 
-def _mixture_parts(scenario: Scenario, op: str):
+def _mixture_evaluator(scenario: Scenario, op: str):
+    """The mixture objective as a function of the prices, value alone and
+    with each class's shadow, with each branch's weight and loads and each
+    class's tail bound once.
+
+    V = sum_w w * N_w / D_w, and each class's weighted opportunity cost is
+    Rbar_k = sum_w a_wk * R_w / sum_w a_wk, with R_w = N_w / D_w the branch's
+    rate and a_wk = w * load_wk / D_w. A class with no load in any branch has
+    no opportunity cost: its shadow is 0. Every sum runs in class order and
+    then branch order, so both functions give the same V to the last bit.
+    """
     scenario.require(op, "mixture")
     mix = scenario.discount
     cost = scenario.workers[0].cost
-    branch_loads = [
-        [effective_load(cls, g) for cls in scenario.classes] for g in mix.rates
-    ]
-    return mix, cost, branch_loads
+    tails_of = [cls.valuation.tail for cls in scenario.classes]
+    branches = [(w, [effective_load(cls, g) for cls in scenario.classes])
+                for w, g in zip(mix.weights, mix.rates)]
 
+    def branch_terms(prices):
+        """(w, loads, N_w, D_w) of each branch: N_w sums load * (p - cost) * tail
+        and D_w is 1 plus the sum of load * tail, both over the classes."""
+        tails = [tail(p) for tail, p in zip(tails_of, prices)]
+        margins = [p - cost for p in prices]
+        return [(w, loads, sum(map(mul, map(mul, loads, margins), tails)),
+                 1.0 + sum(map(mul, loads, tails)))
+                for w, loads in branches]
 
-def _mixture_terms(scenario: Scenario, parts, prices) -> tuple[float, list[float]]:
-    """The mixture objective V = sum_w w * N_w / D_w, and each class's weighted
-    opportunity cost Rbar_k = sum_w a_wk * R_w / sum_w a_wk, with R_w = N_w / D_w
-    the branch's rate and a_wk = w * load_wk / D_w. A class with no load in any
-    branch has no opportunity cost: its shadow is 0.
-    """
-    mix, cost, branch_loads = parts
-    tails = [cls.valuation.tail(p) for cls, p in zip(scenario.classes, prices)]
-    total = 0.0
-    weights = [0.0] * len(tails)
-    shadows = [0.0] * len(tails)
-    for w, loads in zip(mix.weights, branch_loads):
-        num = sum(
-            load * (p - cost) * tail for load, p, tail in zip(loads, prices, tails)
-        )
-        den = 1.0 + sum(load * tail for load, tail in zip(loads, tails))
-        total += w * num / den
-        share, branch_rate = w / den, num / den
-        for k, load in enumerate(loads):
-            weights[k] += share * load
-            shadows[k] += share * load * branch_rate
-    return total, [s / a if a > 0.0 else 0.0 for s, a in zip(shadows, weights)]
+    def value(prices) -> float:
+        total = 0.0
+        for w, _, num, den in branch_terms(prices):
+            total += w * num / den
+        return total
+
+    def terms(prices) -> tuple[float, list[float]]:
+        total = 0.0
+        weights = [0.0] * len(tails_of)
+        shadows = [0.0] * len(tails_of)
+        for w, loads, num, den in branch_terms(prices):
+            total += w * num / den
+            share, branch_rate = w / den, num / den
+            for k, load in enumerate(loads):
+                weights[k] += share * load
+                shadows[k] += share * load * branch_rate
+        return total, [s / a if a > 0.0 else 0.0 for s, a in zip(shadows, weights)]
+
+    return value, terms
 
 
 def mixture_horizon_value(scenario: Scenario, prices) -> float:
@@ -265,8 +280,8 @@ def mixture_horizon_value(scenario: Scenario, prices) -> float:
 
     For a single branch with rate 1 this coincides with discounted_value.
     """
-    parts = _mixture_parts(scenario, "mixture_horizon_value")
-    return _mixture_terms(scenario, parts, check_prices(scenario, prices))[0]
+    value, _ = _mixture_evaluator(scenario, "mixture_horizon_value")
+    return value(check_prices(scenario, prices))
 
 
 def _mixture_solve(scenario: Scenario) -> Solution:
@@ -281,16 +296,12 @@ def _mixture_solve(scenario: Scenario) -> Solution:
     when that earns more. `rate` and `value` both carry the objective, and
     `trace` is empty.
     """
-    parts = _mixture_parts(scenario, "mixture_horizon_optimize")
-    classes, cost = scenario.classes, parts[1]
-
-    def terms(prices):
-        return _mixture_terms(scenario, parts, prices)
-
+    value, terms = _mixture_evaluator(scenario, "mixture_horizon_optimize")
+    classes, cost = scenario.classes, scenario.workers[0].cost
     monopoly = tuple(price_response(cls, 0.0, cost) for cls in classes)
     sol = marginal_cost_ascent(terms, classes, cost, monopoly)
     corner = tuple(cls.valuation.upper for cls in classes)
-    corner_value = terms(corner)[0]
+    corner_value = value(corner)
     if corner_value > sol.rate:
         sol = replace(sol, prices=corner, rate=corner_value)
     return replace(sol, value=sol.rate)

@@ -3,9 +3,14 @@
 Every replication draws per-class Poisson arrivals, valuations, and durations
 from its own PRNG streams (PCG64 seeded via SeedSequence with
 spawn_key=(replication, class_index)), so adding a class or changing routing
-never perturbs another stream. Earnings accrue at (price - cost) per busy
-hour; rate estimates discard a warmup prefix, discounted estimates run from
-the idle start because the start state is part of the quantity.
+never perturbs another stream. The draws are numpy's exponential(scale) and
+uniform(low, high) calls, which compute scale * standard_exponential() and
+low + (high - low) * random() element by element; `_class_arrivals` and the
+laws' `sample` methods make the standard draws and scale them in place,
+which gives the same values from the same stream with no second array.
+Earnings accrue at (price - cost) per busy hour; rate estimates discard a
+warmup prefix, discounted estimates run from the idle start because the
+start state is part of the quantity.
 
 Every simulator draws a replication through `_offered_events`: it draws
 each class, drops the arrivals valued below the lowest price any worker (or
@@ -30,9 +35,11 @@ then the scanned worker once per distinct price. The
 discounted simulator caps each successor at the first arrival of the next
 window, where the worker restarts idle. The one-waiting-spot queue still
 steps through its affordable arrivals, since a waiting job's start depends on
-history, but that loop only decides which jobs are served and when each
-starts, reading the arrivals as Python floats a chunk at a time. Every
-simulator adds up earnings as arrays, in start order.
+history, reading them as Python floats a chunk at a time. Jobs start first
+come, first served, and a job that finds the worker free starts on arrival,
+so the loop records only the lost arrivals and each waiting job's start;
+the served jobs and their starts follow from those. Every simulator adds up
+earnings as arrays, in start order.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, ModelMismatch, NonFiniteRate
-from .model import Scenario, check_prices, queue_parts
+from .model import Scenario, check_prices, exponentials, queue_parts
 
 # Discount weight e^{-gamma t} is below 4e-18 past this many inverse rates, so
 # discounted runs truncate their horizon there.
@@ -212,11 +219,22 @@ def _rep_stream(base_seed: int, rep: int):
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(rep,)))
 
 
+def _gaps_summed(rng, scale: float, n: int) -> np.ndarray:
+    """The running sums of n exponential gaps of mean `scale`, summed in
+    place in the array that holds the draws."""
+    times = exponentials(rng, scale, n)
+    return np.cumsum(times, out=times)
+
+
 def _class_arrivals(cls, rng, horizon: float):
     """Arrival times, valuations, and durations for one class on [0, horizon].
 
     Draws depend only on the stream and horizon, never on prices or routing,
-    so common-random-number comparisons stay paired.
+    so common-random-number comparisons stay paired. The times are running
+    sums of exponential gaps of mean 1/rate, drawn in blocks that almost
+    always cover the horizon. Each block is numpy's standard exponentials
+    scaled and summed in place: the values and stream use of a cumsum of
+    numpy's exponential(1/rate, block), in one array instead of two.
     """
     lam = cls.arrival_rate
     if lam <= 0.0:
@@ -224,9 +242,9 @@ def _class_arrivals(cls, rng, horizon: float):
         return empty, empty, empty
     expected = lam * horizon
     block = int(expected + 6.0 * math.sqrt(expected) + 16.0)
-    times = np.cumsum(rng.exponential(1.0 / lam, block))
+    times = _gaps_summed(rng, 1.0 / lam, block)
     while times[-1] < horizon:
-        more = np.cumsum(rng.exponential(1.0 / lam, block))
+        more = _gaps_summed(rng, 1.0 / lam, block)
         times = np.concatenate([times, times[-1] + more])
     n = int(np.searchsorted(times, horizon, side="right"))
     times = times[:n]
@@ -399,15 +417,15 @@ def _serve(events, ends, free, row, cost: float, warm: float, horizon: float):
     return taken, _earnings(prices[taken] - cost, times[taken], ends[taken], warm, horizon)
 
 
-def _loss_rep(events, workers, matrix, ranks, warm: float, horizon: float):
+def _loss_rep(events, ends, workers, matrix, ranks, warm: float, horizon: float):
     """One replication of the loss system under best-affordable-worker choice,
-    served by the workers `ranks` lists, best rank first.
+    served by the workers `ranks` lists, best rank first; `ends` are the
+    arrivals' times plus durations.
 
     Returns each worker's earnings over [warm, horizon] (0.0 for a worker not
     in `ranks`) and the chosen worker per arrival (-1 when none took it).
     """
-    times, _, _, ds = events
-    ends = times + ds
+    times = events[0]
     chosen = np.full(times.size, -1, dtype=np.intp)
     free = np.ones(times.size, dtype=bool)
     earned = [0.0] * len(workers)
@@ -497,7 +515,8 @@ def simulate(config: SimConfig, prices) -> SimStats:
     counts = Counts()
     for rep in range(config.replications):
         events, drawn = _offered_events(scenario, config.base_seed, rep, horizon, floors)
-        earned, chosen = _loss_rep(events, scenario.workers, matrix, ranks, warm, horizon)
+        earned, chosen = _loss_rep(events, events[0] + events[3], scenario.workers, matrix,
+                                   ranks, warm, horizon)
         counts += _counts(drawn, chosen.size, int(np.count_nonzero(chosen >= 0)))
         rows.append([e / span for e in earned])
         if rep == 0 and config.trace_path is not None:
@@ -553,8 +572,8 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         jobs = _loss_accepts(t, t + ds[:n_fit], cut=_run_ends(w))
         local = times[jobs] - wins[jobs] * window
         # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the last bit
-        head = np.array(list(map(math.exp, (-g * local).tolist())))
-        tail = np.array(list(map(math.exp, (-g * (local + ds[jobs])).tolist())))
+        head = np.fromiter(map(math.exp, (-g * local).tolist()), float, jobs.size)
+        tail = np.fromiter(map(math.exp, (-g * (local + ds[jobs])).tolist()), float, jobs.size)
         value = _running_sum((price_arr[ks[jobs]] - cost) * (head - tail) / g)
         counts += _counts(n_arr, n_fit, jobs.size)
         mean_value = value / n_win
@@ -567,46 +586,66 @@ def _queue_rep(times, ks, ds, prices, cost: float, warm: float, horizon: float):
     all afford their price. Returns the earnings over [warm, horizon], the
     number of jobs served and the number lost busy.
 
-    A waiting job starts at service_end whichever arrival comes next, so the
-    loop only records which arrivals start, in start order, and when. It
-    reads the arrivals as Python floats _CHUNK at a time; the worker's state
-    (service_end and the waiting job with its duration) carries from chunk to
-    chunk, and each chunk's earnings are added on in start order.
+    Jobs are served first come, first served, so the served jobs start in
+    index order, and a job that finds the worker free ("fresh") starts at its
+    own arrival time. The loop therefore records only the lost arrivals and,
+    for each job that waited, its index and start (service_end when the job
+    before it ends); a fresh start records nothing. It reads the arrivals as
+    Python floats _CHUNK at a time. A chunk's served jobs are its arrivals
+    less the lost ones and less a job still waiting at its end, plus a job
+    waiting since an earlier chunk that started in it; their starts are their
+    arrival times with the waited starts scattered in, and their earnings
+    are added on in start order. The worker's state (service_end and the
+    waiting job with its duration) carries from chunk to chunk.
     """
     earned = 0.0
     service_end = 0.0
     pending, pending_d = -1, 0.0
     n_served = n_busy = 0
 
-    def add(order, starts):
+    def add(jobs, starts):
         nonlocal earned, n_served
-        jobs = np.array(order, dtype=np.intp)
-        start = np.array(starts, dtype=float)
-        earned = _earnings(prices[ks[jobs]] - cost, start, start + ds[jobs], warm, horizon,
+        earned = _earnings(prices[ks[jobs]] - cost, starts, starts + ds[jobs], warm, horizon,
                            earned)
         n_served += jobs.size
 
     for lo in range(0, times.size, _CHUNK):
-        order: list[int] = []
-        starts: list[float] = []
-        hi = lo + _CHUNK
-        for i, (t, d) in enumerate(zip(times[lo:hi].tolist(), ds[lo:hi].tolist()), lo):
-            if pending >= 0 and service_end <= t:
-                order.append(pending)
-                starts.append(service_end)
-                service_end += pending_d
-                pending = -1
+        hi = min(lo + _CHUNK, times.size)
+        carried = pending  # waiting since an earlier chunk, or -1
+        lost: list[int] = []
+        waited: list[int] = []
+        waited_starts: list[float] = []
+        for i, t, d in zip(range(lo, hi), times[lo:hi].tolist(), ds[lo:hi].tolist()):
             if service_end <= t:
-                order.append(i)
-                starts.append(t)
-                service_end = t + d
+                if pending < 0:
+                    service_end = t + d
+                    continue
+                waited.append(pending)
+                waited_starts.append(service_end)
+                service_end += pending_d
+                if service_end <= t:
+                    pending = -1
+                    service_end = t + d
+                else:
+                    pending, pending_d = i, d
             elif pending < 0:
                 pending, pending_d = i, d
             else:
-                n_busy += 1
-        add(order, starts)
+                lost.append(i)
+        served = np.ones(hi - lo, dtype=bool)
+        served[np.array(lost, dtype=np.intp) - lo] = False
+        if pending >= lo:
+            served[pending - lo] = False
+        jobs = np.flatnonzero(served)
+        jobs += lo
+        if 0 <= carried != pending:
+            jobs = np.concatenate(([carried], jobs))
+        starts = times[jobs]
+        starts[np.searchsorted(jobs, waited)] = waited_starts
+        n_busy += len(lost)
+        add(jobs, starts)
     if pending >= 0:
-        add([pending], [service_end])
+        add(np.array([pending]), np.array([service_end]))
     return earned, n_served, n_busy
 
 
@@ -716,9 +755,12 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     floors = np.min(np.asarray([*matrix, *candidates]), axis=0)
     for rep in range(config.replications):
         events, _ = _offered_events(scenario, config.base_seed, rep, horizon, floors)
-        _, chosen = _loss_rep(events, scenario.workers, matrix, above, warm, horizon)
-        free = chosen < 0
         ends = events[0] + events[3]
+        if above:
+            free = _loss_rep(events, ends, scenario.workers, matrix, above, warm,
+                             horizon)[1] < 0
+        else:  # the top-ranked worker finds every arrival free
+            free = np.ones(ends.size, dtype=bool)
         for row, reps in rates.items():
             _, earned = _serve(events, ends, free, row, cost, warm, horizon)
             reps.append(earned / span)

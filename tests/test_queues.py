@@ -32,9 +32,8 @@ from ondemand_pricing import (
 )
 from ondemand_pricing.model import queue_parts
 from ondemand_pricing.queues import (
-    _mixture_parts,
+    _mixture_evaluator,
     _mixture_solve,
-    _mixture_terms,
     _queue_evaluator,
     _queue_solve,
     _queue_terms,
@@ -529,11 +528,7 @@ def random_mixture(rng, index):
 
 def mixture_reference(scn):
     """The ascent, or every class priced out when that earns more."""
-    parts = _mixture_parts(scn, "mixture_reference")
-
-    def objective(p):
-        return _mixture_terms(scn, parts, p)[0]
-
+    objective, _ = _mixture_evaluator(scn, "mixture_reference")
     corner = tuple(cls.valuation.upper for cls in scn.classes)
     return max(ascent_reference(objective, scn), (corner, objective(corner)),
                key=lambda run: run[1])

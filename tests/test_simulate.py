@@ -761,6 +761,145 @@ def test_merged_events_one_class_is_the_stable_sort(rate):
         assert g.tobytes() == w.tobytes()
 
 
+# --- the draws: numpy's reference calls, bit for bit ---
+# The simulators draw through _class_arrivals and the laws' sample methods,
+# which scale numpy's standard draws in place. The seed contract is numpy's
+# own calls: the same values, and the same use of the stream after them.
+
+SUBNORMAL = 5e-324  # 1 / SUBNORMAL is inf
+
+
+def uniform_reference(law, rng, n):
+    return rng.uniform(law.low, law.high, n)
+
+
+def exponential_valuation_reference(law, rng, n):
+    return rng.exponential(1.0 / law.rate, n)
+
+
+def exponential_duration_reference(law, rng, n):
+    return rng.exponential(law.mean, n)
+
+
+def piecewise_reference(law, rng, n):
+    return np.interp(rng.random(n), [f for _, f in law.knots], [v for v, _ in law.knots])
+
+
+# numpy's own call for each law
+REFERENCE_DRAWS = {
+    UniformValuation: uniform_reference,
+    ExponentialValuation: exponential_valuation_reference,
+    ExponentialDuration: exponential_duration_reference,
+    PiecewiseLinearValuation: piecewise_reference,
+    DeterministicDuration: lambda law, rng, n: np.full(n, law.value),
+}
+STREAM_LAWS = {
+    "uniform": UniformValuation(0.2, 1.7),
+    "uniform_wide": UniformValuation(1e-300, 1e300),
+    "exponential_valuation": ExponentialValuation(2.5),
+    "exponential_valuation_subnormal": ExponentialValuation(SUBNORMAL),
+    "exponential_duration": ExponentialDuration(0.4),
+    "exponential_duration_subnormal": ExponentialDuration(SUBNORMAL),
+    "piecewise": PiecewiseLinearValuation(((0.1, 0.0), (0.5, 0.3), (0.6, 0.3), (2.0, 1.0))),
+}
+
+
+def assert_same_draws(got, want, rng, reference_rng):
+    assert got.dtype == want.dtype == np.dtype(float)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260815])
+@pytest.mark.parametrize("n", [0, 1, 5, 10_000])
+@pytest.mark.parametrize("law", sorted(STREAM_LAWS))
+def test_law_samples_are_numpys_reference_draws(law, n, seed):
+    law = STREAM_LAWS[law]
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = REFERENCE_DRAWS[type(law)](law, reference_rng, n)
+    assert_same_draws(law.sample(rng, n), want, rng, reference_rng)
+
+
+def reference_class_arrivals(cls, rng, horizon):
+    """_class_arrivals with numpy's exponential and uniform calls."""
+    lam = cls.arrival_rate
+    if lam <= 0.0:
+        empty = np.empty(0)
+        return empty, empty, empty
+    expected = lam * horizon
+    block = int(expected + 6.0 * math.sqrt(expected) + 16.0)
+    times = np.cumsum(rng.exponential(1.0 / lam, block))
+    while times[-1] < horizon:
+        more = np.cumsum(rng.exponential(1.0 / lam, block))
+        times = np.concatenate([times, times[-1] + more])
+    n = int(np.searchsorted(times, horizon, side="right"))
+    valuations = REFERENCE_DRAWS[type(cls.valuation)](cls.valuation, rng, n)
+    durations = REFERENCE_DRAWS[type(cls.duration)](cls.duration, rng, n)
+    return times[:n], valuations, durations
+
+
+class ShortFirstBlock:
+    """A generator whose first exponential block is scaled by 2**-4, which
+    is exact, so the arrivals it gives fall short of the horizon and
+    _class_arrivals must draw another block."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.blocks = 0
+
+    def shorten_first(self, draws):
+        self.blocks += 1
+        if self.blocks == 1:
+            draws *= 0.0625
+        return draws
+
+    def standard_exponential(self, n):
+        return self.shorten_first(self.rng.standard_exponential(n))
+
+    def exponential(self, scale, n):
+        return self.shorten_first(self.rng.exponential(scale, n))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+STREAM_CLASSES = {
+    "uniform": CustomerClass(3.0, ExponentialDuration(1.5), UniformValuation(0.0, 1.0)),
+    "exponential": CustomerClass(0.8, ExponentialDuration(SUBNORMAL), ExponentialValuation(2.0)),
+    "piecewise": CustomerClass(1.2, DeterministicDuration(0.5), STREAM_LAWS["piecewise"]),
+    "subnormal_rate": CustomerClass(SUBNORMAL, ExponentialDuration(1.0),
+                                    UniformValuation(0.0, 1.0)),
+    "zero_rate": CustomerClass(0.0, ExponentialDuration(1.0), UniformValuation(0.0, 1.0)),
+}
+
+
+def assert_same_arrivals(got, want, rng, reference_rng):
+    for g, w in zip(got, want):
+        assert_same_draws(g, w, rng, reference_rng)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260815])
+@pytest.mark.parametrize("horizon", [0.5, 40.0, 5_000.0])
+@pytest.mark.parametrize("cls", sorted(STREAM_CLASSES))
+def test_class_arrivals_are_numpys_reference_draws(cls, horizon, seed):
+    cls = STREAM_CLASSES[cls]
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_arrivals(_class_arrivals(cls, rng, horizon),
+                         reference_class_arrivals(cls, reference_rng, horizon),
+                         rng, reference_rng)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260815])
+@pytest.mark.parametrize("cls", ["uniform", "exponential", "piecewise"])
+def test_class_arrivals_extend_a_short_first_block(cls, seed):
+    cls = STREAM_CLASSES[cls]
+    rng, reference_rng = ShortFirstBlock(seed), ShortFirstBlock(seed)
+    got = _class_arrivals(cls, rng, 400.0)
+    want = reference_class_arrivals(cls, reference_rng, 400.0)
+    assert rng.blocks == reference_rng.blocks >= 2
+    assert_same_arrivals(got, want, rng.rng, reference_rng.rng)
+
+
 def test_event_trace_bytes_match_csv_writer(tmp_path):
     # floats whose repr is in exponent form, next to plain ones
     times = np.array([1e-05, 0.25, 3.0, 1e+16, 1e+16])
@@ -907,6 +1046,67 @@ def test_queue_chunks_carry_the_worker_state(monkeypatch, case, chunk):
     cfg = SimConfig(scenario=scenario, expected_arrivals=2_000.0, replications=3,
                     base_seed=5)
     assert_same_stats(run_queue(cfg, prices), reference_queue(cfg, prices))
+
+
+def reference_queue_rep(times, ks, ds, prices, cost, warm, horizon):
+    """_queue_rep's earnings, served and lost-busy counts, one event at a time."""
+    earned, service_end, pending = 0.0, 0.0, None
+    n_served = n_busy = 0
+    prices = prices.tolist()
+
+    def start_job(k, start, dur):
+        nonlocal earned, n_served
+        earned += (prices[k] - cost) * max(0.0, min(start + dur, horizon) - max(start, warm))
+        n_served += 1
+        return start + dur
+
+    for t, k, d in zip(times.tolist(), ks.tolist(), ds.tolist()):
+        if pending is not None and service_end <= t:
+            service_end = start_job(pending[0], service_end, pending[1])
+            pending = None
+        if service_end <= t:
+            service_end = start_job(k, t, d)
+        elif pending is None:
+            pending = (k, d)
+        else:
+            n_busy += 1
+    if pending is not None:
+        start_job(pending[0], service_end, pending[1])
+    return earned, n_served, n_busy
+
+
+# Hand-built arrivals (time, class, duration) for the chunk edges of the
+# queue loop, each run with chunks of 1, 2 and 3 arrivals.
+QUEUE_EDGES = {
+    # job 0 runs to 10 and job 1 waits; jobs 2-6 are lost, which fills whole
+    # chunks while job 1 waits, and job 1 starts at 10 in a later chunk
+    "waits_through_a_chunk_of_losses": [
+        (0.0, 0, 10.0), (1.0, 1, 1.5), (2.0, 0, 1.0), (3.0, 1, 1.0), (4.0, 0, 1.0),
+        (5.0, 1, 1.0), (6.0, 0, 1.0), (12.0, 1, 0.25), (13.0, 0, 0.5)],
+    # the waiting job is the last arrival of a chunk (jobs 2 and 5 for
+    # chunks of 3, jobs 3 and 5 for chunks of 2) and starts in the next one;
+    # job 3 ends at 5.0, when job 4 arrives and starts
+    "last_arrival_of_a_chunk_waits": [
+        (0.0, 0, 0.5), (1.0, 1, 2.5), (2.0, 0, 1.0), (4.0, 1, 0.5), (5.0, 0, 3.0),
+        (6.0, 1, 0.5), (6.5, 0, 1.0), (9.0, 1, 0.75), (9.5, 0, 0.25)],
+    # job 1 is still waiting at the end, behind a job that ends at 20; jobs 2
+    # and 3 are lost, a whole chunk of them for chunks of 1 and 2
+    "still_waiting_at_the_end": [(0.0, 0, 20.0), (1.0, 1, 2.0), (1.5, 0, 2.0), (2.0, 1, 1.0)],
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(QUEUE_EDGES))
+def test_queue_chunk_edges_match_the_event_loop(monkeypatch, case, chunk):
+    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
+    times, ks, ds = (np.array(column) for column in zip(*QUEUE_EDGES[case]))
+    prices = np.array([0.5, 0.75])
+    for cost, warm, horizon in [(0.1, 0.0, 30.0), (0.2, 1.25, 9.75), (0.6, 5.0, 12.5)]:
+        args = (times, ks, ds, prices, cost, warm, horizon)
+        got = _queue_rep(*args)
+        want = reference_queue_rep(*args)
+        assert repr(got) == repr(want)
+        assert got[1] + got[2] == times.size
 
 
 def reference_deviation_scan(cfg, matrix, worker_index, grid):
