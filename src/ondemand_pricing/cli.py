@@ -254,38 +254,34 @@ def _sweep_r(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
     return ["r", "p_A_star", "p_B_star", "rate"], rows
 
 
-def _sweep_gamma(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
-    k = scenario.num_classes
-    rows = []
-    for g in grid:
-        variant = replace(scenario, discount=ExponentialDiscount(float(g)))
-        sol = solve_discounted(variant)
-        rows.append((float(g), *sol.prices, sol.rate, sol.value))
-    header = ["gamma"] + [f"p_{i + 1}" for i in range(k)] + ["rate", "value"]
-    return header, rows
+def _solve_sweep(param: str, vary, solve, extras=()):
+    """A sweep that solves `vary(scenario, x)` at each grid value x, one row
+    per value: x, the optimal prices, the rate and the solution's `extras`."""
+
+    def sweep(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
+        rows = []
+        for x in grid:
+            sol = solve(vary(scenario, float(x)))
+            rows.append((float(x), *sol.prices, sol.rate, *(getattr(sol, e) for e in extras)))
+        prices = [f"p_{i + 1}" for i in range(scenario.num_classes)]
+        return [param, *prices, "rate", *extras], rows
+
+    return sweep
 
 
-def _sweep_rho(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
-    k = scenario.num_classes
-    rows = []
-    for scale in grid:
-        classes = tuple(
-            replace(cls, arrival_rate=cls.arrival_rate * float(scale))
-            for cls in scenario.classes
-        )
-        sol = solve_fixed_point(replace(scenario, classes=classes))
-        rows.append((float(scale), *sol.prices, sol.rate))
-    return ["rho"] + [f"p_{i + 1}" for i in range(k)] + ["rate"], rows
-
-
-def _sweep_beta(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
-    k = scenario.num_classes
-    rows = []
-    for beta in grid:
-        classes = tuple(apply_commission(cls, float(beta)) for cls in scenario.classes)
-        sol = solve_fixed_point(replace(scenario, classes=classes))
-        rows.append((float(beta), *sol.prices, sol.rate))
-    return ["beta"] + [f"p_{i + 1}" for i in range(k)] + ["rate"], rows
+_sweep_gamma = _solve_sweep(
+    "gamma", lambda scn, g: replace(scn, discount=ExponentialDiscount(g)), solve_discounted,
+    ("value",))
+_sweep_rho = _solve_sweep(
+    "rho",
+    lambda scn, scale: replace(scn, classes=tuple(
+        replace(cls, arrival_rate=cls.arrival_rate * scale) for cls in scn.classes)),
+    solve_fixed_point)
+_sweep_beta = _solve_sweep(
+    "beta",
+    lambda scn, beta: replace(scn, classes=tuple(
+        apply_commission(cls, beta) for cls in scn.classes)),
+    solve_fixed_point)
 
 
 def _sweep_reserve(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
@@ -406,16 +402,9 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
                 else "IMPROVEMENT FOUND"
             print(f"deviation scan, worker {index}: {verdict} "
                   f"(baseline rate {_fmt(report.baseline_mean)})")
-            scans.append(
-                {
-                    "worker_index": index,
-                    "baseline_price": report.baseline_price,
-                    "baseline_mean": report.baseline_mean,
-                    "baseline_se": report.baseline_se,
-                    "any_significant": report.any_significant,
-                    "points": [asdict(p) for p in report.points],
-                }
-            )
+            scan = asdict(report)
+            del scan["z_threshold"]
+            scans.append({**scan, "any_significant": report.any_significant})
         payload["deviation_scans"] = scans
     _write_json(outdir / "equilibrium.json", payload)
     return outputs

@@ -1,7 +1,12 @@
 """Scenario ingestion from JSON with strict schema checking.
 
-Unknown keys are rejected with the offending key path so a typo never
-silently changes a run. See README for the full schema.
+Every object in a config is read by one table that maps each key to the
+reader of its value and to a default, or to _REQUIRED. An unknown key is
+rejected with the offending key path, so a typo never silently changes a
+run. Keys are checked and read in table order, so with several faults the
+error names the first one the table lists. A number must be a JSON number
+within the float range (booleans are refused), and a law's kind must be one
+of the strings its table lists. See README for the full schema.
 """
 
 from __future__ import annotations
@@ -11,204 +16,176 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import (
-    CustomerClass,
-    DeterministicDuration,
-    EmpiricalDuration,
-    ExponentialDiscount,
-    ExponentialDuration,
-    ExponentialValuation,
-    MixtureDiscount,
-    PiecewiseLinearValuation,
-    Scenario,
-    UniformValuation,
-    WorkerSpec,
+    CustomerClass, DeterministicDuration, EmpiricalDuration, ExponentialDiscount,
+    ExponentialDuration, ExponentialValuation, MixtureDiscount, PiecewiseLinearValuation,
+    Scenario, UniformValuation, WorkerSpec,
 )
 
-_DURATION_KINDS = {
-    "exponential": (ExponentialDuration, {"rate"}),
-    "deterministic": (DeterministicDuration, {"value"}),
-    "empirical": (EmpiricalDuration, {"samples"}),
-}
-_VALUATION_KINDS = {
-    "uniform": (UniformValuation, {"low", "high"}),
-    "exponential": (ExponentialValuation, {"rate"}),
-    "piecewise_linear_cdf": (PiecewiseLinearValuation, {"knots"}),
-}
+_REQUIRED = object()
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
-    if not isinstance(obj, dict):
+def _record(doc, fields: dict, path: str) -> dict:
+    """Read the object `doc` by its table `fields` (key -> (reader, default
+    or _REQUIRED)): refuse an unknown key, report the first missing required
+    key, then read each key at `path.key`."""
+    if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
-    for key in obj:
-        if key not in allowed:
+    for key in doc:
+        if key not in fields:
             raise ConfigError(f"{path}: unknown key {key!r}")
-    for key in required:
-        if key not in obj:
+    for key, (_, default) in fields.items():
+        if default is _REQUIRED and key not in doc:
             raise ConfigError(f"{path}: missing required key {key!r}")
+    return {
+        key: read(doc[key], f"{path}.{key}") if key in doc else default
+        for key, (read, default) in fields.items()
+    }
 
 
-def _as_number(value, path: str) -> float:
+def _raw(value, path: str):
+    return value
+
+
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
-
-
-def _number(obj: dict, key: str, path: str) -> float:
-    return _as_number(obj[key], f"{path}.{key}")
-
-
-def _number_list(obj: dict, key: str, path: str) -> list[float]:
-    value = obj[key]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}.{key}: expected a nonempty array of numbers")
-    return [_as_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(value)]
-
-
-def _law(doc, kinds: dict, path: str):
-    _check_keys(doc, {"kind", "params"}, {"kind", "params"}, path)
-    kind = doc["kind"]
-    if kind not in kinds:
-        raise ConfigError(
-            f"{path}.kind: unknown kind {kind!r} (expected one of {sorted(kinds)})"
-        )
-    ctor, fields = kinds[kind]
-    params = doc["params"]
-    _check_keys(params, fields, fields, f"{path}.params")
-    ppath = f"{path}.params"
     try:
-        if kind == "empirical":
-            return ctor(tuple(_number_list(params, "samples", ppath)))
-        if kind == "piecewise_linear_cdf":
-            knots = params["knots"]
-            if not isinstance(knots, list):
-                raise ConfigError(f"{ppath}.knots: expected an array of [value, cdf] pairs")
-            parsed = []
-            for i, pair in enumerate(knots):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ConfigError(f"{ppath}.knots[{i}]: expected a [value, cdf] pair")
-                parsed.append(tuple(
-                    _as_number(x, f"{ppath}.knots[{i}][{j}]") for j, x in enumerate(pair)
-                ))
-            return ctor(tuple(parsed))
-        return ctor(**{f: _number(params, f, ppath) for f in fields})
-    except ConfigError as exc:
-        if str(exc).startswith(path):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+        return float(value)
+    except OverflowError:
+        # an int past the float range; formatting it as a float would overflow again
+        raise ConfigError(f"{path}: expected a number within the float range") from None
 
 
-def _parse_class(doc, path: str) -> CustomerClass:
-    _check_keys(
-        doc,
-        {"arrival_rate", "duration", "valuation"},
-        {"arrival_rate", "duration", "valuation"},
-        path,
-    )
-    return CustomerClass(
-        arrival_rate=_number(doc, "arrival_rate", path),
-        duration=_law(doc["duration"], _DURATION_KINDS, f"{path}.duration"),
-        valuation=_law(doc["valuation"], _VALUATION_KINDS, f"{path}.valuation"),
-    )
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer")
+    return value
 
 
-def _parse_workers(docs, path: str) -> tuple[WorkerSpec, ...]:
-    if not isinstance(docs, list) or not docs:
-        raise ConfigError(f"{path}: expected a nonempty array of workers")
-    explicit_ranks = ["rank" in d for d in docs if isinstance(d, dict)]
-    if any(explicit_ranks) and not all(explicit_ranks):
-        raise ConfigError(f"{path}: give rank for every worker or for none")
-    workers = []
-    for i, doc in enumerate(docs):
-        wpath = f"{path}[{i}]"
-        _check_keys(doc, {"cost", "rank", "commission_retention"}, set(), wpath)
-        rank = doc.get("rank", i + 1)
-        if isinstance(rank, bool) or not isinstance(rank, int):
-            raise ConfigError(f"{wpath}.rank: expected an integer")
-        workers.append(
-            WorkerSpec(
-                cost=_number(doc, "cost", wpath) if "cost" in doc else 0.0,
-                rank=rank,
-                commission_retention=(
-                    _number(doc, "commission_retention", wpath)
-                    if "commission_retention" in doc
-                    else 1.0
-                ),
-            )
-        )
-    return tuple(workers)
+def _array(read, of: str = ""):
+    """Reader of a nonempty array whose entries `read` reads at `path[i]`."""
+
+    def read_array(value, path: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a nonempty array{of}")
+        return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(value))
+
+    return read_array
 
 
-def _parse_discount(doc, path: str):
-    _check_keys(doc, {"kind", "params"}, {"kind"}, path)
-    kind = doc["kind"]
-    if kind == "none":
-        if doc.get("params"):
+def _pair(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected a [value, cdf] pair")
+    return tuple(_number(x, f"{path}[{j}]") for j, x in enumerate(value))
+
+
+_NUMBER = (_number, _REQUIRED)
+_NUMBERS = (_array(_number, " of numbers"), _REQUIRED)
+_LAW = {"kind": (_raw, _REQUIRED), "params": (_raw, _REQUIRED)}
+
+
+def _law(kinds: dict, expected: str = ""):
+    """Reader of a `{"kind": ..., "params": {...}}` law: `kinds` maps each
+    kind to its constructor and the table of its params."""
+    expected = expected or f"one of {sorted(kinds)}"
+
+    def read_law(doc, path: str):
+        law = _record(doc, _LAW, path)
+        kind = law["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{path}.kind: unknown kind {kind!r} (expected {expected})")
+        ctor, fields = kinds[kind]
+        params = _record(law["params"], fields, f"{path}.params")
+        try:
+            return ctor(**params)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.params: {exc}") from exc
+
+    return read_law
+
+
+_DISCOUNT_LAW = _law(
+    {
+        "exponential": (ExponentialDiscount, {"rate": _NUMBER}),
+        "mixture": (MixtureDiscount, {"weights": _NUMBERS, "rates": _NUMBERS}),
+    },
+    "none, exponential, or mixture",
+)
+
+
+def _discount(doc, path: str):
+    """A discount law, or None for `{"kind": "none"}`, the one kind without params."""
+    law = _record(doc, {"kind": (_raw, _REQUIRED), "params": (_raw, None)}, path)
+    if law["kind"] == "none":
+        if law["params"]:
             raise ConfigError(f"{path}.params: discount kind 'none' takes no params")
         return None
-    params = doc.get("params")
-    if params is None:
+    if law["params"] is None:
         raise ConfigError(f"{path}: missing required key 'params'")
-    ppath = f"{path}.params"
-    try:
-        if kind == "exponential":
-            _check_keys(params, {"rate"}, {"rate"}, ppath)
-            return ExponentialDiscount(rate=_number(params, "rate", ppath))
-        if kind == "mixture":
-            _check_keys(params, {"weights", "rates"}, {"weights", "rates"}, ppath)
-            return MixtureDiscount(
-                weights=tuple(_number_list(params, "weights", ppath)),
-                rates=tuple(_number_list(params, "rates", ppath)),
-            )
-    except ConfigError as exc:
-        if str(exc).startswith(path):
-            raise
-        raise ConfigError(f"{ppath}: {exc}") from exc
-    raise ConfigError(
-        f"{path}.kind: unknown kind {kind!r} (expected none, exponential, or mixture)"
+    return _DISCOUNT_LAW(doc, path)
+
+
+_CLASS = {
+    "arrival_rate": _NUMBER,
+    "duration": (_law({
+        "exponential": (ExponentialDuration, {"rate": _NUMBER}),
+        "deterministic": (DeterministicDuration, {"value": _NUMBER}),
+        "empirical": (EmpiricalDuration, {"samples": _NUMBERS}),
+    }), _REQUIRED),
+    "valuation": (_law({
+        "uniform": (UniformValuation, {"low": _NUMBER, "high": _NUMBER}),
+        "exponential": (ExponentialValuation, {"rate": _NUMBER}),
+        "piecewise_linear_cdf": (
+            PiecewiseLinearValuation,
+            {"knots": (_array(_pair, " of [value, cdf] pairs"), _REQUIRED)},
+        ),
+    }), _REQUIRED),
+}
+
+
+def _class(doc, path: str) -> CustomerClass:
+    return CustomerClass(**_record(doc, _CLASS, path))
+
+
+_WORKER = {"cost": (_number, 0.0), "commission_retention": (_number, 1.0)}
+
+
+def _workers(docs, path: str) -> tuple[WorkerSpec, ...]:
+    """The fleet; ranks default to list order, so give one for every worker or none."""
+    docs = _array(_raw, " of workers")(docs, path)
+    given = ["rank" in doc for doc in docs if isinstance(doc, dict)]
+    if any(given) and not all(given):
+        raise ConfigError(f"{path}: give rank for every worker or for none")
+    return tuple(
+        WorkerSpec(**_record(doc, {"rank": (_integer, i + 1), **_WORKER}, f"{path}[{i}]"))
+        for i, doc in enumerate(docs)
     )
+
+
+_SCENARIO = {
+    "classes": (_array(_class), _REQUIRED),
+    "workers": (_workers, (WorkerSpec(),)),
+    "discount": (_discount, None),
+    "queue_capacity": (_integer, 0),
+}
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document, rejecting unknown keys."""
-    _check_keys(
-        doc,
-        {"classes", "workers", "discount", "queue_capacity"},
-        {"classes"},
-        "scenario",
-    )
-    classes_doc = doc["classes"]
-    if not isinstance(classes_doc, list) or not classes_doc:
-        raise ConfigError("scenario.classes: expected a nonempty array")
-    classes = tuple(
-        _parse_class(c, f"scenario.classes[{i}]") for i, c in enumerate(classes_doc)
-    )
-    workers = (
-        _parse_workers(doc["workers"], "scenario.workers")
-        if "workers" in doc
-        else (WorkerSpec(),)
-    )
-    discount = (
-        _parse_discount(doc["discount"], "scenario.discount")
-        if "discount" in doc
-        else None
-    )
-    capacity = doc.get("queue_capacity", 0)
-    if isinstance(capacity, bool) or not isinstance(capacity, int):
-        raise ConfigError("scenario.queue_capacity: expected an integer")
-    return Scenario(
-        classes=classes, workers=workers, discount=discount, queue_capacity=capacity
-    )
+    return Scenario(**_record(doc, _SCENARIO, "scenario"))
 
 
 def load_scenario(path) -> Scenario:
     """Read and parse a scenario JSON file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past Python's digit limit, or nesting
+        # past the recursion limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")

@@ -33,12 +33,6 @@ from .search import marginal_cost_ascent
 from .solver import Solution, price_response, solve_fixed_point
 
 
-def _queue_terms(cls_a: CustomerClass, cls_b: CustomerClass, cost: float,
-                 price_a: float, price_b: float) -> tuple[float, float, float]:
-    """`_queue_evaluator` of the two classes at one price pair."""
-    return _queue_evaluator(cls_a, cls_b, cost)(price_a, price_b)
-
-
 def _queue_evaluator(cls_a: CustomerClass, cls_b: CustomerClass, cost: float):
     """The closed-form rate R = N/D as a function of the price pair, and each
     class's opportunity-cost factor m_k = mu_k * dD/da_k, with each class's
@@ -83,7 +77,7 @@ def _queue_evaluator(cls_a: CustomerClass, cls_b: CustomerClass, cost: float):
 def queue_rate(scenario: Scenario, price_a: float, price_b: float) -> float:
     """Long-run average earning rate with one waiting spot, in closed form."""
     parts = queue_parts(scenario, "queue_rate")
-    return _queue_terms(*parts, *check_prices(scenario, (price_a, price_b)))[0]
+    return _queue_evaluator(*parts)(*check_prices(scenario, (price_a, price_b)))[0]
 
 
 @dataclass(frozen=True)

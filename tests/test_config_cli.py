@@ -1,6 +1,10 @@
+import copy
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -176,6 +180,116 @@ def test_load_scenario_io_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_scenario(bad)
+
+
+def test_load_scenario_refuses_what_json_cannot_read(tmp_path):
+    # a file that is not UTF-8, an integer past Python's digit limit, and
+    # nesting past the recursion limit
+    for name, content in (("binary.json", b"\xff\xfe"),
+                          ("digits.json", b'{"classes": ' + b"1" * 5000 + b"}"),
+                          ("deep.json", b"[" * 100_000)):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot read config|invalid JSON"):
+            load_scenario(path)
+
+
+# --- config type and shape mutations ---
+
+# Each key path of each bundled config is set to each of these, and deleted.
+TYPE_MUTATIONS = (None, True, "x", [], [1], {}, {"a": 1}, 0, -1, 10**400, 1e308, 0.5,
+                  [[0, 0]], ["a"])
+BUNDLED = sorted(p.name for p in CONFIGS.glob("*.json"))
+DELETE = object()
+
+
+def key_paths(node, prefix=()):
+    """Every key path below a JSON value, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+def mutated(doc, path, value=DELETE):
+    """A copy of `doc` with the key at `path` set to `value`, or deleted."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def mutation_outcomes(name):
+    """Each mutation of a bundled config, labelled by key path and value
+    index: "ok", the ConfigError's message, or the name of any other
+    exception."""
+    doc = read_json(CONFIGS / name)
+    outcomes = {}
+    for path in key_paths(doc):
+        for i, value in enumerate((*TYPE_MUTATIONS, DELETE)):
+            label = f"{name}:{'.'.join(map(str, path))}:{i}"
+            try:
+                parse_scenario(mutated(doc, path, value))
+                outcomes[label] = "ok"
+            except ConfigError as exc:
+                outcomes[label] = f"ConfigError: {exc}"
+            except Exception as exc:
+                outcomes[label] = type(exc).__name__
+    return outcomes
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_config_mutations_end_in_a_scenario_or_config_error(name):
+    outcomes = mutation_outcomes(name)
+    assert len(outcomes) >= 12 * 15  # the smallest config has 12 key paths
+    crashed = {label: out for label, out in outcomes.items()
+               if out != "ok" and not out.startswith("ConfigError: ")}
+    assert crashed == {}
+
+
+def test_config_errors_do_not_depend_on_the_hash_seed():
+    # the first missing key is the first the table lists, under any seed
+    doc = base_class_doc()
+    doc["valuation"]["params"] = {}
+    with pytest.raises(ConfigError, match="missing required key 'low'"):
+        parse_scenario({"classes": [doc]})
+    root = Path(__file__).resolve().parent.parent
+    script = ("import json, sys; from tests.test_config_cli import BUNDLED, mutation_outcomes; "
+              "json.dump({k: v for n in BUNDLED for k, v in mutation_outcomes(n).items()}, "
+              "sys.stdout)")
+    path = os.pathsep.join([str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")])
+    runs = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        ).stdout)
+        for seed in ("0", "1")
+    ]
+    assert len(runs[0]) > 2000
+    assert {k: (v, runs[1][k]) for k, v in runs[0].items() if v != runs[1][k]} == {}
+
+
+@pytest.mark.parametrize("path, value", [
+    (("classes", 0, "valuation", "kind"), []),
+    (("classes", 0, "arrival_rate"), 10**400),
+], ids=["kind_list", "arrival_rate_past_float"])
+def test_exit_code_config_types(tmp_path, capsys, path, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(mutated(read_json(CONFIGS / "single_class.json"), path, value)))
+    assert run_cli("solve", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.classes[0].") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_grid_forms():

@@ -36,7 +36,6 @@ from ondemand_pricing.queues import (
     _mixture_solve,
     _queue_evaluator,
     _queue_solve,
-    _queue_terms,
 )
 from ondemand_pricing.solver import price_response
 from tests.conftest import queue_scenario, unit_uniform_class
@@ -442,9 +441,10 @@ TWO_CYCLE = Scenario(
 def test_queue_solve_settles_where_the_plain_map_cycles():
     parts = queue_parts(TWO_CYCLE, "test")
     classes, cost = parts[:2], parts[2]
+    at = _queue_evaluator(*parts)
 
     def target(prices):
-        rate, *factors = _queue_terms(*parts, *prices)
+        rate, *factors = at(*prices)
         return tuple(price_response(cls, rate * m, cost) for cls, m in zip(classes, factors))
 
     prices = tuple(price_response(cls, 0.0, cost) for cls in classes)
