@@ -29,19 +29,24 @@ from .competition import (
 )
 from .config import load_scenario
 from .errors import ConfigError, IrregularDistribution, ModelMismatch, PricingError
-from .model import ExponentialDiscount, ExponentialDuration, Scenario, apply_commission
+from .model import (
+    ExponentialDiscount,
+    ExponentialDuration,
+    Scenario,
+    _uniform_retention,
+    apply_commission,
+)
 from .queues import (
     _mixture_solve,
     _queue_solve,
     first_step_solve,
     mixture_horizon_value,
-    queue_optimize,
     queue_rate,
 )
 from .simulate import SimConfig, SimStats, deviation_scan, simulate, simulate_discounted, simulate_queue
-from .solver import rate_map, solve_discounted, solve_fixed_point
+from .solver import Solution, rate_map, solve_discounted, solve_fixed_point
 
-DEFAULT_SEED = 20260815
+DEFAULT_SEED = SimConfig.base_seed
 
 
 class NoEquilibrium(PricingError):
@@ -75,13 +80,6 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _trace_rows(trace) -> list[tuple[int, float]]:
-    rows = [(t, r) for t, (r, _) in enumerate(trace)]
-    if trace:
-        rows.append((len(trace), trace[-1][1]))
-    return rows
 
 
 # A sweep range of more points is refused before numpy allocates it (the
@@ -128,60 +126,18 @@ def _default_r_grid() -> list[float]:
 # --- one model per scenario kind ---
 
 
-@dataclass(frozen=True)
-class Solved:
-    """A model's optimum: the prices to simulate at, and what `solve` reports."""
-
-    prices: list  # one per class; one row per worker for a fleet
-    summary: str = ""
-    payload: dict | None = None
-    trace: tuple | None = None  # (reserve, achieved rate) per fixed-point iteration
-
-
 def _fmts(prices) -> str:
     return ", ".join(_fmt(p) for p in prices)
 
 
-def _fixed_point_solved(model: str, title: str, sol) -> Solved:
-    payload = {"model": model, "prices": list(sol.prices), "rate": sol.rate,
-               "iterations": sol.iterations, "converged": sol.converged}
-    value = ""
-    if sol.value is not None:
-        payload["value"] = sol.value
-        value = f", value = {_fmt(sol.value)}"
-    summary = (f"{title}: prices = {_fmts(sol.prices)}, rate = {_fmt(sol.rate)}{value}, "
-               f"iterations = {sol.iterations}")
-    return Solved(list(sol.prices), summary, payload, sol.trace)
-
-
-def _solve_loss(scenario: Scenario) -> Solved:
-    return _fixed_point_solved("loss", "optimum", solve_fixed_point(scenario))
-
-
-def _solve_discounted(scenario: Scenario) -> Solved:
-    return _fixed_point_solved("discounted", "discounted optimum", solve_discounted(scenario))
-
-
-def _solve_mixture(scenario: Scenario) -> Solved:
-    sol = _mixture_solve(scenario)
-    summary = f"mixture-horizon optimum: prices = {_fmts(sol.prices)}, value = {_fmt(sol.value)}"
-    return Solved(list(sol.prices), summary,
-                  {"model": "mixture_horizon", "prices": list(sol.prices), "value": sol.value,
-                   "iterations": sol.iterations, "converged": sol.converged})
-
-
-def _solve_queue(scenario: Scenario) -> Solved:
-    sol = _queue_solve(scenario)
-    summary = (f"queue optimum: p_A* = {_fmt(sol.prices[0])}, p_B* = {_fmt(sol.prices[1])}, "
-               f"rate = {_fmt(sol.rate)}, iterations = {sol.iterations}")
-    return Solved(list(sol.prices), summary,
-                  {"model": "queue", "prices": list(sol.prices), "rate": sol.rate,
-                   "iterations": sol.iterations, "converged": sol.converged})
-
-
-def _solve_fleet(scenario: Scenario) -> Solved:
+def _solve_fleet(scenario: Scenario) -> Solution:
+    """The ranked equilibrium as one Solution: a price row per worker in config
+    order, the best rank's rate, and converged only when every rank's reserve
+    iteration converged. The equilibrium counts no iterations."""
     eq = ranked_price_equilibrium(scenario)
-    return Solved([list(eq.by_rank(w.rank).prices) for w in scenario.workers])
+    return Solution(prices=tuple(eq.by_rank(w.rank).prices for w in scenario.workers),
+                    rate=eq.outcomes[0].rate, iterations=0, trace=(),
+                    converged=all(o.converged for o in eq.outcomes))
 
 
 def _simulate_queue(config: SimConfig, prices) -> SimStats:
@@ -191,26 +147,47 @@ def _simulate_queue(config: SimConfig, prices) -> SimStats:
 
 
 class Model(NamedTuple):
-    """How the CLI solves, simulates and validates one scenario kind."""
+    """How the CLI solves, simulates, validates and reports one scenario kind.
 
-    solve: Callable[[Scenario], Solved]
-    simulate: Callable[[SimConfig, list], SimStats]
-    objective: Callable[[Scenario, list], float] | None  # None: the fleet check
+    `exact` is the kind's exact check in `validate`, run before the
+    simulation. `solve` writes `label` as solution.json's "model", the
+    Solution's `fields` beside its prices, iterations and convergence flag,
+    and prints `summary` formatted with the Solution as `sol` and its
+    printed prices as `prices`. `solve` serves no fleet, so a fleet has no
+    report."""
+
+    solve: Callable[[Scenario], Solution]
+    simulate: Callable[[SimConfig, tuple], SimStats]
+    objective: Callable[[Scenario, tuple], float] | None  # None: the fleet check
     check: str
+    exact: Callable[[Scenario, Solution, float], CheckResult] | None = None
+    label: str = ""
+    fields: tuple[str, ...] = ()
+    summary: str = ""
 
 
 def _model(scenario: Scenario) -> Model:
     """The scenario's row of the kind table. The table is built per call, so it
     holds the module's current bindings (a tracer or a test may rebind them)."""
     return {
-        "loss": Model(_solve_loss, simulate, avg_earning_rate, "loss_rate_vs_simulation"),
+        "loss": Model(solve_fixed_point, simulate, avg_earning_rate, "loss_rate_vs_simulation",
+                      _fixed_point_check, "loss", ("rate",),
+                      "optimum: prices = {prices}, rate = {sol.rate:.6g}, "
+                      "iterations = {sol.iterations}"),
         "fleet": Model(_solve_fleet, simulate, None, "best_ranked_worker_unaffected_by_fleet"),
-        "discounted": Model(_solve_discounted, simulate_discounted, discounted_value,
-                            "discounted_value_vs_simulation"),
-        "mixture": Model(_solve_mixture, simulate_discounted, mixture_horizon_value,
-                         "mixture_value_vs_simulation"),
-        "queue": Model(_solve_queue, _simulate_queue, lambda s, p: queue_rate(s, p[0], p[1]),
-                       "queue_rate_vs_simulation"),
+        "discounted": Model(solve_discounted, simulate_discounted, discounted_value,
+                            "discounted_value_vs_simulation", None, "discounted",
+                            ("rate", "value"),
+                            "discounted optimum: prices = {prices}, rate = {sol.rate:.6g}, "
+                            "value = {sol.value:.6g}, iterations = {sol.iterations}"),
+        "mixture": Model(_mixture_solve, simulate_discounted, mixture_horizon_value,
+                         "mixture_value_vs_simulation", None, "mixture_horizon", ("value",),
+                         "mixture-horizon optimum: prices = {prices}, value = {sol.value:.6g}"),
+        "queue": Model(_queue_solve, _simulate_queue, lambda s, p: queue_rate(s, p[0], p[1]),
+                       "queue_rate_vs_simulation", _renewal_check, "queue", ("rate",),
+                       "queue optimum: p_A* = {sol.prices[0]:.6g}, "
+                       "p_B* = {sol.prices[1]:.6g}, rate = {sol.rate:.6g}, "
+                       "iterations = {sol.iterations}"),
     }[scenario.kind]
 
 
@@ -226,13 +203,19 @@ _SERVES = {
 
 
 def cmd_solve(scenario: Scenario, outdir: Path) -> list[str]:
-    solved = _model(scenario).solve(scenario)
-    print(solved.summary)
+    model = _model(scenario)
+    sol = model.solve(scenario)
+    print(model.summary.format(sol=sol, prices=_fmts(sol.prices)))
     outputs = []
-    if solved.trace is not None:
-        _write_csv(outdir / "trace.csv", ["t", "R_t"], _trace_rows(solved.trace))
+    if sol.trace:
+        # (t, R_t): the reserve of each fixed-point step, then the rate reached
+        rows = [(t, r) for t, (r, _) in enumerate(sol.trace)]
+        rows.append((len(sol.trace), sol.trace[-1][1]))
+        _write_csv(outdir / "trace.csv", ["t", "R_t"], rows)
         outputs.append("trace.csv")
-    _write_json(outdir / "solution.json", solved.payload)
+    _write_json(outdir / "solution.json", {
+        "model": model.label, "prices": list(sol.prices), "iterations": sol.iterations,
+        "converged": sol.converged, **{name: getattr(sol, name) for name in model.fields}})
     outputs.append("solution.json")
     return outputs
 
@@ -240,35 +223,32 @@ def cmd_solve(scenario: Scenario, outdir: Path) -> list[str]:
 # --- sweep ---
 
 
-def _sweep_r(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
-    if scenario.num_classes != 2:
-        raise ModelMismatch("sweep over r varies the second class of a two-class scenario")
-    rows = []
-    for r in grid:
-        second = replace(
-            scenario.classes[1], arrival_rate=float(r), duration=ExponentialDuration(float(r))
-        )
-        variant = replace(scenario, classes=(scenario.classes[0], second))
-        prices, rate = queue_optimize(variant)
-        rows.append((float(r), prices[0], prices[1], rate))
-    return ["r", "p_A_star", "p_B_star", "rate"], rows
-
-
-def _solve_sweep(param: str, vary, solve, extras=()):
+def _solve_sweep(param: str, vary, solve, extras=(), prices=None):
     """A sweep that solves `vary(scenario, x)` at each grid value x, one row
-    per value: x, the optimal prices, the rate and the solution's `extras`."""
+    per value: x, the optimal prices, the rate and the solution's `extras`.
+    The price columns are named `prices`, or p_1, p_2, ... by class."""
 
     def sweep(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
         rows = []
         for x in grid:
             sol = solve(vary(scenario, float(x)))
             rows.append((float(x), *sol.prices, sol.rate, *(getattr(sol, e) for e in extras)))
-        prices = [f"p_{i + 1}" for i in range(scenario.num_classes)]
-        return [param, *prices, "rate", *extras], rows
+        names = prices or [f"p_{i + 1}" for i in range(scenario.num_classes)]
+        return [param, *names, "rate", *extras], rows
 
     return sweep
 
 
+def _vary_r(scenario: Scenario, r: float) -> Scenario:
+    """The two-class scenario with the second class's arrival and service
+    rate both set to r, its load held fixed."""
+    if scenario.num_classes != 2:
+        raise ModelMismatch("sweep over r varies the second class of a two-class scenario")
+    second = replace(scenario.classes[1], arrival_rate=r, duration=ExponentialDuration(r))
+    return replace(scenario, classes=(scenario.classes[0], second))
+
+
+_sweep_r = _solve_sweep("r", _vary_r, _queue_solve, prices=("p_A_star", "p_B_star"))
 _sweep_gamma = _solve_sweep(
     "gamma", lambda scn, g: replace(scn, discount=ExponentialDiscount(g)), solve_discounted,
     ("value",))
@@ -420,6 +400,19 @@ class CheckResult:
     detail: str
 
 
+def _fixed_point_check(scenario: Scenario, sol: Solution, analytic: float) -> CheckResult:
+    achieved, _ = rate_map(scenario, sol.rate)
+    return CheckResult("fixed_point_consistency", bool(abs(achieved - sol.rate) <= 1e-8),
+                       f"rate {_fmt(sol.rate)}, map at rate {_fmt(achieved)}")
+
+
+def _renewal_check(scenario: Scenario, sol: Solution, analytic: float) -> CheckResult:
+    renewal = first_step_solve(scenario, sol.prices[0], sol.prices[1]).rate
+    return CheckResult("queue_closed_form_vs_renewal_equations",
+                       bool(abs(analytic - renewal) <= 1e-9),
+                       f"closed form {_fmt(analytic)}, renewal solve {_fmt(renewal)}")
+
+
 def _sim_config(scenario: Scenario, seed: int) -> SimConfig:
     return SimConfig(
         scenario=scenario, base_seed=seed, expected_arrivals=20_000, replications=12
@@ -452,23 +445,12 @@ def _fleet_check(name: str, scenario: Scenario, seed: int, matrix,
 def validation_checks(scenario: Scenario, seed: int) -> list[CheckResult]:
     """Cross-check battery: every analytic model against its simulator."""
     model = _model(scenario)
-    solved = model.solve(scenario)
-    prices = solved.prices
-    analytic = None if model.objective is None else model.objective(scenario, prices)
-    checks: list[CheckResult] = []
-    if scenario.kind == "queue":
-        renewal = first_step_solve(scenario, prices[0], prices[1]).rate
-        checks.append(CheckResult("queue_closed_form_vs_renewal_equations",
-                                  bool(abs(analytic - renewal) <= 1e-9),
-                                  f"closed form {_fmt(analytic)}, renewal solve {_fmt(renewal)}"))
-    elif scenario.kind == "loss":
-        rate = solved.payload["rate"]
-        achieved, _ = rate_map(scenario, rate)
-        checks.append(CheckResult("fixed_point_consistency", bool(abs(achieved - rate) <= 1e-8),
-                                  f"rate {_fmt(rate)}, map at rate {_fmt(achieved)}"))
-    stats = model.simulate(_sim_config(scenario, seed), prices)
+    sol = model.solve(scenario)
+    analytic = None if model.objective is None else model.objective(scenario, sol.prices)
+    checks = [] if model.exact is None else [model.exact(scenario, sol, analytic)]
+    stats = model.simulate(_sim_config(scenario, seed), sol.prices)
     if analytic is None:
-        checks.append(_fleet_check(model.check, scenario, seed, prices, stats))
+        checks.append(_fleet_check(model.check, scenario, seed, sol.prices, stats))
     else:
         checks.append(_check_close(model.check, analytic, stats))
     return checks
@@ -486,6 +468,19 @@ def cmd_validate(scenario: Scenario, seed: int, outdir: Path) -> tuple[list[str]
 # --- entry point ---
 
 
+# Each subcommand's run: (scenario, parsed arguments, output directory) ->
+# (the files written, whether every check passed).
+_RUNS = {
+    "solve": lambda scn, args, out: (cmd_solve(scn, out), True),
+    "sweep": lambda scn, args, out: (cmd_sweep(scn, args.param, args.grid, out), True),
+    "simulate": lambda scn, args, out: (
+        cmd_simulate(scn, args.prices, args.seed, out, args.trace), True),
+    "compete": lambda scn, args, out: (
+        cmd_compete(scn, args.seed, out, args.verify, args.dynamics), True),
+    "validate": lambda scn, args, out: cmd_validate(scn, args.seed, out),
+}
+
+
 # Built once per process: parse_args fills a fresh namespace on every call
 # and leaves the parser as it found it.
 @functools.cache
@@ -495,8 +490,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Optimal per-unit-time pricing for on-demand workers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "sweep", "simulate", "compete", "validate"):
+    for name, run in _RUNS.items():
         cmd = sub.add_parser(name)
+        cmd.set_defaults(run=run)
         cmd.add_argument("--config", required=True, help="scenario JSON path")
         cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
         cmd.add_argument("--out", default="out", help="output directory")
@@ -521,22 +517,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        scenario = load_scenario(args.config)
-        op = "simulate --trace" if args.command == "simulate" and args.trace else args.command
+        # every command prices in net rates, so a worker's commission is applied once, here
+        scenario = _uniform_retention(load_scenario(args.config))
+        op = "simulate --trace" if getattr(args, "trace", False) else args.command
         if op in _SERVES:
             scenario.require(op, *_SERVES[op])
         outdir = Path(args.out)
-        ok = True
-        if args.command == "solve":
-            outputs = cmd_solve(scenario, outdir)
-        elif args.command == "sweep":
-            outputs = cmd_sweep(scenario, args.param, args.grid, outdir)
-        elif args.command == "simulate":
-            outputs = cmd_simulate(scenario, args.prices, args.seed, outdir, args.trace)
-        elif args.command == "compete":
-            outputs = cmd_compete(scenario, args.seed, outdir, args.verify, args.dynamics)
-        else:
-            outputs, ok = cmd_validate(scenario, args.seed, outdir)
+        outputs, ok = args.run(scenario, args, outdir)
         manifest = RunManifest(
             command=args.command,
             config=str(args.config),

@@ -28,7 +28,7 @@ from .model import (
     PriceVector,
     Scenario,
     WorkerSpec,
-    apply_commission,
+    _uniform_retention,
     check_prices,
 )
 from .solver import solve_fixed_point
@@ -198,19 +198,6 @@ class RankedEquilibrium:
             if outcome.rank == rank:
                 return outcome
         raise KeyError(f"no worker with rank {rank}")
-
-
-def _uniform_retention(scenario: Scenario) -> Scenario:
-    retentions = {w.commission_retention for w in scenario.workers}
-    if retentions == {1.0}:
-        return scenario
-    if len(retentions) > 1:
-        raise ModelMismatch(
-            "competition requires a common commission retention across workers"
-        )
-    keep = retentions.pop()
-    classes = tuple(apply_commission(cls, keep) for cls in scenario.classes)
-    return Scenario(classes=classes, workers=scenario.workers)
 
 
 def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:

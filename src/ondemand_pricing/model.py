@@ -574,3 +574,18 @@ def apply_commission(cls: CustomerClass, retention: float) -> CustomerClass:
     if retention == 1.0:
         return cls
     return replace(cls, valuation=cls.valuation.scaled(retention))
+
+
+def _uniform_retention(scenario: Scenario) -> Scenario:
+    """The scenario in net (retained) rates: every class's valuation law
+    scaled by the workers' common commission retention, each worker's
+    retention reset to 1.0 so that nothing applies it twice, the discount and
+    queue room kept. Workers keeping different shares are refused."""
+    retentions = {w.commission_retention for w in scenario.workers}
+    if retentions == {1.0}:
+        return scenario
+    if len(retentions) > 1:
+        raise ModelMismatch("workers must share one commission retention")
+    keep = retentions.pop()
+    return replace(scenario, classes=tuple(apply_commission(cls, keep) for cls in scenario.classes),
+                   workers=tuple(replace(w, commission_retention=1.0) for w in scenario.workers))

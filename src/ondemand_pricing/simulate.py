@@ -31,11 +31,12 @@ about log2(accepted) array passes.
 A ranked fleet is a cascade of the kernel, `_loss_rep`: workers in rank
 order each run it on the arrivals they can afford that no better-ranked
 worker took. A deviation scan runs the cascade down to the scanned worker,
-then the scanned worker once per distinct price. The
-discounted simulator caps each successor at the first arrival of the next
-window, where the worker restarts idle. The one-waiting-spot queue still
-steps through its affordable arrivals, since a waiting job's start depends on
-history, reading them as Python floats a chunk at a time. Jobs start first
+then the scanned worker once per distinct price. The discounted simulator
+caps each job's end at the first arrival of the next window, where the
+worker restarts idle, so the kernel takes that arrival next. The
+one-waiting-spot queue still steps through its affordable arrivals, since a
+waiting job's start depends on history, reading them as Python floats a
+chunk at a time. Jobs start first
 come, first served, and a job that finds the worker free starts on arrival,
 so the loop records only the lost arrivals and each waiting job's start;
 the served jobs and their starts follow from those. Every simulator adds up
@@ -306,15 +307,15 @@ def _offered_events(scenario: Scenario, base_seed: int, rep: int, horizon: float
     return _merge(parts), drawn
 
 
-def _successors(times, ends, cut, work) -> np.ndarray:
+def _successors(times, ends, work) -> np.ndarray:
     """The successor table of the loss kernel: entry i is the job a worker
     takes after job i, and entry n is n, the root past the last job.
 
     `times` are the sorted arrival times of the jobs the worker would take
     and `ends` their completion times. The job after job i is the first
-    arrival at or after ends[i], capped at cut[i] when `cut` is given. A job
-    whose end rounds to its start (t + d == t) frees the worker for the next
-    arrival, even one at the same instant.
+    arrival at or after ends[i]. A job whose end rounds to its start
+    (t + d == t) frees the worker for the next arrival, even one at the same
+    instant.
 
     That successor is i + 1 plus the number of later arrivals before ends[i].
     The times are sorted, so those arrivals come first among the later ones,
@@ -340,14 +341,12 @@ def _successors(times, ends, cut, work) -> np.ndarray:
         if n > _NEAR:
             far = np.flatnonzero(np.logical_not(miss[:n - _NEAR], out=miss[:n - _NEAR]))
             jump[far] = np.searchsorted(times, ends[far], "left")
-    if cut is not None:
-        np.minimum(jump[:n], cut, out=jump[:n])
     return jump
 
 
-def _loss_accepts(times, ends, cut=None) -> np.ndarray:
+def _loss_accepts(times, ends) -> np.ndarray:
     """Indices of the jobs a loss-system worker takes, starting idle, with
-    `times`, `ends` and `cut` as in `_successors`.
+    `times` and `ends` as in `_successors`.
 
     The path buffer is `_successors`' work buffer first. One buffer in place
     of several temporaries per call keeps the heap of a long run, and so its
@@ -365,7 +364,7 @@ def _loss_accepts(times, ends, cut=None) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.intp)
     path = np.empty(n, dtype=np.intp)
-    jump = _successors(times, ends, cut, path.view(np.int8))
+    jump = _successors(times, ends, path.view(np.int8))
     path[0] = 0
     m = 1
     while True:
@@ -569,7 +568,9 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         wins = (times / window).astype(np.int64)
         n_fit = int(np.searchsorted(wins, n_win, "left"))
         t, w = times[:n_fit], wins[:n_fit]
-        jobs = _loss_accepts(t, t + ds[:n_fit], cut=_run_ends(w))
+        # each end capped at the next window's first arrival, where the worker
+        # restarts idle; fmin caps a NaN end there too
+        jobs = _loss_accepts(t, np.fmin(t + ds[:n_fit], np.append(t, np.inf)[_run_ends(w)]))
         local = times[jobs] - wins[jobs] * window
         # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the last bit
         head = np.fromiter(map(math.exp, (-g * local).tolist()), float, jobs.size)

@@ -27,6 +27,7 @@ from ondemand_pricing import (
     solve_fixed_point,
 )
 from ondemand_pricing.cli import DEFAULT_SEED, _build_parser, _parse_grid, main
+from ondemand_pricing.model import _uniform_retention, apply_commission
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -955,6 +956,84 @@ def test_sweep_beta_scales_prices(tmp_path):
 def test_sweep_requires_grid_for_non_r(tmp_path):
     assert run_cli("sweep", "--config", str(CONFIGS / "two_class.json"),
                    "--param", "rho", "--out", str(tmp_path / "o")) == 2
+
+
+# --- commission: every command prices in net (retained) rates ---
+
+
+def with_retention(name, *retentions):
+    """A bundled config whose workers keep the given shares of each price."""
+    doc = read_json(CONFIGS / name)
+    workers = doc.get("workers", [{}])
+    doc["workers"] = [dict(w, commission_retention=r) for w, r in zip(workers, retentions)]
+    return doc
+
+
+def prescaled(name, retention):
+    """A bundled config with its uniform valuations written in net rates."""
+    doc = read_json(CONFIGS / name)
+    for cls in doc["classes"]:
+        params = cls["valuation"]["params"]
+        params["low"], params["high"] = retention * params["low"], retention * params["high"]
+    return doc
+
+
+@pytest.mark.parametrize("retention", [0.5, 0.8, 0.37])
+@pytest.mark.parametrize("name", ["single_class.json", "two_class.json"])
+def test_solve_with_retention_equals_sweep_beta(tmp_path, name, retention):
+    config = tmp_path / "kept.json"
+    config.write_text(json.dumps(with_retention(name, retention)))
+    assert run_cli("solve", "--config", str(config), "--out", str(tmp_path / "s")) == 0
+    assert run_cli("sweep", "--config", str(CONFIGS / name), "--param", "beta",
+                   "--grid", repr(retention), "--out", str(tmp_path / "b")) == 0
+    sol = read_json(tmp_path / "s" / "solution.json")
+    _, rows = read_csv_rows(tmp_path / "b" / "sweep_beta.csv")
+    assert [float(x).hex() for x in (*sol["prices"], sol["rate"])] == \
+        [float(x).hex() for x in rows[0][1:]]
+
+
+@pytest.mark.parametrize("name, argv, output", [
+    ("compete_ranked.json", ["simulate"], "stats.json"),
+    ("compete_ranked.json", ["compete"], "equilibrium.json"),
+    ("compete_ranked.json", ["validate"], "validate.json"),
+    ("undifferentiated.json", ["compete", "--dynamics"], "dynamics.json"),
+    ("single_class.json", ["simulate", "--trace"], "events.csv"),
+])
+def test_retention_runs_as_prescaled_valuations(tmp_path, capsys, name, argv, output):
+    kept, net = tmp_path / "kept.json", tmp_path / "net.json"
+    workers = len(read_json(CONFIGS / name).get("workers", [{}]))
+    kept.write_text(json.dumps(with_retention(name, *[0.5] * workers)))
+    net.write_text(json.dumps(prescaled(name, 0.5)))
+    written = []
+    for config in (kept, net):
+        out = tmp_path / config.stem
+        assert run_cli(*argv, "--config", str(config), "--seed", "7", "--out", str(out)) == 0
+        written.append((out / output).read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["sweep", "--param", "rho", "--grid", "1"], ["simulate"],
+    ["simulate", "--prices", "0.6;0.4"], ["compete"], ["compete", "--dynamics"],
+    ["validate"],
+])
+def test_mixed_retentions_exit_2_in_every_command(tmp_path, capsys, argv):
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps(with_retention("compete_ranked.json", 0.9, 0.8)))
+    assert run_cli(*argv, "--config", str(config), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == "error: workers must share one commission retention\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["discounted.json", "mixture.json", "queue.json"])
+def test_net_rates_keep_discount_and_queue_room(name):
+    scenario = parse_scenario(with_retention(name, 0.5))
+    net = _uniform_retention(scenario)
+    assert (net.kind, net.discount, net.queue_capacity) == \
+        (scenario.kind, scenario.discount, scenario.queue_capacity)
+    assert net.classes == tuple(apply_commission(cls, 0.5) for cls in scenario.classes)
+    assert [w.commission_retention for w in net.workers] == [1.0]
+    assert _uniform_retention(net) is net
 
 
 def test_simulate_repeat_runs_byte_identical(tmp_path):

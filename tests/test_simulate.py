@@ -712,7 +712,10 @@ def kernel_instance(kind, n, seed):
 def test_loss_accepts_matches_plain_loop(kind, n):
     for seed in range(3):
         times, ends, cut = kernel_instance(kind, n, seed)
-        got = _loss_accepts(times, ends, cut)
+        # the kernel takes window caps as ends capped at the next window's
+        # first arrival, as simulate_discounted passes them
+        capped = ends if cut is None else np.fmin(ends, np.append(times, np.inf)[cut])
+        got = _loss_accepts(times, capped)
         assert got.dtype == np.intp
         assert got.tolist() == reference_loss_accepts(times, ends, cut)
 
