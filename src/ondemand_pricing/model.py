@@ -587,5 +587,6 @@ def _uniform_retention(scenario: Scenario) -> Scenario:
     if len(retentions) > 1:
         raise ModelMismatch("workers must share one commission retention")
     keep = retentions.pop()
-    return replace(scenario, classes=tuple(apply_commission(cls, keep) for cls in scenario.classes),
-                   workers=tuple(replace(w, commission_retention=1.0) for w in scenario.workers))
+    classes = tuple(apply_commission(cls, keep) for cls in scenario.classes)
+    workers = tuple(replace(w, commission_retention=1.0) for w in scenario.workers)
+    return replace(scenario, classes=classes, workers=workers)

@@ -36,11 +36,11 @@ caps each job's end at the first arrival of the next window, where the
 worker restarts idle, so the kernel takes that arrival next. The
 one-waiting-spot queue still steps through its affordable arrivals, since a
 waiting job's start depends on history, reading them as Python floats a
-chunk at a time. Jobs start first
-come, first served, and a job that finds the worker free starts on arrival,
-so the loop records only the lost arrivals and each waiting job's start;
-the served jobs and their starts follow from those. Every simulator adds up
-earnings as arrays, in start order.
+chunk at a time. Jobs start first come, first served, and a job that finds
+the worker free starts on arrival, so the loop records only the lost
+arrivals and each waiting job's start; the served jobs and their starts
+follow from those. Every simulator adds up earnings as arrays, in start
+order.
 """
 
 from __future__ import annotations
