@@ -33,7 +33,6 @@ from .model import (
     ExponentialDiscount,
     ExponentialDuration,
     Scenario,
-    _uniform_retention,
     apply_commission,
 )
 from .queues import (
@@ -248,22 +247,6 @@ def _vary_r(scenario: Scenario, r: float) -> Scenario:
     return replace(scenario, classes=(scenario.classes[0], second))
 
 
-_sweep_r = _solve_sweep("r", _vary_r, _queue_solve, prices=("p_A_star", "p_B_star"))
-_sweep_gamma = _solve_sweep(
-    "gamma", lambda scn, g: replace(scn, discount=ExponentialDiscount(g)), solve_discounted,
-    ("value",))
-_sweep_rho = _solve_sweep(
-    "rho",
-    lambda scn, scale: replace(scn, classes=tuple(
-        replace(cls, arrival_rate=cls.arrival_rate * scale) for cls in scn.classes)),
-    solve_fixed_point)
-_sweep_beta = _solve_sweep(
-    "beta",
-    lambda scn, beta: replace(scn, classes=tuple(
-        apply_commission(cls, beta) for cls in scn.classes)),
-    solve_fixed_point)
-
-
 def _sweep_reserve(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
     rows = []
     for reserve in grid:
@@ -272,18 +255,34 @@ def _sweep_reserve(scenario: Scenario, grid) -> tuple[list[str], list[tuple]]:
     return ["reserve", "achieved_rate"], rows
 
 
-_SWEEPS = {
-    "r": _sweep_r,
-    "gamma": _sweep_gamma,
-    "rho": _sweep_rho,
-    "beta": _sweep_beta,
-    "reserve": _sweep_reserve,
-}
-SWEEPABLES = tuple(_SWEEPS)
+def _sweeps() -> dict:
+    """The sweep table. Like _model's, it is built per call, so each sweep
+    solves through the module's current bindings."""
+    return {
+        "r": _solve_sweep("r", _vary_r, _queue_solve, prices=("p_A_star", "p_B_star")),
+        "gamma": _solve_sweep(
+            "gamma", lambda scn, g: replace(scn, discount=ExponentialDiscount(g)),
+            solve_discounted, ("value",)),
+        "rho": _solve_sweep(
+            "rho",
+            lambda scn, scale: replace(scn, classes=tuple(
+                replace(cls, arrival_rate=cls.arrival_rate * scale) for cls in scn.classes)),
+            solve_fixed_point),
+        # on top of the share the config reader applied
+        "beta": _solve_sweep(
+            "beta",
+            lambda scn, beta: replace(scn, classes=tuple(
+                apply_commission(cls, beta) for cls in scn.classes)),
+            solve_fixed_point),
+        "reserve": _sweep_reserve,
+    }
+
+
+SWEEPABLES = tuple(_sweeps())
 
 
 def cmd_sweep(scenario: Scenario, param: str, grid_spec: str | None, outdir: Path) -> list[str]:
-    if param not in _SWEEPS:
+    if param not in SWEEPABLES:
         raise ConfigError(f"unknown sweep parameter {param!r} (one of {SWEEPABLES})")
     if grid_spec is not None:
         grid = _parse_grid(grid_spec)
@@ -291,7 +290,7 @@ def cmd_sweep(scenario: Scenario, param: str, grid_spec: str | None, outdir: Pat
         grid = _default_r_grid()
     else:
         raise ConfigError(f"--grid is required for parameter {param!r}")
-    header, rows = _SWEEPS[param](scenario, grid)
+    header, rows = _sweeps()[param](scenario, grid)
     name = f"sweep_{param}.csv"
     _write_csv(outdir / name, header, rows)
     print(f"swept {param} over {len(rows)} points -> {outdir / name}")
@@ -321,9 +320,10 @@ def cmd_simulate(scenario: Scenario, prices_spec: str, seed: int, outdir: Path,
         prices = model.solve(scenario).prices
     else:
         prices = _parse_prices(prices_spec, scenario)
-    trace_path = str(outdir / "events.csv") if trace else None
-    cfg = SimConfig(scenario=scenario, base_seed=seed, trace_path=trace_path)
-    stats = model.simulate(cfg, prices)
+    cfg = SimConfig(scenario=scenario, base_seed=seed)
+    # only `simulate` takes a trace path, and _SERVES gives --trace no other kind
+    stats = model.simulate(cfg, prices, str(outdir / "events.csv")) if trace \
+        else model.simulate(cfg, prices)
     payload = {"prices": prices, "seed": seed, "stats": stats.to_dict()}
     _write_json(outdir / "stats.json", payload)
     print(f"simulated {stats.kind}: mean = {_fmt(stats.mean)}, "
@@ -517,8 +517,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        # every command prices in net rates, so a worker's commission is applied once, here
-        scenario = _uniform_retention(load_scenario(args.config))
+        scenario = load_scenario(args.config)
         op = "simulate --trace" if getattr(args, "trace", False) else args.command
         if op in _SERVES:
             scenario.require(op, *_SERVES[op])

@@ -11,6 +11,9 @@ pure equilibrium need exist and best-response dynamics can cycle.
 Payoffs for best-response dynamics come from the exact stationary distribution
 of the fleet's busy-set Markov chain rather than from the residual-demand
 approximation.
+
+Every price here is in the scenario's own rates. The config reader applies a
+commission to the valuation laws, so nothing in this module applies one.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .model import (
     PriceVector,
     Scenario,
     WorkerSpec,
-    _uniform_retention,
     check_prices,
 )
 from .solver import solve_fixed_point
@@ -206,14 +208,14 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
     The best-ranked worker faces undiminished demand and prices as a lone
     worker. Each later worker maximizes the loss-system functional against the
     residual demand left by everyone ranked above; their equilibrium prices do
-    not depend on anything ranked below. With a commission in force all
-    prices are net (retained) rates. Each outcome says whether that worker's
-    reserve-rate iteration converged.
+    not depend on anything ranked below. Prices are in the scenario's own
+    rates, which are net (retained) rates for a scenario the config reader
+    built. Each outcome says whether that worker's reserve-rate iteration
+    converged.
     """
     scenario.require("ranked_price_equilibrium", "loss", "fleet")
     if scenario.choice != "ranked":
         raise ModelMismatch("quality ranks must be distinct")
-    scenario = _uniform_retention(scenario)
     ordered = sorted(scenario.workers, key=lambda w: w.rank)
 
     curves = [ResidualDemandCurve(cls) for cls in scenario.classes]

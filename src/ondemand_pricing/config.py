@@ -12,13 +12,14 @@ of the strings its table lists. See README for the full schema.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .model import (
     CustomerClass, DeterministicDuration, EmpiricalDuration, ExponentialDiscount,
     ExponentialDuration, ExponentialValuation, MixtureDiscount, PiecewiseLinearValuation,
-    Scenario, UniformValuation, WorkerSpec,
+    Scenario, UniformValuation, WorkerSpec, apply_commission,
 )
 
 _REQUIRED = object()
@@ -150,29 +151,47 @@ def _class(doc, path: str) -> CustomerClass:
 _WORKER = {"cost": (_number, 0.0), "commission_retention": (_number, 1.0)}
 
 
-def _workers(docs, path: str) -> tuple[WorkerSpec, ...]:
+def _worker(doc, path: str, rank: int) -> tuple[WorkerSpec, float]:
+    """A worker and the share of each price it keeps."""
+    fields = _record(doc, {"rank": (_integer, rank), **_WORKER}, path)
+    keep = fields.pop("commission_retention")
+    worker = WorkerSpec(**fields)
+    if not 0.0 < keep <= 1.0:  # NaN fails the comparison
+        raise ConfigError("commission_retention must lie in (0, 1]")
+    return worker, keep
+
+
+def _workers(docs, path: str) -> tuple[tuple[WorkerSpec, float], ...]:
     """The fleet; ranks default to list order, so give one for every worker or none."""
     docs = _array(_raw, " of workers")(docs, path)
     given = ["rank" in doc for doc in docs if isinstance(doc, dict)]
     if any(given) and not all(given):
         raise ConfigError(f"{path}: give rank for every worker or for none")
-    return tuple(
-        WorkerSpec(**_record(doc, {"rank": (_integer, i + 1), **_WORKER}, f"{path}[{i}]"))
-        for i, doc in enumerate(docs)
-    )
+    return tuple(_worker(doc, f"{path}[{i}]", i + 1) for i, doc in enumerate(docs))
 
 
 _SCENARIO = {
     "classes": (_array(_class), _REQUIRED),
-    "workers": (_workers, (WorkerSpec(),)),
+    "workers": (_workers, ((WorkerSpec(), 1.0),)),
     "discount": (_discount, None),
     "queue_capacity": (_integer, 0),
 }
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document, rejecting unknown keys."""
-    return Scenario(**_record(doc, _SCENARIO, "scenario"))
+    """Build a Scenario from a parsed JSON document, rejecting unknown keys.
+
+    The scenario is in net (retained) rates: every class's valuation law is
+    scaled once by the share of each price the workers keep, so every price
+    solved, simulated or checked on it is what a worker keeps. Workers keeping
+    different shares are refused, after any fault in the scenario's shape."""
+    fields = _record(doc, _SCENARIO, "scenario")
+    workers, keeps = zip(*fields.pop("workers"))
+    scenario = Scenario(workers=workers, **fields)
+    if len(set(keeps)) > 1:
+        raise ConfigError("workers must share one commission retention")
+    return replace(scenario, classes=tuple(
+        apply_commission(cls, keeps[0]) for cls in scenario.classes))
 
 
 def load_scenario(path) -> Scenario:

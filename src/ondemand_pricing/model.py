@@ -462,19 +462,19 @@ class CustomerClass:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """A worker: busy-time opportunity cost, quality rank (1 = most preferred), retention."""
+    """A worker: busy-time opportunity cost and quality rank (1 = most preferred).
+
+    Prices are net (retained) rates: the config reader applies the workers'
+    common commission by scaling every class's valuation law (`apply_commission`)."""
 
     cost: float = 0.0
     rank: int = 1
-    commission_retention: float = 1.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.cost) or self.cost < 0.0:
             raise ConfigError("worker cost must be finite and nonnegative")
         if self.rank < 1:
             raise ConfigError("worker rank must be a positive integer")
-        if not (0.0 < self.commission_retention <= 1.0):
-            raise ConfigError("commission_retention must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -574,19 +574,3 @@ def apply_commission(cls: CustomerClass, retention: float) -> CustomerClass:
     if retention == 1.0:
         return cls
     return replace(cls, valuation=cls.valuation.scaled(retention))
-
-
-def _uniform_retention(scenario: Scenario) -> Scenario:
-    """The scenario in net (retained) rates: every class's valuation law
-    scaled by the workers' common commission retention, each worker's
-    retention reset to 1.0 so that nothing applies it twice, the discount and
-    queue room kept. Workers keeping different shares are refused."""
-    retentions = {w.commission_retention for w in scenario.workers}
-    if retentions == {1.0}:
-        return scenario
-    if len(retentions) > 1:
-        raise ModelMismatch("workers must share one commission retention")
-    keep = retentions.pop()
-    classes = tuple(apply_commission(cls, keep) for cls in scenario.classes)
-    workers = tuple(replace(w, commission_retention=1.0) for w in scenario.workers)
-    return replace(scenario, classes=classes, workers=workers)

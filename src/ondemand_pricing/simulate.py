@@ -17,9 +17,10 @@ each class, drops the arrivals valued below the lowest price any worker (or
 any scan point) posts to their class, which leave without changing any
 state, and merges the rest into one time-ordered stream, freeing each
 class's arrays as they are merged. `_counts` counts the dropped ones as
-priced out. The trace is a view of replication 0: it redraws the full
-stream, in which the priced-in arrivals keep their order, and scatters the
-kernel's choices back onto them, writing a chunk at a time.
+priced out. Only `simulate` writes an event trace, to the path it is given;
+the trace is a view of replication 0: it redraws the full stream, in which
+the priced-in arrivals keep their order, and scatters the kernel's choices
+back onto them, writing a chunk at a time.
 
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
@@ -80,7 +81,6 @@ class SimConfig:
     replications: int = 30
     base_seed: int = 20260815
     warmup_fraction: float = 0.1
-    trace_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -462,20 +462,15 @@ def _write_trace(path: str, events, chosen, lost_price) -> None:
                                        lost_price[part]))
 
 
-def _trace_first_rep(config: SimConfig, horizon: float, floors, chosen) -> None:
-    """Write replication 0's trace: `chosen`, its kernel's choices on the
-    priced-in stream, scattered back onto the full stream redrawn here. The
-    full stream lives only as long as this call."""
+def _trace_first_rep(path: str, config: SimConfig, horizon: float, floors, chosen) -> None:
+    """Write replication 0's trace to `path`: `chosen`, its kernel's choices
+    on the priced-in stream, scattered back onto the full stream redrawn
+    here. The full stream lives only as long as this call."""
     events = _merged_events(config.scenario, config.base_seed, 0, horizon)
     lost_price = events[2] < floors[events[1]]
     shown = np.full(lost_price.size, -1, dtype=np.intp)
     shown[~lost_price] = chosen
-    _write_trace(config.trace_path, events, shown, lost_price)
-
-
-def _no_trace(config: SimConfig, model: str) -> None:
-    if config.trace_path is not None:
-        raise ConfigError(f"event traces cover loss systems only, not {model} runs")
+    _write_trace(path, events, shown, lost_price)
 
 
 def _check_matrix(scenario: Scenario, prices) -> list:
@@ -499,9 +494,10 @@ def _loss_matrix(scenario: Scenario, prices, op: str) -> list[tuple[float, ...]]
     return [check_prices(scenario, row) for row in _check_matrix(scenario, prices)]
 
 
-def simulate(config: SimConfig, prices) -> SimStats:
+def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimStats:
     """Simulate the loss system: a lone worker, or a ranked fleet under
-    best-affordable-worker choice. Returns rate statistics over replications."""
+    best-affordable-worker choice. Returns rate statistics over replications.
+    With a `trace_path`, replication 0's events are written there as CSV."""
     scenario = config.scenario
     matrix = _loss_matrix(scenario, prices, "simulate")
     horizon = config.horizon_hours()
@@ -518,9 +514,9 @@ def simulate(config: SimConfig, prices) -> SimStats:
                                    ranks, warm, horizon)
         counts += _counts(drawn, chosen.size, int(np.count_nonzero(chosen >= 0)))
         rows.append([e / span for e in earned])
-        if rep == 0 and config.trace_path is not None:
+        if rep == 0 and trace_path is not None:
             del events  # the trace's redraw needs only `chosen`
-            _trace_first_rep(config, horizon, floors, chosen)
+            _trace_first_rep(trace_path, config, horizon, floors, chosen)
     return _stats("rate", [sum(row) for row in rows], counts,
                   per_worker_reps=tuple(zip(*rows)))
 
@@ -540,7 +536,6 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
     """
     scenario = config.scenario
     scenario.require("simulate_discounted", "discounted", "mixture")
-    _no_trace(config, "discounted")
     price_arr = np.asarray(check_prices(scenario, prices))
     cost = scenario.workers[0].cost
     budget = config.horizon_hours()
@@ -658,7 +653,6 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     """
     scenario = config.scenario
     _, _, cost = queue_parts(scenario, "simulate_queue")
-    _no_trace(config, "queue")
     price_arr = np.asarray(check_prices(scenario, (price_a, price_b)))
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
@@ -716,11 +710,9 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     delta > z * SE with z Bonferroni-adjusted across the grid (a single-point
     grid gives the usual 1.96). A rate, gain or SE that is not finite raises
     NonFiniteRate, since no point could then be tested. Single-class scenarios
-    only; a scan writes no trace, so a set `config.trace_path` is refused.
+    only.
     """
     scenario = config.scenario
-    if config.trace_path is not None:
-        raise ConfigError("deviation_scan writes no trace; leave trace_path unset")
     if scenario.num_classes != 1:
         raise ModelMismatch("deviation_scan supports single-class scenarios")
     if config.replications < 2:

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -20,14 +21,18 @@ from ondemand_pricing import (
     PiecewiseLinearValuation,
     UniformValuation,
     load_scenario,
+    mixture_horizon_optimize,
     parse_scenario,
+    queue_optimize,
     queue_rate,
+    ranked_price_equilibrium,
     rate_map,
     solve_discounted,
     solve_fixed_point,
 )
+from ondemand_pricing import cli
 from ondemand_pricing.cli import DEFAULT_SEED, _build_parser, _parse_grid, main
-from ondemand_pricing.model import _uniform_retention, apply_commission
+from ondemand_pricing.model import apply_commission
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -958,6 +963,35 @@ def test_sweep_requires_grid_for_non_r(tmp_path):
                    "--param", "rho", "--out", str(tmp_path / "o")) == 2
 
 
+SWEEP_SOLVERS = ("solve_fixed_point", "solve_discounted", "_queue_solve")
+
+
+@pytest.mark.parametrize("param, name, solver", [
+    ("rho", "two_class.json", "solve_fixed_point"),
+    ("beta", "two_class.json", "solve_fixed_point"),
+    ("gamma", "discounted.json", "solve_discounted"),
+    ("r", "queue.json", "_queue_solve"),
+])
+def test_sweeps_solve_through_the_current_bindings(tmp_path, monkeypatch, param, name, solver):
+    # a tracer or a test that rebinds a solver in cli must see every sweep's solves
+    calls = dict.fromkeys(SWEEP_SOLVERS, 0)
+
+    def counting(attr):
+        solve = getattr(cli, attr)
+
+        def counted(scenario):
+            calls[attr] += 1
+            return solve(scenario)
+
+        return counted
+
+    for attr in SWEEP_SOLVERS:
+        monkeypatch.setattr(cli, attr, counting(attr))
+    assert run_cli("sweep", "--config", str(CONFIGS / name), "--param", param,
+                   "--grid", "0.5,0.8,1", "--out", str(tmp_path / "o")) == 0
+    assert calls == {attr: 3 if attr == solver else 0 for attr in SWEEP_SOLVERS}
+
+
 # --- commission: every command prices in net (retained) rates ---
 
 
@@ -1025,15 +1059,91 @@ def test_mixed_retentions_exit_2_in_every_command(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_shape_fault_is_named_before_mixed_retentions():
+    doc = dict(with_retention("compete_ranked.json", 0.9, 0.8), queue_capacity=1)
+    with pytest.raises(ConfigError, match="^scenario.queue_capacity: the queue takes a single"):
+        parse_scenario(doc)
+
+
+def _prices_and_rate(solve):
+    def run(scenario):
+        sol = solve(scenario)
+        return sol.prices, sol.rate
+
+    return run
+
+
+# Each single-worker kind's public solver, returning its prices and the
+# solution.json field (rate, or value for a mixture) it must match.
+LIBRARY_SOLVES = {
+    "single_class.json": (_prices_and_rate(solve_fixed_point), "rate"),
+    "two_class.json": (_prices_and_rate(solve_fixed_point), "rate"),
+    "discounted.json": (_prices_and_rate(solve_discounted), "rate"),
+    "mixture.json": (mixture_horizon_optimize, "value"),
+    "queue.json": (queue_optimize, "rate"),
+}
+
+
+@pytest.mark.parametrize("retention", [0.5, 0.8])
+@pytest.mark.parametrize("name", sorted(LIBRARY_SOLVES))
+def test_library_and_cli_solve_a_commission_alike(tmp_path, name, retention):
+    config = tmp_path / "kept.json"
+    config.write_text(json.dumps(with_retention(name, retention)))
+    solve, field = LIBRARY_SOLVES[name]
+    prices, rate = solve(load_scenario(config))
+    assert run_cli("solve", "--config", str(config), "--out", str(tmp_path / "o")) == 0
+    sol = read_json(tmp_path / "o" / "solution.json")
+    assert [x.hex() for x in (*prices, rate)] == \
+        [float(x).hex() for x in (*sol["prices"], sol[field])]
+
+
+@pytest.mark.parametrize("retention", [0.5, 0.8])
+def test_library_and_cli_rank_a_commission_alike(tmp_path, retention):
+    # the reader applies the share and the equilibrium does not apply it again
+    config = tmp_path / "kept.json"
+    config.write_text(json.dumps(with_retention("compete_ranked.json", retention, retention)))
+    eq = ranked_price_equilibrium(load_scenario(config))
+    assert run_cli("compete", "--config", str(config), "--out", str(tmp_path / "o")) == 0
+    written = read_json(tmp_path / "o" / "equilibrium.json")["workers"]
+    assert json.loads(json.dumps([asdict(o) for o in eq.outcomes])) == written
+
+
+# ROADMAP item 5's numeric values, as JSON tokens, for the one config key no
+# bundled config sets: 10**400 is an integer past the float range.
+RETENTION_TOKENS = ("0", "-0.0", "5e-324", "1e-300", "1e-12", "0.5", "1",
+                    repr(1.0 + 2.0**-52), "-1", "NaN", "Infinity", str(10**400))
+
+
+@pytest.mark.parametrize("token", RETENTION_TOKENS)
+@pytest.mark.parametrize("name", BUNDLED)
+def test_every_retention_keeps_the_exit_code_contract(tmp_path, capsys, time_budget, name,
+                                                      token):
+    doc = read_json(CONFIGS / name)
+    doc["workers"] = [dict(w, commission_retention="?") for w in doc.get("workers", [{}])]
+    text = json.dumps(doc).replace('"?"', token)
+    try:
+        parse_scenario(json.loads(text))
+    except ConfigError:
+        pass
+    config = tmp_path / "kept.json"
+    config.write_text(text)
+    for command in ("solve", "simulate", "compete", "validate"):
+        code = run_cli(command, "--config", str(config), "--out", str(tmp_path / command))
+        err = capsys.readouterr().err
+        # 0 and 1 (a failed check) print no error; 2, 3 and 4 exactly one line
+        assert code in (0, 1, 2, 3, 4)
+        assert err.count("error: ") == err.count("\n") == (code >= 2)
+        assert err.startswith("error: ") or not err
+
+
 @pytest.mark.parametrize("name", ["discounted.json", "mixture.json", "queue.json"])
 def test_net_rates_keep_discount_and_queue_room(name):
-    scenario = parse_scenario(with_retention(name, 0.5))
-    net = _uniform_retention(scenario)
-    assert (net.kind, net.discount, net.queue_capacity) == \
-        (scenario.kind, scenario.discount, scenario.queue_capacity)
-    assert net.classes == tuple(apply_commission(cls, 0.5) for cls in scenario.classes)
-    assert [w.commission_retention for w in net.workers] == [1.0]
-    assert _uniform_retention(net) is net
+    gross = parse_scenario(read_json(CONFIGS / name))
+    net = parse_scenario(with_retention(name, 0.5))
+    assert (net.kind, net.discount, net.queue_capacity, net.workers) == \
+        (gross.kind, gross.discount, gross.queue_capacity, gross.workers)
+    assert net.classes == tuple(apply_commission(cls, 0.5) for cls in gross.classes)
+    assert parse_scenario(with_retention(name, 1.0)) == gross
 
 
 def test_simulate_repeat_runs_byte_identical(tmp_path):

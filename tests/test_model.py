@@ -357,7 +357,7 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         WorkerSpec(rank=0)
     with pytest.raises(ConfigError):
-        WorkerSpec(commission_retention=0.0)
+        WorkerSpec(cost=math.nan)
     with pytest.raises(ConfigError):
         MixtureDiscount((0.5, 0.6), (1.0, 2.0))
     with pytest.raises(ConfigError):
@@ -407,7 +407,7 @@ MODEL_OBJECTS = {
     "customer_class": lambda: CustomerClass(
         1.0, EmpiricalDuration((0.5, 1.5)),
         PiecewiseLinearValuation(((0.0, 0.0), (0.4, 0.2), (1.0, 1.0)))),
-    "worker": lambda: WorkerSpec(cost=0.1, rank=2, commission_retention=0.9),
+    "worker": lambda: WorkerSpec(cost=0.1, rank=2),
     "scenario": lambda: Scenario(classes=(CustomerClass(
         1.0, EmpiricalDuration((0.5, 1.5)), UniformValuation(0.0, 1.0)),)),
 }

@@ -256,9 +256,8 @@ def test_mean_se_of_values_near_the_float_limit_is_finite():
 
 def test_event_trace_written(tmp_path, two_class_scenario):
     path = tmp_path / "events.csv"
-    cfg = small_config(two_class_scenario, expected_arrivals=500.0,
-                       replications=2, trace_path=str(path))
-    simulate(cfg, (0.7, 1.2))
+    cfg = small_config(two_class_scenario, expected_arrivals=500.0, replications=2)
+    simulate(cfg, (0.7, 1.2), trace_path=str(path))
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["time", "event", "class", "worker", "value"]
     events = {r[1] for r in rows[1:]}
@@ -300,21 +299,13 @@ def test_deviation_scan_guards(two_class_scenario, single_class_scenario):
         deviation_scan(scan_config(single_class_scenario), (0.5,), 3)
 
 
-def test_deviation_scan_refuses_a_trace_path(single_class_scenario, tmp_path):
-    path = tmp_path / "events.csv"
-    config = replace(scan_config(single_class_scenario), trace_path=str(path))
-    with pytest.raises(ConfigError, match="deviation_scan"):
-        deviation_scan(config, (0.5,), 0)
-    assert not path.exists()
-
-
 # --- bit identity with the per-event loops ---
 # The simulators step through accepted jobs only. These are the per-event
 # loops they replaced, kept as references: same draws, same float operations
 # in the same order, so every statistic and every trace byte must match.
 
 
-def reference_simulate(config, prices):
+def reference_simulate(config, prices, trace_path=None):
     scenario = config.scenario
     if len(scenario.workers) == 1:
         matrix = [[float(p) for p in prices]]
@@ -328,7 +319,7 @@ def reference_simulate(config, prices):
     rep_totals = []
     worker_reps = [[] for _ in scenario.workers]
     counts = Counts()
-    trace = open(config.trace_path, "w", newline="") if config.trace_path else None
+    trace = open(trace_path, "w", newline="") if trace_path else None
     log = csv.writer(trace) if trace else None
     if log:
         log.writerow(["time", "event", "class", "worker", "value"])
@@ -511,9 +502,9 @@ LOSS_CASES = {
 def test_loss_kernel_matches_event_loop(tmp_path, case):
     scenario, prices = LOSS_CASES[case]
     kw = dict(expected_arrivals=3_000.0, replications=4, base_seed=77)
-    got = simulate(small_config(scenario, trace_path=str(tmp_path / "got.csv"), **kw), prices)
-    want = reference_simulate(small_config(scenario, trace_path=str(tmp_path / "want.csv"),
-                                           **kw), prices)
+    got = simulate(small_config(scenario, **kw), prices, trace_path=str(tmp_path / "got.csv"))
+    want = reference_simulate(small_config(scenario, **kw), prices,
+                              trace_path=str(tmp_path / "want.csv"))
     assert_same_stats(got, want)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -1035,8 +1026,8 @@ def test_pruned_runs_equal_the_unpruned_reference(tmp_path, case, traced):
         assert_same_stats(run(cfg, prices), reference(cfg, prices))
         return
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    assert_same_stats(run(replace(cfg, trace_path=str(got)), prices),
-                      reference(replace(cfg, trace_path=str(want)), prices))
+    assert_same_stats(run(cfg, prices, trace_path=str(got)),
+                      reference(cfg, prices, trace_path=str(want)))
     assert got.read_bytes() == want.read_bytes()
 
 
