@@ -28,20 +28,29 @@ first arrival it can afford at or after t + d. That successor almost always
 lies a few arrivals ahead, so a local scan of the next few arrivals finds it
 for every job in linear time, and a binary search only for the jobs that
 outlast the scan. Pointer doubling then finds the chain of accepted jobs in
-about log2(accepted) array passes.
+about log2(accepted) array passes. Given segment starts, the kernel serves
+many independent streams laid end to end in one call: a compare past a
+segment's end counts as a miss, a job that outlasts the scan is searched for
+in its own segment, and each segment's first job, taken because the worker
+starts it idle, is the successor of the previous segment's last, so one
+chain visits them all. A call with one segment is a lone worker's run.
 A ranked fleet is a cascade of the kernel, `_loss_rep`: workers in rank
 order each run it on the arrivals they can afford that no better-ranked
 worker took. A deviation scan runs the cascade down to the scanned worker,
-then the scanned worker once per distinct price. The discounted simulator
-caps each job's end at the first arrival of the next window, where the
-worker restarts idle, so the kernel takes that arrival next. The
-one-waiting-spot queue still steps through its affordable arrivals, since a
-waiting job's start depends on history, reading them as Python floats a
-chunk at a time. Jobs start first come, first served, and a job that finds
-the worker free starts on arrival, so the loop records only the lost
-arrivals and each waiting job's start; the served jobs and their starts
-follow from those. Every simulator adds up earnings as arrays, in start
-order.
+then the scanned worker once per distinct price. On a few hundred arrivals
+a kernel call costs mostly its fixed overhead, so the scan gathers its
+(replication, price) streams of fewer than _SHORT offered arrivals into
+batches of at most _BATCH, one kernel call each, and sums each stream's
+earnings from 0.0 as a lone run does; a longer stream runs alone. The
+discounted simulator caps each job's end at the first arrival of the next
+window, where the worker restarts idle, so the kernel takes that arrival
+next. The one-waiting-spot queue still steps through its affordable
+arrivals, since a waiting job's start depends on history, reading them as
+Python floats a chunk at a time. Jobs start first come, first served, and a
+job that finds the worker free starts on arrival, so the loop records only
+the lost arrivals and each waiting job's start; the served jobs and their
+starts follow from those. Every simulator adds up earnings as arrays, in
+start order.
 """
 
 from __future__ import annotations
@@ -65,11 +74,19 @@ _MAX_WINDOWS = 2.0**63
 # The loss kernel compares each job's end with this many later arrivals and
 # binary-searches the successor of a job that outlasts them all.
 _NEAR = 4
-# Squares of replication values past this size could overflow in np.std.
+# Squares of deviations among replication values past _HUGE in size could
+# overflow, and among values below _TINY underflow.
 _HUGE = 2.0**500
+_TINY = 2.0**-500
 # The trace writer and the queue loop turn arrays into Python objects this
 # many arrivals at a time.
 _CHUNK = 8192
+# A deviation scan serves its streams of fewer offered arrivals than _SHORT
+# in batches of at most _BATCH arrivals, one kernel call each. A longer
+# stream is served alone: batching it saves little call cost and costs
+# copies, doubling passes over a longer table and cache misses.
+_SHORT = 2**12
+_BATCH = 2**15
 
 
 @dataclass(frozen=True)
@@ -173,17 +190,23 @@ def _quiet(func):
 
 @_quiet
 def _mean_se(values) -> tuple[float, float]:
-    """Mean and standard error. Values past _HUGE in size are first scaled
-    by a power of two, which is exact, so np.std's squares stay finite."""
+    """Mean and standard error, bit for bit as arr.mean() and
+    arr.std(ddof=1) / sqrt(n): the same sums, in numpy's order, without the
+    calls' overhead. Values past _HUGE or below _TINY in size (not all zero)
+    are first scaled by a power of two, which is exact, so the squares of
+    their deviations neither overflow nor underflow."""
     arr = np.asarray(values, dtype=float)
-    top = float(np.max(np.abs(arr)))
-    if _HUGE < top < math.inf:
+    top = float(np.maximum.reduce(np.abs(arr)))
+    if _HUGE < top < math.inf or 0.0 < top < _TINY:
         shift = math.frexp(top)[1]
         mean, se = _mean_se(np.ldexp(arr, -shift))
         return float(np.ldexp(mean, shift)), float(np.ldexp(se, shift))
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, se
+    n = arr.size
+    mean = float(np.add.reduce(arr) / n)
+    if n == 1:
+        return mean, 0.0
+    dev = np.subtract(arr, mean)
+    return mean, math.sqrt(np.add.reduce(np.square(dev, out=dev)) / (n - 1)) / math.sqrt(n)
 
 
 def _finite_mean_se(kind: str, values) -> tuple[float, float]:
@@ -307,64 +330,106 @@ def _offered_events(scenario: Scenario, base_seed: int, rep: int, horizon: float
     return _merge(parts), drawn
 
 
-def _successors(times, ends, work) -> np.ndarray:
+def _successors(times, ends, work, cuts) -> np.ndarray:
     """The successor table of the loss kernel: entry i is the job a worker
     takes after job i, and entry n is n, the root past the last job.
 
-    `times` are the sorted arrival times of the jobs the worker would take
-    and `ends` their completion times. The job after job i is the first
-    arrival at or after ends[i]. A job whose end rounds to its start
-    (t + d == t) frees the worker for the next arrival, even one at the same
-    instant.
+    `times` are the arrival times of the jobs the worker would take and
+    `ends` their completion times, in segments: independent streams laid
+    end to end, each sorted, the first starting at 0 and the others at
+    `cuts` (sorted, in [0, n]; two equal cuts bound an empty segment). The
+    job after job i is the first arrival of its segment at or after ends[i],
+    or the segment's end, which is the next segment's first job. A job whose
+    end rounds to its start (t + d == t) frees the worker for the next
+    arrival, even one at the same instant.
 
-    That successor is i + 1 plus the number of later arrivals before ends[i].
-    The times are sorted, so those arrivals come first among the later ones,
-    and a miss `times[i + k] >= ends[i]` at some k means a miss at every
-    larger k. So each job is compared with its next _NEAR arrivals, one slice
-    compare per k, and its misses are subtracted from i + 1 + _NEAR (or from
-    n, near the end of the stream). A job with no miss there, a NaN end among
-    them, gets its successor by binary search. The compares and the miss
-    counts go to `work`, an int8 buffer of at least 2n bytes that this
-    overwrites.
+    That successor is i + 1 plus the number of later arrivals of its segment
+    before ends[i]. The times are sorted, so those arrivals come first among
+    the later ones, and a miss `times[i + k] >= ends[i]` at some k means a
+    miss at every larger k. So each job is compared with its next _NEAR
+    arrivals, one slice compare per k, and its misses are subtracted from
+    i + 1 + _NEAR (or from n, near the end of the stream). A compare past a
+    segment's end counts as a miss, which gives the last _NEAR jobs of a
+    segment that segment's end, as the last jobs of the stream get n. A job
+    with no miss there, a NaN end among them, gets its successor by binary
+    search in its own segment. The compares and the miss counts go to
+    `work`, an int8 buffer of at least 2n bytes that this overwrites.
     """
     n = times.size
     jump = np.arange(1 + _NEAR, n + 2 + _NEAR, dtype=np.intp)
     jump[-1 - _NEAR:] = n
+    # row d - 1 holds the jobs d places before each cut: from k = d on, their
+    # compares reach past their segment's end
+    before = cuts - np.arange(1, _NEAR + 1)[:, None] if cuts.size else None
     if n > 1:
         misses = work[:n - 1]
         miss = work[n:2 * n - 1].view(bool)
         np.greater_equal(times[1:], ends[:-1], out=misses.view(bool))
+        _cut_misses(misses.view(bool), before, 1)
         for k in range(2, min(_NEAR, n - 1) + 1):
             np.greater_equal(times[k:], ends[:n - k], out=miss[:n - k])
+            _cut_misses(miss[:n - k], before, k)
             misses[:n - k] += miss[:n - k].view(np.int8)
         jump[:n - 1] -= misses
         if n > _NEAR:
             far = np.flatnonzero(np.logical_not(miss[:n - _NEAR], out=miss[:n - _NEAR]))
-            jump[far] = np.searchsorted(times, ends[far], "left")
+            if before is None:
+                jump[far] = np.searchsorted(times, ends[far], "left")
+            else:
+                _segment_search(times, ends, far, cuts, jump)
     return jump
 
 
-def _loss_accepts(times, ends) -> np.ndarray:
-    """Indices of the jobs a loss-system worker takes, starting idle, with
-    `times` and `ends` as in `_successors`.
+def _cut_misses(miss, before, k: int) -> None:
+    """Mark as misses the compares at distance k, miss[i] for times[i + k],
+    that reach past a cut: those of the jobs at most k places before one."""
+    if before is not None:
+        jobs = before[:k].ravel()
+        miss[jobs[(jobs >= 0) & (jobs < miss.size)]] = True
+
+
+def _segment_search(times, ends, far, cuts, jump) -> None:
+    """jump[far] by binary search, each job among the arrivals of its own
+    segment. The search keys are (segment, time) pairs held as complex
+    numbers, which numpy orders real part first while no part is NaN, so
+    one search lands each job in its own segment. The arrival times are
+    finite, so a NaN end, probed as inf, lands past the segment's last
+    arrival, as NaN sorts last in np.searchsorted over the times."""
+    segment = np.repeat(np.arange(cuts.size + 1.0), np.diff(cuts, prepend=0, append=times.size))
+    keys = np.empty(times.size, dtype=complex)
+    keys.real, keys.imag = segment, times
+    probes = np.empty(far.size, dtype=complex)
+    probes.real, probes.imag = segment[far], np.fmin(ends[far], math.inf)
+    jump[far] = np.searchsorted(keys, probes, "left")
+
+
+def _loss_accepts(times, ends, starts=(0,)) -> np.ndarray:
+    """Indices of the jobs a loss-system worker takes, starting idle, on
+    each of the streams that begin at `starts` (0, then each later stream's
+    first index; one stream by default), with `times` and `ends` as in
+    `_successors`.
 
     The path buffer is `_successors`' work buffer first. One buffer in place
     of several temporaries per call keeps the heap of a long run, and so its
     peak memory, from growing.
 
     The successors form a forest whose roots sit at n, and the accepted jobs
-    are the path from job 0 to its root. Pointer doubling finds that path:
-    while `path` holds the first m = 2**k jobs on it, `jump` is the m-th
-    successor, so jump[path[:m]] holds the next m, and squaring the table
-    doubles the stride. Each pass appends in path order, so `path` stays
-    sorted, and the path has at most n jobs, so the buffer never overflows.
-    It takes about log2(accepted) passes over the table.
+    are the path from job 0 to its root. A stream's first job is always
+    taken, since the worker starts it idle, and it is the successor of the
+    previous stream's last taken job, so the one path visits every stream in
+    order. Pointer doubling finds that path: while `path` holds the first
+    m = 2**k jobs on it, `jump` is the m-th successor, so jump[path[:m]]
+    holds the next m, and squaring the table doubles the stride. Each pass
+    appends in path order, so `path` stays sorted, and the path has at most
+    n jobs, so the buffer never overflows. It takes about log2(accepted)
+    passes over the table.
     """
     n = times.size
     if n == 0:
         return np.empty(0, dtype=np.intp)
     path = np.empty(n, dtype=np.intp)
-    jump = _successors(times, ends, path.view(np.int8))
+    jump = _successors(times, ends, path.view(np.int8),
+                       np.asarray(starts[1:], dtype=np.intp))
     path[0] = 0
     m = 1
     while True:
@@ -394,12 +459,16 @@ def _running_sum(terms, total: float = 0.0) -> float:
 
 
 @_quiet
+def _earning_terms(margins, starts, ends, warm: float, horizon: float):
+    """Each job's earnings over [warm, horizon], busy on [starts, ends)."""
+    return margins * np.maximum(0.0, np.minimum(ends, horizon) - np.maximum(starts, warm))
+
+
 def _earnings(margins, starts, ends, warm: float, horizon: float,
               total: float = 0.0) -> float:
     """Earnings over [warm, horizon] of jobs busy on [starts, ends), in
     order, added on to `total`."""
-    overlap = np.maximum(0.0, np.minimum(ends, horizon) - np.maximum(starts, warm))
-    return _running_sum(margins * overlap, total)
+    return _running_sum(_earning_terms(margins, starts, ends, warm, horizon), total)
 
 
 def _rank_order(workers) -> list[int]:
@@ -414,6 +483,46 @@ def _serve(events, ends, free, row, cost: float, warm: float, horizon: float):
     offered = np.flatnonzero(free & (prices <= vs))
     taken = offered[_loss_accepts(times[offered], ends[offered])]
     return taken, _earnings(prices[taken] - cost, times[taken], ends[taken], warm, horizon)
+
+
+def _serve_streams(batch, cost: float, warm: float, horizon: float):
+    """(key, earnings over [warm, horizon]) for each (key, stream) of
+    `batch`, a stream being the (times, ends) of the arrivals a lone worker
+    is offered at one price, and that price. One kernel call serves the
+    streams laid end to end."""
+    streams = [stream for _, stream in batch]
+    starts = np.cumsum([0] + [stream[0].size for stream in streams[:-1]])
+    if len(streams) == 1:
+        times, ends, _ = streams[0]
+    else:
+        times, ends = (np.concatenate([stream[i] for stream in streams]) for i in (0, 1))
+    taken = _loss_accepts(times, ends, starts)
+    bounds = [*np.searchsorted(taken, starts).tolist(), taken.size]
+    margins = np.repeat([price - cost for _, _, price in streams], np.diff(bounds))
+    terms = _earning_terms(margins, times[taken], ends[taken], warm, horizon)
+    return [(key, _running_sum(terms[lo:hi]))
+            for (key, _), lo, hi in zip(batch, bounds, bounds[1:])]
+
+
+def _batched_earnings(streams, cost: float, warm: float, horizon: float):
+    """(key, earnings) for each (key, stream) of `streams`, as
+    `_serve_streams` gives them. A stream of _SHORT or more arrivals is
+    served alone when it comes; the shorter ones gather, in order, into
+    batches of at most _BATCH arrivals, each served in one kernel call, so
+    the kernel's fixed cost per call is paid once per batch."""
+    batch, size = [], 0
+    for key, stream in streams:
+        n = stream[0].size
+        if n >= _SHORT:
+            yield from _serve_streams([(key, stream)], cost, warm, horizon)
+            continue
+        if batch and size + n > _BATCH:
+            yield from _serve_streams(batch, cost, warm, horizon)
+            batch, size = [], 0
+        batch.append((key, stream))
+        size += n
+    if batch:
+        yield from _serve_streams(batch, cost, warm, horizon)
 
 
 def _loss_rep(events, ends, workers, matrix, ranks, warm: float, horizon: float):
@@ -738,34 +847,40 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     # scanned worker's earnings depend only on the arrivals the workers ranked
     # above it leave free, which no candidate price changes, so that prefix of
     # the rank cascade runs once per replication and the workers ranked below
-    # it not at all.
+    # it not at all. The scanned worker's streams, one per replication and
+    # distinct price, are served in batches as they come.
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
     span = horizon - warm
     # a grid may repeat a price or the baseline: each distinct row runs once
-    rates: dict[tuple[float, ...], list[float]] = {
-        row: [] for row in (baseline, *candidates)}
+    slots = {row: r for r, row in enumerate(dict.fromkeys((baseline, *candidates)))}
+    rates = np.empty((len(slots), config.replications))
     floors = np.min(np.asarray([*matrix, *candidates]), axis=0)
-    for rep in range(config.replications):
-        events, _ = _offered_events(scenario, config.base_seed, rep, horizon, floors)
-        ends = events[0] + events[3]
-        if above:
-            free = _loss_rep(events, ends, scenario.workers, matrix, above, warm,
-                             horizon)[1] < 0
-        else:  # the top-ranked worker finds every arrival free
-            free = np.ones(ends.size, dtype=bool)
-        for row, reps in rates.items():
-            _, earned = _serve(events, ends, free, row, cost, warm, horizon)
-            reps.append(earned / span)
 
-    base_mean, base_se = _finite_mean_se("baseline rate", rates[baseline])
-    base_reps = np.asarray(rates[baseline])
+    def streams():
+        for rep in range(config.replications):
+            events, _ = _offered_events(scenario, config.base_seed, rep, horizon, floors)
+            times, _, vs, ds = events
+            ends = times + ds
+            if above:
+                free = _loss_rep(events, ends, scenario.workers, matrix, above, warm,
+                                 horizon)[1] < 0
+            else:  # the top-ranked worker finds every arrival free
+                free = np.ones(ends.size, dtype=bool)
+            for (price,), r in slots.items():
+                offered = np.flatnonzero(free & (price <= vs))
+                yield (r, rep), (times[offered], ends[offered], price)
+
+    for (r, rep), earned in _batched_earnings(streams(), cost, warm, horizon):
+        rates[r, rep] = earned / span
+
+    base_reps = rates[slots[baseline]]
+    base_mean, base_se = _finite_mean_se("baseline rate", base_reps)
     points = []
     for candidate, trial in zip(price_grid, candidates):
-        row = rates[trial]
-        mean, se = _finite_mean_se(f"rate at price {candidate!r}", row)
-        delta, delta_se = _finite_mean_se(f"gain at price {candidate!r}",
-                                          np.asarray(row) - base_reps)
+        reps = rates[slots[trial]]
+        mean, se = _finite_mean_se(f"rate at price {candidate!r}", reps)
+        delta, delta_se = _finite_mean_se(f"gain at price {candidate!r}", reps - base_reps)
         points.append(
             DeviationPoint(
                 price=candidate,

@@ -227,7 +227,8 @@ ORDINARY_VALUES = [
     [-3.5, 1e-300, 7.25],
     [2.0**500, -(2.0**500), 1.0],
     *(np.random.default_rng(seed).normal(scale, scale, 30)
-      for seed, scale in enumerate((1e-300, 1e-5, 1.0, 1e100, 1e150))),
+      for seed, scale in enumerate((1e-5, 1.0, 1e100, 1e150), start=1)),
+    [2.0**-500, -(2.0**-500), 1e-300],
 ]
 
 
@@ -244,6 +245,22 @@ def test_mean_se_of_huge_values_scales_exactly(shift):
     got = _mean_se(np.ldexp(values, shift))
     assert got == (float(np.ldexp(mean, shift)), float(np.ldexp(se, shift)))
     assert all(math.isfinite(x) for x in got)
+
+
+TINY_VALUES = [
+    # near 1e-300, where the squares of the deviations underflow to 0 unscaled
+    np.random.default_rng(0).normal(1e-300, 1e-300, 30),
+    *(np.ldexp(np.random.default_rng(shift).normal(1.0, 0.5, 30), -shift)
+      for shift in (501, 700, 1000)),
+]
+
+
+@pytest.mark.parametrize("values", TINY_VALUES, ids=["1e-300", "-501", "-700", "-1000"])
+def test_mean_se_of_tiny_values_scales_exactly(values):
+    mean, se = reference_mean_se(np.ldexp(values, 1000))
+    got = _mean_se(values)
+    assert got == (float(np.ldexp(mean, -1000)), float(np.ldexp(se, -1000)))
+    assert got[1] > 0.0
 
 
 def test_mean_se_of_values_near_the_float_limit_is_finite():
@@ -635,12 +652,19 @@ def test_deviation_scan_repeated_prices_equal_separate_simulations(ranked_fleet_
                     replications=4, base_seed=17)
     matrix = [[0.6], [0.4]]
     grid = [0.3, 0.4, 0.55, 0.3, 0.4, 0.4]
-    serves = []
-    serve = simulate_module._serve
+    serves, segments = [], []
+    serve, serve_streams = simulate_module._serve, simulate_module._serve_streams
     monkeypatch.setattr(simulate_module, "_serve",
                         lambda *args: serves.append(args[3]) or serve(*args))
+    monkeypatch.setattr(simulate_module, "_serve_streams",
+                        lambda batch, *args: segments.extend(
+                            price for _, (_, _, price) in batch)
+                        or serve_streams(batch, *args))
     report = deviation_scan(cfg, matrix, 1, grid)
-    assert len(serves) == cfg.replications * (1 + 3)
+    # the rank-1 worker once per replication, and each distinct row of the
+    # scanned worker once per replication, as one segment of a kernel call
+    assert serves == [(0.6,)] * cfg.replications
+    assert sorted(segments) == sorted([0.3, 0.4, 0.55] * cfg.replications)
 
     def hex_mean_se(reps):
         return tuple(x.hex() for x in _mean_se(reps))
@@ -655,6 +679,58 @@ def test_deviation_scan_repeated_prices_equal_separate_simulations(ranked_fleet_
         assert (point.delta.hex(), point.delta_se.hex()) == \
             hex_mean_se(np.subtract(reps, base))
     assert [p.delta for p in report.points if p.price == 0.4] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("worker_index, grid, arrivals", [
+    (0, [0.45, 0.55, 0.6, 0.65, 0.7], 2_000.0),
+    (1, [0.0, 0.3, 0.4, 0.4, 1.2], 2_000.0),
+    (1, [0.35, 0.45], 9_000.0),    # some streams of at least _SHORT arrivals
+])
+def test_deviation_scan_batched_equals_alone(ranked_fleet_scenario, monkeypatch, worker_index,
+                                             grid, arrivals):
+    cfg = SimConfig(scenario=ranked_fleet_scenario, expected_arrivals=arrivals,
+                    replications=5, base_seed=23)
+    matrix = [[0.6], [0.4]]
+    calls = []
+    serve_streams = simulate_module._serve_streams
+    monkeypatch.setattr(simulate_module, "_serve_streams",
+                        lambda batch, *args: calls.append(len(batch))
+                        or serve_streams(batch, *args))
+    default = deviation_scan(cfg, matrix, worker_index, grid)
+    reports = {}
+    # every stream in one kernel call, then every stream in a call of its own
+    for mode, short, batch in [("batched", math.inf, math.inf), ("alone", 0, 0)]:
+        monkeypatch.setattr(simulate_module, "_SHORT", short)
+        monkeypatch.setattr(simulate_module, "_BATCH", batch)
+        calls.clear()
+        reports[mode] = deviation_scan(cfg, matrix, worker_index, grid)
+        streams = cfg.replications * len({0.6 if worker_index == 0 else 0.4, *grid})
+        assert calls == ([streams] if mode == "batched" else [1] * streams)
+    assert repr(reports["batched"]) == repr(reports["alone"]) == repr(default)
+
+
+def test_deviation_scan_batches_its_short_streams(ranked_fleet_scenario, monkeypatch):
+    # a guard on calls, not on time: a scan of short streams packs them into
+    # full batches, ceil(arrivals / _BATCH) kernel calls here, not one per row
+    cfg = SimConfig(scenario=ranked_fleet_scenario, expected_arrivals=2_000.0,
+                    replications=16, base_seed=5)
+    calls, batches = [], []
+    loss_accepts, serve_streams = simulate_module._loss_accepts, simulate_module._serve_streams
+    monkeypatch.setattr(simulate_module, "_loss_accepts",
+                        lambda times, *args: calls.append(times.size)
+                        or loss_accepts(times, *args))
+    monkeypatch.setattr(simulate_module, "_serve_streams",
+                        lambda batch, *args: batches.append([t.size for _, (t, _, _) in batch])
+                        or serve_streams(batch, *args))
+    deviation_scan(cfg, [[0.6], [0.4]], 0, np.linspace(0.48, 0.72, 11))
+    short, batch = simulate_module._SHORT, simulate_module._BATCH
+    assert sum(map(len, batches)) == cfg.replications * 11
+    assert max(max(sizes) for sizes in batches) < short
+    assert calls == [sum(sizes) for sizes in batches]
+    assert sum(calls) > 2 * batch and max(calls) <= batch
+    # each batch is full: its next stream would not have fitted
+    assert all(sum(sizes) + after[0] > batch for sizes, after in zip(batches, batches[1:]))
+    assert len(calls) <= math.ceil(sum(calls) / batch)
 
 
 # --- the loss kernel, the event merge and the trace writer, part by part ---
@@ -709,6 +785,47 @@ def test_loss_accepts_matches_plain_loop(kind, n):
         got = _loss_accepts(times, capped)
         assert got.dtype == np.intp
         assert got.tolist() == reference_loss_accepts(times, ends, cut)
+
+
+def random_segments(kind, rng):
+    """Segment starts and a stream of (times, ends) laid end to end: either
+    one instance cut at random places, where times can tie across a cut, or
+    independent instances, whose times start over at each cut. Cuts repeat
+    (empty segments) and fall close together (segments shorter than _NEAR),
+    and some ends next to a cut are NaN or inf."""
+    if rng.random() < 0.5:
+        n = int(rng.integers(0, 300))
+        times, ends, cut = kernel_instance(kind, n, int(rng.integers(1 << 30)))
+        starts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 12))))
+    else:
+        sizes = rng.choice([0, 1, 2, _NEAR - 1, _NEAR, _NEAR + 1, 9, 60], int(rng.integers(1, 9)))
+        parts = [kernel_instance(kind, int(m), int(rng.integers(1 << 30))) for m in sizes]
+        times = np.concatenate([t for t, _, _ in parts])
+        ends = np.concatenate([e for _, e, _ in parts])
+        starts = np.cumsum(sizes)[:-1]
+        cut = None if kind != "cut" else np.concatenate(
+            [c + lo for (_, _, c), lo in zip(parts, [0, *starts])])
+    if cut is not None:
+        ends = np.fmin(ends, np.append(times, np.inf)[cut])
+    starts = np.concatenate(([0], starts)).astype(np.intp)
+    for edge in np.concatenate((starts - 1, starts)):
+        if 0 <= edge < times.size and rng.random() < 0.3:
+            ends[edge] = rng.choice([np.nan, np.inf])
+    return times, ends, starts
+
+
+@pytest.mark.parametrize("kind", ["light", "heavy", "far", "tied_times", "below_ulp",
+                                  "nan_ends", "cut"])
+def test_segmented_loss_accepts_is_each_segment_served_alone(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(150):
+        times, ends, starts = random_segments(kind, rng)
+        bounds = [*starts.tolist(), times.size]
+        want = [lo + j for lo, hi in zip(bounds, bounds[1:])
+                for j in _loss_accepts(times[lo:hi], ends[lo:hi]).tolist()]
+        got = _loss_accepts(times, ends, starts)
+        assert got.dtype == np.intp
+        assert got.tolist() == want
 
 
 def test_far_instances_send_most_jobs_to_the_binary_search():
