@@ -13,10 +13,12 @@ warmup prefix, discounted estimates run from the idle start because the
 start state is part of the quantity.
 
 Every simulator draws a replication through `_offered_events`: it draws
-each class, drops the arrivals valued below the lowest price any worker (or
-any scan point) posts to their class, which leave without changing any
-state, and merges the rest into one time-ordered stream, freeing each
-class's arrays as they are merged. `_counts` counts the dropped ones as
+each class, drops the arrivals valued below the lowest price any worker it
+runs posts to their class, which leave without changing any state, and
+merges the rest into one time-ordered stream, freeing each class's arrays
+as they are merged. A deviation scan runs only the scanned worker, at its
+baseline and grid prices, and the workers ranked above it, so only their
+prices set its floors. `_counts` counts the dropped ones as
 priced out. Only `simulate` writes an event trace, to the path it is given;
 the trace is a view of replication 0: it redraws the full stream, in which
 the priced-in arrivals keep their order, and scatters the kernel's choices
@@ -36,17 +38,22 @@ starts it idle, is the successor of the previous segment's last, so one
 chain visits them all. A call with one segment is a lone worker's run.
 A ranked fleet is a cascade of the kernel, `_loss_rep`: workers in rank
 order each run it on the arrivals they can afford that no better-ranked
-worker took. A deviation scan runs the cascade down to the scanned worker,
-then the scanned worker once per distinct price. On a few hundred arrivals
-a kernel call costs mostly its fixed overhead, so the scan gathers its
-(replication, price) streams of fewer than _SHORT offered arrivals into
-batches of at most _BATCH, one kernel call each, and sums each stream's
-earnings from 0.0 as a lone run does; a longer stream runs alone. The
-discounted simulator caps each job's end at the first arrival of the next
-window, where the worker restarts idle, so the kernel takes that arrival
-next. The one-waiting-spot queue still steps through its affordable
-arrivals, since a waiting job's start depends on history, reading them as
-Python floats a chunk at a time. Jobs start first come, first served, and a
+worker took, on one replication or on several laid end to end. A deviation
+scan runs the cascade down to the scanned worker, then the scanned worker
+once per distinct price. On a few hundred arrivals a kernel call costs
+mostly its fixed overhead, so the scan pays it once per batch: it runs the
+cascade on its replications of fewer than _SHORT offered arrivals laid end
+to end in batches of at most _BATCH, then serves its (replication, price)
+streams of fewer than _SHORT offered arrivals in batches of at most _BATCH,
+one kernel call each, and sums each stream's earnings from 0.0 as a lone
+run does; a longer replication or stream runs alone, and `simulate` runs
+the cascade once per replication. The scan's report takes all its
+statistics in one `_mean_se` pass over a matrix of rows. The discounted
+simulator caps each job's end at the first arrival of the next window,
+where the worker restarts idle, so the kernel takes that arrival next. The
+one-waiting-spot queue still steps through its affordable arrivals, since a
+waiting job's start depends on history, reading them as Python floats a
+chunk at a time. Jobs start first come, first served, and a
 job that finds the worker free starts on arrival, so the loop records only
 the lost arrivals and each waiting job's start; the served jobs and their
 starts follow from those. Every simulator adds up earnings as arrays, in
@@ -81,10 +88,11 @@ _TINY = 2.0**-500
 # The trace writer and the queue loop turn arrays into Python objects this
 # many arrivals at a time.
 _CHUNK = 8192
-# A deviation scan serves its streams of fewer offered arrivals than _SHORT
-# in batches of at most _BATCH arrivals, one kernel call each. A longer
-# stream is served alone: batching it saves little call cost and costs
-# copies, doubling passes over a longer table and cache misses.
+# A deviation scan runs its replications and serves its streams of fewer
+# offered arrivals than _SHORT in batches of at most _BATCH arrivals, one
+# kernel call per worker each. A longer one runs alone: batching it saves
+# little call cost and costs copies, doubling passes over a longer table and
+# cache misses.
 _SHORT = 2**12
 _BATCH = 2**15
 
@@ -189,37 +197,49 @@ def _quiet(func):
 
 
 @_quiet
-def _mean_se(values) -> tuple[float, float]:
-    """Mean and standard error, bit for bit as arr.mean() and
-    arr.std(ddof=1) / sqrt(n): the same sums, in numpy's order, without the
-    calls' overhead. Values past _HUGE or below _TINY in size (not all zero)
-    are first scaled by a power of two, which is exact, so the squares of
-    their deviations neither overflow nor underflow."""
+def _mean_se(values):
+    """Mean and standard error of `values`, or of each row of a (rows, n)
+    array, bit for bit as arr.mean() and arr.std(ddof=1) / sqrt(n) of that
+    row: the same sums, in numpy's order, without the calls' overhead. A row
+    whose largest value is past _HUGE or below _TINY in size (not all zero)
+    is first scaled by its own power of two, which is exact, so the squares
+    of its deviations neither overflow nor underflow. Returns two floats for
+    one row of values and two arrays for a (rows, n) array."""
     arr = np.asarray(values, dtype=float)
-    top = float(np.maximum.reduce(np.abs(arr)))
-    if _HUGE < top < math.inf or 0.0 < top < _TINY:
-        shift = math.frexp(top)[1]
-        mean, se = _mean_se(np.ldexp(arr, -shift))
-        return float(np.ldexp(mean, shift)), float(np.ldexp(se, shift))
-    n = arr.size
-    mean = float(np.add.reduce(arr) / n)
+    n = arr.shape[-1]
+    top = np.maximum.reduce(np.abs(arr), axis=-1, keepdims=True)
+    outside = ((_HUGE < top) & (top < math.inf)) | ((0.0 < top) & (top < _TINY))
+    scaled = outside.any()
+    if scaled:
+        shift = np.where(outside, np.frexp(top)[1], 0)
+        arr = np.ldexp(arr, -shift)
+    mean = np.add.reduce(arr, axis=-1, keepdims=True) / n
     if n == 1:
-        return mean, 0.0
-    dev = np.subtract(arr, mean)
-    return mean, math.sqrt(np.add.reduce(np.square(dev, out=dev)) / (n - 1)) / math.sqrt(n)
+        se = np.zeros_like(mean)
+    else:
+        dev = np.subtract(arr, mean)
+        se = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=-1, keepdims=True)
+                     / (n - 1)) / math.sqrt(n)
+    if scaled:
+        mean, se = np.ldexp(mean, shift), np.ldexp(se, shift)
+    mean, se = mean[..., 0], se[..., 0]
+    return (float(mean), float(se)) if arr.ndim == 1 else (mean, se)
 
 
-def _finite_mean_se(kind: str, values) -> tuple[float, float]:
-    """_mean_se, refusing a mean or SE that is not finite: no gate can test it."""
-    mean, se = _mean_se(values)
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        raise NonFiniteRate(f"simulated {kind} is not finite: mean {mean!r}, SE {se!r}")
-    return mean, se
+def _finite_mean_se(kinds, rows) -> tuple[list[float], list[float]]:
+    """The means and SEs of `rows`, as _mean_se gives them, refusing the
+    first row, in order, whose mean or SE is not finite: no gate can test
+    it. kinds[i] names row i in the message."""
+    means, ses = (stat.tolist() for stat in _mean_se(rows))
+    for kind, mean, se in zip(kinds, means, ses):
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise NonFiniteRate(f"simulated {kind} is not finite: mean {mean!r}, SE {se!r}")
+    return means, ses
 
 
 def _stats(kind: str, rep_values, counts: Counts,
            per_worker_reps=None) -> SimStats:
-    mean, se = _finite_mean_se(kind, rep_values)
+    (mean,), (se,) = _finite_mean_se([kind], [rep_values])
     return SimStats(
         kind=kind,
         mean=mean,
@@ -459,6 +479,17 @@ def _running_sum(terms, total: float = 0.0) -> float:
 
 
 @_quiet
+def _segment_sums(terms, bounds) -> list[float]:
+    """_running_sum of each segment terms[lo:hi] between consecutive
+    `bounds`, with one call's overhead. A running total from 0.0 equals the
+    running total from the first term plus 0.0: the two differ only while
+    every term so far is -0.0, reading +0.0 and -0.0, and adding 0.0 turns
+    -0.0 into +0.0 and leaves every other value as it is."""
+    return [float(np.add.accumulate(terms[lo:hi])[-1]) + 0.0 if lo < hi else 0.0
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+@_quiet
 def _earning_terms(margins, starts, ends, warm: float, horizon: float):
     """Each job's earnings over [warm, horizon], busy on [starts, ends)."""
     return margins * np.maximum(0.0, np.minimum(ends, horizon) - np.maximum(starts, warm))
@@ -475,14 +506,12 @@ def _rank_order(workers) -> list[int]:
     return sorted(range(len(workers)), key=lambda w: workers[w].rank)
 
 
-def _serve(events, ends, free, row, cost: float, warm: float, horizon: float):
+def _serve(events, ends, free, row, starts=(0,)) -> np.ndarray:
     """The arrivals one worker posting `row` takes among those still `free`,
-    and its earnings over [warm, horizon]."""
+    on each of the replications laid end to end that begin at `starts`."""
     times, ks, vs, _ = events
-    prices = np.asarray(row)[ks]
-    offered = np.flatnonzero(free & (prices <= vs))
-    taken = offered[_loss_accepts(times[offered], ends[offered])]
-    return taken, _earnings(prices[taken] - cost, times[taken], ends[taken], warm, horizon)
+    offered = np.flatnonzero(free & (np.asarray(row)[ks] <= vs))
+    return offered[_loss_accepts(times[offered], ends[offered], np.searchsorted(offered, starts))]
 
 
 def _serve_streams(batch, cost: float, warm: float, horizon: float):
@@ -500,48 +529,61 @@ def _serve_streams(batch, cost: float, warm: float, horizon: float):
     bounds = [*np.searchsorted(taken, starts).tolist(), taken.size]
     margins = np.repeat([price - cost for _, _, price in streams], np.diff(bounds))
     terms = _earning_terms(margins, times[taken], ends[taken], warm, horizon)
-    return [(key, _running_sum(terms[lo:hi]))
-            for (key, _), lo, hi in zip(batch, bounds, bounds[1:])]
+    return [(key, earned) for (key, _), earned in zip(batch, _segment_sums(terms, bounds))]
 
 
-def _batched_earnings(streams, cost: float, warm: float, horizon: float):
-    """(key, earnings) for each (key, stream) of `streams`, as
-    `_serve_streams` gives them. A stream of _SHORT or more arrivals is
-    served alone when it comes; the shorter ones gather, in order, into
-    batches of at most _BATCH arrivals, each served in one kernel call, so
-    the kernel's fixed cost per call is paid once per batch."""
-    batch, size = [], 0
-    for key, stream in streams:
-        n = stream[0].size
+def _batches(items):
+    """The (key, arrays) pairs of `items` in lists, in order, an item's size
+    being its first array's: an item of _SHORT or more arrivals alone, when
+    it comes, and the shorter ones gathered into lists of at most _BATCH
+    arrivals, so that a kernel call's fixed cost is paid once per list."""
+    batch, total = [], 0
+    for item in items:
+        n = item[1][0].size
         if n >= _SHORT:
-            yield from _serve_streams([(key, stream)], cost, warm, horizon)
+            yield [item]
             continue
-        if batch and size + n > _BATCH:
-            yield from _serve_streams(batch, cost, warm, horizon)
-            batch, size = [], 0
-        batch.append((key, stream))
-        size += n
+        if batch and total + n > _BATCH:
+            yield batch
+            batch, total = [], 0
+        batch.append(item)
+        total += n
     if batch:
-        yield from _serve_streams(batch, cost, warm, horizon)
+        yield batch
 
 
-def _loss_rep(events, ends, workers, matrix, ranks, warm: float, horizon: float):
-    """One replication of the loss system under best-affordable-worker choice,
-    served by the workers `ranks` lists, best rank first; `ends` are the
+def _loss_rep(events, ends, matrix, ranks, starts=(0,)):
+    """The loss system under best-affordable-worker choice, served by the
+    workers `ranks` lists, best rank first, on each of the replications laid
+    end to end that begin at `starts` (one by default); `ends` are the
     arrivals' times plus durations.
 
-    Returns each worker's earnings over [warm, horizon] (0.0 for a worker not
-    in `ranks`) and the chosen worker per arrival (-1 when none took it).
+    Returns the chosen worker per arrival (-1 when none took it) and the
+    arrivals each worker of `ranks` took, in that order.
     """
     times = events[0]
     chosen = np.full(times.size, -1, dtype=np.intp)
     free = np.ones(times.size, dtype=bool)
-    earned = [0.0] * len(workers)
+    taken = []
     for i in ranks:
-        taken, earned[i] = _serve(events, ends, free, matrix[i], workers[i].cost,
-                                  warm, horizon)
-        free[taken] = False
-        chosen[taken] = i
+        taken.append(_serve(events, ends, free, matrix[i], starts))
+        free[taken[-1]] = False
+        chosen[taken[-1]] = i
+    return chosen, taken
+
+
+def _fleet_rep(events, workers, matrix, ranks, warm: float, horizon: float):
+    """One replication of the loss system, served by the workers `ranks`
+    lists, best rank first: each worker's earnings over [warm, horizon] (0.0
+    for a worker not in `ranks`) and the chosen worker per arrival (-1 when
+    none took it)."""
+    times, ks, _, ds = events
+    ends = times + ds
+    chosen, taken = _loss_rep(events, ends, matrix, ranks)
+    earned = [0.0] * len(workers)
+    for i, jobs in zip(ranks, taken):
+        earned[i] = _earnings(np.asarray(matrix[i])[ks[jobs]] - workers[i].cost, times[jobs],
+                              ends[jobs], warm, horizon)
     return earned, chosen
 
 
@@ -619,8 +661,7 @@ def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimSta
     counts = Counts()
     for rep in range(config.replications):
         events, drawn = _offered_events(scenario, config.base_seed, rep, horizon, floors)
-        earned, chosen = _loss_rep(events, events[0] + events[3], scenario.workers, matrix,
-                                   ranks, warm, horizon)
+        earned, chosen = _fleet_rep(events, scenario.workers, matrix, ranks, warm, horizon)
         counts += _counts(drawn, chosen.size, int(np.count_nonzero(chosen >= 0)))
         rows.append([e / span for e in earned])
         if rep == 0 and trace_path is not None:
@@ -806,6 +847,15 @@ class DeviationScanReport:
         return any(p.significant_improvement for p in self.points)
 
 
+@_quiet
+def _report_rows(base, trials) -> np.ndarray:
+    """A scan report's rows in its order: the baseline's replication rates,
+    then each grid price's rates and their gains over the baseline."""
+    rows = np.empty((1 + 2 * len(trials), base.size))
+    rows[0], rows[1::2], rows[2::2] = base, trials, trials - base
+    return rows
+
+
 def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
                    price_grid=None) -> DeviationScanReport:
     """Re-simulate with one worker's price swept over a grid, everyone else fixed.
@@ -842,60 +892,60 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     above = order[:order.index(worker_index)]
     cost = scenario.workers[worker_index].cost
 
-    # One replication's events at a time, shared by the baseline and every
+    # Each replication's events are shared by the baseline and every
     # candidate: the same draws simulate() would make for each of them. The
     # scanned worker's earnings depend only on the arrivals the workers ranked
     # above it leave free, which no candidate price changes, so that prefix of
-    # the rank cascade runs once per replication and the workers ranked below
-    # it not at all. The scanned worker's streams, one per replication and
-    # distinct price, are served in batches as they come.
+    # the rank cascade runs once and the workers ranked below it not at all;
+    # an arrival none of those workers can afford at any of its prices is
+    # dropped at the draw. The cascade runs once per batch of replications
+    # laid end to end, and the scanned worker's streams, one per replication
+    # and distinct price, are served in batches as they come.
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
     span = horizon - warm
     # a grid may repeat a price or the baseline: each distinct row runs once
     slots = {row: r for r, row in enumerate(dict.fromkeys((baseline, *candidates)))}
     rates = np.empty((len(slots), config.replications))
-    floors = np.min(np.asarray([*matrix, *candidates]), axis=0)
+    floors = np.min(np.asarray([*(matrix[i] for i in above), *slots]), axis=0)
+
+    def replications():
+        for rep in range(config.replications):
+            yield rep, _offered_events(scenario, config.base_seed, rep, horizon, floors)[0]
 
     def streams():
-        for rep in range(config.replications):
-            events, _ = _offered_events(scenario, config.base_seed, rep, horizon, floors)
+        for batch in _batches(replications()):
+            parts = [events for _, events in batch]
+            events = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+            bounds = np.cumsum([0, *(part[0].size for part in parts)]).tolist()
             times, _, vs, ds = events
             ends = times + ds
-            if above:
-                free = _loss_rep(events, ends, scenario.workers, matrix, above, warm,
-                                 horizon)[1] < 0
-            else:  # the top-ranked worker finds every arrival free
-                free = np.ones(ends.size, dtype=bool)
-            for (price,), r in slots.items():
-                offered = np.flatnonzero(free & (price <= vs))
-                yield (r, rep), (times[offered], ends[offered], price)
+            free = _loss_rep(events, ends, matrix, above, bounds[:-1])[0] < 0
+            for (rep, _), lo, hi in zip(batch, bounds, bounds[1:]):
+                t, e, f, v = times[lo:hi], ends[lo:hi], free[lo:hi], vs[lo:hi]
+                for (price,), r in slots.items():
+                    offered = (f & (price <= v)).nonzero()[0]
+                    yield (r, rep), (t[offered], e[offered], price)
 
-    for (r, rep), earned in _batched_earnings(streams(), cost, warm, horizon):
-        rates[r, rep] = earned / span
+    for batch in _batches(streams()):
+        for (r, rep), earned in _serve_streams(batch, cost, warm, horizon):
+            rates[r, rep] = earned / span
 
-    base_reps = rates[slots[baseline]]
-    base_mean, base_se = _finite_mean_se("baseline rate", base_reps)
-    points = []
-    for candidate, trial in zip(price_grid, candidates):
-        reps = rates[slots[trial]]
-        mean, se = _finite_mean_se(f"rate at price {candidate!r}", reps)
-        delta, delta_se = _finite_mean_se(f"gain at price {candidate!r}", reps - base_reps)
-        points.append(
-            DeviationPoint(
-                price=candidate,
-                mean=mean,
-                se=se,
-                delta=delta,
-                delta_se=delta_se,
-                significant_improvement=delta > z * delta_se,
-            )
-        )
+    # the report's 2k + 1 statistics, from one pass
+    means, ses = _finite_mean_se(
+        ["baseline rate", *(f"{what} at price {price!r}" for price in price_grid
+                            for what in ("rate", "gain"))],
+        _report_rows(rates[slots[baseline]], rates[[slots[trial] for trial in candidates]]))
+    points = tuple(
+        DeviationPoint(price=price, mean=mean, se=se, delta=delta, delta_se=delta_se,
+                       significant_improvement=delta > z * delta_se)
+        for price, mean, se, delta, delta_se in zip(price_grid, means[1::2], ses[1::2],
+                                                    means[2::2], ses[2::2]))
     return DeviationScanReport(
         worker_index=worker_index,
         baseline_price=base_price,
-        baseline_mean=base_mean,
-        baseline_se=base_se,
+        baseline_mean=means[0],
+        baseline_se=ses[0],
         z_threshold=z,
-        points=tuple(points),
+        points=points,
     )

@@ -19,6 +19,7 @@ from ondemand_pricing import (
     ExponentialValuation,
     MixtureDiscount,
     ModelMismatch,
+    NonFiniteRate,
     PiecewiseLinearValuation,
     Scenario,
     SimConfig,
@@ -45,7 +46,9 @@ from ondemand_pricing.simulate import (
     DeviationScanReport,
     _class_arrivals,
     _class_stream,
+    _finite_mean_se,
     _loss_accepts,
+    _loss_rep,
     _mean_se,
     _merged_events,
     _offered_events,
@@ -229,13 +232,29 @@ ORDINARY_VALUES = [
     *(np.random.default_rng(seed).normal(scale, scale, 30)
       for seed, scale in enumerate((1e-5, 1.0, 1e100, 1e150), start=1)),
     [2.0**-500, -(2.0**-500), 1e-300],
+    [0.0, 0.0, 0.0],
+    [-7.5],
 ]
+
+
+def assert_rows_match(values, want):
+    """_mean_se of `values`, stacked as a row of a matrix beside an ordinary
+    row (before it and after it), gives `want` for that row by float.hex,
+    and the ordinary row its own result."""
+    values = np.asarray(values, dtype=float)
+    ordinary = np.random.default_rng(values.size).normal(1.0, 0.5, values.size)
+    hexed = tuple(x.hex() for x in want)
+    for rows, at in [((ordinary, values), 1), ((values, ordinary), 0)]:
+        means, ses = _mean_se(np.stack(rows))
+        assert (means[at].hex(), ses[at].hex()) == hexed
+        assert (means[1 - at], ses[1 - at]) == reference_mean_se(ordinary)
 
 
 @pytest.mark.parametrize("values", ORDINARY_VALUES)
 def test_mean_se_on_ordinary_values_is_unchanged(values):
     got = _mean_se(values)
     assert tuple(x.hex() for x in got) == tuple(x.hex() for x in reference_mean_se(values))
+    assert_rows_match(values, got)
 
 
 @pytest.mark.parametrize("shift", [501, 700, 1000])
@@ -245,6 +264,9 @@ def test_mean_se_of_huge_values_scales_exactly(shift):
     got = _mean_se(np.ldexp(values, shift))
     assert got == (float(np.ldexp(mean, shift)), float(np.ldexp(se, shift)))
     assert all(math.isfinite(x) for x in got)
+    assert_rows_match(np.ldexp(values, shift), got)
+    # one huge value alone: n = 1
+    assert_rows_match(np.ldexp(values[:1], shift), _mean_se(np.ldexp(values[:1], shift)))
 
 
 TINY_VALUES = [
@@ -261,6 +283,7 @@ def test_mean_se_of_tiny_values_scales_exactly(values):
     got = _mean_se(values)
     assert got == (float(np.ldexp(mean, -1000)), float(np.ldexp(se, -1000)))
     assert got[1] > 0.0
+    assert_rows_match(values, got)
 
 
 def test_mean_se_of_values_near_the_float_limit_is_finite():
@@ -268,7 +291,22 @@ def test_mean_se_of_values_near_the_float_limit_is_finite():
     mean, se = _mean_se([big, big, -big, big])
     assert mean == big / 2
     assert math.isfinite(se) and se > 0.0
+    assert_rows_match([big, big, -big, big], (mean, se))
     assert _mean_se([1.0, math.inf])[0] == math.inf
+    # a row of inf and NaN leaves the rows beside it as they are
+    assert_rows_match([1.0, math.inf], _mean_se([1.0, math.inf]))
+    assert_rows_match([math.nan, 2.0], _mean_se([math.nan, 2.0]))
+
+
+def test_finite_mean_se_refuses_the_first_non_finite_row():
+    rows = [[1.0, 2.0], [3.0, math.inf], [math.nan, 1.0]]
+    with pytest.raises(NonFiniteRate, match=r"^simulated b is not finite: mean inf, SE nan$"):
+        _finite_mean_se(["a", "b", "c"], rows)
+    with pytest.raises(NonFiniteRate, match=r"^simulated c is not finite: mean nan, SE nan$"):
+        _finite_mean_se(["a", "b", "c"], [rows[0], rows[0], rows[2]])
+    means, ses = _finite_mean_se(["a", "b"], [rows[0], [5.0, 5.0]])
+    assert (means, ses) == ([1.5, 5.0], [0.5, 0.0])
+    assert all(type(x) is float for x in means + ses)
 
 
 def test_event_trace_written(tmp_path, two_class_scenario):
@@ -619,17 +657,20 @@ def test_deviation_scan_equals_separate_simulations(ranked_fleet_scenario):
                                               float(np.mean(np.subtract(reps, base))))
 
 
-@pytest.mark.parametrize("worker_index", [0, 1, 2])
-def test_deviation_scan_three_worker_fleet_equals_separate_simulations(worker_index):
-    # ranks out of scenario order, so the workers ranked above and below the
+def three_worker_fleet():
+    # ranks out of scenario order, so the workers ranked above and below a
     # scanned one are not its neighbours by index
     cls = CustomerClass(arrival_rate=1.3, duration=EmpiricalDuration((0.3, 1.2, 0.7)),
                         valuation=PiecewiseLinearValuation(((0.1, 0.0), (0.6, 0.3),
                                                             (1.5, 1.0))))
-    scenario = Scenario(classes=(cls,), workers=(WorkerSpec(cost=0.05, rank=3),
-                                                 WorkerSpec(cost=0.0, rank=1),
-                                                 WorkerSpec(cost=0.02, rank=2)))
-    cfg = SimConfig(scenario=scenario, expected_arrivals=2_000.0, replications=4,
+    return Scenario(classes=(cls,), workers=(WorkerSpec(cost=0.05, rank=3),
+                                             WorkerSpec(cost=0.0, rank=1),
+                                             WorkerSpec(cost=0.02, rank=2)))
+
+
+@pytest.mark.parametrize("worker_index", [0, 1, 2])
+def test_deviation_scan_three_worker_fleet_equals_separate_simulations(worker_index):
+    cfg = SimConfig(scenario=three_worker_fleet(), expected_arrivals=2_000.0, replications=4,
                     base_seed=31)
     matrix = [[0.35], [0.7], [0.5]]
     grid = [0.3, 0.45, 0.6, 0.8]
@@ -644,6 +685,29 @@ def test_deviation_scan_three_worker_fleet_equals_separate_simulations(worker_in
         assert point.delta == float(np.mean(np.subtract(reps, base)))
 
 
+@pytest.mark.parametrize("worker_index, above", [(1, []), (2, [1])], ids=["rank1", "rank2"])
+def test_deviation_scan_ignores_the_workers_ranked_below(monkeypatch, worker_index, above):
+    # the rank-3 worker (index 0) is never run, so its price changes nothing,
+    # and the draw keeps only arrivals the scanned worker, at one of its
+    # prices, or a worker ranked above it could afford
+    cfg = SimConfig(scenario=three_worker_fleet(), expected_arrivals=2_000.0, replications=4,
+                    base_seed=47)
+    matrix = [[0.35], [0.7], [0.5]]
+    grid = [0.45, 0.6, 0.9]
+    floor = min(matrix[worker_index][0], *grid, *(matrix[i][0] for i in above))
+    kept = []
+    offered_events = simulate_module._offered_events
+    monkeypatch.setattr(simulate_module, "_offered_events",
+                        lambda *args: kept.append((got := offered_events(*args))[0][2])
+                        or got)
+    want = repr(deviation_scan(cfg, matrix, worker_index, grid))
+    assert len(kept) == cfg.replications
+    assert all(vs.size > 0 and vs.min() >= floor for vs in kept)
+    for low_price in [0.0, 0.2, 1.4]:
+        trial = [[low_price], *matrix[1:]]
+        assert repr(deviation_scan(cfg, trial, worker_index, grid)) == want
+
+
 def test_deviation_scan_repeated_prices_equal_separate_simulations(ranked_fleet_scenario,
                                                                    monkeypatch):
     # the grid repeats 0.3 and the baseline 0.4; each distinct row runs once
@@ -655,15 +719,16 @@ def test_deviation_scan_repeated_prices_equal_separate_simulations(ranked_fleet_
     serves, segments = [], []
     serve, serve_streams = simulate_module._serve, simulate_module._serve_streams
     monkeypatch.setattr(simulate_module, "_serve",
-                        lambda *args: serves.append(args[3]) or serve(*args))
+                        lambda *args: serves.append((args[3], len(args[4]))) or serve(*args))
     monkeypatch.setattr(simulate_module, "_serve_streams",
                         lambda batch, *args: segments.extend(
                             price for _, (_, _, price) in batch)
                         or serve_streams(batch, *args))
     report = deviation_scan(cfg, matrix, 1, grid)
-    # the rank-1 worker once per replication, and each distinct row of the
-    # scanned worker once per replication, as one segment of a kernel call
-    assert serves == [(0.6,)] * cfg.replications
+    # the rank-1 worker once per batch of replications, here one batch of
+    # all four, and each distinct row of the scanned worker once per
+    # replication, as one segment of a kernel call
+    assert serves == [((0.6,), cfg.replications)]
     assert sorted(segments) == sorted([0.3, 0.4, 0.55] * cfg.replications)
 
     def hex_mean_se(reps):
@@ -691,21 +756,27 @@ def test_deviation_scan_batched_equals_alone(ranked_fleet_scenario, monkeypatch,
     cfg = SimConfig(scenario=ranked_fleet_scenario, expected_arrivals=arrivals,
                     replications=5, base_seed=23)
     matrix = [[0.6], [0.4]]
-    calls = []
-    serve_streams = simulate_module._serve_streams
+    calls, cascades = [], []
+    serve_streams, serve = simulate_module._serve_streams, simulate_module._serve
     monkeypatch.setattr(simulate_module, "_serve_streams",
                         lambda batch, *args: calls.append(len(batch))
                         or serve_streams(batch, *args))
+    monkeypatch.setattr(simulate_module, "_serve",
+                        lambda *args: cascades.append(len(args[4])) or serve(*args))
     default = deviation_scan(cfg, matrix, worker_index, grid)
     reports = {}
-    # every stream in one kernel call, then every stream in a call of its own
+    # every stream in one kernel call and the rank-1 worker's cascade over
+    # every replication in one call, then each of them in a call of its own
     for mode, short, batch in [("batched", math.inf, math.inf), ("alone", 0, 0)]:
         monkeypatch.setattr(simulate_module, "_SHORT", short)
         monkeypatch.setattr(simulate_module, "_BATCH", batch)
         calls.clear()
+        cascades.clear()
         reports[mode] = deviation_scan(cfg, matrix, worker_index, grid)
         streams = cfg.replications * len({0.6 if worker_index == 0 else 0.4, *grid})
         assert calls == ([streams] if mode == "batched" else [1] * streams)
+        reps = [cfg.replications] if mode == "batched" else [1] * cfg.replications
+        assert cascades == (reps if worker_index == 1 else [])
     assert repr(reports["batched"]) == repr(reports["alone"]) == repr(default)
 
 
@@ -826,6 +897,53 @@ def test_segmented_loss_accepts_is_each_segment_served_alone(kind):
         got = _loss_accepts(times, ends, starts)
         assert got.dtype == np.intp
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_segmented_loss_rep_is_each_replication_alone(seed):
+    # fleets of one to three workers whose prices straddle the valuations, on
+    # replications laid end to end; some are empty or shorter than _NEAR
+    rng = np.random.default_rng(seed)
+    reps = []
+    for size in rng.choice([0, 1, 2, _NEAR + 1, 40, 300], int(rng.integers(1, 7))):
+        times = np.sort(rng.uniform(0.0, size / 2.0, size))
+        ends = times + rng.exponential(1.0, size)
+        reps.append((times, np.zeros(size, dtype=int), rng.uniform(0.0, 1.0, size),
+                     ends - times, ends))
+    matrix = [[float(p)] for p in rng.uniform(0.0, 0.8, 3)]
+    ranks = [int(i) for i in rng.permutation(3)[:int(rng.integers(1, 4))]]
+    events = tuple(np.concatenate([rep[i] for rep in reps]) for i in range(4))
+    ends = np.concatenate([rep[4] for rep in reps])
+    starts = np.cumsum([0, *(rep[0].size for rep in reps[:-1])])
+    chosen, taken = _loss_rep(events, ends, matrix, ranks, starts)
+    alone = [_loss_rep(rep[:4], rep[4], matrix, ranks) for rep in reps]
+    assert chosen.tolist() == [i for c, _ in alone for i in c.tolist()]
+    for k in range(len(ranks)):
+        assert taken[k].tolist() == [lo + j for (_, t), lo in zip(alone, starts)
+                                     for j in t[k].tolist()]
+
+
+@pytest.mark.parametrize("terms", [
+    [],
+    [-0.0],
+    [-0.0, -0.0, -0.0],
+    [-0.0, 1e-320, -1e-320],
+    [0.1, 0.2, 0.3, -0.6],
+    [2.0**-1074, -0.0],
+    [1e308, 1e308, -1e308],
+    [1.0, math.nan, 2.0],
+    [-math.inf, 1.0],
+    np.random.default_rng(3).normal(0.0, 1.0, 1000),
+], ids=lambda terms: f"n{len(terms)}")
+def test_segment_sums_are_running_sums(terms):
+    # each case alone, and cut among ordinary segments and empty ones
+    terms = np.asarray(terms, dtype=float)
+    ordinary = np.random.default_rng(terms.size).normal(0.0, 1e-3, 7)
+    for parts in ([terms], [ordinary, terms, ordinary[:0], ordinary[:2]]):
+        bounds = np.cumsum([0, *(part.size for part in parts)]).tolist()
+        got = simulate_module._segment_sums(np.concatenate(parts), bounds)
+        want = [simulate_module._running_sum(part) for part in parts]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_far_instances_send_most_jobs_to_the_binary_search():
