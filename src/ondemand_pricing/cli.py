@@ -23,10 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import avg_earning_rate, discounted_value
-from .competition import (
-    best_response_dynamics,
-    ranked_price_equilibrium,
-)
+from .competition import _ranked_solution, best_response_dynamics, ranked_price_equilibrium
 from .config import load_scenario
 from .errors import ConfigError, IrregularDistribution, ModelMismatch, PricingError
 from .model import (
@@ -129,16 +126,6 @@ def _fmts(prices) -> str:
     return ", ".join(_fmt(p) for p in prices)
 
 
-def _solve_fleet(scenario: Scenario) -> Solution:
-    """The ranked equilibrium as one Solution: a price row per worker in config
-    order, the best rank's rate, and converged only when every rank's reserve
-    iteration converged. The equilibrium counts no iterations."""
-    eq = ranked_price_equilibrium(scenario)
-    return Solution(prices=tuple(eq.by_rank(w.rank).prices for w in scenario.workers),
-                    rate=eq.outcomes[0].rate, iterations=0, trace=(),
-                    converged=all(o.converged for o in eq.outcomes))
-
-
 def _simulate_queue(config: SimConfig, prices) -> SimStats:
     if len(prices) != 2:
         raise ConfigError("queue simulation takes exactly two prices")
@@ -173,7 +160,8 @@ def _model(scenario: Scenario) -> Model:
                       _fixed_point_check, "loss", ("rate",),
                       "optimum: prices = {prices}, rate = {sol.rate:.6g}, "
                       "iterations = {sol.iterations}"),
-        "fleet": Model(_solve_fleet, simulate, None, "best_ranked_worker_unaffected_by_fleet"),
+        "fleet": Model(lambda scn: _ranked_solution(scn, ranked_price_equilibrium(scn)), simulate,
+                       None, "best_ranked_worker_unaffected_by_fleet"),
         "discounted": Model(solve_discounted, simulate_discounted, discounted_value,
                             "discounted_value_vs_simulation", None, "discounted",
                             ("rate", "value"),
@@ -366,7 +354,7 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
     payload = {"mode": "equilibrium", "workers": [asdict(o) for o in eq.outcomes]}
     outputs = ["equilibrium.json"]
     if verify:
-        matrix = [list(eq.by_rank(w.rank).prices) for w in scenario.workers]
+        matrix = _ranked_solution(scenario, eq).prices
         cfg = SimConfig(
             scenario=scenario,
             base_seed=seed,

@@ -33,7 +33,7 @@ from .model import (
     WorkerSpec,
     check_prices,
 )
-from .solver import solve_fixed_point
+from .solver import Solution, solve_fixed_point
 
 _MAX_FLEET = 10
 _BISECT_TOL = 1e-13
@@ -240,6 +240,16 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
             curve.extended(p, busy) for curve, p in zip(curves, prices)
         ]
     return RankedEquilibrium(outcomes=tuple(outcomes))
+
+
+def _ranked_solution(scenario: Scenario, eq: RankedEquilibrium) -> Solution:
+    """`eq`, the scenario's ranked equilibrium, as one Solution: a price row
+    per worker in config order, the best rank's rate, and converged only
+    when every rank's reserve iteration converged. The equilibrium counts no
+    iterations."""
+    return Solution(prices=tuple(eq.by_rank(w.rank).prices for w in scenario.workers),
+                    rate=eq.outcomes[0].rate, iterations=0, trace=(),
+                    converged=all(o.converged for o in eq.outcomes))
 
 
 # --- exact fleet chain, single class ---

@@ -16,13 +16,17 @@ Every simulator draws a replication through `_offered_events`: it draws
 each class, drops the arrivals valued below the lowest price any worker it
 runs posts to their class, which leave without changing any state, and
 merges the rest into one time-ordered stream, freeing each class's arrays
-as they are merged. A deviation scan runs only the scanned worker, at its
-baseline and grid prices, and the workers ranked above it, so only their
-prices set its floors. `_counts` counts the dropped ones as
-priced out. Only `simulate` writes an event trace, to the path it is given;
-the trace is a view of replication 0: it redraws the full stream, in which
-the priced-in arrivals keep their order, and scatters the kernel's choices
-back onto them, writing a chunk at a time.
+as they are merged. `simulate`, `simulate_queue` and `deviation_scan` take
+their replications from one driver, `_replications`, which works out the
+horizon, the warm-up end and the span once and draws replications 0, 1, ...
+lazily, one at a time; `simulate_discounted` draws its own, over a whole
+number of windows of each replication's discount rate. A deviation scan
+runs only the scanned worker, at its baseline and grid prices, and the
+workers ranked above it, so only their prices set its floors. `_counts`
+counts the dropped ones as priced out. Only `simulate` writes an event
+trace, to the path it is given; the trace is a view of replication 0: it
+redraws the full stream, in which the priced-in arrivals keep their order,
+and scatters the kernel's choices back onto them, writing a chunk at a time.
 
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
@@ -533,10 +537,11 @@ def _serve_streams(batch, cost: float, warm: float, horizon: float):
 
 
 def _batches(items):
-    """The (key, arrays) pairs of `items` in lists, in order, an item's size
-    being its first array's: an item of _SHORT or more arrivals alone, when
-    it comes, and the shorter ones gathered into lists of at most _BATCH
-    arrivals, so that a kernel call's fixed cost is paid once per list."""
+    """The (key, arrays, ...) tuples of `items` in lists, in order, an
+    item's size being its first array's: an item of _SHORT or more arrivals
+    alone, when it comes, and the shorter ones gathered into lists of at
+    most _BATCH arrivals, so that a kernel call's fixed cost is paid once
+    per list."""
     batch, total = [], 0
     for item in items:
         n = item[1][0].size
@@ -570,21 +575,6 @@ def _loss_rep(events, ends, matrix, ranks, starts=(0,)):
         free[taken[-1]] = False
         chosen[taken[-1]] = i
     return chosen, taken
-
-
-def _fleet_rep(events, workers, matrix, ranks, warm: float, horizon: float):
-    """One replication of the loss system, served by the workers `ranks`
-    lists, best rank first: each worker's earnings over [warm, horizon] (0.0
-    for a worker not in `ranks`) and the chosen worker per arrival (-1 when
-    none took it)."""
-    times, ks, _, ds = events
-    ends = times + ds
-    chosen, taken = _loss_rep(events, ends, matrix, ranks)
-    earned = [0.0] * len(workers)
-    for i, jobs in zip(ranks, taken):
-        earned[i] = _earnings(np.asarray(matrix[i])[ks[jobs]] - workers[i].cost, times[jobs],
-                              ends[jobs], warm, horizon)
-    return earned, chosen
 
 
 def _trace_lines(times, ks, vs, chosen, lost_price):
@@ -645,27 +635,47 @@ def _loss_matrix(scenario: Scenario, prices, op: str) -> list[tuple[float, ...]]
     return [check_prices(scenario, row) for row in _check_matrix(scenario, prices)]
 
 
+def _replications(config: SimConfig, floors):
+    """A run's horizon, warm-up end and span, worked out once, and its
+    replications: (rep, events, arrivals drawn) for rep = 0, 1, ..., each
+    from `_offered_events` at `floors`, drawn lazily in order. The tuples
+    come straight from a generator expression, which keeps no reference to
+    one once it is handed on, so a caller that drops a replication's arrays
+    frees them (through `enumerate`, which keeps its last result, it could
+    not)."""
+    horizon = config.horizon_hours()
+    warm = config.warmup_fraction * horizon
+    reps = ((rep, *_offered_events(config.scenario, config.base_seed, rep, horizon, floors))
+            for rep in range(config.replications))
+    return horizon, warm, horizon - warm, reps
+
+
 def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimStats:
     """Simulate the loss system: a lone worker, or a ranked fleet under
     best-affordable-worker choice. Returns rate statistics over replications.
     With a `trace_path`, replication 0's events are written there as CSV."""
     scenario = config.scenario
     matrix = _loss_matrix(scenario, prices, "simulate")
-    horizon = config.horizon_hours()
-    warm = config.warmup_fraction * horizon
-    span = horizon - warm
-
     floors = np.min(np.asarray(matrix), axis=0)
+    horizon, warm, span, reps = _replications(config, floors)
     ranks = _rank_order(scenario.workers)
     rows = []  # each worker's rate, one row per replication
     counts = Counts()
-    for rep in range(config.replications):
-        events, drawn = _offered_events(scenario, config.base_seed, rep, horizon, floors)
-        earned, chosen = _fleet_rep(events, scenario.workers, matrix, ranks, warm, horizon)
+    for rep, events, drawn in reps:
+        times, ks, _, ds = events
+        ends = times + ds
+        chosen, taken = _loss_rep(events, ends, matrix, ranks)
         counts += _counts(drawn, chosen.size, int(np.count_nonzero(chosen >= 0)))
-        rows.append([e / span for e in earned])
+        rates = [0.0] * len(ranks)  # in config order; `taken` is in rank order
+        for i, jobs in zip(ranks, taken):
+            rates[i] = _earnings(np.asarray(matrix[i])[ks[jobs]] - scenario.workers[i].cost,
+                                 times[jobs], ends[jobs], warm, horizon) / span
+        rows.append(rates)
+        # the kernel's arrays go now, and the replication's own when the next
+        # draw replaces them: freeing those first was measured slower
+        del ends, taken, jobs
         if rep == 0 and trace_path is not None:
-            del events  # the trace's redraw needs only `chosen`
+            del events, times, ks, _, ds  # the trace's redraw needs only `chosen`
             _trace_first_rep(trace_path, config, horizon, floors, chosen)
     return _stats("rate", [sum(row) for row in rows], counts,
                   per_worker_reps=tuple(zip(*rows)))
@@ -804,16 +814,11 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     scenario = config.scenario
     _, _, cost = queue_parts(scenario, "simulate_queue")
     price_arr = np.asarray(check_prices(scenario, (price_a, price_b)))
-    horizon = config.horizon_hours()
-    warm = config.warmup_fraction * horizon
-    span = horizon - warm
-
+    # a priced-out arrival changes no state, so it is dropped at the draw
+    horizon, warm, span, reps = _replications(config, price_arr)
     rep_rates = []
     counts = Counts()
-    for rep in range(config.replications):
-        # a priced-out arrival changes no state, so it is dropped at the draw
-        (times, ks, _, ds), n_arr = _offered_events(scenario, config.base_seed, rep,
-                                                    horizon, price_arr)
+    for _, (times, ks, _, ds), n_arr in reps:
         earned, n_acc, n_busy = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
         assert n_acc + n_busy == times.size
         counts += _counts(n_arr, times.size, n_acc)
@@ -901,27 +906,21 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     # dropped at the draw. The cascade runs once per batch of replications
     # laid end to end, and the scanned worker's streams, one per replication
     # and distinct price, are served in batches as they come.
-    horizon = config.horizon_hours()
-    warm = config.warmup_fraction * horizon
-    span = horizon - warm
     # a grid may repeat a price or the baseline: each distinct row runs once
     slots = {row: r for r, row in enumerate(dict.fromkeys((baseline, *candidates)))}
     rates = np.empty((len(slots), config.replications))
     floors = np.min(np.asarray([*(matrix[i] for i in above), *slots]), axis=0)
-
-    def replications():
-        for rep in range(config.replications):
-            yield rep, _offered_events(scenario, config.base_seed, rep, horizon, floors)[0]
+    horizon, warm, span, reps = _replications(config, floors)
 
     def streams():
-        for batch in _batches(replications()):
-            parts = [events for _, events in batch]
+        for batch in _batches(reps):
+            parts = [events for _, events, _ in batch]
             events = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
             bounds = np.cumsum([0, *(part[0].size for part in parts)]).tolist()
             times, _, vs, ds = events
             ends = times + ds
             free = _loss_rep(events, ends, matrix, above, bounds[:-1])[0] < 0
-            for (rep, _), lo, hi in zip(batch, bounds, bounds[1:]):
+            for (rep, *_), lo, hi in zip(batch, bounds, bounds[1:]):
                 t, e, f, v = times[lo:hi], ends[lo:hi], free[lo:hi], vs[lo:hi]
                 for (price,), r in slots.items():
                     offered = (f & (price <= v)).nonzero()[0]

@@ -1,15 +1,26 @@
 """Every module of the package uses each name it imports, every private
 module-level name is read somewhere in the package (no linter runs on this
-repository, so these are the guards), and the public surface is the one the
-README shows."""
+repository, so these are the guards), the public surface is the one the
+README shows, and the benchmark under `perfbench/` finds every name and call
+shape it uses."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
 import ondemand_pricing
+from ondemand_pricing import (
+    SimConfig,
+    first_step_solve,
+    mixture_horizon_optimize,
+    queue_optimize,
+    queue_rate,
+    simulate_queue,
+)
+from ondemand_pricing.config import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ondemand_pricing"
@@ -100,3 +111,45 @@ def test_readme_entry_points_run(monkeypatch):
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md", "exec"), {})
+
+
+
+# --- the benchmark's contract with the package ---
+# perfbench/ reaches the package as P.<module>.<name>. A refactor that renames
+# one of those names, or changes a call shape below, breaks the benchmark, so
+# it is a benchmark change and must come with one.
+
+
+def benchmark_names() -> list[tuple[str, str]]:
+    """Each (module, name) that perfbench's sources reach as P.<module>.<name>."""
+    found = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        found.update(re.findall(r"\bP\.(\w+)\.(\w+)", path.read_text()))
+    return sorted(found)
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    names = benchmark_names()
+    # the pattern finds the calls at all: one from each workload
+    assert {("solver", "solve_fixed_point"), ("simulate", "simulate"),
+            ("cli", "main")} <= set(names)
+    # the modules by import, as the package's `simulate` function shadows its module
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"ondemand_pricing.{module}"), name)]
+    assert missing == []
+
+
+def test_the_benchmark_call_shapes_hold():
+    # the optimisers return (prices, rate) and (prices, value) tuples, and
+    # the queue's rate, renewal solve and simulator take two prices
+    queue = load_scenario(ROOT / "configs" / "queue.json")
+    prices, rate = queue_optimize(queue)
+    assert len(prices) == 2 and isinstance(rate, float)
+    closed = queue_rate(queue, *prices)
+    assert closed == pytest.approx(first_step_solve(queue, *prices).rate, abs=1e-9)
+    stats = simulate_queue(SimConfig(scenario=queue, expected_arrivals=500.0, replications=2),
+                           *prices)
+    assert stats.replications == 2
+    mixture = load_scenario(ROOT / "configs" / "mixture.json")
+    prices, value = mixture_horizon_optimize(mixture)
+    assert len(prices) == mixture.num_classes and isinstance(value, float)

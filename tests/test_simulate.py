@@ -31,12 +31,14 @@ from ondemand_pricing import (
     mixture_horizon_value,
     queue_optimize,
     queue_rate,
+    ranked_price_equilibrium,
     simulate,
     simulate_discounted,
     simulate_queue,
     solve_discounted,
     solve_fixed_point,
 )
+from ondemand_pricing.competition import _ranked_solution
 from ondemand_pricing.config import load_scenario
 from ondemand_pricing.simulate import (
     _CHUNK,
@@ -1396,6 +1398,71 @@ def test_priced_in_keeps_nan_valuations():
     assert np.isnan(got[1][0]) and got[1][1:].tolist() == [0.5, 0.7]
 
 
+# --- one replication driver ---
+# simulate, simulate_queue and deviation_scan take their replications from
+# _replications; simulate_discounted draws its own over its window horizon.
+
+
+def two_ranked_workers(arrival_rate=1.0):
+    return Scenario(classes=(unit_uniform_class(arrival_rate),),
+                    workers=(WorkerSpec(rank=1), WorkerSpec(rank=2)))
+
+
+def two_queue_classes(arrival_rate=1.0):
+    return Scenario(classes=(unit_uniform_class(arrival_rate),
+                             unit_uniform_class(arrival_rate, service_rate=1.5)),
+                    queue_capacity=1)
+
+
+def one_discounted_class(arrival_rate=1.0):
+    return Scenario(classes=(unit_uniform_class(arrival_rate),),
+                    discount=ExponentialDiscount(1.0))
+
+
+# (scenario builder, a run at good prices, the same run with a bad price)
+DRIVEN = {
+    "simulate": (two_ranked_workers, lambda cfg: simulate(cfg, [[0.6], [0.4]]),
+                 lambda cfg: simulate(cfg, [[0.6], [math.nan]])),
+    "simulate_queue": (two_queue_classes, lambda cfg: simulate_queue(cfg, 0.5, 0.65),
+                       lambda cfg: simulate_queue(cfg, 0.5, math.nan)),
+    "deviation_scan": (two_ranked_workers,
+                       lambda cfg: deviation_scan(cfg, [[0.6], [0.4]], 1, [0.3, 0.5]),
+                       lambda cfg: deviation_scan(cfg, [[math.nan], [0.4]], 1, [0.3, 0.5])),
+    "simulate_discounted": (one_discounted_class, lambda cfg: simulate_discounted(cfg, (0.6,)),
+                            lambda cfg: simulate_discounted(cfg, (-0.1,))),
+}
+
+
+@pytest.mark.parametrize("name", DRIVEN)
+def test_each_simulator_draws_every_replication_once_in_order(monkeypatch, name):
+    scenario, run, _ = DRIVEN[name]
+    cfg = SimConfig(scenario=scenario(), expected_arrivals=2_010.0, replications=3,
+                    base_seed=61)
+    horizon = cfg.horizon_hours()
+    if name == "simulate_discounted":
+        # 40-hour windows at discount rate 1: a whole number of them
+        horizon = 40.0 * int(horizon / 40.0)
+        assert horizon != cfg.horizon_hours()
+    draws = []
+    offered_events = simulate_module._offered_events
+    monkeypatch.setattr(simulate_module, "_offered_events",
+                        lambda scn, seed, rep, hours, *args: draws.append((seed, rep, hours))
+                        or offered_events(scn, seed, rep, hours, *args))
+    run(cfg)
+    assert draws == [(61, rep, horizon) for rep in range(cfg.replications)]
+
+
+@pytest.mark.parametrize("name", DRIVEN)
+def test_bad_prices_fail_before_the_horizon_is_sized(name):
+    scenario, run, bad_run = DRIVEN[name]
+    cfg = SimConfig(scenario=scenario(arrival_rate=0.0), expected_arrivals=2_000.0,
+                    replications=3)
+    with pytest.raises(ConfigError, match="prices must be finite and nonnegative"):
+        bad_run(cfg)
+    with pytest.raises(ConfigError, match="cannot size a horizon"):
+        run(cfg)
+
+
 # --- bounded working sets ---
 
 
@@ -1441,3 +1508,19 @@ def test_queue_loop_peak_does_not_grow_with_arrivals():
                                  times[-1]))
     assert peaks[1] < 1.25 * peaks[0]
     assert peaks[1] < 40 * 8 * _CHUNK
+
+
+@pytest.mark.parametrize("name", ["single_class", "compete_ranked"])
+def test_traced_simulate_peaks_no_higher_than_untraced(tmp_path, name):
+    # the trace redraws replication 0's full stream once its kernel has run,
+    # and nothing may still hold that replication's arrays then
+    scenario = load_scenario(CONFIGS / f"{name}.json")
+    if scenario.kind == "fleet":
+        prices = _ranked_solution(scenario, ranked_price_equilibrium(scenario)).prices
+    else:
+        prices = solve_fixed_point(scenario).prices
+    cfg = SimConfig(scenario=scenario, replications=3)
+    simulate(cfg, prices)  # a first call's one-off allocations are not a run's
+    untraced = traced_peak(simulate, cfg, prices)
+    traced = traced_peak(simulate, cfg, prices, str(tmp_path / "events.csv"))
+    assert traced <= 1.05 * untraced
