@@ -135,7 +135,8 @@ def _simulate_queue(config: SimConfig, prices) -> SimStats:
 class Model(NamedTuple):
     """How the CLI solves, simulates, validates and reports one scenario kind.
 
-    `exact` is the kind's exact check in `validate`, run before the
+    `objective` is the analytic figure `validate` holds the simulation to: a
+    fleet's is its best-ranked worker's rate. `exact` is the kind's exact check in `validate`, run before the
     simulation. `solve` writes `label` as solution.json's "model", the
     Solution's `fields` beside its prices, iterations and convergence flag,
     and prints `summary` formatted with the Solution as `sol` and its
@@ -144,7 +145,7 @@ class Model(NamedTuple):
 
     solve: Callable[[Scenario], Solution]
     simulate: Callable[[SimConfig, tuple], SimStats]
-    objective: Callable[[Scenario, tuple], float] | None  # None: the fleet check
+    objective: Callable[[Scenario, tuple], float]
     check: str
     exact: Callable[[Scenario, Solution, float], CheckResult] | None = None
     label: str = ""
@@ -161,7 +162,7 @@ def _model(scenario: Scenario) -> Model:
                       "optimum: prices = {prices}, rate = {sol.rate:.6g}, "
                       "iterations = {sol.iterations}"),
         "fleet": Model(lambda scn: _ranked_solution(scn, ranked_price_equilibrium(scn)), simulate,
-                       None, "best_ranked_worker_unaffected_by_fleet"),
+                       _best_ranked_rate, "best_ranked_worker_unaffected_by_fleet"),
         "discounted": Model(solve_discounted, simulate_discounted, discounted_value,
                             "discounted_value_vs_simulation", None, "discounted",
                             ("rate", "value"),
@@ -407,40 +408,42 @@ def _sim_config(scenario: Scenario, seed: int) -> SimConfig:
     )
 
 
-def _check_close(name: str, analytic: float, stats: SimStats) -> CheckResult:
-    gap = abs(stats.mean - analytic)
-    bound = 3.0 * stats.se
+def _check_close(name: str, analytic: float, mean: float, se: float) -> CheckResult:
+    gap = abs(mean - analytic)
+    bound = 3.0 * se
     return CheckResult(
         name=name,
         passed=bool(gap <= bound),
-        detail=f"analytic {_fmt(analytic)}, simulated {_fmt(stats.mean)} "
+        detail=f"analytic {_fmt(analytic)}, simulated {_fmt(mean)} "
                f"(|gap| {_fmt(gap)} vs 3 SE {_fmt(bound)})",
     )
 
 
-def _fleet_check(name: str, scenario: Scenario, seed: int, matrix,
-                 fleet_stats: SimStats) -> CheckResult:
-    best_index = min(range(len(scenario.workers)), key=lambda i: scenario.workers[i].rank)
-    solo = Scenario(classes=scenario.classes, workers=(scenario.workers[best_index],))
-    solo_stats = simulate(_sim_config(solo, seed + 1), matrix[best_index])
-    fleet_mean, fleet_se = fleet_stats.worker_mean_se(best_index)
-    gap = abs(fleet_mean - solo_stats.mean)
-    bound = 3.0 * math.hypot(fleet_se, solo_stats.se)
-    return CheckResult(name, bool(gap <= bound), f"fleet {_fmt(fleet_mean)}, solo "
-                       f"{_fmt(solo_stats.mean)} (|gap| {_fmt(gap)} vs {_fmt(bound)})")
+def _best_ranked(scenario: Scenario) -> int:
+    """The index of the best-ranked worker. Under ranked choice it sees every
+    arrival, as if it worked alone."""
+    return min(range(len(scenario.workers)), key=lambda i: scenario.workers[i].rank)
+
+
+def _best_ranked_rate(scenario: Scenario, matrix) -> float:
+    """The best-ranked worker's exact rate: the lone-worker loss system at
+    its price row."""
+    best = _best_ranked(scenario)
+    solo = Scenario(classes=scenario.classes, workers=(scenario.workers[best],))
+    return avg_earning_rate(solo, matrix[best])
 
 
 def validation_checks(scenario: Scenario, seed: int) -> list[CheckResult]:
-    """Cross-check battery: every analytic model against its simulator."""
+    """Cross-check battery: every analytic model against its simulator. A
+    fleet is checked at its best-ranked worker."""
     model = _model(scenario)
     sol = model.solve(scenario)
-    analytic = None if model.objective is None else model.objective(scenario, sol.prices)
+    analytic = model.objective(scenario, sol.prices)
     checks = [] if model.exact is None else [model.exact(scenario, sol, analytic)]
     stats = model.simulate(_sim_config(scenario, seed), sol.prices)
-    if analytic is None:
-        checks.append(_fleet_check(model.check, scenario, seed, sol.prices, stats))
-    else:
-        checks.append(_check_close(model.check, analytic, stats))
+    mean, se = stats.worker_mean_se(_best_ranked(scenario)) if scenario.kind == "fleet" \
+        else (stats.mean, stats.se)
+    checks.append(_check_close(model.check, analytic, mean, se))
     return checks
 
 

@@ -18,8 +18,10 @@ from ondemand_pricing import (
     ExponentialDiscount,
     ExponentialValuation,
     MixtureDiscount,
+    ModelMismatch,
     PiecewiseLinearValuation,
     UniformValuation,
+    fleet_rates,
     load_scenario,
     mixture_horizon_optimize,
     parse_scenario,
@@ -1284,3 +1286,119 @@ def test_validate_detects_broken_closed_form(tmp_path, capsys, monkeypatch):
     assert "[FAIL]" in stdout
     checks = read_json(out / "validate.json")
     assert not all(c["passed"] for c in checks)
+
+
+# --- validate: one simulation and one gate per kind ---
+
+
+VALIDATE_SIMULATORS = {
+    "single_class.json": "simulate",
+    "two_class.json": "simulate",
+    "compete_ranked.json": "simulate",
+    "discounted.json": "simulate_discounted",
+    "mixture.json": "simulate_discounted",
+    "queue.json": "simulate_queue",
+}
+
+
+def test_validate_simulators_cover_every_bundled_config_it_serves():
+    # undifferentiated.json has no equilibrium to validate and exits 2
+    assert set(VALIDATE_SIMULATORS) | {"undifferentiated.json"} == \
+        {path.name for path in CONFIGS.glob("*.json")}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_SIMULATORS))
+def test_validate_simulates_once(tmp_path, capsys, monkeypatch, name):
+    # every kind's simulation check reads the one run of its kind's simulator
+    calls = dict.fromkeys(set(VALIDATE_SIMULATORS.values()), 0)
+
+    def counting(attr):
+        run = getattr(cli, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return run(*args, **kwargs)
+
+        return counted
+
+    for attr in calls:
+        monkeypatch.setattr(cli, attr, counting(attr))
+    assert run_cli("validate", "--config", str(CONFIGS / name), "--seed", "7",
+                   "--out", str(tmp_path / "o")) == 0
+    assert calls == {attr: int(attr == VALIDATE_SIMULATORS[name]) for attr in calls}
+
+
+def test_validate_detects_broken_fleet_closed_form(tmp_path, capsys, monkeypatch):
+    real = cli.avg_earning_rate
+    monkeypatch.setattr(cli, "avg_earning_rate", lambda scn, p: 1.1 * real(scn, p))
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", str(CONFIGS / "compete_ranked.json"),
+                   "--seed", "7", "--out", str(out)) == 1
+    assert "[FAIL] best_ranked_worker_unaffected_by_fleet: analytic" in capsys.readouterr().out
+    assert read_json(out / "validate.json")[0]["passed"] is False
+
+
+def set_deterministic_durations(doc):
+    doc["classes"][0]["duration"] = {"kind": "deterministic", "params": {"value": 1.0}}
+
+
+def add_second_class(doc):
+    doc["classes"].append({
+        "arrival_rate": 0.5,
+        "duration": {"kind": "exponential", "params": {"rate": 2.0}},
+        "valuation": {"kind": "uniform", "params": {"low": 0.0, "high": 2.0}},
+    })
+
+
+def set_three_unordered_workers(doc):
+    doc["workers"] = [{"rank": 3, "cost": 0.1}, {"rank": 1, "cost": 0.05},
+                      {"rank": 2, "cost": 0.0}]
+
+
+# ranked fleets the busy-set chain refuses
+CHAINLESS_FLEETS = {
+    "deterministic": edited("compete_ranked.json", set_deterministic_durations),
+    "two_classes": edited("compete_ranked.json", add_second_class),
+}
+
+
+@pytest.mark.parametrize("case", CHAINLESS_FLEETS)
+def test_validate_gates_a_fleet_the_chain_refuses(tmp_path, capsys, case):
+    scenario = parse_scenario(CHAINLESS_FLEETS[case])
+    eq = ranked_price_equilibrium(scenario)
+    with pytest.raises(ModelMismatch, match="fleet chain"):
+        fleet_rates(scenario, [o.prices for o in eq.outcomes])
+    cfg = tmp_path / "fleet.json"
+    cfg.write_text(json.dumps(CHAINLESS_FLEETS[case]))
+    out = tmp_path / "o"
+    code = run_cli("validate", "--config", str(cfg), "--seed", "7", "--out", str(out))
+    [check] = read_json(out / "validate.json")
+    assert check["name"] == "best_ranked_worker_unaffected_by_fleet"
+    assert check["detail"].startswith(f"analytic {cli._fmt(eq.by_rank(1).rate)}, simulated ")
+    assert code == (0 if check["passed"] else 1)
+
+
+@pytest.mark.parametrize("doc", [
+    read_json(CONFIGS / "compete_ranked.json"),
+    *CHAINLESS_FLEETS.values(),
+    edited("compete_ranked.json", set_three_unordered_workers),
+], ids=["compete_ranked", *CHAINLESS_FLEETS, "three_unordered"])
+def test_fleet_closed_form_is_the_equilibriums_best_rank_rate(doc):
+    scenario = parse_scenario(doc)
+    eq = ranked_price_equilibrium(scenario)
+    matrix = [eq.by_rank(w.rank).prices for w in scenario.workers]
+    assert cli._best_ranked_rate(scenario, matrix).hex() == eq.by_rank(1).rate.hex()
+
+
+def test_readme_lists_every_validate_check():
+    section = (CONFIGS.parent / "README.md").read_text().split("## Validation checks")[1]
+    section = section.split("\n## ")[0]
+    kinds, names = set(), set()
+    for path in CONFIGS.glob("*.json"):
+        scenario = load_scenario(path)
+        if scenario.choice == "cheapest":
+            continue  # no equilibrium to validate
+        kinds.add(scenario.kind)
+        names.update(check.name for check in cli.validation_checks(scenario, 7))
+    assert kinds == {"loss", "fleet", "discounted", "mixture", "queue"}
+    assert sorted(name for name in names if f"`{name}`" not in section) == []

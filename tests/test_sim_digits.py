@@ -8,7 +8,9 @@ before its loss kernel found successors by a local scan. A run that the
 config's model refuses is pinned by its exit code, with no file. The
 manifest is left out, since its `wall_time_s` varies. The digests were
 captured with numpy 2.4.6; a refactor or speed-up of the simulate layer must
-keep them all.
+keep them all. The one later pin is `compete_ranked`'s `validate`, taken again
+when the fleet's check moved from a solo re-simulation of its best-ranked
+worker to that worker's closed-form rate.
 
 `EDGE_PINS` adds runs at given prices where arrivals are priced out: a class
 priced above its valuation support or at zero, and fleets whose lowest price
@@ -40,7 +42,7 @@ PINS = {
         "simulate": (0, "82d8bc55908538ecf3a22beb0ab10dd900670edf0f9d4b4ba0dfc9ad726cc48d"),
         "simulate --trace":
             (0, "19d4ca87c4e37e912874d91aa52b34d1bae40f1e4496121c52f5fa373b47dc0d"),
-        "validate": (0, "c6d3ed31b4bb17fae6d0fd62490005ddb29868754f9df0b34167dac29c9f439e"),
+        "validate": (0, "084152032e45af132314ca7ff664983ad9a66d253d8023203480d275a1c9edc8"),
         "compete --verify":
             (0, "15c7307369f3c4c26fb945e096734fd3d0500ef5616c08ad62a85da4e19ec9cb"),
     },
