@@ -49,16 +49,6 @@ class NoEquilibrium(PricingError):
     """Requested equilibrium mode has no solution for this scenario."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: str
-    seed: int
-    outputs: tuple[str, ...]
-    version: str
-    wall_time_s: float
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -190,7 +180,7 @@ _SERVES = {
 # --- solve ---
 
 
-def cmd_solve(scenario: Scenario, outdir: Path) -> list[str]:
+def cmd_solve(scenario: Scenario, args, outdir: Path) -> tuple[list[str], bool]:
     model = _model(scenario)
     sol = model.solve(scenario)
     print(model.summary.format(sol=sol, prices=_fmts(sol.prices)))
@@ -205,7 +195,7 @@ def cmd_solve(scenario: Scenario, outdir: Path) -> list[str]:
         "model": model.label, "prices": list(sol.prices), "iterations": sol.iterations,
         "converged": sol.converged, **{name: getattr(sol, name) for name in model.fields}})
     outputs.append("solution.json")
-    return outputs
+    return outputs, True
 
 
 # --- sweep ---
@@ -270,11 +260,12 @@ def _sweeps() -> dict:
 SWEEPABLES = tuple(_sweeps())
 
 
-def cmd_sweep(scenario: Scenario, param: str, grid_spec: str | None, outdir: Path) -> list[str]:
+def cmd_sweep(scenario: Scenario, args, outdir: Path) -> tuple[list[str], bool]:
+    param = args.param
     if param not in SWEEPABLES:
         raise ConfigError(f"unknown sweep parameter {param!r} (one of {SWEEPABLES})")
-    if grid_spec is not None:
-        grid = _parse_grid(grid_spec)
+    if args.grid is not None:
+        grid = _parse_grid(args.grid)
     elif param == "r":
         grid = _default_r_grid()
     else:
@@ -283,7 +274,7 @@ def cmd_sweep(scenario: Scenario, param: str, grid_spec: str | None, outdir: Pat
     name = f"sweep_{param}.csv"
     _write_csv(outdir / name, header, rows)
     print(f"swept {param} over {len(rows)} points -> {outdir / name}")
-    return [name]
+    return [name], True
 
 
 # --- simulate ---
@@ -302,34 +293,32 @@ def _parse_prices(spec: str, scenario: Scenario):
     return matrix
 
 
-def cmd_simulate(scenario: Scenario, prices_spec: str, seed: int, outdir: Path,
-                 trace: bool) -> list[str]:
+def cmd_simulate(scenario: Scenario, args, outdir: Path) -> tuple[list[str], bool]:
     model = _model(scenario)
-    if prices_spec == "solved":
+    if args.prices == "solved":
         prices = model.solve(scenario).prices
     else:
-        prices = _parse_prices(prices_spec, scenario)
-    cfg = SimConfig(scenario=scenario, base_seed=seed)
+        prices = _parse_prices(args.prices, scenario)
+    cfg = SimConfig(scenario=scenario, base_seed=args.seed)
     # only `simulate` takes a trace path, and _SERVES gives --trace no other kind
-    stats = model.simulate(cfg, prices, str(outdir / "events.csv")) if trace \
+    stats = model.simulate(cfg, prices, str(outdir / "events.csv")) if args.trace \
         else model.simulate(cfg, prices)
-    payload = {"prices": prices, "seed": seed, "stats": stats.to_dict()}
+    payload = {"prices": prices, "seed": args.seed, "stats": stats.to_dict()}
     _write_json(outdir / "stats.json", payload)
     print(f"simulated {stats.kind}: mean = {_fmt(stats.mean)}, "
           f"95% CI = [{_fmt(stats.ci_low)}, {_fmt(stats.ci_high)}], "
           f"replications = {stats.replications}")
     outputs = ["stats.json"]
-    if trace:
+    if args.trace:
         outputs.append("events.csv")
-    return outputs
+    return outputs, True
 
 
 # --- compete ---
 
 
-def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
-                dynamics: bool) -> list[str]:
-    if dynamics:
+def cmd_compete(scenario: Scenario, args, outdir: Path) -> tuple[list[str], bool]:
+    if args.dynamics:
         report = best_response_dynamics(scenario)
         if report.fixed_profile is not None:
             print(f"best-response dynamics settled at {_fmts(report.fixed_profile)}"
@@ -341,7 +330,7 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
         else:
             print(f"best-response dynamics open after {report.rounds_run} rounds")
         _write_json(outdir / "dynamics.json", {"mode": "dynamics", **asdict(report)})
-        return ["dynamics.json"]
+        return ["dynamics.json"], True
 
     if scenario.choice != "ranked":
         raise NoEquilibrium(
@@ -353,12 +342,11 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
         print(f"rank {outcome.rank}: prices = {_fmts(outcome.prices)}"
               f", rate = {_fmt(outcome.rate)}, busy = {_fmt(outcome.busy_fraction)}")
     payload = {"mode": "equilibrium", "workers": [asdict(o) for o in eq.outcomes]}
-    outputs = ["equilibrium.json"]
-    if verify:
+    if args.verify:
         matrix = _ranked_solution(scenario, eq).prices
         cfg = SimConfig(
             scenario=scenario,
-            base_seed=seed,
+            base_seed=args.seed,
             expected_arrivals=20_000,
             replications=16,
         )
@@ -376,7 +364,7 @@ def cmd_compete(scenario: Scenario, seed: int, outdir: Path, verify: bool,
             scans.append({**scan, "any_significant": report.any_significant})
         payload["deviation_scans"] = scans
     _write_json(outdir / "equilibrium.json", payload)
-    return outputs
+    return ["equilibrium.json"], True
 
 
 # --- validate ---
@@ -400,12 +388,6 @@ def _renewal_check(scenario: Scenario, sol: Solution, analytic: float) -> CheckR
     return CheckResult("queue_closed_form_vs_renewal_equations",
                        bool(abs(analytic - renewal) <= 1e-9),
                        f"closed form {_fmt(analytic)}, renewal solve {_fmt(renewal)}")
-
-
-def _sim_config(scenario: Scenario, seed: int) -> SimConfig:
-    return SimConfig(
-        scenario=scenario, base_seed=seed, expected_arrivals=20_000, replications=12
-    )
 
 
 def _check_close(name: str, analytic: float, mean: float, se: float) -> CheckResult:
@@ -440,15 +422,17 @@ def validation_checks(scenario: Scenario, seed: int) -> list[CheckResult]:
     sol = model.solve(scenario)
     analytic = model.objective(scenario, sol.prices)
     checks = [] if model.exact is None else [model.exact(scenario, sol, analytic)]
-    stats = model.simulate(_sim_config(scenario, seed), sol.prices)
+    cfg = SimConfig(scenario=scenario, base_seed=seed, expected_arrivals=20_000,
+                    replications=12)
+    stats = model.simulate(cfg, sol.prices)
     mean, se = stats.worker_mean_se(_best_ranked(scenario)) if scenario.kind == "fleet" \
         else (stats.mean, stats.se)
     checks.append(_check_close(model.check, analytic, mean, se))
     return checks
 
 
-def cmd_validate(scenario: Scenario, seed: int, outdir: Path) -> tuple[list[str], bool]:
-    checks = validation_checks(scenario, seed)
+def cmd_validate(scenario: Scenario, args, outdir: Path) -> tuple[list[str], bool]:
+    checks = validation_checks(scenario, args.seed)
     for check in checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
     payload = [asdict(c) for c in checks]
@@ -459,17 +443,10 @@ def cmd_validate(scenario: Scenario, seed: int, outdir: Path) -> tuple[list[str]
 # --- entry point ---
 
 
-# Each subcommand's run: (scenario, parsed arguments, output directory) ->
+# Each command takes (scenario, parsed arguments, output directory) and returns
 # (the files written, whether every check passed).
-_RUNS = {
-    "solve": lambda scn, args, out: (cmd_solve(scn, out), True),
-    "sweep": lambda scn, args, out: (cmd_sweep(scn, args.param, args.grid, out), True),
-    "simulate": lambda scn, args, out: (
-        cmd_simulate(scn, args.prices, args.seed, out, args.trace), True),
-    "compete": lambda scn, args, out: (
-        cmd_compete(scn, args.seed, out, args.verify, args.dynamics), True),
-    "validate": lambda scn, args, out: cmd_validate(scn, args.seed, out),
-}
+_RUNS = {"solve": cmd_solve, "sweep": cmd_sweep, "simulate": cmd_simulate,
+         "compete": cmd_compete, "validate": cmd_validate}
 
 
 # Built once per process: parse_args fills a fresh namespace on every call
@@ -514,15 +491,10 @@ def main(argv=None) -> int:
             scenario.require(op, *_SERVES[op])
         outdir = Path(args.out)
         outputs, ok = args.run(scenario, args, outdir)
-        manifest = RunManifest(
-            command=args.command,
-            config=str(args.config),
-            seed=args.seed,
-            outputs=tuple(outputs),
-            version=__version__,
-            wall_time_s=time.perf_counter() - started,
-        )
-        _write_json(outdir / "manifest.json", asdict(manifest))
+        _write_json(outdir / "manifest.json", {
+            "command": args.command, "config": str(args.config), "seed": args.seed,
+            "outputs": outputs, "version": __version__,
+            "wall_time_s": time.perf_counter() - started})
         return 0 if ok else 1
     except IrregularDistribution as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -400,13 +400,8 @@ def best_response_dynamics(scenario: Scenario) -> BestResponseReport:
     points = range(len(axis))
     profile = [max(points, key=lambda k, c=w.cost: solo_rate(k, c)) for w in workers]
     trajectory: list[tuple[float, ...]] = [tuple(axis[k] for k in profile)]
-    seen = {trajectory[0]: 0}
-    fixed = None
-    cycle_start = None
-    cycle_length = None
-    rounds = 0
-    for round_no in range(1, _MAX_ROUNDS + 1):
-        rounds = round_no
+    seen = {trajectory[0]: 0}  # each profile's first round
+    for rounds in range(1, _MAX_ROUNDS + 1):
         for i in range(len(workers)):
             sweep = np.tile(profile, (len(axis), 1))
             sweep[:, i] = points
@@ -418,21 +413,16 @@ def best_response_dynamics(scenario: Scenario) -> BestResponseReport:
                     best_k, best_v = k, value
             profile[i] = best_k
         snapshot = tuple(axis[k] for k in profile)
-        if snapshot == trajectory[-1]:
-            fixed = snapshot
-            trajectory.append(snapshot)
-            break
-        if snapshot in seen:
-            cycle_start = seen[snapshot]
-            cycle_length = len(trajectory) - seen[snapshot]
-            trajectory.append(snapshot)
-            break
-        seen[snapshot] = len(trajectory)
+        first = seen.setdefault(snapshot, rounds)
         trajectory.append(snapshot)
+        if first < rounds:
+            break
+    # a revisit one round back is a fixed profile, an earlier one a cycle; 0 is none
+    length = rounds - first
     return BestResponseReport(
         trajectory=tuple(trajectory),
-        fixed_profile=fixed,
-        cycle_start=cycle_start,
-        cycle_length=cycle_length,
+        fixed_profile=snapshot if length == 1 else None,
+        cycle_start=first if length > 1 else None,
+        cycle_length=length if length > 1 else None,
         rounds_run=rounds,
     )

@@ -35,8 +35,9 @@ from .solver import Solution, price_response, solve_fixed_point
 
 def _queue_evaluator(cls_a: CustomerClass, cls_b: CustomerClass, cost: float):
     """The closed-form rate R = N/D as a function of the price pair, and each
-    class's opportunity-cost factor m_k = mu_k * dD/da_k, with each class's
-    arrival rate, tail and service rate bound once.
+    class's shadow R * m_k, with m_k = mu_k * dD/da_k its opportunity-cost
+    factor, in the `(objective, shadows)` shape of `marginal_cost_ascent`.
+    Each class's arrival rate, tail and service rate is bound once.
 
     With a_k = lambda_k * tail_k(p_k), s = a_A + a_B, B = (s + mu_A)(s + mu_B)
     and T = a_A mu_A + a_B mu_B + mu_A mu_B, the busy-and-idle weight is
@@ -52,7 +53,8 @@ def _queue_evaluator(cls_a: CustomerClass, cls_b: CustomerClass, cost: float):
     lam_b, tail_b, mu_b = cls_b.arrival_rate, cls_b.valuation.tail, cls_b.duration.rate
     mu_ab = mu_a * mu_b
 
-    def terms(price_a: float, price_b: float) -> tuple[float, float, float]:
+    def terms(prices) -> tuple[float, tuple[float, float]]:
+        price_a, price_b = prices
         admit_a = lam_a * tail_a(price_a)
         admit_b = lam_b * tail_b(price_b)
         s = admit_a + admit_b
@@ -68,8 +70,8 @@ def _queue_evaluator(cls_a: CustomerClass, cls_b: CustomerClass, cost: float):
         # with no admitted arrivals num is (p - cost) * 0, which is -0.0 when p < cost
         rate = num / den + 0.0
         spread = idle_weight * (2.0 * s + mu_a + mu_b)
-        return (rate, 1.0 + mu_a * ((mu_a - spread) / both),
-                1.0 + mu_b * ((mu_b - spread) / both))
+        return rate, (rate * (1.0 + mu_a * ((mu_a - spread) / both)),
+                      rate * (1.0 + mu_b * ((mu_b - spread) / both)))
 
     return terms
 
@@ -77,7 +79,7 @@ def _queue_evaluator(cls_a: CustomerClass, cls_b: CustomerClass, cost: float):
 def queue_rate(scenario: Scenario, price_a: float, price_b: float) -> float:
     """Long-run average earning rate with one waiting spot, in closed form."""
     parts = queue_parts(scenario, "queue_rate")
-    return _queue_evaluator(*parts)(*check_prices(scenario, (price_a, price_b)))[0]
+    return _queue_evaluator(*parts)(check_prices(scenario, (price_a, price_b)))[0]
 
 
 @dataclass(frozen=True)
@@ -152,12 +154,7 @@ def _queue_solve(scenario: Scenario) -> Solution:
     """
     parts = queue_parts(scenario, "queue_optimize")
     classes, cost = parts[:2], parts[2]
-    at = _queue_evaluator(*parts)
-
-    def terms(prices):
-        rate, m_a, m_b = at(*prices)
-        return rate, (rate * m_a, rate * m_b)
-
+    terms = _queue_evaluator(*parts)
     monopoly = tuple(price_response(cls, 0.0, cost) for cls in classes)
     runs = [marginal_cost_ascent(terms, classes, cost, monopoly)]
     iterations = 0
@@ -221,15 +218,15 @@ def hybrid_solve(on_demand: CustomerClass, patient: CustomerClass,
 
 
 def _mixture_evaluator(scenario: Scenario, op: str):
-    """The mixture objective as a function of the prices, value alone and
-    with each class's shadow, with each branch's weight and loads and each
-    class's tail bound once.
+    """The mixture objective and each class's shadow as a function of the
+    prices, in the `(objective, shadows)` shape of `marginal_cost_ascent`,
+    with each branch's weight and loads and each class's tail bound once.
 
     V = sum_w w * N_w / D_w, and each class's weighted opportunity cost is
     Rbar_k = sum_w a_wk * R_w / sum_w a_wk, with R_w = N_w / D_w the branch's
     rate and a_wk = w * load_wk / D_w. A class with no load in any branch has
     no opportunity cost: its shadow is 0. Every sum runs in class order and
-    then branch order, so both functions give the same V to the last bit.
+    then branch order.
     """
     scenario.require(op, "mixture")
     mix = scenario.discount
@@ -247,12 +244,6 @@ def _mixture_evaluator(scenario: Scenario, op: str):
                  1.0 + sum(map(mul, loads, tails)))
                 for w, loads in branches]
 
-    def value(prices) -> float:
-        total = 0.0
-        for w, _, num, den in branch_terms(prices):
-            total += w * num / den
-        return total
-
     def terms(prices) -> tuple[float, list[float]]:
         total = 0.0
         weights = [0.0] * len(tails_of)
@@ -265,7 +256,7 @@ def _mixture_evaluator(scenario: Scenario, op: str):
                 shadows[k] += share * load * branch_rate
         return total, [s / a if a > 0.0 else 0.0 for s, a in zip(shadows, weights)]
 
-    return value, terms
+    return terms
 
 
 def mixture_horizon_value(scenario: Scenario, prices) -> float:
@@ -274,8 +265,8 @@ def mixture_horizon_value(scenario: Scenario, prices) -> float:
 
     For a single branch with rate 1 this coincides with discounted_value.
     """
-    value, _ = _mixture_evaluator(scenario, "mixture_horizon_value")
-    return value(check_prices(scenario, prices))
+    terms = _mixture_evaluator(scenario, "mixture_horizon_value")
+    return terms(check_prices(scenario, prices))[0]
 
 
 def _mixture_solve(scenario: Scenario) -> Solution:
@@ -290,12 +281,12 @@ def _mixture_solve(scenario: Scenario) -> Solution:
     when that earns more. `rate` and `value` both carry the objective, and
     `trace` is empty.
     """
-    value, terms = _mixture_evaluator(scenario, "mixture_horizon_optimize")
+    terms = _mixture_evaluator(scenario, "mixture_horizon_optimize")
     classes, cost = scenario.classes, scenario.workers[0].cost
     monopoly = tuple(price_response(cls, 0.0, cost) for cls in classes)
     sol = marginal_cost_ascent(terms, classes, cost, monopoly)
     corner = tuple(cls.valuation.upper for cls in classes)
-    corner_value = value(corner)
+    corner_value = terms(corner)[0]
     if corner_value > sol.rate:
         sol = replace(sol, prices=corner, rate=corner_value)
     return replace(sol, value=sol.rate)

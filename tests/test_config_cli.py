@@ -1,7 +1,9 @@
+import argparse
 import copy
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -345,13 +347,34 @@ def test_solve_two_class(tmp_path, capsys):
     achieved = [float(r[1]) for r in rows]
     assert all(b >= a - 1e-12 for a, b in zip(achieved, achieved[1:]))
 
-    manifest = read_json(out / "manifest.json")
-    assert manifest["command"] == "solve"
-    assert manifest["seed"] == 20260815
-    assert set(manifest["outputs"]) == {"trace.csv", "solution.json"}
-    assert manifest["wall_time_s"] > 0.0
+
+# One run of each subcommand: (arguments after --config, config, files written).
+MANIFEST_RUNS = {
+    "solve": ((), "two_class.json", ["trace.csv", "solution.json"]),
+    "sweep": (("--param", "rho", "--grid", "0.5,2"), "two_class.json", ["sweep_rho.csv"]),
+    "simulate": (("--prices", "0.6,0.6"), "queue.json", ["stats.json"]),
+    "compete": (("--dynamics",), "undifferentiated.json", ["dynamics.json"]),
+    "validate": ((), "mixture.json", ["validate.json"]),
+}
+
+
+@pytest.mark.parametrize("command", MANIFEST_RUNS)
+def test_manifest_records_the_run(tmp_path, capsys, command):
     from ondemand_pricing import __version__
+    rest, name, outputs = MANIFEST_RUNS[command]
+    out = tmp_path / "out"
+    config = str(CONFIGS / name)
+    assert run_cli(command, "--config", config, *rest, "--out", str(out)) == 0
+    manifest = read_json(out / "manifest.json")
+    assert sorted(manifest) == ["command", "config", "outputs", "seed", "version",
+                                "wall_time_s"]
+    assert manifest["command"] == command
+    assert manifest["config"] == config
+    assert type(manifest["seed"]) is int and manifest["seed"] == DEFAULT_SEED
+    assert manifest["outputs"] == outputs
+    assert all((out / file).is_file() for file in outputs)
     assert manifest["version"] == __version__
+    assert type(manifest["wall_time_s"]) is float and manifest["wall_time_s"] > 0.0
 
 
 def test_solve_queue(tmp_path, capsys):
@@ -1402,3 +1425,18 @@ def test_readme_lists_every_validate_check():
         names.update(check.name for check in cli.validation_checks(scenario, 7))
     assert kinds == {"loss", "fleet", "discounted", "mixture", "queue"}
     assert sorted(name for name in names if f"`{name}`" not in section) == []
+
+
+def test_readme_names_every_subcommand_and_flag():
+    section = (CONFIGS.parent / "README.md").read_text().split("## Command line")[1]
+    section = section.split("\n## ")[0]
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    names = {f"ondemand-pricing {command}" for command in subparsers.choices}
+    for parser in subparsers.choices.values():
+        names.update(flag for action in parser._actions
+                     if not isinstance(action, argparse._HelpAction)
+                     for flag in action.option_strings)
+    assert {"ondemand-pricing validate", "--config", "--trace"} <= names
+    assert sorted(name for name in names
+                  if not re.search(re.escape(name) + r"(?![\w-])", section)) == []

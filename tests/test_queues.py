@@ -266,28 +266,6 @@ def test_mixture_requires_mixture_discount(single_class_scenario, discounted_sce
         mixture_horizon_value(discounted_scenario, (0.5,))
 
 
-def test_optimizers_report_the_public_objective_bit_for_bit():
-    # the searches evaluate a private objective set up once per call; the
-    # value they report must be exactly what the public function returns
-    piecewise = PiecewiseLinearValuation(((0.1, 0.0), (0.6, 0.3), (1.5, 1.0)))
-    queue = Scenario(
-        classes=(CustomerClass(0.9, ExponentialDuration(1.4), piecewise),
-                 CustomerClass(1.2, ExponentialDuration(0.7), ExponentialValuation(1.8))),
-        workers=(WorkerSpec(cost=0.05),),
-        queue_capacity=1,
-    )
-    prices, rate = queue_optimize(queue)
-    assert rate == queue_rate(queue, *prices)
-    mixture = Scenario(
-        classes=(CustomerClass(0.8, EmpiricalDuration((0.3, 1.7, 0.9, 0.45)), piecewise),
-                 CustomerClass(1.1, ExponentialDuration(1.6), UniformValuation(0.2, 1.3))),
-        workers=(WorkerSpec(cost=0.08),),
-        discount=MixtureDiscount((0.3, 0.7), (0.6, 2.2)),
-    )
-    prices, value = mixture_horizon_optimize(mixture)
-    assert value == mixture_horizon_value(mixture, prices)
-
-
 # --- the marginal-cost fixed points against the multi-start ascent they replaced ---
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -354,8 +332,8 @@ def ascent_reference(objective, scn):
 
 
 def queue_reference(scn):
-    at = _queue_evaluator(*queue_parts(scn, "queue_reference"))
-    return ascent_reference(lambda p: at(p[0], p[1])[0], scn)
+    terms = _queue_evaluator(*queue_parts(scn, "queue_reference"))
+    return ascent_reference(lambda p: terms(p)[0], scn)
 
 
 def random_law(rng):
@@ -441,11 +419,11 @@ TWO_CYCLE = Scenario(
 def test_queue_solve_settles_where_the_plain_map_cycles():
     parts = queue_parts(TWO_CYCLE, "test")
     classes, cost = parts[:2], parts[2]
-    at = _queue_evaluator(*parts)
+    terms = _queue_evaluator(*parts)
 
     def target(prices):
-        rate, *factors = at(*prices)
-        return tuple(price_response(cls, rate * m, cost) for cls, m in zip(classes, factors))
+        _, shadows = terms(prices)
+        return tuple(price_response(cls, shadow, cost) for cls, shadow in zip(classes, shadows))
 
     prices = tuple(price_response(cls, 0.0, cost) for cls in classes)
     for _ in range(200):
@@ -458,6 +436,46 @@ def test_queue_solve_settles_where_the_plain_map_cycles():
     assert sol.converged
     assert sol.rate >= 0.661684
     assert sol.prices == pytest.approx((0.71909, 1.31157), abs=1e-5)
+
+
+_PIECEWISE = PiecewiseLinearValuation(((0.1, 0.0), (0.6, 0.3), (1.5, 1.0)))
+_MIXTURE = load_scenario(CONFIGS / "mixture.json")
+OBJECTIVE_CASES = {
+    "piecewise_queue": Scenario(
+        classes=(CustomerClass(0.9, ExponentialDuration(1.4), _PIECEWISE),
+                 CustomerClass(1.2, ExponentialDuration(0.7), ExponentialValuation(1.8))),
+        workers=(WorkerSpec(cost=0.05),),
+        queue_capacity=1,
+    ),
+    "queue_json": load_scenario(CONFIGS / "queue.json"),
+    "shut_out": SHUT_OUT,
+    "two_cycle": TWO_CYCLE,
+    "piecewise_mixture": Scenario(
+        classes=(CustomerClass(0.8, EmpiricalDuration((0.3, 1.7, 0.9, 0.45)), _PIECEWISE),
+                 CustomerClass(1.1, ExponentialDuration(1.6), UniformValuation(0.2, 1.3))),
+        workers=(WorkerSpec(cost=0.08),),
+        discount=MixtureDiscount((0.3, 0.7), (0.6, 2.2)),
+    ),
+    "mixture_json": _MIXTURE,
+    # every price is at the top of its support: the solve ends at the shut-out corner
+    "mixture_json_cost_100": replace(_MIXTURE, workers=(WorkerSpec(cost=100.0),)),
+}
+
+
+def test_optimizers_report_the_public_objective_bit_for_bit():
+    # the searches evaluate a private objective set up once per call; the
+    # value they report must be exactly what the public function returns
+    for case, scn in OBJECTIVE_CASES.items():
+        if scn.kind == "queue":
+            prices, reported = queue_optimize(scn)
+            public = queue_rate(scn, *prices)
+        else:
+            prices, reported = mixture_horizon_optimize(scn)
+            public = mixture_horizon_value(scn, prices)
+        assert reported.hex() == public.hex(), case
+    corner = OBJECTIVE_CASES["mixture_json_cost_100"]
+    assert mixture_horizon_optimize(corner)[0] == tuple(
+        cls.valuation.upper for cls in corner.classes)
 
 
 def test_queue_optimize_rejects_an_irregular_law():
@@ -528,7 +546,11 @@ def random_mixture(rng, index):
 
 def mixture_reference(scn):
     """The ascent, or every class priced out when that earns more."""
-    objective, _ = _mixture_evaluator(scn, "mixture_reference")
+    terms = _mixture_evaluator(scn, "mixture_reference")
+
+    def objective(prices):
+        return terms(prices)[0]
+
     corner = tuple(cls.valuation.upper for cls in scn.classes)
     return max(ascent_reference(objective, scn), (corner, objective(corner)),
                key=lambda run: run[1])
