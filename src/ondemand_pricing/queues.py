@@ -277,9 +277,12 @@ def _mixture_solve(scenario: Scenario) -> Solution:
     busy hour shadow priced at the branch rates weighted by how much that
     class's load counts in each branch. The iteration runs from the monopoly
     prices. A sum of ratios need not be unimodal, so pricing every class out
-    (each price at the top of its support, worth 0) replaces the finisher
-    when that earns more. `rate` and `value` both carry the objective, and
-    `trace` is empty.
+    (each price at the top of its support) replaces the finisher when that
+    earns more. That corner is worth 0 only where every law sells nothing at
+    its top: an exponential law's operational upper bound keeps a 1e-12
+    tail, so with the cost above it the objective and the shadows are
+    negative, and the ascent can end below the corner. `rate` and `value`
+    both carry the objective, and `trace` is empty.
     """
     terms = _mixture_evaluator(scenario, "mixture_horizon_optimize")
     classes, cost = scenario.classes, scenario.workers[0].cost

@@ -57,11 +57,13 @@ simulator caps each job's end at the first arrival of the next window,
 where the worker restarts idle, so the kernel takes that arrival next. The
 one-waiting-spot queue still steps through its affordable arrivals, since a
 waiting job's start depends on history, reading them as Python floats a
-chunk at a time. Jobs start first come, first served, and a
-job that finds the worker free starts on arrival, so the loop records only
-the lost arrivals and each waiting job's start; the served jobs and their
-starts follow from those. Every simulator adds up earnings as arrays, in
-start order.
+chunk at a time. Its worker's state is two floats: when the admitted work
+ends, and when the last admitted job starts and frees the waiting spot. An
+arrival before that start is lost; any other starts on arrival or when the
+work ends, whichever is later. The loop records each arrival's end, and
+since jobs start first come, first served, each served job starts at the
+later of its arrival and the previous served job's end. Every simulator
+adds up earnings as arrays, in start order.
 """
 
 from __future__ import annotations
@@ -743,67 +745,37 @@ def _queue_rep(times, ks, ds, prices, cost: float, warm: float, horizon: float):
     all afford their price. Returns the earnings over [warm, horizon], the
     number of jobs served and the number lost busy.
 
-    Jobs are served first come, first served, so the served jobs start in
-    index order, and a job that finds the worker free ("fresh") starts at its
-    own arrival time. The loop therefore records only the lost arrivals and,
-    for each job that waited, its index and start (service_end when the job
-    before it ends); a fresh start records nothing. It reads the arrivals as
-    Python floats _CHUNK at a time. A chunk's served jobs are its arrivals
-    less the lost ones and less a job still waiting at its end, plus a job
-    waiting since an earlier chunk that started in it; their starts are their
-    arrival times with the waited starts scattered in, and their earnings
-    are added on in start order. The worker's state (service_end and the
-    waiting job with its duration) carries from chunk to chunk.
+    The worker's state is two floats: `end`, when the admitted work is done,
+    and `start`, when the last admitted job starts and so frees the waiting
+    spot. An arrival at t with duration d is lost if t < start; otherwise it
+    starts at t if t >= end, else at end, and end moves to its start plus d.
+    The loop reads the arrivals as Python floats _CHUNK at a time and records
+    each one's end, -inf when it is lost. Jobs are served first come, first
+    served, so a served job starts at the later of its arrival time and the
+    previous served job's end, the same float the loop took, and the chunk's
+    earnings are added on in start order.
     """
     earned = 0.0
-    service_end = 0.0
-    pending, pending_d = -1, 0.0
-    n_served = n_busy = 0
-
-    def add(jobs, starts):
-        nonlocal earned, n_served
-        earned = _earnings(prices[ks[jobs]] - cost, starts, starts + ds[jobs], warm, horizon,
-                           earned)
-        n_served += jobs.size
-
+    start = end = 0.0
+    n_served = 0
     for lo in range(0, times.size, _CHUNK):
-        hi = min(lo + _CHUNK, times.size)
-        carried = pending  # waiting since an earlier chunk, or -1
-        lost: list[int] = []
-        waited: list[int] = []
-        waited_starts: list[float] = []
-        for i, t, d in zip(range(lo, hi), times[lo:hi].tolist(), ds[lo:hi].tolist()):
-            if service_end <= t:
-                if pending < 0:
-                    service_end = t + d
-                    continue
-                waited.append(pending)
-                waited_starts.append(service_end)
-                service_end += pending_d
-                if service_end <= t:
-                    pending = -1
-                    service_end = t + d
-                else:
-                    pending, pending_d = i, d
-            elif pending < 0:
-                pending, pending_d = i, d
-            else:
-                lost.append(i)
-        served = np.ones(hi - lo, dtype=bool)
-        served[np.array(lost, dtype=np.intp) - lo] = False
-        if pending >= lo:
-            served[pending - lo] = False
-        jobs = np.flatnonzero(served)
+        before = end
+        ends: list[float] = []
+        for t, d in zip(times[lo:lo + _CHUNK].tolist(), ds[lo:lo + _CHUNK].tolist()):
+            if t < start:
+                ends.append(-math.inf)
+                continue
+            start = t if t >= end else end
+            end = start + d
+            ends.append(end)
+        done = np.array(ends)
+        jobs = np.flatnonzero(done > -math.inf)
+        done = done[jobs]
         jobs += lo
-        if 0 <= carried != pending:
-            jobs = np.concatenate(([carried], jobs))
-        starts = times[jobs]
-        starts[np.searchsorted(jobs, waited)] = waited_starts
-        n_busy += len(lost)
-        add(jobs, starts)
-    if pending >= 0:
-        add(np.array([pending]), np.array([service_end]))
-    return earned, n_served, n_busy
+        starts = np.maximum(times[jobs], np.concatenate(([before], done[:-1])))
+        earned = _earnings(prices[ks[jobs]] - cost, starts, done, warm, horizon, earned)
+        n_served += jobs.size
+    return earned, n_served, times.size - n_served
 
 
 def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStats:
@@ -820,8 +792,7 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     rep_rates = []
     counts = Counts()
     for _, (times, ks, _, ds), n_arr in reps:
-        earned, n_acc, n_busy = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
-        assert n_acc + n_busy == times.size
+        earned, n_acc, _ = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
         counts += _counts(n_arr, times.size, n_acc)
         rep_rates.append(earned / span)
     return _stats("rate", rep_rates, counts)

@@ -37,6 +37,7 @@ from ondemand_pricing.queues import (
     _queue_evaluator,
     _queue_solve,
 )
+from ondemand_pricing.search import marginal_cost_ascent
 from ondemand_pricing.solver import price_response
 from tests.conftest import queue_scenario, unit_uniform_class
 
@@ -569,6 +570,29 @@ def test_mixture_fixed_point_never_below_the_ascent():
         assert sol.converged
         assert sol.value >= reference - 1e-12 * abs(reference)
         assert sol.value == mixture_horizon_value(scn, sol.prices)
+
+
+def test_mixture_solve_keeps_the_shut_out_corner_when_it_earns_more():
+    # cost 30 lies above both exponential laws' operational upper bounds,
+    # where their tails are 1e-12, not 0: the objective and the shadows are
+    # negative, so the light class's targets fall below its upper bound, and
+    # the ascent ends a few ulps under pricing every class out
+    scn = Scenario(
+        classes=(CustomerClass(1e-7, ExponentialDuration(1.0), ExponentialValuation(1.0)),
+                 CustomerClass(1e14, ExponentialDuration(1.0), ExponentialValuation(2.0))),
+        workers=(WorkerSpec(cost=30.0),),
+        discount=MixtureDiscount(weights=(1.0,), rates=(1.0,)),
+    )
+    terms = _mixture_evaluator(scn, "test")
+    monopoly = tuple(price_response(cls, 0.0, 30.0) for cls in scn.classes)
+    corner = tuple(cls.valuation.upper for cls in scn.classes)
+    assert monopoly == corner
+    ascent = marginal_cost_ascent(terms, scn.classes, 30.0, monopoly)
+    assert ascent.converged and ascent.prices[0] < corner[0]
+    assert ascent.rate < terms(corner)[0] < 0.0
+    sol = _mixture_solve(scn)
+    assert sol.prices == corner
+    assert sol.value == terms(corner)[0] == mixture_horizon_value(scn, corner)
 
 
 def test_mixture_class_without_arrivals_gets_its_monopoly_price():

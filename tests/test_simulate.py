@@ -464,10 +464,37 @@ def reference_simulate_discounted(config, prices):
     return _stats("value", rep_values, counts)
 
 
+def reference_queue_rep(times, ks, ds, prices, cost, warm, horizon):
+    """_queue_rep's earnings, served and lost-busy counts, one event at a time."""
+    earned, service_end, pending = 0.0, 0.0, None
+    n_served = n_busy = 0
+    prices = prices.tolist()
+
+    def start_job(k, start, dur):
+        nonlocal earned, n_served
+        earned += (prices[k] - cost) * max(0.0, min(start + dur, horizon) - max(start, warm))
+        n_served += 1
+        return start + dur
+
+    for t, k, d in zip(times.tolist(), ks.tolist(), ds.tolist()):
+        if pending is not None and service_end <= t:
+            service_end = start_job(pending[0], service_end, pending[1])
+            pending = None
+        if service_end <= t:
+            service_end = start_job(k, t, d)
+        elif pending is None:
+            pending = (k, d)
+        else:
+            n_busy += 1
+    if pending is not None:
+        start_job(pending[0], service_end, pending[1])
+    return earned, n_served, n_busy
+
+
 def reference_simulate_queue(config, price_a, price_b):
     scenario = config.scenario
     cost = scenario.workers[0].cost
-    prices = (float(price_a), float(price_b))
+    prices = np.array([float(price_a), float(price_b)])
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
     span = horizon - warm
@@ -476,32 +503,10 @@ def reference_simulate_queue(config, price_a, price_b):
     counts = Counts()
     for rep in range(config.replications):
         times, ks, vs, ds = _merged_events(scenario, config.base_seed, rep, horizon)
-        fits = np.flatnonzero(~(vs < np.asarray(prices)[ks]))
+        fits = np.flatnonzero(~(vs < prices[ks]))
         n_arr, n_price = times.size, times.size - fits.size
-        service_end = 0.0
-        pending = None
-        earned = 0.0
-        n_acc = n_busy = 0
-
-        def start_job(k, start, dur):
-            nonlocal earned
-            earned += (prices[k] - cost) * max(0.0, min(start + dur, horizon) - max(start, warm))
-            return start + dur
-
-        for t, k, d in zip(times[fits].tolist(), ks[fits].tolist(), ds[fits].tolist()):
-            if pending is not None and service_end <= t:
-                service_end = start_job(pending[0], service_end, pending[1])
-                pending = None
-            if service_end <= t:
-                n_acc += 1
-                service_end = start_job(k, t, d)
-            elif pending is None:
-                n_acc += 1
-                pending = (k, d)
-            else:
-                n_busy += 1
-        if pending is not None:
-            start_job(pending[0], service_end, pending[1])
+        earned, n_acc, n_busy = reference_queue_rep(times[fits], ks[fits], ds[fits], prices,
+                                                    cost, warm, horizon)
         assert n_acc + n_busy + n_price == n_arr
         counts += Counts(n_arr, n_acc, n_busy, n_price)
         rep_rates.append(earned / span)
@@ -1279,33 +1284,6 @@ def test_queue_chunks_carry_the_worker_state(monkeypatch, case, chunk):
     assert_same_stats(run_queue(cfg, prices), reference_queue(cfg, prices))
 
 
-def reference_queue_rep(times, ks, ds, prices, cost, warm, horizon):
-    """_queue_rep's earnings, served and lost-busy counts, one event at a time."""
-    earned, service_end, pending = 0.0, 0.0, None
-    n_served = n_busy = 0
-    prices = prices.tolist()
-
-    def start_job(k, start, dur):
-        nonlocal earned, n_served
-        earned += (prices[k] - cost) * max(0.0, min(start + dur, horizon) - max(start, warm))
-        n_served += 1
-        return start + dur
-
-    for t, k, d in zip(times.tolist(), ks.tolist(), ds.tolist()):
-        if pending is not None and service_end <= t:
-            service_end = start_job(pending[0], service_end, pending[1])
-            pending = None
-        if service_end <= t:
-            service_end = start_job(k, t, d)
-        elif pending is None:
-            pending = (k, d)
-        else:
-            n_busy += 1
-    if pending is not None:
-        start_job(pending[0], service_end, pending[1])
-    return earned, n_served, n_busy
-
-
 # Hand-built arrivals (time, class, duration) for the chunk edges of the
 # queue loop, each run with chunks of 1, 2 and 3 arrivals.
 QUEUE_EDGES = {
@@ -1323,6 +1301,15 @@ QUEUE_EDGES = {
     # job 1 is still waiting at the end, behind a job that ends at 20; jobs 2
     # and 3 are lost, a whole chunk of them for chunks of 1 and 2
     "still_waiting_at_the_end": [(0.0, 0, 20.0), (1.0, 1, 2.0), (1.5, 0, 2.0), (2.0, 1, 1.0)],
+    # job 2 arrives at 10, the instant waiting job 1 starts, and is admitted,
+    # since the spot frees then; it starts at 12, so job 3 at 11 is lost, and
+    # job 4 at 12.5 waits for job 2 to end at 13
+    "arrives_as_the_waiting_job_starts": [
+        (0.0, 0, 10.0), (1.0, 1, 2.0), (10.0, 0, 1.0), (11.0, 1, 0.5), (12.5, 0, 1.0)],
+    # jobs 1-3 arrive together while job 0 runs: job 1 waits and jobs 2 and 3
+    # are lost; job 4 finds the worker free
+    "three_arrive_at_once_while_busy": [
+        (0.0, 0, 5.0), (2.0, 1, 1.0), (2.0, 0, 1.0), (2.0, 1, 1.0), (6.5, 0, 1.0)],
 }
 
 
