@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .analytics import avg_earning_rate, discounted_value
 from .competition import _ranked_solution, best_response_dynamics, ranked_price_equilibrium
 from .config import load_scenario
 from .errors import ConfigError, IrregularDistribution, ModelMismatch, PricingError
@@ -32,13 +31,7 @@ from .model import (
     Scenario,
     apply_commission,
 )
-from .queues import (
-    _mixture_solve,
-    _queue_solve,
-    first_step_solve,
-    mixture_horizon_value,
-    queue_rate,
-)
+from .queues import _mixture_solve, _queue_solve, first_step_solve
 from .simulate import SimConfig, SimStats, deviation_scan, simulate, simulate_discounted, simulate_queue
 from .solver import Solution, rate_map, solve_discounted, solve_fixed_point
 
@@ -125,19 +118,19 @@ def _simulate_queue(config: SimConfig, prices) -> SimStats:
 class Model(NamedTuple):
     """How the CLI solves, simulates, validates and reports one scenario kind.
 
-    `objective` is the analytic figure `validate` holds the simulation to: a
-    fleet's is its best-ranked worker's rate. `exact` is the kind's exact check in `validate`, run before the
-    simulation. `solve` writes `label` as solution.json's "model", the
-    Solution's `fields` beside its prices, iterations and convergence flag,
-    and prints `summary` formatted with the Solution as `sol` and its
-    printed prices as `prices`. `solve` serves no fleet, so a fleet has no
-    report."""
+    `validate` holds the simulation to the figure the solve reports: its
+    `value`, or else its `rate` (a fleet's is its best-ranked worker's
+    rate). `exact` is the kind's exact check in `validate`, run on the
+    Solution before the simulation. `solve` writes `label` as
+    solution.json's "model", the Solution's `fields` beside its prices,
+    iterations and convergence flag, and prints `summary` formatted with the
+    Solution as `sol` and its printed prices as `prices`. `solve` serves no
+    fleet, so a fleet has no report."""
 
     solve: Callable[[Scenario], Solution]
     simulate: Callable[[SimConfig, tuple], SimStats]
-    objective: Callable[[Scenario, tuple], float]
     check: str
-    exact: Callable[[Scenario, Solution, float], CheckResult] | None = None
+    exact: Callable[[Scenario, Solution], CheckResult] | None = None
     label: str = ""
     fields: tuple[str, ...] = ()
     summary: str = ""
@@ -147,22 +140,22 @@ def _model(scenario: Scenario) -> Model:
     """The scenario's row of the kind table. The table is built per call, so it
     holds the module's current bindings (a tracer or a test may rebind them)."""
     return {
-        "loss": Model(solve_fixed_point, simulate, avg_earning_rate, "loss_rate_vs_simulation",
+        "loss": Model(solve_fixed_point, simulate, "loss_rate_vs_simulation",
                       _fixed_point_check, "loss", ("rate",),
                       "optimum: prices = {prices}, rate = {sol.rate:.6g}, "
                       "iterations = {sol.iterations}"),
         "fleet": Model(lambda scn: _ranked_solution(scn, ranked_price_equilibrium(scn)), simulate,
-                       _best_ranked_rate, "best_ranked_worker_unaffected_by_fleet"),
-        "discounted": Model(solve_discounted, simulate_discounted, discounted_value,
+                       "best_ranked_worker_unaffected_by_fleet"),
+        "discounted": Model(solve_discounted, simulate_discounted,
                             "discounted_value_vs_simulation", None, "discounted",
                             ("rate", "value"),
                             "discounted optimum: prices = {prices}, rate = {sol.rate:.6g}, "
                             "value = {sol.value:.6g}, iterations = {sol.iterations}"),
-        "mixture": Model(_mixture_solve, simulate_discounted, mixture_horizon_value,
-                         "mixture_value_vs_simulation", None, "mixture_horizon", ("value",),
+        "mixture": Model(_mixture_solve, simulate_discounted, "mixture_value_vs_simulation",
+                         None, "mixture_horizon", ("value",),
                          "mixture-horizon optimum: prices = {prices}, value = {sol.value:.6g}"),
-        "queue": Model(_queue_solve, _simulate_queue, lambda s, p: queue_rate(s, p[0], p[1]),
-                       "queue_rate_vs_simulation", _renewal_check, "queue", ("rate",),
+        "queue": Model(_queue_solve, _simulate_queue, "queue_rate_vs_simulation",
+                       _renewal_check, "queue", ("rate",),
                        "queue optimum: p_A* = {sol.prices[0]:.6g}, "
                        "p_B* = {sol.prices[1]:.6g}, rate = {sol.rate:.6g}, "
                        "iterations = {sol.iterations}"),
@@ -352,9 +345,7 @@ def cmd_compete(scenario: Scenario, args, outdir: Path) -> tuple[list[str], bool
         )
         scans = []
         for index in range(len(scenario.workers)):
-            base = matrix[index][0]
-            grid = np.linspace(0.8 * base, 1.2 * base, 11)
-            report = deviation_scan(cfg, matrix, index, grid)
+            report = deviation_scan(cfg, matrix, index)
             verdict = "no significant improvement" if not report.any_significant \
                 else "IMPROVEMENT FOUND"
             print(f"deviation scan, worker {index}: {verdict} "
@@ -377,17 +368,17 @@ class CheckResult:
     detail: str
 
 
-def _fixed_point_check(scenario: Scenario, sol: Solution, analytic: float) -> CheckResult:
+def _fixed_point_check(scenario: Scenario, sol: Solution) -> CheckResult:
     achieved, _ = rate_map(scenario, sol.rate)
     return CheckResult("fixed_point_consistency", bool(abs(achieved - sol.rate) <= 1e-8),
                        f"rate {_fmt(sol.rate)}, map at rate {_fmt(achieved)}")
 
 
-def _renewal_check(scenario: Scenario, sol: Solution, analytic: float) -> CheckResult:
+def _renewal_check(scenario: Scenario, sol: Solution) -> CheckResult:
     renewal = first_step_solve(scenario, sol.prices[0], sol.prices[1]).rate
     return CheckResult("queue_closed_form_vs_renewal_equations",
-                       bool(abs(analytic - renewal) <= 1e-9),
-                       f"closed form {_fmt(analytic)}, renewal solve {_fmt(renewal)}")
+                       bool(abs(sol.rate - renewal) <= 1e-9),
+                       f"closed form {_fmt(sol.rate)}, renewal solve {_fmt(renewal)}")
 
 
 def _check_close(name: str, analytic: float, mean: float, se: float) -> CheckResult:
@@ -407,26 +398,18 @@ def _best_ranked(scenario: Scenario) -> int:
     return min(range(len(scenario.workers)), key=lambda i: scenario.workers[i].rank)
 
 
-def _best_ranked_rate(scenario: Scenario, matrix) -> float:
-    """The best-ranked worker's exact rate: the lone-worker loss system at
-    its price row."""
-    best = _best_ranked(scenario)
-    solo = Scenario(classes=scenario.classes, workers=(scenario.workers[best],))
-    return avg_earning_rate(solo, matrix[best])
-
-
 def validation_checks(scenario: Scenario, seed: int) -> list[CheckResult]:
-    """Cross-check battery: every analytic model against its simulator. A
-    fleet is checked at its best-ranked worker."""
+    """Cross-check battery: every solve's reported figure against its
+    simulator. A fleet is checked at its best-ranked worker."""
     model = _model(scenario)
     sol = model.solve(scenario)
-    analytic = model.objective(scenario, sol.prices)
-    checks = [] if model.exact is None else [model.exact(scenario, sol, analytic)]
+    checks = [] if model.exact is None else [model.exact(scenario, sol)]
     cfg = SimConfig(scenario=scenario, base_seed=seed, expected_arrivals=20_000,
                     replications=12)
     stats = model.simulate(cfg, sol.prices)
     mean, se = stats.worker_mean_se(_best_ranked(scenario)) if scenario.kind == "fleet" \
         else (stats.mean, stats.se)
+    analytic = sol.rate if sol.value is None else sol.value
     checks.append(_check_close(model.check, analytic, mean, se))
     return checks
 

@@ -179,20 +179,12 @@ class SimStats:
         return _mean_se(self.per_worker_reps[index])
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "mean": self.mean,
-            "se": self.se,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "replications": self.replications,
-            "rep_values": list(self.rep_values),
-            "counts": asdict(self.counts),
-        }
-        if self.per_worker_reps is not None:
-            out["per_worker_mean"] = [
-                _mean_se(row)[0] for row in self.per_worker_reps
-            ]
+        """The fields as a dict, each worker's mean in place of
+        `per_worker_reps` (a lone worker has neither)."""
+        out = asdict(self)
+        reps = out.pop("per_worker_reps")
+        if reps is not None:
+            out["per_worker_mean"] = [_mean_se(row)[0] for row in reps]
         return out
 
 
@@ -837,6 +829,9 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
                    price_grid=None) -> DeviationScanReport:
     """Re-simulate with one worker's price swept over a grid, everyone else fixed.
 
+    The default grid is 11 evenly spaced prices from 0.8 to 1.2 times the
+    worker's equilibrium price, the grid `compete --verify` scans.
+
     Every scan point reuses the baseline's seed, so candidate and baseline see
     identical arrival, valuation, and duration draws (the per-replication
     streams are drawn independently of prices). Each delta is therefore a
@@ -858,7 +853,7 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
         raise ConfigError(f"no worker at index {worker_index}")
     base_price = matrix[worker_index][0]
     if price_grid is None:
-        price_grid = np.linspace(0.8 * base_price, 1.2 * base_price, 21)
+        price_grid = np.linspace(0.8 * base_price, 1.2 * base_price, 11)
     candidates = [check_prices(scenario, (p,)) for p in price_grid]
     if not candidates:
         raise ConfigError("deviation_scan needs at least one grid price")

@@ -8,7 +8,7 @@ import signal
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -22,10 +22,14 @@ from ondemand_pricing import (
     MixtureDiscount,
     ModelMismatch,
     PiecewiseLinearValuation,
+    Scenario,
     UniformValuation,
+    avg_earning_rate,
+    discounted_value,
     fleet_rates,
     load_scenario,
     mixture_horizon_optimize,
+    mixture_horizon_value,
     parse_scenario,
     queue_optimize,
     queue_rate,
@@ -1300,8 +1304,13 @@ def test_validate_detects_broken_closed_form(tmp_path, capsys, monkeypatch):
     # deliberately corrupt the closed form: validation must notice and exit 1
     import ondemand_pricing.cli as cli_mod
 
-    real = cli_mod.queue_rate
-    monkeypatch.setattr(cli_mod, "queue_rate", lambda scn, a, b: real(scn, a, b) + 0.05)
+    real = cli_mod._queue_solve
+
+    def broken(scn):
+        sol = real(scn)
+        return replace(sol, rate=sol.rate + 0.05)
+
+    monkeypatch.setattr(cli_mod, "_queue_solve", broken)
     out = tmp_path / "out"
     assert run_cli("validate", "--config", str(CONFIGS / "queue.json"),
                    "--out", str(out)) == 1
@@ -1352,8 +1361,13 @@ def test_validate_simulates_once(tmp_path, capsys, monkeypatch, name):
 
 
 def test_validate_detects_broken_fleet_closed_form(tmp_path, capsys, monkeypatch):
-    real = cli.avg_earning_rate
-    monkeypatch.setattr(cli, "avg_earning_rate", lambda scn, p: 1.1 * real(scn, p))
+    real = cli._ranked_solution
+
+    def broken(scn, eq):
+        sol = real(scn, eq)
+        return replace(sol, rate=1.1 * sol.rate)
+
+    monkeypatch.setattr(cli, "_ranked_solution", broken)
     out = tmp_path / "out"
     assert run_cli("validate", "--config", str(CONFIGS / "compete_ranked.json"),
                    "--seed", "7", "--out", str(out)) == 1
@@ -1401,16 +1415,45 @@ def test_validate_gates_a_fleet_the_chain_refuses(tmp_path, capsys, case):
     assert code == (0 if check["passed"] else 1)
 
 
-@pytest.mark.parametrize("doc", [
-    read_json(CONFIGS / "compete_ranked.json"),
-    *CHAINLESS_FLEETS.values(),
-    edited("compete_ranked.json", set_three_unordered_workers),
-], ids=["compete_ranked", *CHAINLESS_FLEETS, "three_unordered"])
-def test_fleet_closed_form_is_the_equilibriums_best_rank_rate(doc):
-    scenario = parse_scenario(doc)
-    eq = ranked_price_equilibrium(scenario)
-    matrix = [eq.by_rank(w.rank).prices for w in scenario.workers]
-    assert cli._best_ranked_rate(scenario, matrix).hex() == eq.by_rank(1).rate.hex()
+def public_figure(scenario, prices) -> float:
+    """The public function validate's figure is pinned to, at `prices`: a
+    fleet's is its best-ranked worker's lone-worker rate at its row."""
+    if scenario.kind == "fleet":
+        best = cli._best_ranked(scenario)
+        solo = Scenario(classes=scenario.classes, workers=(scenario.workers[best],))
+        return avg_earning_rate(solo, prices[best])
+    if scenario.kind == "queue":
+        return queue_rate(scenario, *prices)
+    return {"loss": avg_earning_rate, "discounted": discounted_value,
+            "mixture": mixture_horizon_value}[scenario.kind](scenario, prices)
+
+
+VALIDATED_DOCS = {
+    **{Path(name).stem: read_json(CONFIGS / name) for name in sorted(VALIDATE_SIMULATORS)},
+    **CHAINLESS_FLEETS,
+    "three_unordered": edited("compete_ranked.json", set_three_unordered_workers),
+    # a value that is not the rate: rate / 2
+    "discounted_rate_2": edited("discounted.json",
+                                lambda doc: doc["discount"]["params"].update(rate=2.0)),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATED_DOCS)
+def test_validate_figure_is_the_public_function_at_the_solved_prices(monkeypatch, case):
+    # validate holds the simulation to the figure the solve reports; that
+    # figure must be the public objective at the solved prices, bit for bit
+    scenario = parse_scenario(VALIDATED_DOCS[case])
+    sol = cli._model(scenario).solve(scenario)
+    figures = []
+    real = cli._check_close
+
+    def recording(name, analytic, mean, se):
+        figures.append(analytic)
+        return real(name, analytic, mean, se)
+
+    monkeypatch.setattr(cli, "_check_close", recording)
+    cli.validation_checks(scenario, 7)
+    assert [f.hex() for f in figures] == [public_figure(scenario, sol.prices).hex()]
 
 
 def test_readme_lists_every_validate_check():

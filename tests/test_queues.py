@@ -546,11 +546,22 @@ def random_mixture(rng, index):
 
 
 def mixture_reference(scn):
-    """The ascent, or every class priced out when that earns more."""
-    terms = _mixture_evaluator(scn, "mixture_reference")
+    """The ascent, or every class priced out when that earns more, on
+    V = sum_w w * N_w / D_w written out here."""
+    cost = scn.workers[0].cost
+    branches = [(w, [effective_load(cls, g) for cls in scn.classes])
+                for w, g in zip(scn.discount.weights, scn.discount.rates)]
 
     def objective(prices):
-        return terms(prices)[0]
+        total = 0.0
+        for w, loads in branches:
+            num, den = 0.0, 1.0
+            for cls, load, p in zip(scn.classes, loads, prices):
+                sold = load * cls.valuation.tail(p)
+                num += sold * (p - cost)
+                den += sold
+            total += w * num / den
+        return total
 
     corner = tuple(cls.valuation.upper for cls in scn.classes)
     return max(ascent_reference(objective, scn), (corner, objective(corner)),
