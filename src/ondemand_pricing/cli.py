@@ -255,8 +255,6 @@ SWEEPABLES = tuple(_sweeps())
 
 def cmd_sweep(scenario: Scenario, args, outdir: Path) -> tuple[list[str], bool]:
     param = args.param
-    if param not in SWEEPABLES:
-        raise ConfigError(f"unknown sweep parameter {param!r} (one of {SWEEPABLES})")
     if args.grid is not None:
         grid = _parse_grid(args.grid)
     elif param == "r":

@@ -24,9 +24,11 @@ number of windows of each replication's discount rate. A deviation scan
 runs only the scanned worker, at its baseline and grid prices, and the
 workers ranked above it, so only their prices set its floors. `_counts`
 counts the dropped ones as priced out. Only `simulate` writes an event
-trace, to the path it is given; the trace is a view of replication 0: it
-redraws the full stream, in which the priced-in arrivals keep their order,
-and scatters the kernel's choices back onto them, writing a chunk at a time.
+trace, to the path it is given; the trace is a view of replication 0 and the
+only place that builds a per-arrival worker column, from the arrivals each
+worker took: it redraws the full stream, in which the priced-in arrivals keep
+their order, and scatters that column back onto them, writing a chunk at a
+time.
 
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
@@ -39,31 +41,28 @@ many independent streams laid end to end in one call: a compare past a
 segment's end counts as a miss, a job that outlasts the scan is searched for
 in its own segment, and each segment's first job, taken because the worker
 starts it idle, is the successor of the previous segment's last, so one
-chain visits them all. A call with one segment is a lone worker's run.
-A ranked fleet is a cascade of the kernel, `_loss_rep`: workers in rank
-order each run it on the arrivals they can afford that no better-ranked
-worker took, on one replication or on several laid end to end. A deviation
-scan runs the cascade down to the scanned worker, then the scanned worker
-once per distinct price. On a few hundred arrivals a kernel call costs
-mostly its fixed overhead, so the scan pays it once per batch: it runs the
-cascade on its replications of fewer than _SHORT offered arrivals laid end
-to end in batches of at most _BATCH, then serves its (replication, price)
-streams of fewer than _SHORT offered arrivals in batches of at most _BATCH,
-one kernel call each, and sums each stream's earnings from 0.0 as a lone
-run does; a longer replication or stream runs alone, and `simulate` runs
-the cascade once per replication. The scan's report takes all its
-statistics in one `_mean_se` pass over a matrix of rows. The discounted
-simulator caps each job's end at the first arrival of the next window,
-where the worker restarts idle, so the kernel takes that arrival next. The
-one-waiting-spot queue still steps through its affordable arrivals, since a
-waiting job's start depends on history, reading them as Python floats a
-chunk at a time. Its worker's state is two floats: when the admitted work
-ends, and when the last admitted job starts and frees the waiting spot. An
-arrival before that start is lost; any other starts on arrival or when the
-work ends, whichever is later. The loop records each arrival's end, and
-since jobs start first come, first served, each served job starts at the
-later of its arrival and the previous served job's end. Every simulator
-adds up earnings as arrays, in start order.
+chain visits them all. A call with one segment is a lone worker's run. A
+ranked fleet is a cascade of the kernel, `_loss_rep`, which serves one
+replication everywhere: workers in rank order each run it on the arrivals
+they can afford that no better-ranked worker took. A deviation scan runs the
+cascade down to the scanned worker once per replication, then the scanned
+worker once per distinct price. Only those streams of the scanned worker are
+batched: on a few hundred arrivals a kernel call costs mostly its fixed
+overhead, so the scan serves its (replication, price) streams of fewer than
+_SHORT offered arrivals in batches of at most _BATCH, one kernel call each,
+and sums each stream's earnings from 0.0 as a lone run does; a longer stream
+runs alone. The scan's report takes all its statistics in one `_mean_se`
+pass over a matrix of rows. The discounted simulator caps each job's end at
+the first arrival of the next window, where the worker restarts idle, so the
+kernel takes that arrival next. The one-waiting-spot queue still steps
+through its affordable arrivals, since a waiting job's start depends on
+history, reading them as Python floats a chunk at a time. Its worker's state
+is two floats: when the admitted work ends, and when the last admitted job
+starts and frees the waiting spot. An arrival before that start is lost; any
+other starts on arrival or when the work ends, whichever is later. The loop
+records each arrival's end, and since jobs start first come, first served,
+each served job starts at the later of its arrival and the previous served
+job's end. Every simulator adds up earnings as arrays, in start order.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ from .errors import ConfigError, ModelMismatch, NonFiniteRate
 from .model import Scenario, check_prices, exponentials, queue_parts
 
 # Discount weight e^{-gamma t} is below 4e-18 past this many inverse rates, so
-# discounted runs truncate their horizon there.
+# a discounted run's windows are this long.
 _DISCOUNT_SPAN = 40.0
 # Window numbers are int64, so a horizon holds fewer windows than this.
 _MAX_WINDOWS = 2.0**63
@@ -94,11 +93,10 @@ _TINY = 2.0**-500
 # The trace writer and the queue loop turn arrays into Python objects this
 # many arrivals at a time.
 _CHUNK = 8192
-# A deviation scan runs its replications and serves its streams of fewer
-# offered arrivals than _SHORT in batches of at most _BATCH arrivals, one
-# kernel call per worker each. A longer one runs alone: batching it saves
-# little call cost and costs copies, doubling passes over a longer table and
-# cache misses.
+# A deviation scan serves its streams of fewer offered arrivals than _SHORT
+# in batches of at most _BATCH arrivals, one kernel call each. A longer one
+# runs alone: batching it saves little call cost and costs copies, doubling
+# passes over a longer table and cache misses.
 _SHORT = 2**12
 _BATCH = 2**15
 
@@ -504,12 +502,12 @@ def _rank_order(workers) -> list[int]:
     return sorted(range(len(workers)), key=lambda w: workers[w].rank)
 
 
-def _serve(events, ends, free, row, starts=(0,)) -> np.ndarray:
-    """The arrivals one worker posting `row` takes among those still `free`,
-    on each of the replications laid end to end that begin at `starts`."""
+def _serve(events, ends, free, row) -> np.ndarray:
+    """The arrivals of one replication that one worker posting `row` takes
+    among those still `free`."""
     times, ks, vs, _ = events
     offered = np.flatnonzero(free & (np.asarray(row)[ks] <= vs))
-    return offered[_loss_accepts(times[offered], ends[offered], np.searchsorted(offered, starts))]
+    return offered[_loss_accepts(times[offered], ends[offered])]
 
 
 def _serve_streams(batch, cost: float, warm: float, horizon: float):
@@ -531,11 +529,10 @@ def _serve_streams(batch, cost: float, warm: float, horizon: float):
 
 
 def _batches(items):
-    """The (key, arrays, ...) tuples of `items` in lists, in order, an
-    item's size being its first array's: an item of _SHORT or more arrivals
-    alone, when it comes, and the shorter ones gathered into lists of at
-    most _BATCH arrivals, so that a kernel call's fixed cost is paid once
-    per list."""
+    """The (key, stream) pairs of `items` in lists, in order, a stream's size
+    being its first array's: a stream of _SHORT or more arrivals alone, when
+    it comes, and the shorter ones gathered into lists of at most _BATCH
+    arrivals, so that a kernel call's fixed cost is paid once per list."""
     batch, total = [], 0
     for item in items:
         n = item[1][0].size
@@ -551,24 +548,20 @@ def _batches(items):
         yield batch
 
 
-def _loss_rep(events, ends, matrix, ranks, starts=(0,)):
-    """The loss system under best-affordable-worker choice, served by the
-    workers `ranks` lists, best rank first, on each of the replications laid
-    end to end that begin at `starts` (one by default); `ends` are the
-    arrivals' times plus durations.
+def _loss_rep(events, ends, matrix, ranks):
+    """One replication of the loss system under best-affordable-worker
+    choice, served by the workers `ranks` lists, best rank first; `ends` are
+    the arrivals' times plus durations.
 
-    Returns the chosen worker per arrival (-1 when none took it) and the
-    arrivals each worker of `ranks` took, in that order.
+    Returns the mask of arrivals no worker took and the arrivals each worker
+    of `ranks` took, in that order.
     """
-    times = events[0]
-    chosen = np.full(times.size, -1, dtype=np.intp)
-    free = np.ones(times.size, dtype=bool)
+    free = np.ones(events[0].size, dtype=bool)
     taken = []
     for i in ranks:
-        taken.append(_serve(events, ends, free, matrix[i], starts))
+        taken.append(_serve(events, ends, free, matrix[i]))
         free[taken[-1]] = False
-        chosen[taken[-1]] = i
-    return chosen, taken
+    return free, taken
 
 
 def _trace_lines(times, ks, vs, chosen, lost_price):
@@ -603,7 +596,7 @@ def _trace_first_rep(path: str, config: SimConfig, horizon: float, floors, chose
     here. The full stream lives only as long as this call."""
     events = _merged_events(config.scenario, config.base_seed, 0, horizon)
     lost_price = events[2] < floors[events[1]]
-    shown = np.full(lost_price.size, -1, dtype=np.intp)
+    shown = np.full(lost_price.size, -1, dtype=np.int32)
     shown[~lost_price] = chosen
     _write_trace(path, events, shown, lost_price)
 
@@ -658,20 +651,25 @@ def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimSta
     for rep, events, drawn in reps:
         times, ks, _, ds = events
         ends = times + ds
-        # one cascade per replication: batching them as a scan does ran 1.19-1.27x slower
-        chosen, taken = _loss_rep(events, ends, matrix, ranks)
-        counts += _counts(drawn, chosen.size, int(np.count_nonzero(chosen >= 0)))
+        free, taken = _loss_rep(events, ends, matrix, ranks)
+        counts += _counts(drawn, free.size, free.size - int(np.count_nonzero(free)))
         rates = [0.0] * len(ranks)  # in config order; `taken` is in rank order
         for i, jobs in zip(ranks, taken):
             rates[i] = _earnings(np.asarray(matrix[i])[ks[jobs]] - scenario.workers[i].cost,
                                  times[jobs], ends[jobs], warm, horizon) / span
         rows.append(rates)
-        # the kernel's arrays go now, and the replication's own when the next
-        # draw replaces them: freeing those first was measured slower
-        del ends, taken, jobs
         if rep == 0 and trace_path is not None:
-            del events, times, ks, _, ds  # the trace's redraw needs only `chosen`
+            # each arrival's worker, -1 for none, as int32: the trace writes
+            # the same ints, and intp put its peak 7-8 % above an untraced run's
+            chosen = np.full(free.size, -1, dtype=np.int32)
+            for i, jobs in zip(ranks, taken):
+                chosen[jobs] = i
+            del events, times, ks, _, ds, ends, free, taken, jobs  # the redraw needs only `chosen`
             _trace_first_rep(trace_path, config, horizon, floors, chosen)
+        else:
+            # the kernel's arrays go now, and the replication's own when the
+            # next draw replaces them: freeing those first was measured slower
+            del ends, free, taken, jobs
     return _stats("rate", [sum(row) for row in rows], counts,
                   per_worker_reps=tuple(zip(*rows)))
 
@@ -681,13 +679,15 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
     at the scenario's own discount.
 
     Each replication chops its horizon into windows of 40 inverse discount
-    rates. Poisson arrivals over disjoint intervals are independent, so every
-    window restarted idle is a fresh draw of the idle-start value (the weight
-    past a window end is below 5e-18); the replication reports the window
-    mean. A discounted scenario discounts every replication at its rate. A
-    mixture draws its branch rate per replication, and each replication is
-    weighted by its branch rate so the estimate targets the same
-    branch-rate-weighted objective as mixture_horizon_value.
+    rates; a horizon that holds no whole window at some rate of the discount
+    is refused before the first draw. Poisson arrivals over disjoint
+    intervals are independent, so every window restarted idle is a fresh
+    draw of the idle-start value (the weight past a window end is below
+    5e-18); the replication reports the window mean. A discounted scenario
+    discounts every replication at its rate. A mixture draws its branch rate
+    per replication, and each replication is weighted by its branch rate so
+    the estimate targets the same branch-rate-weighted objective as
+    mixture_horizon_value.
     """
     scenario = config.scenario
     scenario.require("simulate_discounted", "discounted", "mixture")
@@ -699,18 +699,22 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
     counts = Counts()
     discount = scenario.discount
     mixture = scenario.kind == "mixture"
+    # every rate a replication can draw is checked before the first draw; a
+    # window cut short by the horizon would drop the discounted tail past it
+    for g in map(float, discount.rates if mixture else (discount.rate,)):
+        windows = budget / (_DISCOUNT_SPAN / g)
+        if not 1.0 <= windows < _MAX_WINDOWS:
+            raise ConfigError(f"discount rate {g!r} cuts the {budget!r}-hour horizon into "
+                              f"{windows!r} windows of {_DISCOUNT_SPAN!r} inverse rates; a run "
+                              f"needs at least one, and fewer than int64 can number")
     for rep in range(config.replications):
         if mixture:
             aux = _rep_stream(config.base_seed, rep)
             g = float(aux.choice(np.asarray(discount.rates), p=np.asarray(discount.weights)))
         else:
             g = float(discount.rate)
-        window = min(_DISCOUNT_SPAN / g, budget)
-        windows = budget / window
-        if not windows < _MAX_WINDOWS:
-            raise ConfigError(f"discount rate {g!r} cuts the {budget!r}-hour horizon into "
-                              f"{windows!r} windows, more than int64 can number")
-        n_win = max(1, int(windows))
+        window = _DISCOUNT_SPAN / g
+        n_win = int(budget / window)
         # an arrival at the horizon can fall in window n_win; it is not simulated
         (times, ks, _, ds), n_arr = _offered_events(
             scenario, config.base_seed, rep, n_win * window, price_arr,
@@ -725,7 +729,8 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the last bit
         head = np.fromiter(map(math.exp, (-g * local).tolist()), float, jobs.size)
         tail = np.fromiter(map(math.exp, (-g * (local + ds[jobs])).tolist()), float, jobs.size)
-        value = _running_sum((price_arr[ks[jobs]] - cost) * (head - tail) / g)
+        with np.errstate(over="ignore", invalid="ignore"):  # _stats refuses an inf or NaN
+            value = _running_sum((price_arr[ks[jobs]] - cost) * (head - tail) / g)
         counts += _counts(n_arr, n_fit, jobs.size)
         mean_value = value / n_win
         rep_values.append(g * mean_value if mixture else mean_value)
@@ -870,9 +875,9 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     # above it leave free, which no candidate price changes, so that prefix of
     # the rank cascade runs once and the workers ranked below it not at all;
     # an arrival none of those workers can afford at any of its prices is
-    # dropped at the draw. The cascade runs once per batch of replications
-    # laid end to end, and the scanned worker's streams, one per replication
-    # and distinct price, are served in batches as they come.
+    # dropped at the draw. The cascade runs once per replication, and the
+    # scanned worker's streams, one per replication and distinct price, are
+    # served in batches as they come.
     # a grid may repeat a price or the baseline: each distinct row runs once
     slots = {row: r for r, row in enumerate(dict.fromkeys((baseline, *candidates)))}
     rates = np.empty((len(slots), config.replications))
@@ -880,18 +885,13 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     horizon, warm, span, reps = _replications(config, floors)
 
     def streams():
-        for batch in _batches(reps):
-            parts = [events for _, events, _ in batch]
-            events = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-            bounds = np.cumsum([0, *(part[0].size for part in parts)]).tolist()
+        for rep, events, _ in reps:
             times, _, vs, ds = events
             ends = times + ds
-            free = _loss_rep(events, ends, matrix, above, bounds[:-1])[0] < 0
-            for (rep, *_), lo, hi in zip(batch, bounds, bounds[1:]):
-                t, e, f, v = times[lo:hi], ends[lo:hi], free[lo:hi], vs[lo:hi]
-                for (price,), r in slots.items():
-                    offered = (f & (price <= v)).nonzero()[0]
-                    yield (r, rep), (t[offered], e[offered], price)
+            free = _loss_rep(events, ends, matrix, above)[0]
+            for (price,), r in slots.items():
+                offered = (free & (price <= vs)).nonzero()[0]
+                yield (r, rep), (times[offered], ends[offered], price)
 
     for batch in _batches(streams()):
         for (r, rep), earned in _serve_streams(batch, cost, warm, horizon):

@@ -774,6 +774,23 @@ def set_branch_rate(doc):
     doc["discount"]["params"]["rates"][1] = 1e308
 
 
+def set_discount(rate):
+    def edit(doc):
+        doc["discount"]["params"]["rate"] = rate
+    return edit
+
+
+def set_unlikely_branch_rate(doc):
+    # a branch no replication of the default seed draws
+    doc["discount"]["params"] = {"weights": [1.0 - 1e-9, 1e-9], "rates": [1.0, 1e-300]}
+
+
+def set_overflowing_mixture(doc):
+    for cls in doc["classes"]:
+        cls["valuation"]["params"]["high"] = 1e308
+    doc["discount"]["params"]["rates"] = [0.01, 0.02]
+
+
 def set_duration_rate(doc):
     doc["classes"][0]["duration"]["params"]["rate"] = 5e-324
 
@@ -830,6 +847,18 @@ EXTREME_RUNS = {
                                "error: discount rate 1e+308 cuts"),
     "validate_branch_rate": (("validate",), edited("mixture.json", set_branch_rate),
                              "error: discount rate 1e+308 cuts"),
+    # a horizon shorter than one window of 40 inverse discount rates
+    "validate_discount_rate_1e-4": (("validate",), edited("discounted.json", set_discount(1e-4)),
+                                    "error: discount rate 0.0001 cuts"),
+    "simulate_discount_rate_1e-300": (("simulate",),
+                                      edited("discounted.json", set_discount(1e-300)),
+                                      "error: discount rate 1e-300 cuts"),
+    # every rate of the mixture is checked before the first draw
+    "simulate_unlikely_branch_rate": (("simulate", "--prices", "0.5,0.5"),
+                                      edited("mixture.json", set_unlikely_branch_rate),
+                                      "error: discount rate 1e-300 cuts"),
+    "simulate_mixture_overflow": (("simulate",), edited("mixture.json", set_overflowing_mixture),
+                                  "error: simulated value is not finite"),
     "simulate_inf_value": (("simulate", "--prices", "1,5e307"),
                            edited("mixture.json", set_high(1, 1e308)),
                            "error: simulated value is not finite"),
@@ -867,7 +896,8 @@ def test_exit_code_extreme_runs(tmp_path, capsys, time_budget, case):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("case", ["simulate_inf_value", "verify_high_1e308"])
+@pytest.mark.parametrize("case", ["simulate_inf_value", "verify_high_1e308",
+                                  "simulate_mixture_overflow"])
 def test_overflowing_runs_print_no_numpy_warning(tmp_path, capsys, time_budget, case):
     # the simulated sums overflow; the error line must be all stderr says
     (command, *rest), doc, _ = EXTREME_RUNS[case]

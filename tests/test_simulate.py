@@ -50,7 +50,6 @@ from ondemand_pricing.simulate import (
     _class_stream,
     _finite_mean_se,
     _loss_accepts,
-    _loss_rep,
     _mean_se,
     _merged_events,
     _offered_events,
@@ -726,16 +725,15 @@ def test_deviation_scan_repeated_prices_equal_separate_simulations(ranked_fleet_
     serves, segments = [], []
     serve, serve_streams = simulate_module._serve, simulate_module._serve_streams
     monkeypatch.setattr(simulate_module, "_serve",
-                        lambda *args: serves.append((args[3], len(args[4]))) or serve(*args))
+                        lambda *args: serves.append(args[3]) or serve(*args))
     monkeypatch.setattr(simulate_module, "_serve_streams",
                         lambda batch, *args: segments.extend(
                             price for _, (_, _, price) in batch)
                         or serve_streams(batch, *args))
     report = deviation_scan(cfg, matrix, 1, grid)
-    # the rank-1 worker once per batch of replications, here one batch of
-    # all four, and each distinct row of the scanned worker once per
-    # replication, as one segment of a kernel call
-    assert serves == [((0.6,), cfg.replications)]
+    # the rank-1 worker once per replication, and each distinct row of the
+    # scanned worker once per replication, as one segment of a kernel call
+    assert serves == [(0.6,)] * cfg.replications
     assert sorted(segments) == sorted([0.3, 0.4, 0.55] * cfg.replications)
 
     def hex_mean_se(reps):
@@ -769,11 +767,11 @@ def test_deviation_scan_batched_equals_alone(ranked_fleet_scenario, monkeypatch,
                         lambda batch, *args: calls.append(len(batch))
                         or serve_streams(batch, *args))
     monkeypatch.setattr(simulate_module, "_serve",
-                        lambda *args: cascades.append(len(args[4])) or serve(*args))
+                        lambda *args: cascades.append(args[3]) or serve(*args))
     default = deviation_scan(cfg, matrix, worker_index, grid)
     reports = {}
-    # every stream in one kernel call and the rank-1 worker's cascade over
-    # every replication in one call, then each of them in a call of its own
+    # every stream in one kernel call, then each in a call of its own; the
+    # rank-1 worker serves each replication alone in both
     for mode, short, batch in [("batched", math.inf, math.inf), ("alone", 0, 0)]:
         monkeypatch.setattr(simulate_module, "_SHORT", short)
         monkeypatch.setattr(simulate_module, "_BATCH", batch)
@@ -782,8 +780,7 @@ def test_deviation_scan_batched_equals_alone(ranked_fleet_scenario, monkeypatch,
         reports[mode] = deviation_scan(cfg, matrix, worker_index, grid)
         streams = cfg.replications * len({0.6 if worker_index == 0 else 0.4, *grid})
         assert calls == ([streams] if mode == "batched" else [1] * streams)
-        reps = [cfg.replications] if mode == "batched" else [1] * cfg.replications
-        assert cascades == (reps if worker_index == 1 else [])
+        assert cascades == ([(0.6,)] * cfg.replications if worker_index == 1 else [])
     assert repr(reports["batched"]) == repr(reports["alone"]) == repr(default)
 
 
@@ -904,30 +901,6 @@ def test_segmented_loss_accepts_is_each_segment_served_alone(kind):
         got = _loss_accepts(times, ends, starts)
         assert got.dtype == np.intp
         assert got.tolist() == want
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_segmented_loss_rep_is_each_replication_alone(seed):
-    # fleets of one to three workers whose prices straddle the valuations, on
-    # replications laid end to end; some are empty or shorter than _NEAR
-    rng = np.random.default_rng(seed)
-    reps = []
-    for size in rng.choice([0, 1, 2, _NEAR + 1, 40, 300], int(rng.integers(1, 7))):
-        times = np.sort(rng.uniform(0.0, size / 2.0, size))
-        ends = times + rng.exponential(1.0, size)
-        reps.append((times, np.zeros(size, dtype=int), rng.uniform(0.0, 1.0, size),
-                     ends - times, ends))
-    matrix = [[float(p)] for p in rng.uniform(0.0, 0.8, 3)]
-    ranks = [int(i) for i in rng.permutation(3)[:int(rng.integers(1, 4))]]
-    events = tuple(np.concatenate([rep[i] for rep in reps]) for i in range(4))
-    ends = np.concatenate([rep[4] for rep in reps])
-    starts = np.cumsum([0, *(rep[0].size for rep in reps[:-1])])
-    chosen, taken = _loss_rep(events, ends, matrix, ranks, starts)
-    alone = [_loss_rep(rep[:4], rep[4], matrix, ranks) for rep in reps]
-    assert chosen.tolist() == [i for c, _ in alone for i in c.tolist()]
-    for k in range(len(ranks)):
-        assert taken[k].tolist() == [lo + j for (_, t), lo in zip(alone, starts)
-                                     for j in t[k].tolist()]
 
 
 @pytest.mark.parametrize("terms", [
