@@ -27,8 +27,8 @@ counts the dropped ones as priced out. Only `simulate` writes an event
 trace, to the path it is given; the trace is a view of replication 0 and the
 only place that builds a per-arrival worker column, from the arrivals each
 worker took: it redraws the full stream, in which the priced-in arrivals keep
-their order, and scatters that column back onto them, writing a chunk at a
-time.
+their order, and scatters that column back onto them, writing each line as it
+reads the arrays' buffers, one arrival at a time.
 
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
@@ -56,18 +56,19 @@ pass over a matrix of rows. The discounted simulator caps each job's end at
 the first arrival of the next window, where the worker restarts idle, so the
 kernel takes that arrival next. The one-waiting-spot queue still steps
 through its affordable arrivals, since a waiting job's start depends on
-history, reading them as Python floats a chunk at a time. Its worker's state
-is two floats: when the admitted work ends, and when the last admitted job
-starts and frees the waiting spot. An arrival before that start is lost; any
-other starts on arrival or when the work ends, whichever is later. The loop
-records each arrival's end, and since jobs start first come, first served,
-each served job starts at the later of its arrival and the previous served
-job's end. Every simulator adds up earnings as arrays, in start order.
+history, in one pass that reads the arrays' buffers as Python floats. Its
+worker's state is two floats: when the admitted work ends, and when the last
+admitted job starts and frees the waiting spot. An arrival before that start
+is lost; any other starts on arrival or when the work ends, whichever is
+later, and the loop adds its earnings to a running total as it admits it.
+The loss simulators add up earnings as arrays, with `_segment_sums`; every
+simulator adds them in start order, left to right from 0.0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -90,9 +91,6 @@ _NEAR = 4
 # overflow, and among values below _TINY underflow.
 _HUGE = 2.0**500
 _TINY = 2.0**-500
-# The trace writer and the queue loop turn arrays into Python objects this
-# many arrivals at a time.
-_CHUNK = 8192
 # A deviation scan serves its streams of fewer offered arrivals than _SHORT
 # in batches of at most _BATCH arrivals, one kernel call each. A longer one
 # runs alone: batching it saves little call cost and costs copies, doubling
@@ -112,12 +110,16 @@ class SimConfig:
     warmup_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ConfigError("replications must be at least 1")
+        # numpy's integers are Integral too; a float count or seed would fail
+        # only later, in range() or SeedSequence
+        if not (isinstance(self.replications, numbers.Integral) and self.replications >= 1):
+            raise ConfigError(f"replications must be an integer >= 1, not {self.replications!r}")
         if not (0.0 <= self.warmup_fraction <= 0.5):
             raise ConfigError("warmup_fraction must lie in [0, 0.5]")
-        if self.expected_arrivals <= 0.0:
+        if not self.expected_arrivals > 0.0:  # NaN too
             raise ConfigError("expected_arrivals must be positive")
+        if not isinstance(self.base_seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, not {self.base_seed!r}")
         if self.base_seed < 0:
             raise ConfigError(f"seed must be non-negative, not {self.base_seed!r}")
 
@@ -249,14 +251,10 @@ def _stats(kind: str, rep_values, counts: Counts,
     )
 
 
-def _class_stream(base_seed: int, rep: int, class_index: int):
-    return np.random.default_rng(
-        np.random.SeedSequence(base_seed, spawn_key=(rep, class_index))
-    )
-
-
-def _rep_stream(base_seed: int, rep: int):
-    return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(rep,)))
+def _stream(base_seed: int, *key: int):
+    """The PRNG stream of `key`: (rep, class_index) for a class's draws, and
+    (rep,) for a mixture replication's branch rate."""
+    return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=key))
 
 
 def _gaps_summed(rng, scale: float, n: int) -> np.ndarray:
@@ -320,7 +318,7 @@ def _merge(parts):
 
 def _merged_events(scenario: Scenario, base_seed: int, rep: int, horizon: float):
     """Time-ordered (time, class, valuation, duration) arrays for one replication."""
-    return _merge([_class_arrivals(cls, _class_stream(base_seed, rep, k), horizon)
+    return _merge([_class_arrivals(cls, _stream(base_seed, rep, k), horizon)
                    for k, cls in enumerate(scenario.classes)])
 
 
@@ -339,7 +337,7 @@ def _offered_events(scenario: Scenario, base_seed: int, rep: int, horizon: float
     times, all of them by default. The draws are the same."""
     parts, drawn = [], 0
     for k, cls in enumerate(scenario.classes):
-        times, vs, ds = _class_arrivals(cls, _class_stream(base_seed, rep, k), horizon)
+        times, vs, ds = _class_arrivals(cls, _stream(base_seed, rep, k), horizon)
         drawn += count(times)
         parts.append(_priced_in(times, vs, ds, floors[k]))
     del times, vs, ds  # the last class's full draw, before the merge
@@ -467,20 +465,15 @@ def _run_ends(w) -> np.ndarray:
 
 
 @_quiet
-def _running_sum(terms, total: float = 0.0) -> float:
-    """Left-to-right sum from `total`, as a running total adds it up: np.sum
-    pairs terms, which can change the last bit, and would keep the sign of
-    an all -0.0 sum (a job priced below cost inside the warm-up)."""
-    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
-
-
-@_quiet
 def _segment_sums(terms, bounds) -> list[float]:
-    """_running_sum of each segment terms[lo:hi] between consecutive
-    `bounds`, with one call's overhead. A running total from 0.0 equals the
-    running total from the first term plus 0.0: the two differ only while
-    every term so far is -0.0, reading +0.0 and -0.0, and adding 0.0 turns
-    -0.0 into +0.0 and leaves every other value as it is."""
+    """The sum of each segment terms[lo:hi] between consecutive `bounds`,
+    added left to right from 0.0 as a running total adds it up, with one
+    call's overhead: np.sum pairs terms, which can change the last bit, and
+    would keep the sign of an all -0.0 sum (a job priced below cost inside
+    the warm-up). A running total from 0.0 equals the running total from the
+    first term plus 0.0: the two differ only while every term so far is
+    -0.0, reading +0.0 and -0.0, and adding 0.0 turns -0.0 into +0.0 and
+    leaves every other value as it is."""
     return [float(np.add.accumulate(terms[lo:hi])[-1]) + 0.0 if lo < hi else 0.0
             for lo, hi in zip(bounds, bounds[1:])]
 
@@ -491,11 +484,11 @@ def _earning_terms(margins, starts, ends, warm: float, horizon: float):
     return margins * np.maximum(0.0, np.minimum(ends, horizon) - np.maximum(starts, warm))
 
 
-def _earnings(margins, starts, ends, warm: float, horizon: float,
-              total: float = 0.0) -> float:
-    """Earnings over [warm, horizon] of jobs busy on [starts, ends), in
-    order, added on to `total`."""
-    return _running_sum(_earning_terms(margins, starts, ends, warm, horizon), total)
+def _earnings(margins, starts, ends, warm: float, horizon: float) -> float:
+    """Earnings over [warm, horizon] of jobs busy on [starts, ends), added up
+    in order by `_segment_sums` as one segment. The terms die with the call."""
+    return _segment_sums(_earning_terms(margins, starts, ends, warm, horizon),
+                         (0, starts.size))[0]
 
 
 def _rank_order(workers) -> list[int]:
@@ -565,29 +558,24 @@ def _loss_rep(events, ends, matrix, ranks):
 
 
 def _trace_lines(times, ks, vs, chosen, lost_price):
-    """The trace's lines for these arrivals, in the bytes csv.writer would give."""
-    rows = zip(map(repr, times.tolist()), ks.tolist(), map(repr, vs.tolist()),
-               chosen.tolist(), lost_price.tolist())
-    for t, k, v, w, priced_out in rows:
+    """The trace's lines for these arrivals, in the bytes csv.writer would
+    give, made one at a time from the arrays' buffers."""
+    for t, k, v, w, priced_out in zip(*map(memoryview, (times, ks, vs, chosen, lost_price))):
         if w >= 0:
-            yield f"{t},accept,{k},{w},{v}\r\n"
+            yield f"{t!r},accept,{k},{w},{v!r}\r\n"
         else:
-            yield f"{t},{'lost_price' if priced_out else 'lost_busy'},{k},,{v}\r\n"
+            yield f"{t!r},{'lost_price' if priced_out else 'lost_busy'},{k},,{v!r}\r\n"
 
 
 def _write_trace(path: str, events, chosen, lost_price) -> None:
-    """Per-event CSV of one replication, in arrival order. Lines are made
-    _CHUNK arrivals at a time, so the Python objects held do not grow with
+    """Per-event CSV of one replication, in arrival order. The lines are
+    written as they are made, so the Python objects held do not grow with
     the replication. The file's directory is made here, so a run whose
     inputs fail makes none."""
-    times, ks, vs, _ = events
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("time,event,class,worker,value\r\n")
-        for lo in range(0, times.size, _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            fh.writelines(_trace_lines(times[part], ks[part], vs[part], chosen[part],
-                                       lost_price[part]))
+        fh.writelines(_trace_lines(*events[:3], chosen, lost_price))
 
 
 def _trace_first_rep(path: str, config: SimConfig, horizon: float, floors, chosen) -> None:
@@ -709,7 +697,7 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
                               f"needs at least one, and fewer than int64 can number")
     for rep in range(config.replications):
         if mixture:
-            aux = _rep_stream(config.base_seed, rep)
+            aux = _stream(config.base_seed, rep)
             g = float(aux.choice(np.asarray(discount.rates), p=np.asarray(discount.weights)))
         else:
             g = float(discount.rate)
@@ -730,7 +718,8 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         head = np.fromiter(map(math.exp, (-g * local).tolist()), float, jobs.size)
         tail = np.fromiter(map(math.exp, (-g * (local + ds[jobs])).tolist()), float, jobs.size)
         with np.errstate(over="ignore", invalid="ignore"):  # _stats refuses an inf or NaN
-            value = _running_sum((price_arr[ks[jobs]] - cost) * (head - tail) / g)
+            value = _segment_sums((price_arr[ks[jobs]] - cost) * (head - tail) / g,
+                                  (0, jobs.size))[0]
         counts += _counts(n_arr, n_fit, jobs.size)
         mean_value = value / n_win
         rep_values.append(g * mean_value if mixture else mean_value)
@@ -746,32 +735,27 @@ def _queue_rep(times, ks, ds, prices, cost: float, warm: float, horizon: float):
     and `start`, when the last admitted job starts and so frees the waiting
     spot. An arrival at t with duration d is lost if t < start; otherwise it
     starts at t if t >= end, else at end, and end moves to its start plus d.
-    The loop reads the arrivals as Python floats _CHUNK at a time and records
-    each one's end, -inf when it is lost. Jobs are served first come, first
-    served, so a served job starts at the later of its arrival time and the
-    previous served job's end, the same float the loop took, and the chunk's
-    earnings are added on in start order.
+    The loop reads the arrays' buffers once, as Python floats, and adds each
+    job's earnings as it is admitted, in start order, with _earning_terms'
+    arithmetic written for floats: these conditionals give np.minimum's and
+    np.maximum's results on NaN and on signed-zero ties. A job whose end is
+    NaN is not served, nor is any later one, since their ends are NaN too.
     """
+    # Python floats, not numpy scalars, which run the loop slower and warn
+    cost, warm, horizon = float(cost), float(warm), float(horizon)
+    margins = [price - cost for price in prices.tolist()]
     earned = 0.0
     start = end = 0.0
     n_served = 0
-    for lo in range(0, times.size, _CHUNK):
-        before = end
-        ends: list[float] = []
-        for t, d in zip(times[lo:lo + _CHUNK].tolist(), ds[lo:lo + _CHUNK].tolist()):
-            if t < start:
-                ends.append(-math.inf)
-                continue
-            start = t if t >= end else end
-            end = start + d
-            ends.append(end)
-        done = np.array(ends)
-        jobs = np.flatnonzero(done > -math.inf)
-        done = done[jobs]
-        jobs += lo
-        starts = np.maximum(times[jobs], np.concatenate(([before], done[:-1])))
-        earned = _earnings(prices[ks[jobs]] - cost, starts, done, warm, horizon, earned)
-        n_served += jobs.size
+    for t, k, d in zip(memoryview(times), memoryview(ks), memoryview(ds)):
+        if t < start:
+            continue
+        start = t if t >= end else end
+        end = start + d
+        if end > -math.inf:
+            busy = (horizon if horizon < end else end) - (warm if warm > start else start)
+            earned += margins[k] * (0.0 if busy < 0.0 else busy)
+            n_served += 1
     return earned, n_served, times.size - n_served
 
 

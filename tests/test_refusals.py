@@ -78,6 +78,19 @@ REFUSALS = {
     "zero_expected_arrivals": (
         lambda: SimConfig(scenario=fleet(1), expected_arrivals=0.0), ConfigError,
         "expected_arrivals must be positive"),
+    "nan_expected_arrivals": (
+        lambda: SimConfig(scenario=fleet(1), expected_arrivals=math.nan), ConfigError,
+        "expected_arrivals must be positive"),
+    "fractional_replications": (
+        lambda: SimConfig(scenario=fleet(1), replications=2.5), ConfigError,
+        "replications must be an integer >= 1, not 2.5"),
+    "nan_replications": (
+        lambda: SimConfig(scenario=fleet(1), replications=math.nan), ConfigError,
+        "replications must be an integer >= 1, not nan"),
+    "fractional_seed": (lambda: SimConfig(scenario=fleet(1), base_seed=1.5), ConfigError,
+                        "seed must be an integer, not 1.5"),
+    "nan_seed": (lambda: SimConfig(scenario=fleet(1), base_seed=math.nan), ConfigError,
+                 "seed must be an integer, not nan"),
     "scan_one_replication": (
         lambda: deviation_scan(SimConfig(scenario=fleet(), replications=1),
                                [[0.6], [0.4]], 0),

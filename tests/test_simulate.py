@@ -41,13 +41,11 @@ from ondemand_pricing import (
 from ondemand_pricing.competition import _ranked_solution
 from ondemand_pricing.config import load_scenario
 from ondemand_pricing.simulate import (
-    _CHUNK,
     _NEAR,
     Counts,
     DeviationPoint,
     DeviationScanReport,
     _class_arrivals,
-    _class_stream,
     _finite_mean_se,
     _loss_accepts,
     _mean_se,
@@ -57,6 +55,7 @@ from ondemand_pricing.simulate import (
     _queue_rep,
     _run_ends,
     _stats,
+    _stream,
     _write_trace,
 )
 from tests.conftest import queue_scenario, unit_uniform_class
@@ -470,7 +469,10 @@ def reference_queue_rep(times, ks, ds, prices, cost, warm, horizon):
     prices = prices.tolist()
 
     def start_job(k, start, dur):
-        nonlocal earned, n_served
+        nonlocal earned, n_served, n_busy
+        if math.isnan(start + dur):  # never served, nor is any job after it
+            n_busy += 1
+            return start + dur
         earned += (prices[k] - cost) * max(0.0, min(start + dur, horizon) - max(start, warm))
         n_served += 1
         return start + dur
@@ -916,13 +918,20 @@ def test_segmented_loss_accepts_is_each_segment_served_alone(kind):
     np.random.default_rng(3).normal(0.0, 1.0, 1000),
 ], ids=lambda terms: f"n{len(terms)}")
 def test_segment_sums_are_running_sums(terms):
-    # each case alone, and cut among ordinary segments and empty ones
+    # each case alone, and cut among ordinary segments and empty ones, against
+    # a running total of Python floats from 0.0, which raises no numpy warning
+    def running_sum(part):
+        total = 0.0
+        for term in part.tolist():
+            total += term
+        return total
+
     terms = np.asarray(terms, dtype=float)
     ordinary = np.random.default_rng(terms.size).normal(0.0, 1e-3, 7)
     for parts in ([terms], [ordinary, terms, ordinary[:0], ordinary[:2]]):
         bounds = np.cumsum([0, *(part.size for part in parts)]).tolist()
         got = simulate_module._segment_sums(np.concatenate(parts), bounds)
-        want = [simulate_module._running_sum(part) for part in parts]
+        want = [running_sum(part) for part in parts]
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
@@ -962,7 +971,7 @@ def test_loss_accepts_path_ending_at_last_job(n):
 def test_merged_events_one_class_is_the_stable_sort(rate):
     cls = replace(mixed_classes(1)[0], arrival_rate=rate)
     got = _merged_events(Scenario(classes=(cls,)), 11, 2, 300.0)
-    times, vs, ds = _class_arrivals(cls, _class_stream(11, 2, 0), 300.0)
+    times, vs, ds = _class_arrivals(cls, _stream(11, 2, 0), 300.0)
     order = np.argsort(times, kind="stable")
     want = (times[order], np.zeros(times.size, dtype=int), vs[order], ds[order])
     for g, w in zip(got, want):
@@ -1131,15 +1140,6 @@ def test_event_trace_bytes_match_csv_writer(tmp_path):
     assert b"\r\n1e+16,accept,1,2,1e+16\r\n" in got.read_bytes()
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_event_trace_in_short_chunks_keeps_its_bytes(tmp_path, monkeypatch, chunk):
-    events, chosen, lost_price = trace_rows(7)
-    _write_trace(str(tmp_path / "whole.csv"), events, chosen, lost_price)
-    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
-    _write_trace(str(tmp_path / "chunked.csv"), events, chosen, lost_price)
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-
-
 # --- dropping priced-out arrivals at the draw ---
 # Every simulator drops the arrivals valued below the lowest price posted to
 # their class before the merge. The references above step through every
@@ -1246,28 +1246,43 @@ def test_pruned_runs_equal_the_unpruned_reference(tmp_path, case, traced):
     assert got.read_bytes() == want.read_bytes()
 
 
+def read_in_chunks(column, chunk):
+    """`column` as a view of every chunk-th element of a larger buffer: the
+    queue loop reads it through a memoryview, strides and all."""
+    return np.repeat(column, chunk)[::chunk]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 500])
 @pytest.mark.parametrize("case", ["queue", "queue_above_every_valuation"])
 def test_queue_chunks_carry_the_worker_state(monkeypatch, case, chunk):
-    # a waiting job often crosses a chunk boundary when chunks are short
-    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
+    # the loop carries its two floats and the running earnings through
+    # whole replications, waiting jobs and all, read from strided buffers
+    def strided_queue_rep(times, ks, ds, *rest):
+        return queue_rep(*(read_in_chunks(c, chunk) for c in (times, ks, ds)), *rest)
+
+    queue_rep = simulate_module._queue_rep
+    monkeypatch.setattr(simulate_module, "_queue_rep", strided_queue_rep)
     _, scenario, prices = PRUNING_CASES[case]
     cfg = SimConfig(scenario=scenario, expected_arrivals=2_000.0, replications=3,
                     base_seed=5)
     assert_same_stats(run_queue(cfg, prices), reference_queue(cfg, prices))
 
 
-# Hand-built arrivals (time, class, duration) for the chunk edges of the
-# queue loop, each run with chunks of 1, 2 and 3 arrivals.
+# Hand-built arrivals (time, class, duration) for the edges of the queue
+# loop's state: a waiting job, losses while it waits, and ties. Each case is
+# read in chunks of 1, 2 and 3: every chunk-th element of a larger buffer, and
+# cut after each whole chunk, so that runs end in each of these states.
 QUEUE_EDGES = {
-    # job 0 runs to 10 and job 1 waits; jobs 2-6 are lost, which fills whole
-    # chunks while job 1 waits, and job 1 starts at 10 in a later chunk
+    # job 0 runs to 10 and job 1 waits; jobs 2-6 are lost while job 1 waits,
+    # so runs cut after a whole chunk of them end with job 1 waiting, and job 1
+    # starts at 10, after them all
     "waits_through_a_chunk_of_losses": [
         (0.0, 0, 10.0), (1.0, 1, 1.5), (2.0, 0, 1.0), (3.0, 1, 1.0), (4.0, 0, 1.0),
         (5.0, 1, 1.0), (6.0, 0, 1.0), (12.0, 1, 0.25), (13.0, 0, 0.5)],
-    # the waiting job is the last arrival of a chunk (jobs 2 and 5 for
-    # chunks of 3, jobs 3 and 5 for chunks of 2) and starts in the next one;
-    # job 3 ends at 5.0, when job 4 arrives and starts
+    # jobs 2, 3, 5 and 8 each wait and start when the job ahead ends; the
+    # waiting job is the last arrival of a chunk (jobs 2 and 5 for chunks of
+    # 3, jobs 3 and 5 for chunks of 2); job 3 ends at 5.0, when job 4 arrives
+    # and starts
     "last_arrival_of_a_chunk_waits": [
         (0.0, 0, 0.5), (1.0, 1, 2.5), (2.0, 0, 1.0), (4.0, 1, 0.5), (5.0, 0, 3.0),
         (6.0, 1, 0.5), (6.5, 0, 1.0), (9.0, 1, 0.75), (9.5, 0, 0.25)],
@@ -1288,16 +1303,39 @@ QUEUE_EDGES = {
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(QUEUE_EDGES))
-def test_queue_chunk_edges_match_the_event_loop(monkeypatch, case, chunk):
-    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
-    times, ks, ds = (np.array(column) for column in zip(*QUEUE_EDGES[case]))
+def test_queue_chunk_edges_match_the_event_loop(case, chunk):
+    columns = [np.array(column) for column in zip(*QUEUE_EDGES[case])]
+    strided = [read_in_chunks(column, chunk) for column in columns]
+    n = columns[0].size
     prices = np.array([0.5, 0.75])
     for cost, warm, horizon in [(0.1, 0.0, 30.0), (0.2, 1.25, 9.75), (0.6, 5.0, 12.5)]:
-        args = (times, ks, ds, prices, cost, warm, horizon)
+        for m in [*range(chunk, n, chunk), n]:
+            got = _queue_rep(*(c[:m] for c in strided), prices, cost, warm, horizon)
+            want = reference_queue_rep(*(c[:m] for c in columns), prices, cost, warm,
+                                       horizon)
+            assert repr(got) == repr(want)
+            assert got[1] + got[2] == m
+
+
+@pytest.mark.parametrize("seed, special", enumerate([math.nan, math.inf, 0.0, 5e-324, 1e-310]),
+                         ids=["nan", "inf", "zero", "least_subnormal", "subnormal"])
+def test_queue_loop_matches_the_event_loop_on_odd_durations(seed, special):
+    # a fifth of the durations set to `special`, and in some cases one class
+    # priced at inf, whose earnings are then inf or NaN
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        times = np.cumsum(rng.exponential(1.0, n))
+        ks = rng.integers(0, 2, n)
+        ds = rng.exponential(1.0, n)
+        ds[rng.random(n) < 0.2] = special
+        prices = rng.uniform(0.5, 2.0, 2)
+        if rng.random() < 0.3:
+            prices[rng.integers(2)] = math.inf
+        args = (times, ks, ds, prices, 0.25, 0.1 * float(times[-1]), float(times[-1]))
         got = _queue_rep(*args)
-        want = reference_queue_rep(*args)
-        assert repr(got) == repr(want)
-        assert got[1] + got[2] == times.size
+        assert repr(got) == repr(reference_queue_rep(*args))
+        assert got[1] + got[2] == n
 
 
 def reference_deviation_scan(cfg, matrix, worker_index, grid):
@@ -1449,8 +1487,9 @@ def test_trace_writer_peak_does_not_grow_with_rows(tmp_path):
     peak_small = traced_peak(_write_trace, str(tmp_path / "small.csv"), *small)
     peak_large = traced_peak(_write_trace, str(tmp_path / "large.csv"), *large)
     assert peak_large < 1.25 * peak_small
-    # the writer holds a few chunks of Python objects, not the replication
-    assert peak_large < 40 * 8 * _CHUNK
+    # the writer holds one line's Python objects and the file's buffers, not
+    # the replication: about 32 KB in CPython 3.11
+    assert peak_large < 2**18
 
 
 def queue_arrivals(n):
@@ -1467,7 +1506,8 @@ def test_queue_loop_peak_does_not_grow_with_arrivals():
         peaks.append(traced_peak(_queue_rep, times, ks, ds, prices, 0.1, 0.1 * times[-1],
                                  times[-1]))
     assert peaks[1] < 1.25 * peaks[0]
-    assert peaks[1] < 40 * 8 * _CHUNK
+    # the loop holds one arrival's Python objects: under 2 KB in CPython 3.11
+    assert peaks[1] < 2**16
 
 
 @pytest.mark.parametrize("name", ["single_class", "compete_ranked"])
