@@ -55,10 +55,7 @@ def _write_json(path: Path, payload) -> None:
 def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        csv.writer(fh).writerows([header, *rows])
 
 
 # A sweep range of more points is refused before numpy allocates it (the
@@ -89,17 +86,14 @@ def _parse_grid(spec: str) -> list[float]:
             if log:
                 if min(a, b) <= 0.0:
                     raise ConfigError(f"bad grid spec {spec!r}: log ends must be positive")
-                return [float(x) for x in np.logspace(np.log10(a), np.log10(b), n)]
+                # libm's log10 and pow, which numpy's SIMD loops can differ from by CPU
+                return [10.0 ** y for y in np.linspace(math.log10(a), math.log10(b), n).tolist()]
             return [float(x) for x in np.linspace(a, b, n)]
         return [float(spec)]
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
-
-
-def _default_r_grid() -> list[float]:
-    low = [float(x) for x in np.linspace(0.1, 1.0, 10)]
-    high = [float(x) for x in np.logspace(0.0, 2.0, 20)]
-    return sorted(dict.fromkeys(low + high))
+    except OverflowError:
+        raise ConfigError(f"bad grid spec {spec!r}: a point overflows a float") from None
 
 
 # --- one model per scenario kind ---
@@ -257,8 +251,8 @@ def cmd_sweep(scenario: Scenario, args, outdir: Path) -> tuple[list[str], bool]:
     param = args.param
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-    elif param == "r":
-        grid = _default_r_grid()
+    elif param == "r":  # 1 is in both ranges
+        grid = sorted(dict.fromkeys(_parse_grid("0.1:1:10") + _parse_grid("1:100:20:log")))
     else:
         raise ConfigError(f"--grid is required for parameter {param!r}")
     header, rows = _sweeps()[param](scenario, grid)

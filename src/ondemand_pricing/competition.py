@@ -32,6 +32,8 @@ from .model import (
     Scenario,
     WorkerSpec,
     check_prices,
+    left_sum,
+    row_sums,
 )
 from .solver import Solution, solve_fixed_point
 
@@ -62,7 +64,7 @@ def busy_fraction(scenario: Scenario, prices) -> float:
     """Long-run probability that the sole worker is serving a job."""
     scenario.require("busy_fraction", "loss")
     prices = check_prices(scenario, prices)
-    offered = sum(
+    offered = left_sum(
         cls.load * cls.valuation.tail(p) for cls, p in zip(scenario.classes, prices)
     )
     return offered / (1.0 + offered)
@@ -227,7 +229,7 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
             prices, rate, converged = sol.prices, sol.rate, sol.converged
         else:
             prices, rate, converged = _optimize_vs_residual(curves, worker.cost)
-        offered = sum(
+        offered = left_sum(
             curve.demand(p) * curve.customer_class.duration.mean
             for curve, p in zip(curves, prices)
         )
@@ -350,10 +352,7 @@ def _chain_rates(cls: CustomerClass, workers, cheapest: bool, prices: np.ndarray
         except np.linalg.LinAlgError:
             raise SingularSystem("the busy-set chain is singular in floating point") from None
         for i in range(n):
-            # summed from 0 in state order (a running sum, not numpy's pairwise
-            # sum), so the rates keep their last digits
-            terms = np.concatenate([np.zeros((g, 1)), pi[:, members[i]]], axis=1)
-            rates[lo:lo + step, i] = (p[:, i] - costs[i]) * np.cumsum(terms, axis=1)[:, -1]
+            rates[lo:lo + step, i] = (p[:, i] - costs[i]) * row_sums(pi[:, members[i]])
     return rates
 
 

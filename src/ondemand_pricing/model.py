@@ -8,8 +8,10 @@ an accepted job keeps the worker busy.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -31,6 +33,34 @@ def exponentials(rng, scale: float, n: int) -> np.ndarray:
     draws = rng.standard_exponential(n)
     draws *= scale
     return draws
+
+
+# --- exact-float rules ---
+# Every reported figure is the same on any CPU and any Python: numpy's SIMD
+# exp, expm1, log10 and power loops can differ from libm in the last bit from
+# one CPU to the next, and `sum` adds floats with compensation from Python 3.12.
+
+
+def libm_map(func, values) -> np.ndarray:
+    """The `math` function `func` at each element of a 1-D float64 array, as
+    a new array: libm's bits, as the scalar code gets them."""
+    return np.fromiter(map(func, memoryview(values)), float, len(values))
+
+
+def left_sum(values):
+    """The sum of Python floats (or ints) added left to right from int 0, as
+    `sum` adds them up to Python 3.11."""
+    return reduce(operator.add, values, 0)
+
+
+def row_sums(x) -> np.ndarray:
+    """Each row's sum along the last axis, added left to right as a running
+    total from 0.0 adds it up. np.sum pairs terms, which can change the last
+    bit, and keeps the sign of an all -0.0 row. The running total from the
+    first term differs from the one from 0.0 only while every term so far is
+    -0.0, reading -0.0 for +0.0; adding 0.0 turns -0.0 into +0.0 and leaves
+    every other value as it is. Each row needs at least one term."""
+    return np.add.accumulate(x, axis=-1)[..., -1] + 0.0
 
 
 # --- valuation and duration laws ---
@@ -128,13 +158,9 @@ class ExponentialValuation:
         return math.exp(-self.rate * p)
 
     def tails(self, prices: np.ndarray) -> np.ndarray:
-        """tail at each price of an array, bit for bit: libm's exp, as the
-        scalar uses, not numpy's, which may differ in the last bit."""
-        p = np.asarray(prices, dtype=float)
-        out = np.ones_like(p)
-        sold = p > 0.0
-        out[sold] = list(map(math.exp, (-self.rate * p[sold]).tolist()))
-        return out
+        """tail at each price of a 1-D array, bit for bit as the scalar,
+        except that fmax reads a NaN price as 0: it gives 1, not NaN."""
+        return libm_map(math.exp, -self.rate * np.fmax(prices, 0.0))
 
     def cdf(self, p: float) -> float:
         return 1.0 - self.tail(p)
@@ -390,7 +416,7 @@ class EmpiricalDuration:
         """scale * E[min(duration, Y)] for Y ~ exponential(gamma), averaged
         over the samples."""
         xs = np.asarray(self.samples)
-        return scale * float(np.mean(-np.expm1(-gamma * xs))) / gamma
+        return scale * float(np.mean(-libm_map(math.expm1, -gamma * xs))) / gamma
 
     def sample(self, rng, n: int):
         pool = np.asarray(self.samples)

@@ -27,6 +27,7 @@ from .model import (
     Scenario,
     WorkerSpec,
     check_prices,
+    left_sum,
     queue_parts,
 )
 from .search import marginal_cost_ascent
@@ -167,7 +168,7 @@ def _queue_solve(scenario: Scenario) -> Solution:
     if not finite:
         raise NonFiniteRate(f"queue earning rate is not finite at prices {monopoly}")
     best = max(finite, key=lambda run: run.rate)
-    return replace(best, iterations=iterations + sum(run.iterations for run in runs))
+    return replace(best, iterations=iterations + left_sum(run.iterations for run in runs))
 
 
 def queue_optimize(scenario: Scenario) -> tuple[PriceVector, float]:
@@ -235,20 +236,17 @@ def _mixture_evaluator(scenario: Scenario, op: str):
     branches = [(w, [effective_load(cls, g) for cls in scenario.classes])
                 for w, g in zip(mix.weights, mix.rates)]
 
-    def branch_terms(prices):
-        """(w, loads, N_w, D_w) of each branch: N_w sums load * (p - cost) * tail
-        and D_w is 1 plus the sum of load * tail, both over the classes."""
+    def terms(prices) -> tuple[float, list[float]]:
         tails = [tail(p) for tail, p in zip(tails_of, prices)]
         margins = [p - cost for p in prices]
-        return [(w, loads, sum(map(mul, map(mul, loads, margins), tails)),
-                 1.0 + sum(map(mul, loads, tails)))
-                for w, loads in branches]
-
-    def terms(prices) -> tuple[float, list[float]]:
         total = 0.0
         weights = [0.0] * len(tails_of)
         shadows = [0.0] * len(tails_of)
-        for w, loads, num, den in branch_terms(prices):
+        for w, loads in branches:
+            # N_w sums load * (p - cost) * tail, and D_w is 1 plus the sum of
+            # load * tail, both over the classes
+            num = left_sum(map(mul, map(mul, loads, margins), tails))
+            den = 1.0 + left_sum(map(mul, loads, tails))
             total += w * num / den
             share, branch_rate = w / den, num / den
             for k, load in enumerate(loads):

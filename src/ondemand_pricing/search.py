@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from operator import mul
 
-from .model import CustomerClass, PriceVector
+from .model import CustomerClass, PriceVector, left_sum
 from .solver import Solution, price_response
 
 _MAX_ITERATIONS = 10_000
@@ -55,7 +56,7 @@ def marginal_cost_ascent(terms: Callable[[PriceVector], tuple[float, Sequence[fl
             return Solution(tuple(prices), rate, iteration, (), move <= tol)
         step = 1.0
         trial, trial_rate, trial_gaps = toward(step)
-        turn = sum([t * g for t, g in zip(trial_gaps, gaps)]) / sum([g * g for g in gaps])
+        turn = left_sum(map(mul, trial_gaps, gaps)) / left_sum(map(mul, gaps, gaps))
         if turn < 0.0:
             step = 1.0 / (1.0 - turn)
             trial, trial_rate, trial_gaps = toward(step)

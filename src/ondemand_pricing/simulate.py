@@ -77,7 +77,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, ModelMismatch, NonFiniteRate
-from .model import Scenario, check_prices, exponentials, queue_parts
+from .model import Scenario, check_prices, exponentials, left_sum, libm_map, queue_parts, row_sums
 
 # Discount weight e^{-gamma t} is below 4e-18 past this many inverse rates, so
 # a discounted run's windows are this long.
@@ -124,7 +124,7 @@ class SimConfig:
             raise ConfigError(f"seed must be non-negative, not {self.base_seed!r}")
 
     def horizon_hours(self) -> float:
-        total = sum(cls.arrival_rate for cls in self.scenario.classes)
+        total = left_sum(cls.arrival_rate for cls in self.scenario.classes)
         if total <= 0.0:
             raise ConfigError("cannot size a horizon: total arrival rate is zero")
         horizon = self.expected_arrivals / total
@@ -466,15 +466,10 @@ def _run_ends(w) -> np.ndarray:
 
 @_quiet
 def _segment_sums(terms, bounds) -> list[float]:
-    """The sum of each segment terms[lo:hi] between consecutive `bounds`,
-    added left to right from 0.0 as a running total adds it up, with one
-    call's overhead: np.sum pairs terms, which can change the last bit, and
-    would keep the sign of an all -0.0 sum (a job priced below cost inside
-    the warm-up). A running total from 0.0 equals the running total from the
-    first term plus 0.0: the two differ only while every term so far is
-    -0.0, reading +0.0 and -0.0, and adding 0.0 turns -0.0 into +0.0 and
-    leaves every other value as it is."""
-    return [float(np.add.accumulate(terms[lo:hi])[-1]) + 0.0 if lo < hi else 0.0
+    """The `row_sums` of each segment terms[lo:hi] between consecutive
+    `bounds`, 0.0 for an empty one: np.sum would keep the sign of an all
+    -0.0 sum (a job priced below cost inside the warm-up)."""
+    return [float(row_sums(terms[lo:hi])) if lo < hi else 0.0
             for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -658,7 +653,7 @@ def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimSta
             # the kernel's arrays go now, and the replication's own when the
             # next draw replaces them: freeing those first was measured slower
             del ends, free, taken, jobs
-    return _stats("rate", [sum(row) for row in rows], counts,
+    return _stats("rate", [left_sum(row) for row in rows], counts,
                   per_worker_reps=tuple(zip(*rows)))
 
 
@@ -714,9 +709,8 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         # restarts idle; fmin caps a NaN end there too
         jobs = _loss_accepts(t, np.fmin(t + ds[:n_fit], np.append(t, np.inf)[_run_ends(w)]))
         local = times[jobs] - wins[jobs] * window
-        # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the last bit
-        head = np.fromiter(map(math.exp, (-g * local).tolist()), float, jobs.size)
-        tail = np.fromiter(map(math.exp, (-g * (local + ds[jobs])).tolist()), float, jobs.size)
+        head = libm_map(math.exp, -g * local)
+        tail = libm_map(math.exp, -g * (local + ds[jobs]))
         with np.errstate(over="ignore", invalid="ignore"):  # _stats refuses an inf or NaN
             value = _segment_sums((price_arr[ks[jobs]] - cost) * (head - tail) / g,
                                   (0, jobs.size))[0]

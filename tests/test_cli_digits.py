@@ -7,8 +7,9 @@ is pinned by its exit code and the sha256 of its stdout, its stderr and
 every file it writes except `manifest.json`, whose `wall_time_s` varies. Each
 run works in its own directory, with the config copied in and relative paths,
 so nothing printed depends on where the suite runs. The digests were captured
-with numpy 2.4.6. `test_sim_digits.py` pins the runs at solved prices, the
-traces, `validate` and `compete --verify`.
+with numpy 2.4.6, and hold on any x86-64 CPU, with or without AVX-512.
+`test_sim_digits.py` pins the runs at solved prices, the traces, `validate`
+and `compete --verify`.
 """
 
 import hashlib
@@ -280,7 +281,7 @@ PINS = {
             0, "ec8e88831f8bb5f8c6ff7a7d370d700c7ec905edff126ab15d8f8aba32aa7342",
             EMPTY,
             {"sweep_r.csv":
-                "79715d93301bd81a9ba040dc7669cc7ae944bff08cdae4d744cb78d4da74d280"}),
+                "3e39bae6c31ea54e3572cf37ed9fd2b607e81909cdcd3c8136bc8a7c9f0b3be7"}),
         "sweep r --grid 0.5,2": (
             0, "9b7d5ad03f8a6f91b14040a05cc45ef518f901c4ccd6a6cf06393995c2fb3b36",
             EMPTY,

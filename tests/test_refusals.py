@@ -26,7 +26,7 @@ from ondemand_pricing import (
     simulate,
     simulate_queue,
 )
-from ondemand_pricing.cli import main
+from ondemand_pricing.cli import _parse_grid, main
 
 from .conftest import queue_scenario, unit_uniform_class
 
@@ -107,6 +107,9 @@ REFUSALS = {
     "by_rank_past_the_fleet": (
         lambda: RankedEquilibrium((outcome(1), outcome(2))).by_rank(3), KeyError,
         "no worker with rank 3"),
+    "log_grid_past_the_largest_float": (
+        lambda: _parse_grid("1:1.7976931348623157e308:3:log"), ConfigError,
+        "bad grid spec '1:1.7976931348623157e308:3:log': a point overflows a float"),
 }
 
 
