@@ -384,22 +384,17 @@ def _check_close(name: str, analytic: float, mean: float, se: float) -> CheckRes
     )
 
 
-def _best_ranked(scenario: Scenario) -> int:
-    """The index of the best-ranked worker. Under ranked choice it sees every
-    arrival, as if it worked alone."""
-    return min(range(len(scenario.workers)), key=lambda i: scenario.workers[i].rank)
-
-
 def validation_checks(scenario: Scenario, seed: int) -> list[CheckResult]:
     """Cross-check battery: every solve's reported figure against its
-    simulator. A fleet is checked at its best-ranked worker."""
+    simulator. A fleet is checked at its best-ranked worker, which under
+    ranked choice sees every arrival, as if it worked alone."""
     model = _model(scenario)
     sol = model.solve(scenario)
     checks = [] if model.exact is None else [model.exact(scenario, sol)]
     cfg = SimConfig(scenario=scenario, base_seed=seed, expected_arrivals=20_000,
                     replications=12)
     stats = model.simulate(cfg, sol.prices)
-    mean, se = stats.worker_mean_se(_best_ranked(scenario)) if scenario.kind == "fleet" \
+    mean, se = stats.worker_mean_se(scenario.rank_order[0]) if scenario.kind == "fleet" \
         else (stats.mean, stats.se)
     analytic = sol.rate if sol.value is None else sol.value
     checks.append(_check_close(model.check, analytic, mean, se))

@@ -158,9 +158,10 @@ def _best_response(curve: ResidualDemandCurve, floor: float) -> float:
     return max(sorted(candidates), key=lambda p: (p - floor) * curve.demand(p))
 
 
-def _optimize_vs_residual(curves, cost: float) -> tuple[PriceVector, float, bool]:
-    """Best prices against fixed residual demand curves, their rate, and
-    whether the reserve iteration converged within _RESERVE_MAX_ITER steps.
+def _optimize_vs_residual(curves, cost: float) -> Solution:
+    """Best prices against fixed residual demand curves and their rate, with
+    the number of reserve steps taken and whether the reserve iteration
+    converged within _RESERVE_MAX_ITER of them.
 
     Same reserve-rate decomposition as the loss-system solver: at reserve R
     each class's price maximizes (p - cost - R) times residual demand, and the
@@ -170,14 +171,14 @@ def _optimize_vs_residual(curves, cost: float) -> tuple[PriceVector, float, bool
     """
     terms = [(curve.customer_class.duration.mean, curve.demand) for curve in curves]
     reserve = 0.0
-    prices: tuple[float, ...] = ()
-    for _ in range(_RESERVE_MAX_ITER):
+    for step in range(1, _RESERVE_MAX_ITER + 1):
         prices = tuple(_best_response(curve, cost + reserve) for curve in curves)
         achieved = earning_rate(terms, cost, prices)
-        if abs(achieved - reserve) <= _RESERVE_TOL:
-            return prices, achieved, True
+        converged = abs(achieved - reserve) <= _RESERVE_TOL
         reserve = achieved
-    return prices, reserve, False
+        if converged:
+            break
+    return Solution(prices=prices, rate=reserve, iterations=step, trace=(), converged=converged)
 
 
 @dataclass(frozen=True)
@@ -218,28 +219,26 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
     scenario.require("ranked_price_equilibrium", "loss", "fleet")
     if scenario.choice != "ranked":
         raise ModelMismatch("quality ranks must be distinct")
-    ordered = sorted(scenario.workers, key=lambda w: w.rank)
 
     curves = [ResidualDemandCurve(cls) for cls in scenario.classes]
     outcomes = []
-    for level, worker in enumerate(ordered):
+    for level, worker in enumerate(scenario.workers[i] for i in scenario.rank_order):
         if level == 0:
-            sub = Scenario(classes=scenario.classes, workers=(WorkerSpec(cost=worker.cost),))
-            sol = solve_fixed_point(sub)
-            prices, rate, converged = sol.prices, sol.rate, sol.converged
+            sol = solve_fixed_point(
+                Scenario(classes=scenario.classes, workers=(WorkerSpec(cost=worker.cost),)))
         else:
-            prices, rate, converged = _optimize_vs_residual(curves, worker.cost)
+            sol = _optimize_vs_residual(curves, worker.cost)
         offered = left_sum(
             curve.demand(p) * curve.customer_class.duration.mean
-            for curve, p in zip(curves, prices)
+            for curve, p in zip(curves, sol.prices)
         )
         busy = offered / (1.0 + offered)
         outcomes.append(
-            WorkerOutcome(rank=worker.rank, prices=prices, rate=rate,
-                          busy_fraction=busy, converged=converged)
+            WorkerOutcome(rank=worker.rank, prices=sol.prices, rate=sol.rate,
+                          busy_fraction=busy, converged=sol.converged)
         )
         curves = [
-            curve.extended(p, busy) for curve, p in zip(curves, prices)
+            curve.extended(p, busy) for curve, p in zip(curves, sol.prices)
         ]
     return RankedEquilibrium(outcomes=tuple(outcomes))
 

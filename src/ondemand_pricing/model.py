@@ -158,9 +158,8 @@ class ExponentialValuation:
         return math.exp(-self.rate * p)
 
     def tails(self, prices: np.ndarray) -> np.ndarray:
-        """tail at each price of a 1-D array, bit for bit as the scalar,
-        except that fmax reads a NaN price as 0: it gives 1, not NaN."""
-        return libm_map(math.exp, -self.rate * np.fmax(prices, 0.0))
+        """tail at each price of a 1-D array, bit for bit as the scalar."""
+        return libm_map(math.exp, -self.rate * np.maximum(prices, 0.0))
 
     def cdf(self, p: float) -> float:
         return 1.0 - self.tail(p)
@@ -548,6 +547,13 @@ class Scenario:
         best-ranked one they can afford) when ranks are distinct, as for a
         lone worker, else "cheapest". __post_init__ allows no mixed ranks."""
         return "ranked" if len({w.rank for w in self.workers}) == len(self.workers) else "cheapest"
+
+    @property
+    def rank_order(self) -> tuple[int, ...]:
+        """The workers' indices, best rank first, equal ranks in config
+        order: the order in which a ranked fleet is solved, simulated and
+        checked."""
+        return tuple(sorted(range(len(self.workers)), key=lambda i: self.workers[i].rank))
 
     def require(self, op: str, *kinds: str) -> None:
         """Raise ModelMismatch unless the scenario's kind is one of `kinds`."""

@@ -51,10 +51,12 @@ batched: on a few hundred arrivals a kernel call costs mostly its fixed
 overhead, so the scan serves its (replication, price) streams of fewer than
 _SHORT offered arrivals in batches of at most _BATCH, one kernel call each,
 and sums each stream's earnings from 0.0 as a lone run does; a longer stream
-runs alone. The scan's report takes all its statistics in one `_mean_se`
-pass over a matrix of rows. The discounted simulator caps each job's end at
-the first arrival of the next window, where the worker restarts idle, so the
-kernel takes that arrival next. The one-waiting-spot queue still steps
+runs alone. The streams stay in order, replication by replication and price
+by price, through the batches and back, so the scan reads each one's
+earnings by its position. The scan's report takes all its statistics in one
+`_mean_se` pass over a matrix of rows. The discounted simulator caps each
+job's end at the first arrival of the next window, where the worker restarts
+idle, so the kernel takes that arrival next. The one-waiting-spot queue still steps
 through its affordable arrivals, since a waiting job's start depends on
 history, in one pass that reads the arrays' buffers as Python floats. Its
 worker's state is two floats: when the admitted work ends, and when the last
@@ -486,10 +488,6 @@ def _earnings(margins, starts, ends, warm: float, horizon: float) -> float:
                          (0, starts.size))[0]
 
 
-def _rank_order(workers) -> list[int]:
-    return sorted(range(len(workers)), key=lambda w: workers[w].rank)
-
-
 def _serve(events, ends, free, row) -> np.ndarray:
     """The arrivals of one replication that one worker posting `row` takes
     among those still `free`."""
@@ -498,12 +496,11 @@ def _serve(events, ends, free, row) -> np.ndarray:
     return offered[_loss_accepts(times[offered], ends[offered])]
 
 
-def _serve_streams(batch, cost: float, warm: float, horizon: float):
-    """(key, earnings over [warm, horizon]) for each (key, stream) of
-    `batch`, a stream being the (times, ends) of the arrivals a lone worker
-    is offered at one price, and that price. One kernel call serves the
-    streams laid end to end."""
-    streams = [stream for _, stream in batch]
+def _serve_streams(streams, cost: float, warm: float, horizon: float) -> list[float]:
+    """The earnings over [warm, horizon] of each of `streams`, in order, a
+    stream being the (times, ends) of the arrivals a lone worker is offered
+    at one price, and that price. One kernel call serves the streams laid
+    end to end."""
     starts = np.cumsum([0] + [stream[0].size for stream in streams[:-1]])
     if len(streams) == 1:
         times, ends, _ = streams[0]
@@ -513,25 +510,24 @@ def _serve_streams(batch, cost: float, warm: float, horizon: float):
     bounds = [*np.searchsorted(taken, starts).tolist(), taken.size]
     margins = np.repeat([price - cost for _, _, price in streams], np.diff(bounds))
     terms = _earning_terms(margins, times[taken], ends[taken], warm, horizon)
-    return [(key, earned) for (key, _), earned in zip(batch, _segment_sums(terms, bounds))]
+    return _segment_sums(terms, bounds)
 
 
-def _batches(items):
-    """The (key, stream) pairs of `items` in lists, in order, a stream's size
-    being its first array's: a stream of _SHORT or more arrivals alone, when
-    it comes, and the shorter ones gathered into lists of at most _BATCH
-    arrivals, so that a kernel call's fixed cost is paid once per list."""
+def _batches(streams):
+    """`streams` in lists that keep their order, a stream's size being its
+    first array's: a stream of _SHORT or more arrivals alone, and the shorter
+    ones gathered into lists of at most _BATCH arrivals, so that a kernel
+    call's fixed cost is paid once per list. A long stream ends the list
+    before it, so no stream is served ahead of an earlier one."""
     batch, total = [], 0
-    for item in items:
-        n = item[1][0].size
-        if n >= _SHORT:
-            yield [item]
-            continue
-        if batch and total + n > _BATCH:
+    for stream in streams:
+        n = stream[0].size
+        if batch and (n >= _SHORT or total + n > _BATCH):
             yield batch
             batch, total = [], 0
-        batch.append(item)
-        total += n
+        batch.append(stream)
+        # a long stream fills its list: the next stream starts another
+        total += n if n < _SHORT else math.inf
     if batch:
         yield batch
 
@@ -628,7 +624,7 @@ def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimSta
     matrix = _loss_matrix(scenario, prices, "simulate")
     floors = np.min(np.asarray(matrix), axis=0)
     horizon, warm, span, reps = _replications(config, floors)
-    ranks = _rank_order(scenario.workers)
+    ranks = scenario.rank_order
     rows = []  # each worker's rate, one row per replication
     counts = Counts()
     for rep, events, drawn in reps:
@@ -825,6 +821,10 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     grid gives the usual 1.96). A rate, gain or SE that is not finite raises
     NonFiniteRate, since no point could then be tested. Single-class scenarios
     only.
+
+    The scanned worker's streams, one per replication and distinct price,
+    stay in order through the batches that serve them, so each replication
+    rate is read back by its position.
     """
     scenario = config.scenario
     if scenario.num_classes != 1:
@@ -843,8 +843,7 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     price_grid = [row[0] for row in candidates]
     z = NormalDist().inv_cdf(1.0 - 0.025 / len(price_grid))
     baseline = matrix[worker_index]
-    order = _rank_order(scenario.workers)
-    above = order[:order.index(worker_index)]
+    above = scenario.rank_order[:scenario.rank_order.index(worker_index)]
     cost = scenario.workers[worker_index].cost
 
     # Each replication's events are shared by the baseline and every
@@ -855,25 +854,26 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     # an arrival none of those workers can afford at any of its prices is
     # dropped at the draw. The cascade runs once per replication, and the
     # scanned worker's streams, one per replication and distinct price, are
-    # served in batches as they come.
+    # served in batches, in order.
     # a grid may repeat a price or the baseline: each distinct row runs once
     slots = {row: r for r, row in enumerate(dict.fromkeys((baseline, *candidates)))}
-    rates = np.empty((len(slots), config.replications))
     floors = np.min(np.asarray([*(matrix[i] for i in above), *slots]), axis=0)
     horizon, warm, span, reps = _replications(config, floors)
 
     def streams():
-        for rep, events, _ in reps:
+        for _, events, _ in reps:
             times, _, vs, ds = events
             ends = times + ds
             free = _loss_rep(events, ends, matrix, above)[0]
-            for (price,), r in slots.items():
+            for (price,) in slots:
                 offered = (free & (price <= vs)).nonzero()[0]
-                yield (r, rep), (times[offered], ends[offered], price)
+                yield times[offered], ends[offered], price
 
-    for batch in _batches(streams()):
-        for (r, rep), earned in _serve_streams(batch, cost, warm, horizon):
-            rates[r, rep] = earned / span
+    # the streams come replication-major and their earnings stay in order,
+    # so row r of `rates` is the distinct row r's replication rates
+    earnings = [earned for batch in _batches(streams())
+                for earned in _serve_streams(batch, cost, warm, horizon)]
+    rates = np.reshape(earnings, (config.replications, len(slots))).T / span
 
     # the report's 2k + 1 statistics, from one pass
     means, ses = _finite_mean_se(

@@ -464,11 +464,12 @@ def test_residual_optimizer_matches_scan_two_classes_with_commission():
                apply_commission(_class(EXPONENTIAL, 0.9), 0.85))
     curves = [ResidualDemandCurve(classes[0], ((0.7, 0.45), (0.4, 0.3))),
               ResidualDemandCurve(classes[1], ((0.6, 0.45), (0.3, 0.3)))]
-    prices, rate, converged = _optimize_vs_residual(curves, 0.05)
-    assert converged
-    assert rate == residual_rate(curves, prices, 0.05)
+    sol = _optimize_vs_residual(curves, 0.05)
+    assert sol.converged
+    assert 1 <= sol.iterations <= competition._RESERVE_MAX_ITER
+    assert sol.rate == residual_rate(curves, sol.prices, 0.05)
     _, want = scan_optimize_vs_residual(curves, 0.05)
-    assert rate >= want - 1e-15 * want
+    assert sol.rate >= want - 1e-15 * want
 
 
 def test_equilibrium_reports_convergence(ranked_fleet_scenario, monkeypatch):
@@ -478,7 +479,8 @@ def test_equilibrium_reports_convergence(ranked_fleet_scenario, monkeypatch):
     curves = [ResidualDemandCurve(scn.classes[0], ((0.6, 0.3),))]
     # one reserve step cannot reach the fixed point: every lower rank says so
     monkeypatch.setattr(competition, "_RESERVE_MAX_ITER", 1)
-    assert _optimize_vs_residual(curves, 0.0)[2] is False
+    sol = _optimize_vs_residual(curves, 0.0)
+    assert (sol.converged, sol.iterations) == (False, 1)
     capped = ranked_price_equilibrium(scn)
     assert [o.converged for o in capped.outcomes] == [True, False, False]
 

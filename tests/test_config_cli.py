@@ -589,6 +589,23 @@ def test_exit_code_bad_prices(tmp_path, monkeypatch, capsys, name, prices, rest)
     assert not Path("o").exists()
 
 
+@pytest.mark.parametrize(
+    "name, prices, message",
+    [
+        ("queue.json", "0.5", "queue simulation takes exactly two prices"),
+        ("queue.json", "0.5,0.5,0.5", "queue simulation takes exactly two prices"),
+        ("two_class.json", "0.5;0.5", "single-worker scenario takes one price row"),
+    ],
+)
+def test_exit_code_price_list_of_the_wrong_shape(tmp_path, monkeypatch, capsys, name, prices,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--config", config_path(name), "--prices", prices,
+                   "--out", "o") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("o").exists()
+
+
 def test_exit_code_validate_zero_rate_queue(tmp_path, capsys):
     doc = json.loads((CONFIGS / "queue.json").read_text())
     for cls in doc["classes"]:
@@ -1449,7 +1466,7 @@ def public_figure(scenario, prices) -> float:
     """The public function validate's figure is pinned to, at `prices`: a
     fleet's is its best-ranked worker's lone-worker rate at its row."""
     if scenario.kind == "fleet":
-        best = cli._best_ranked(scenario)
+        best = scenario.rank_order[0]
         solo = Scenario(classes=scenario.classes, workers=(scenario.workers[best],))
         return avg_earning_rate(solo, prices[best])
     if scenario.kind == "queue":

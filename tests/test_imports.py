@@ -6,7 +6,9 @@ shape it uses."""
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,47 @@ def test_finder_flags_a_dead_private_name():
 def test_package_has_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of `source` that hold code: not blank, not only a
+    comment and not inside a docstring. A statement or string spanning lines
+    counts each of them. The package total is
+    `sum(code_lines(p.read_text()) for p in PACKAGE.glob("*.py"))`."""
+    tree = ast.parse(source)
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
+def test_counter_skips_blanks_comments_and_docstrings():
+    source = ('"""Module doc."""\n'
+              "\n"
+              "# a comment\n"
+              "def f(x):\n"
+              '    """Function doc,\n'
+              '    on two lines."""\n'
+              '    s = """a string,\n'
+              'not a docstring"""\n'
+              "    return x  # trailing comment\n"
+              "\n"
+              "class C:\n"
+              '    "Class doc."\n'
+              "    y = [1,\n"
+              "         2]\n")
+    assert code_lines(source) == 7
+    assert code_lines("") == 0
 
 
 def test_all_lists_each_imported_name_once():

@@ -58,9 +58,11 @@ def test_tail_monotone_and_bounded(law):
 )
 def test_tails_match_tail_bit_for_bit(law):
     # the array form repeats the scalar arithmetic, so the grid oracle's tables
-    # are the scalar tails exactly; -1000 would overflow a vectorised exp
-    edges = [-1000.0, -1.0, -1e-12, 0.0, law.lower, law.upper, law.upper + 1e-9,
-             law.upper + 1.0, 1e300] + [v for v, _ in getattr(law, "knots", ())]
+    # are the scalar tails exactly; -1000 would overflow a vectorised exp, and
+    # a NaN price reads as NaN both ways
+    edges = [-1000.0, -1.0, -1e-12, -0.0, 0.0, law.lower, law.upper, law.upper + 1e-9,
+             law.upper + 1.0, 1e300, math.inf, -math.inf, math.nan, -math.nan] + \
+        [v for v, _ in getattr(law, "knots", ())]
     axes = [np.arange(0.0, law.upper + 5.0 * step, step) for step in (1e-3, 4e-3, 0.025)]
     for prices in axes + [np.array(edges), np.array([]), np.array(edges[:1])]:
         expected = np.array([law.tail(p) for p in prices.tolist()], dtype=float)
@@ -382,6 +384,17 @@ def test_scenario_validation(single_class_scenario):
     # all-equal and all-distinct rank profiles are both fine
     Scenario(classes=(cls,), workers=(WorkerSpec(rank=1), WorkerSpec(rank=1)))
     Scenario(classes=(cls,), workers=(WorkerSpec(rank=2), WorkerSpec(rank=1)))
+
+
+@pytest.mark.parametrize("ranks, order", [
+    ((3, 1, 2), (1, 2, 0)),
+    ((2, 2, 2), (0, 1, 2)),  # equal ranks keep config order
+    ((5,), (0,)),
+])
+def test_scenario_lists_workers_best_rank_first(single_class_scenario, ranks, order):
+    scenario = Scenario(classes=single_class_scenario.classes,
+                        workers=tuple(WorkerSpec(rank=r) for r in ranks))
+    assert scenario.rank_order == order
 
 
 def test_frozen_dataclasses(single_class_scenario):

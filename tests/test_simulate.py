@@ -729,8 +729,7 @@ def test_deviation_scan_repeated_prices_equal_separate_simulations(ranked_fleet_
     monkeypatch.setattr(simulate_module, "_serve",
                         lambda *args: serves.append(args[3]) or serve(*args))
     monkeypatch.setattr(simulate_module, "_serve_streams",
-                        lambda batch, *args: segments.extend(
-                            price for _, (_, _, price) in batch)
+                        lambda batch, *args: segments.extend(price for _, _, price in batch)
                         or serve_streams(batch, *args))
     report = deviation_scan(cfg, matrix, 1, grid)
     # the rank-1 worker once per replication, and each distinct row of the
@@ -797,7 +796,7 @@ def test_deviation_scan_batches_its_short_streams(ranked_fleet_scenario, monkeyp
                         lambda times, *args: calls.append(times.size)
                         or loss_accepts(times, *args))
     monkeypatch.setattr(simulate_module, "_serve_streams",
-                        lambda batch, *args: batches.append([t.size for _, (t, _, _) in batch])
+                        lambda batch, *args: batches.append([t.size for t, _, _ in batch])
                         or serve_streams(batch, *args))
     deviation_scan(cfg, [[0.6], [0.4]], 0, np.linspace(0.48, 0.72, 11))
     short, batch = simulate_module._SHORT, simulate_module._BATCH
@@ -808,6 +807,17 @@ def test_deviation_scan_batches_its_short_streams(ranked_fleet_scenario, monkeyp
     # each batch is full: its next stream would not have fitted
     assert all(sum(sizes) + after[0] > batch for sizes, after in zip(batches, batches[1:]))
     assert len(calls) <= math.ceil(sum(calls) / batch)
+
+
+def test_batches_keep_stream_order(monkeypatch):
+    # a long stream flushes the short ones gathered before it, so reading
+    # the earnings back by position finds each stream's own
+    monkeypatch.setattr(simulate_module, "_SHORT", 4)
+    monkeypatch.setattr(simulate_module, "_BATCH", 6)
+    sizes = [1, 2, 4, 3, 3, 1, 5, 2]
+    streams = [(np.zeros(n), np.zeros(n), i) for i, n in enumerate(sizes)]
+    batches = [[i for _, _, i in batch] for batch in simulate_module._batches(streams)]
+    assert batches == [[0, 1], [2], [3, 4], [5], [6], [7]]
 
 
 # --- the loss kernel, the event merge and the trace writer, part by part ---
