@@ -17,10 +17,11 @@ each class, drops the arrivals valued below the lowest price any worker it
 runs posts to their class, which leave without changing any state, and
 merges the rest into one time-ordered stream, freeing each class's arrays
 as they are merged. `simulate`, `simulate_queue` and `deviation_scan` take
-their replications from one driver, `_replications`, which works out the
-horizon, the warm-up end and the span once and draws replications 0, 1, ...
-lazily, one at a time; `simulate_discounted` draws its own, over a whole
-number of windows of each replication's discount rate. A deviation scan
+their replications from the same two helpers: `_run_span` works out the
+horizon, the warm-up end and the span once per run, and `_replications`
+draws a range of replications lazily, one at a time, in order; `simulate_discounted` draws
+its own, over a whole number of windows of each replication's discount
+rate. A deviation scan
 runs only the scanned worker, at its baseline and grid prices, and the
 workers ranked above it, so only their prices set its floors. `_counts`
 counts the dropped ones as priced out. Only `simulate` writes an event
@@ -65,14 +66,36 @@ is lost; any other starts on arrival or when the work ends, whichever is
 later, and the loop adds its earnings to a running total as it admits it.
 The loss simulators add up earnings as arrays, with `_segment_sums`; every
 simulator adds them in start order, left to right from 0.0.
+
+Long runs take two processes. `simulate`, `simulate_queue` and
+`simulate_discounted` each compute their replications' values and counts
+through one function of a range of replications. A run of two or more
+replications that draws at least _FORK_ARRIVALS (2^20) expected arrivals in
+all (replications x expected_arrivals) runs the lower half of the range here
+and the upper half in a forked child, at once, and joins the two results in
+replication order; a traced `simulate` runs replication 0 here, then writes
+its trace in the child while it runs replications 1 and up. Smaller runs,
+every run where `os.fork` does not exist and every run in a process that
+runs other threads call the same function once over every replication, so
+the outputs are byte-identical either way. The
+child sends its result or its exception, pickled, through a pipe and ends
+with `os._exit`; the parent reads the pipe and reaps the child whatever
+happens here, raises the error of the lower replications when both halves
+fail, as a run in turn would, and a ChildProcessError when the child ends
+without reporting. The child's memory is its own, so the parent's peak RSS
+does not count it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import pickle
+import threading
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from statistics import NormalDist
 
@@ -99,6 +122,12 @@ _TINY = 2.0**-500
 # passes over a longer table and cache misses.
 _SHORT = 2**12
 _BATCH = 2**15
+# A run that draws at least this many expected arrivals in all (replications
+# x expected_arrivals) shares its replications with a forked child, each
+# process running its half at once on its own core. Below it a fork costs
+# more than it saves: forked on every run, 6 000 x 10 ran 1.41-1.97x slower
+# and 20 000 x 12 0.90-0.96x the time of a run in one process.
+_FORK_ARRIVALS = 2**20
 
 
 @dataclass(frozen=True)
@@ -601,33 +630,135 @@ def _loss_matrix(scenario: Scenario, prices, op: str) -> list[tuple[float, ...]]
     return [check_prices(scenario, row) for row in _check_matrix(scenario, prices)]
 
 
-def _replications(config: SimConfig, floors):
-    """A run's horizon, warm-up end and span, worked out once, and its
-    replications: (rep, events, arrivals drawn) for rep = 0, 1, ..., each
-    from `_offered_events` at `floors`, drawn lazily in order. The tuples
-    come straight from a generator expression, which keeps no reference to
-    one once it is handed on, so a caller that drops a replication's arrays
-    frees them (through `enumerate`, which keeps its last result, it could
-    not)."""
+def _run_span(config: SimConfig) -> tuple[float, float, float]:
+    """A rate run's horizon, warm-up end and span, worked out once per run."""
     horizon = config.horizon_hours()
     warm = config.warmup_fraction * horizon
-    reps = ((rep, *_offered_events(config.scenario, config.base_seed, rep, horizon, floors))
-            for rep in range(config.replications))
-    return horizon, warm, horizon - warm, reps
+    return horizon, warm, horizon - warm
 
 
-def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimStats:
-    """Simulate the loss system: a lone worker, or a ranked fleet under
-    best-affordable-worker choice. Returns rate statistics over replications.
-    With a `trace_path`, replication 0's events are written there as CSV."""
+def _replications(config: SimConfig, floors, horizon: float, reps: range):
+    """The replications `reps` of a run over [0, horizon]: (rep, events,
+    arrivals drawn) for each, from `_offered_events` at `floors`, drawn
+    lazily in order. The tuples come straight from a generator expression,
+    which keeps no reference to one once it is handed on, so a caller that
+    drops a replication's arrays frees them (through `enumerate`, which keeps
+    its last result, it could not)."""
+    return ((rep, *_offered_events(config.scenario, config.base_seed, rep, horizon, floors))
+            for rep in reps)
+
+
+def _forks(config: SimConfig) -> bool:
+    """Whether a run shares its replications with a forked child: a run of
+    two or more that draws at least _FORK_ARRIVALS expected arrivals in all,
+    on a platform that can fork, in a process running no other thread (a
+    fork copies only the calling thread, and a lock another one holds stays
+    held in the child)."""
+    return (hasattr(os, "fork") and config.replications >= 2
+            and config.replications * config.expected_arrivals >= _FORK_ARRIVALS
+            and threading.active_count() == 1)
+
+
+def _report(func, write_end: int) -> None:
+    """In a forked child: write func()'s outcome, pickled as (result, None)
+    or (None, its exception), to the pipe's `write_end`, and end the child.
+    It never returns, so no code of the caller's runs twice. It exits 0 once
+    the report is written; an exception that does not load back from its
+    pickle is not written, nor is anything if func() is interrupted, and the
+    child exits 1."""
+    code = 1
+    try:
+        try:
+            blob = pickle.dumps((func(), None))
+        except Exception as exc:
+            blob = pickle.dumps((None, exc))
+            pickle.loads(blob)
+        with open(write_end, "wb") as pipe:
+            pipe.write(blob)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _outcome(pid: int, read_end: int):
+    """The outcome the child `pid` reports on the pipe's `read_end`, read to
+    the end, once the child is reaped: (result, None), or (None, the error).
+    A child exits 0 only once its report is written whole; any other end
+    gives a ChildProcessError."""
+    try:
+        with open(read_end, "rb") as pipe:
+            blob = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        return None, ChildProcessError(
+            f"a forked simulation process exited with status {code} and no result")
+    return pickle.loads(blob)
+
+
+def _at_once(first, second, fork: int | None):
+    """(first(), second()). With `fork` None they run in turn here; else at
+    once, the one at index `fork` in a forked child and the other here,
+    after which the child's outcome is read and the child reaped, whatever
+    happened here. If both fail, the error raised is first()'s, as running
+    them in turn would give."""
+    if fork is None:
+        return first(), second()
+    calls = (first, second)
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        os.close(read_end)
+        _report(calls[fork], write_end)
+    os.close(write_end)
+    outcomes = [None, None]
+    try:
+        try:
+            outcomes[1 - fork] = calls[1 - fork](), None
+        except Exception as exc:
+            outcomes[1 - fork] = None, exc
+    finally:
+        outcomes[fork] = _outcome(pid, read_end)
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return outcomes[0][0], outcomes[1][0]
+
+
+def _joined(lower, upper):
+    """One (values, Counts) result from those of two runs of replications,
+    the lower ones first."""
+    return lower[0] + upper[0], lower[1] + upper[1]
+
+
+def _split(run, config: SimConfig):
+    """All of a run's replications through `run`, which gives the (values,
+    Counts) of a range of them: in one call here, or for a run that forks,
+    the lower half here and the upper half in a forked child at once, joined
+    in replication order. Each replication's values are the same floats
+    either way."""
+    n = config.replications
+    if not _forks(config):
+        return run(range(n))
+    return _joined(*_at_once(partial(run, range(n // 2)), partial(run, range(n // 2, n)), 1))
+
+
+def _loss_reps(config: SimConfig, matrix, floors, sizes, reps: range, trace=None):
+    """Each worker's rate, one row per replication of `reps` in config
+    order, and their counts, for `simulate`. With `trace`, replication 0's
+    worker column (each arrival's worker, -1 for none) goes to trace() once
+    nothing else of the replication is held."""
     scenario = config.scenario
-    matrix = _loss_matrix(scenario, prices, "simulate")
-    floors = np.min(np.asarray(matrix), axis=0)
-    horizon, warm, span, reps = _replications(config, floors)
+    horizon, warm, span = sizes
     ranks = scenario.rank_order
-    rows = []  # each worker's rate, one row per replication
+    rows = []
     counts = Counts()
-    for rep, events, drawn in reps:
+    for rep, events, drawn in _replications(config, floors, horizon, reps):
         times, ks, _, ds = events
         ends = times + ds
         free, taken = _loss_rep(events, ends, matrix, ranks)
@@ -637,18 +768,50 @@ def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimSta
             rates[i] = _earnings(np.asarray(matrix[i])[ks[jobs]] - scenario.workers[i].cost,
                                  times[jobs], ends[jobs], warm, horizon) / span
         rows.append(rates)
-        if rep == 0 and trace_path is not None:
+        if rep == 0 and trace is not None:
             # each arrival's worker, -1 for none, as int32: the trace writes
             # the same ints, and intp put its peak 7-8 % above an untraced run's
             chosen = np.full(free.size, -1, dtype=np.int32)
             for i, jobs in zip(ranks, taken):
                 chosen[jobs] = i
             del events, times, ks, _, ds, ends, free, taken, jobs  # the redraw needs only `chosen`
-            _trace_first_rep(trace_path, config, horizon, floors, chosen)
+            trace(chosen)
         else:
             # the kernel's arrays go now, and the replication's own when the
             # next draw replaces them: freeing those first was measured slower
             del ends, free, taken, jobs
+    return rows, counts
+
+
+def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimStats:
+    """Simulate the loss system: a lone worker, or a ranked fleet under
+    best-affordable-worker choice. Returns rate statistics over replications.
+    With a `trace_path`, replication 0's events are written there as CSV.
+
+    A run of two or more replications that draws at least _FORK_ARRIVALS
+    (2^20) expected arrivals in all runs the upper half of them in a forked
+    child, or with a trace, writes replication 0's trace there while this
+    process runs replications 1 and up. Its results are byte for byte those
+    of a run in one process, which is how smaller runs go, and every run
+    where `os.fork` does not exist or other threads run. The child's memory
+    does not count in this process's peak RSS."""
+    scenario = config.scenario
+    matrix = _loss_matrix(scenario, prices, "simulate")
+    floors = np.min(np.asarray(matrix), axis=0)
+    sizes = _run_span(config)
+    run = partial(_loss_reps, config, matrix, floors, sizes)
+    if trace_path is None:
+        rows, counts = _split(run, config)
+    else:
+        # replication 0 first, then its trace, from its worker column, beside
+        # or before the rest: the order a run in turn takes, which keeps its
+        # peak memory that of an untraced run
+        chosen = []
+        first = run(range(1), chosen.append)
+        trace = partial(_trace_first_rep, trace_path, config, sizes[0], floors, chosen.pop())
+        _, rest = _at_once(trace, partial(run, range(1, config.replications)),
+                           0 if _forks(config) else None)
+        rows, counts = _joined(first, rest)
     return _stats("rate", [left_sum(row) for row in rows], counts,
                   per_worker_reps=tuple(zip(*rows)))
 
@@ -667,26 +830,41 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
     per replication, and each replication is weighted by its branch rate so
     the estimate targets the same branch-rate-weighted objective as
     mixture_horizon_value.
+
+    A run of two or more replications that draws at least _FORK_ARRIVALS
+    (2^20) expected arrivals in all runs the upper half of them in a forked
+    child. Its results are byte for byte those of a run in one process,
+    which is how smaller runs go, and every run where `os.fork` does not
+    exist or other threads run. The child's memory does not count in this
+    process's peak RSS.
     """
     scenario = config.scenario
     scenario.require("simulate_discounted", "discounted", "mixture")
     price_arr = np.asarray(check_prices(scenario, prices))
-    cost = scenario.workers[0].cost
     budget = config.horizon_hours()
-
-    rep_values = []
-    counts = Counts()
     discount = scenario.discount
-    mixture = scenario.kind == "mixture"
     # every rate a replication can draw is checked before the first draw; a
     # window cut short by the horizon would drop the discounted tail past it
-    for g in map(float, discount.rates if mixture else (discount.rate,)):
+    for g in map(float, discount.rates if scenario.kind == "mixture" else (discount.rate,)):
         windows = budget / (_DISCOUNT_SPAN / g)
         if not 1.0 <= windows < _MAX_WINDOWS:
             raise ConfigError(f"discount rate {g!r} cuts the {budget!r}-hour horizon into "
                               f"{windows!r} windows of {_DISCOUNT_SPAN!r} inverse rates; a run "
                               f"needs at least one, and fewer than int64 can number")
-    for rep in range(config.replications):
+    rep_values, counts = _split(partial(_discounted_reps, config, price_arr, budget), config)
+    return _stats("value", rep_values, counts)
+
+
+def _discounted_reps(config: SimConfig, price_arr, budget: float, reps: range):
+    """The values and counts of the replications `reps` of a discounted run
+    of `budget` hours, for `simulate_discounted`."""
+    scenario = config.scenario
+    cost = scenario.workers[0].cost
+    discount = scenario.discount
+    mixture = scenario.kind == "mixture"
+    rep_values = []
+    counts = Counts()
+    for rep in reps:
         if mixture:
             aux = _stream(config.base_seed, rep)
             g = float(aux.choice(np.asarray(discount.rates), p=np.asarray(discount.weights)))
@@ -713,7 +891,7 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
         counts += _counts(n_arr, n_fit, jobs.size)
         mean_value = value / n_win
         rep_values.append(g * mean_value if mixture else mean_value)
-    return _stats("value", rep_values, counts)
+    return rep_values, counts
 
 
 def _queue_rep(times, ks, ds, prices, cost: float, warm: float, horizon: float):
@@ -749,23 +927,38 @@ def _queue_rep(times, ks, ds, prices, cost: float, warm: float, horizon: float):
     return earned, n_served, times.size - n_served
 
 
+def _queue_reps(config: SimConfig, price_arr, cost: float, sizes, reps: range):
+    """The rates and counts of the replications `reps` of a queue run, for
+    `simulate_queue`."""
+    horizon, warm, span = sizes
+    rep_rates = []
+    counts = Counts()
+    # a priced-out arrival changes no state, so it is dropped at the draw
+    for _, (times, ks, _, ds), n_arr in _replications(config, price_arr, horizon, reps):
+        earned, n_acc, _ = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
+        counts += _counts(n_arr, times.size, n_acc)
+        rep_rates.append(earned / span)
+    return rep_rates, counts
+
+
 def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStats:
     """Simulate the two-class system with one waiting spot.
 
     An arrival finding the worker busy waits only if nobody else is waiting;
     the waiting job starts when the current one ends.
+
+    A run of two or more replications that draws at least _FORK_ARRIVALS
+    (2^20) expected arrivals in all runs the upper half of them in a forked
+    child. Its results are byte for byte those of a run in one process,
+    which is how smaller runs go, and every run where `os.fork` does not
+    exist or other threads run. The child's memory does not count in this
+    process's peak RSS.
     """
     scenario = config.scenario
     _, _, cost = queue_parts(scenario, "simulate_queue")
     price_arr = np.asarray(check_prices(scenario, (price_a, price_b)))
-    # a priced-out arrival changes no state, so it is dropped at the draw
-    horizon, warm, span, reps = _replications(config, price_arr)
-    rep_rates = []
-    counts = Counts()
-    for _, (times, ks, _, ds), n_arr in reps:
-        earned, n_acc, _ = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
-        counts += _counts(n_arr, times.size, n_acc)
-        rep_rates.append(earned / span)
+    sizes = _run_span(config)
+    rep_rates, counts = _split(partial(_queue_reps, config, price_arr, cost, sizes), config)
     return _stats("rate", rep_rates, counts)
 
 
@@ -858,7 +1051,8 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     # a grid may repeat a price or the baseline: each distinct row runs once
     slots = {row: r for r, row in enumerate(dict.fromkeys((baseline, *candidates)))}
     floors = np.min(np.asarray([*(matrix[i] for i in above), *slots]), axis=0)
-    horizon, warm, span, reps = _replications(config, floors)
+    horizon, warm, span = _run_span(config)
+    reps = _replications(config, floors, horizon, range(config.replications))
 
     def streams():
         for _, events, _ in reps:

@@ -2,6 +2,7 @@
 acceptance-summary reporting hook."""
 
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -17,6 +18,24 @@ from ondemand_pricing import (
     UniformValuation,
     WorkerSpec,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped: a long simulation
+    forks, and must reap its child however its run ends. waitpid raises
+    ChildProcessError when this process has no child at all; it reaps a
+    child that has exited, and finds one still running, either of which
+    the test left."""
+    yield
+    if not hasattr(os, "fork"):
+        return
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process: waitpid gave pid {pid} "
+                f"(0 while one runs), status {status}")
 
 
 def unit_uniform_class(arrival_rate=1.0, service_rate=1.0, high=1.0):

@@ -1,6 +1,8 @@
 import csv
 import importlib
 import math
+import os
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +40,7 @@ from ondemand_pricing import (
     solve_discounted,
     solve_fixed_point,
 )
+from ondemand_pricing import cli
 from ondemand_pricing.competition import _ranked_solution
 from ondemand_pricing.config import load_scenario
 from ondemand_pricing.simulate import (
@@ -1534,3 +1537,232 @@ def test_traced_simulate_peaks_no_higher_than_untraced(tmp_path, name):
     untraced = traced_peak(simulate, cfg, prices)
     traced = traced_peak(simulate, cfg, prices, str(tmp_path / "events.csv"))
     assert traced <= 1.05 * untraced
+
+
+# --- runs shared with a forked child ---
+# A run of _FORK_ARRIVALS expected arrivals or more in all forks. These tests
+# force the rule each way at small sizes: at 0 every run of two or more
+# replications forks, and at inf none does.
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child the simulators fork, in order."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def force_rule(monkeypatch, forked):
+    monkeypatch.setattr(simulate_module, "_FORK_ARRIVALS", 0.0 if forked else math.inf)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def one_worker():
+    return Scenario(classes=(unit_uniform_class(),))
+
+
+def two_mixture_classes():
+    return Scenario(classes=(unit_uniform_class(), unit_uniform_class(service_rate=2.0)),
+                    discount=MixtureDiscount(weights=(0.5, 0.5), rates=(1.0, 2.0)))
+
+
+SPLIT_RUNS = {
+    "simulate_lone": (one_worker, lambda cfg: simulate(cfg, (0.6,))),
+    "simulate_fleet": (two_ranked_workers, lambda cfg: simulate(cfg, [[0.6], [0.4]])),
+    "simulate_queue": (two_queue_classes, lambda cfg: simulate_queue(cfg, 0.5, 0.65)),
+    "simulate_discounted": (one_discounted_class, lambda cfg: simulate_discounted(cfg, (0.6,))),
+    "simulate_mixture": (two_mixture_classes,
+                         lambda cfg: simulate_discounted(cfg, (0.5, 0.6))),
+}
+TRACED_RUNS = {"lone": (one_worker, (0.6,)), "fleet": (two_ranked_workers, [[0.6], [0.4]])}
+
+
+@pytest.mark.parametrize(("arrivals", "replications", "forked"), [
+    (100_000.0, 30, True),  # `simulate`'s default, as the CLI runs it
+    (2.0**19, 2, True),
+    (2.0**19 - 1.0, 2, False),
+    (2.0**20, 1, False),  # one replication does not split
+    (20_000.0, 12, False),  # `validate`
+    (6_000.0, 10, False),
+])
+def test_a_run_forks_by_its_expected_arrivals_in_all(arrivals, replications, forked):
+    cfg = SimConfig(scenario=one_worker(), expected_arrivals=arrivals, replications=replications)
+    assert simulate_module._forks(cfg) is forked
+
+
+@pytest.mark.parametrize("replications", [1, 2, 5])
+@pytest.mark.parametrize("name", SPLIT_RUNS)
+def test_a_forked_run_equals_a_run_in_one_process(monkeypatch, forks, name, replications):
+    scenario, run = SPLIT_RUNS[name]
+    cfg = SimConfig(scenario=scenario(), expected_arrivals=2_000.0, replications=replications,
+                    base_seed=83)
+    got = []
+    for forked in (True, False):
+        force_rule(monkeypatch, forked)
+        got.append(repr(run(cfg)))
+    assert len(forks) == (replications > 1)
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("replications", [1, 2, 5])
+@pytest.mark.parametrize("name", TRACED_RUNS)
+def test_a_forked_trace_equals_one_written_in_one_process(tmp_path, monkeypatch, forks, name,
+                                                          replications):
+    scenario, prices = TRACED_RUNS[name]
+    cfg = SimConfig(scenario=scenario(), expected_arrivals=2_000.0, replications=replications,
+                    base_seed=84)
+    got = []
+    for forked in (True, False):
+        force_rule(monkeypatch, forked)
+        path = tmp_path / str(forked) / "events.csv"
+        got.append((repr(simulate(cfg, prices, str(path))), path.read_bytes()))
+    assert len(forks) == (replications > 1)
+    assert got[0] == got[1]
+    assert got[0][0] == repr(simulate(cfg, prices))
+
+
+def failing_from(monkeypatch, first):
+    """Make every replication from `first` on fail as it is drawn, with its
+    number in the error."""
+    offered_events = simulate_module._offered_events
+
+    def offered_or_fail(scenario, seed, rep, *args):
+        if rep >= first:
+            raise ValueError(f"replication {rep} failed")
+        return offered_events(scenario, seed, rep, *args)
+
+    monkeypatch.setattr(simulate_module, "_offered_events", offered_or_fail)
+
+
+@pytest.mark.parametrize("first", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", SPLIT_RUNS)
+def test_a_forked_run_raises_the_error_a_run_in_turn_would(monkeypatch, forks, name, first):
+    # of 4 replications, 0-1 run here and 2-3 in the child: from 0 both
+    # halves fail, from 2 or 3 the child's alone
+    scenario, run = SPLIT_RUNS[name]
+    cfg = SimConfig(scenario=scenario(), expected_arrivals=2_000.0, replications=4)
+    failing_from(monkeypatch, first)
+    for forked in (True, False):
+        force_rule(monkeypatch, forked)
+        with pytest.raises(ValueError, match=f"^replication {first} failed$"):
+            run(cfg)
+        assert_no_child_left()
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("first", [None, 1])
+def test_a_forked_trace_raises_its_error_with_its_type_and_message(tmp_path, monkeypatch,
+                                                                   forks, first):
+    # the trace's directory is a regular file, so the child writing it fails;
+    # when replications 1 and up fail too, the trace's error still comes first
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    cfg = SimConfig(scenario=one_worker(), expected_arrivals=2_000.0, replications=3)
+    if first is not None:
+        failing_from(monkeypatch, first)
+    errors = []
+    for forked in (True, False):
+        force_rule(monkeypatch, forked)
+        with pytest.raises(OSError) as raised:
+            simulate(cfg, (0.6,), str(blocker / "events.csv"))
+        errors.append((type(raised.value), str(raised.value)))
+        assert_no_child_left()
+    assert len(forks) == 1
+    assert errors[0] == errors[1]
+    assert errors[0][0] is FileExistsError
+
+
+class NeedsTwoArguments(Exception):
+    """An exception that pickles but does not load back: loading calls the
+    class with its one message."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def dying_in_the_child(monkeypatch, how):
+    """Make `_queue_rep` end a forked child: exit with no report, or raise an
+    exception that cannot be pickled or cannot be loaded back."""
+    parent = os.getpid()
+    queue_rep = simulate_module._queue_rep
+
+    class Unpicklable(Exception):
+        pass  # a local class: pickle cannot find it by name
+
+    def queue_rep_or_die(*args):
+        if os.getpid() != parent:
+            if how == "exits":
+                os._exit(3)
+            raise Unpicklable("local") if how == "unpicklable" else NeedsTwoArguments("a", "b")
+        return queue_rep(*args)
+
+    monkeypatch.setattr(simulate_module, "_queue_rep", queue_rep_or_die)
+
+
+@pytest.mark.parametrize("how", ["exits", "unpicklable", "unloadable"])
+def test_a_child_that_does_not_report_raises_child_process_error(monkeypatch, forks, how):
+    dying_in_the_child(monkeypatch, how)
+    force_rule(monkeypatch, True)
+    cfg = SimConfig(scenario=two_queue_classes(), expected_arrivals=2_000.0, replications=3)
+    status = 3 if how == "exits" else 1
+    with pytest.raises(ChildProcessError, match=f"exited with status {status} and no result"):
+        simulate_queue(cfg, 0.5, 0.65)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_failed_child_exits_the_cli_2_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                           forks):
+    # `simulate` runs at 100 000 expected arrivals x 30 replications, which fork
+    dying_in_the_child(monkeypatch, "exits")
+    code = cli.main(["simulate", "--config", str(CONFIGS / "queue.json"),
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: a forked simulation process exited with status 3 and no result\n"
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_runs_go_in_one_process_where_the_platform_cannot_fork(monkeypatch, forks):
+    cfg = SimConfig(scenario=two_queue_classes(), expected_arrivals=2_000.0, replications=3)
+    force_rule(monkeypatch, False)
+    alone = repr(simulate_queue(cfg, 0.5, 0.65))
+    force_rule(monkeypatch, True)
+    monkeypatch.delattr(os, "fork")
+    assert not simulate_module._forks(cfg)
+    assert repr(simulate_queue(cfg, 0.5, 0.65)) == alone
+    assert forks == []
+
+
+def test_runs_go_in_one_process_while_another_thread_runs(monkeypatch, forks):
+    # a fork copies only the calling thread, and any lock another holds
+    cfg = SimConfig(scenario=two_queue_classes(), expected_arrivals=2_000.0, replications=3)
+    force_rule(monkeypatch, False)
+    alone = repr(simulate_queue(cfg, 0.5, 0.65))
+    force_rule(monkeypatch, True)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(10.0,))
+    waiting.start()
+    try:
+        assert not simulate_module._forks(cfg)
+        assert repr(simulate_queue(cfg, 0.5, 0.65)) == alone
+    finally:
+        release.set()
+        waiting.join(10.0)
+    assert not waiting.is_alive()
+    assert forks == []
+    assert simulate_module._forks(cfg)
