@@ -16,20 +16,23 @@ Every simulator draws a replication through `_offered_events`: it draws
 each class, drops the arrivals valued below the lowest price any worker it
 runs posts to their class, which leave without changing any state, and
 merges the rest into one time-ordered stream, freeing each class's arrays
-as they are merged. `simulate`, `simulate_queue` and `deviation_scan` take
-their replications from the same two helpers: `_run_span` works out the
-horizon, the warm-up end and the span once per run, and `_replications`
-draws a range of replications lazily, one at a time, in order; `simulate_discounted` draws
+as they are merged; `_counts` counts the dropped ones as priced out.
+`simulate`, `simulate_queue` and `deviation_scan` take their replications
+from the same two helpers: `_run_span` works out the horizon, the warm-up
+end and the span once per run, and `_replications` draws a range of
+replications lazily, one at a time, in order. `simulate_discounted` draws
 its own, over a whole number of windows of each replication's discount
-rate. A deviation scan
-runs only the scanned worker, at its baseline and grid prices, and the
-workers ranked above it, so only their prices set its floors. `_counts`
-counts the dropped ones as priced out. Only `simulate` writes an event
-trace, to the path it is given; the trace is a view of replication 0 and the
-only place that builds a per-arrival worker column, from the arrivals each
-worker took: it redraws the full stream, in which the priced-in arrivals keep
-their order, and scatters that column back onto them, writing each line as it
-reads the arrays' buffers, one arrival at a time.
+rate. A deviation scan runs only the scanned worker, at its baseline and
+grid prices, and the workers ranked above it, so only their prices set its
+floors.
+
+Only `simulate` writes an event trace, to the path it is given: a view of
+replication 0, written by a job of its own, `_trace_first_rep`. The job
+draws and serves replication 0's priced-in stream, keeps only the column of
+each arrival's worker, the one place such a column is built, then redraws
+the full stream, in which the priced-in arrivals keep their order, scatters
+the column back onto them and writes each line as it reads the arrays'
+buffers, one arrival at a time.
 
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
@@ -69,21 +72,20 @@ simulator adds them in start order, left to right from 0.0.
 
 Long runs take two processes. `simulate`, `simulate_queue` and
 `simulate_discounted` each compute their replications' values and counts
-through one function of a range of replications. A run of two or more
-replications that draws at least _FORK_ARRIVALS (2^20) expected arrivals in
-all (replications x expected_arrivals) runs the lower half of the range here
-and the upper half in a forked child, at once, and joins the two results in
-replication order; a traced `simulate` runs replication 0 here, then writes
-its trace in the child while it runs replications 1 and up. Smaller runs,
-every run where `os.fork` does not exist and every run in a process that
-runs other threads call the same function once over every replication, so
-the outputs are byte-identical either way. The
-child sends its result or its exception, pickled, through a pipe and ends
-with `os._exit`; the parent reads the pipe and reaps the child whatever
-happens here, raises the error of the lower replications when both halves
-fail, as a run in turn would, and a ChildProcessError when the child ends
-without reporting. The child's memory is its own, so the parent's peak RSS
-does not count it.
+through one function of a range of replications, and `_at_once` runs two
+calls: the first in a forked child and the second here, at once, for a run
+of two or more replications that draws at least _FORK_ARRIVALS (2^20)
+expected arrivals in all (replications x expected_arrivals), and in turn
+here for any other run, every run where `os.fork` does not exist and every
+run in a process that runs other threads. An untraced run's two calls are
+the lower and the upper half of its replications, joined in replication
+order; a traced `simulate`'s are the trace job and all of its
+replications. The outputs are byte-identical either way. The child sends
+its result or its exception, pickled, through a pipe and ends with
+`os._exit`; the parent reads the pipe and reaps the child whatever happens
+here, raises the child's error when both calls fail, as a run in turn
+would, and a ChildProcessError when the child ends without reporting. The
+child's memory is its own, so the parent's peak RSS does not count it.
 """
 
 from __future__ import annotations
@@ -598,10 +600,21 @@ def _write_trace(path: str, events, chosen, lost_price) -> None:
         fh.writelines(_trace_lines(*events[:3], chosen, lost_price))
 
 
-def _trace_first_rep(path: str, config: SimConfig, horizon: float, floors, chosen) -> None:
-    """Write replication 0's trace to `path`: `chosen`, its kernel's choices
-    on the priced-in stream, scattered back onto the full stream redrawn
-    here. The full stream lives only as long as this call."""
+def _trace_first_rep(path: str, config: SimConfig, matrix, horizon: float, floors) -> None:
+    """Write replication 0's trace to `path`. Its priced-in stream, drawn at
+    `floors`, runs through `_loss_rep` as in `_loss_reps`; only the worker
+    each arrival went to is kept, and scattered back onto the full stream,
+    redrawn once the priced-in one is freed. The full stream lives only as
+    long as this call."""
+    ranks = config.scenario.rank_order
+    events, _ = _offered_events(config.scenario, config.base_seed, 0, horizon, floors)
+    free, taken = _loss_rep(events, events[0] + events[3], matrix, ranks)
+    # each arrival's worker, -1 for none, as int32: the trace writes the same
+    # ints, and intp put its peak 7-8 % above an untraced run's
+    chosen = np.full(free.size, -1, dtype=np.int32)
+    for i, jobs in zip(ranks, taken):
+        chosen[jobs] = i
+    del events, free, taken, jobs  # the redraw needs only `chosen`
     events = _merged_events(config.scenario, config.base_seed, 0, horizon)
     lost_price = events[2] < floors[events[1]]
     shown = np.full(lost_price.size, -1, dtype=np.int32)
@@ -638,13 +651,13 @@ def _run_span(config: SimConfig) -> tuple[float, float, float]:
 
 
 def _replications(config: SimConfig, floors, horizon: float, reps: range):
-    """The replications `reps` of a run over [0, horizon]: (rep, events,
-    arrivals drawn) for each, from `_offered_events` at `floors`, drawn
-    lazily in order. The tuples come straight from a generator expression,
-    which keeps no reference to one once it is handed on, so a caller that
-    drops a replication's arrays frees them (through `enumerate`, which keeps
-    its last result, it could not)."""
-    return ((rep, *_offered_events(config.scenario, config.base_seed, rep, horizon, floors))
+    """The replications `reps` of a run over [0, horizon]: (events, arrivals
+    drawn) for each, from `_offered_events` at `floors`, drawn lazily in
+    order. The tuples come straight from a generator expression, which keeps
+    no reference to one once it is handed on, so a caller that drops a
+    replication's arrays frees them (through `enumerate`, which keeps its
+    last result, it could not)."""
+    return (_offered_events(config.scenario, config.base_seed, rep, horizon, floors)
             for rep in reps)
 
 
@@ -696,15 +709,14 @@ def _outcome(pid: int, read_end: int):
     return pickle.loads(blob)
 
 
-def _at_once(first, second, fork: int | None):
-    """(first(), second()). With `fork` None they run in turn here; else at
-    once, the one at index `fork` in a forked child and the other here,
-    after which the child's outcome is read and the child reaped, whatever
-    happened here. If both fail, the error raised is first()'s, as running
-    them in turn would give."""
-    if fork is None:
+def _at_once(first, second, fork: bool):
+    """(first(), second()). Without `fork` they run in turn here; with it at
+    once, first() in a forked child and second() here, after which the
+    child's outcome is read and the child reaped, whatever happened here. If
+    both fail, the error raised is first()'s, as running them in turn would
+    give."""
+    if not fork:
         return first(), second()
-    calls = (first, second)
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -714,51 +726,42 @@ def _at_once(first, second, fork: int | None):
         raise
     if pid == 0:
         os.close(read_end)
-        _report(calls[fork], write_end)
+        _report(first, write_end)
     os.close(write_end)
-    outcomes = [None, None]
     try:
         try:
-            outcomes[1 - fork] = calls[1 - fork](), None
+            second_result, second_error = second(), None
         except Exception as exc:
-            outcomes[1 - fork] = None, exc
+            second_result, second_error = None, exc
     finally:
-        outcomes[fork] = _outcome(pid, read_end)
-    for _, error in outcomes:
+        first_result, first_error = _outcome(pid, read_end)
+    for error in (first_error, second_error):
         if error is not None:
             raise error
-    return outcomes[0][0], outcomes[1][0]
-
-
-def _joined(lower, upper):
-    """One (values, Counts) result from those of two runs of replications,
-    the lower ones first."""
-    return lower[0] + upper[0], lower[1] + upper[1]
+    return first_result, second_result
 
 
 def _split(run, config: SimConfig):
     """All of a run's replications through `run`, which gives the (values,
-    Counts) of a range of them: in one call here, or for a run that forks,
-    the lower half here and the upper half in a forked child at once, joined
-    in replication order. Each replication's values are the same floats
-    either way."""
+    Counts) of a range of them: the lower half, then the upper, through
+    `_at_once`, so for a run that forks the lower half runs in the child,
+    joined in replication order. Each replication's values are the same
+    floats either way."""
     n = config.replications
-    if not _forks(config):
-        return run(range(n))
-    return _joined(*_at_once(partial(run, range(n // 2)), partial(run, range(n // 2, n)), 1))
+    (lower, lower_counts), (upper, upper_counts) = _at_once(
+        partial(run, range(n // 2)), partial(run, range(n // 2, n)), _forks(config))
+    return lower + upper, lower_counts + upper_counts
 
 
-def _loss_reps(config: SimConfig, matrix, floors, sizes, reps: range, trace=None):
+def _loss_reps(config: SimConfig, matrix, floors, sizes, reps: range):
     """Each worker's rate, one row per replication of `reps` in config
-    order, and their counts, for `simulate`. With `trace`, replication 0's
-    worker column (each arrival's worker, -1 for none) goes to trace() once
-    nothing else of the replication is held."""
+    order, and their counts, for `simulate`."""
     scenario = config.scenario
     horizon, warm, span = sizes
     ranks = scenario.rank_order
     rows = []
     counts = Counts()
-    for rep, events, drawn in _replications(config, floors, horizon, reps):
+    for events, drawn in _replications(config, floors, horizon, reps):
         times, ks, _, ds = events
         ends = times + ds
         free, taken = _loss_rep(events, ends, matrix, ranks)
@@ -768,18 +771,9 @@ def _loss_reps(config: SimConfig, matrix, floors, sizes, reps: range, trace=None
             rates[i] = _earnings(np.asarray(matrix[i])[ks[jobs]] - scenario.workers[i].cost,
                                  times[jobs], ends[jobs], warm, horizon) / span
         rows.append(rates)
-        if rep == 0 and trace is not None:
-            # each arrival's worker, -1 for none, as int32: the trace writes
-            # the same ints, and intp put its peak 7-8 % above an untraced run's
-            chosen = np.full(free.size, -1, dtype=np.int32)
-            for i, jobs in zip(ranks, taken):
-                chosen[jobs] = i
-            del events, times, ks, _, ds, ends, free, taken, jobs  # the redraw needs only `chosen`
-            trace(chosen)
-        else:
-            # the kernel's arrays go now, and the replication's own when the
-            # next draw replaces them: freeing those first was measured slower
-            del ends, free, taken, jobs
+        # the kernel's arrays go now, and the replication's own when the next
+        # draw replaces them: freeing those first was measured slower
+        del ends, free, taken, jobs
     return rows, counts
 
 
@@ -788,13 +782,15 @@ def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimSta
     best-affordable-worker choice. Returns rate statistics over replications.
     With a `trace_path`, replication 0's events are written there as CSV.
 
-    A run of two or more replications that draws at least _FORK_ARRIVALS
-    (2^20) expected arrivals in all runs the upper half of them in a forked
-    child, or with a trace, writes replication 0's trace there while this
-    process runs replications 1 and up. Its results are byte for byte those
-    of a run in one process, which is how smaller runs go, and every run
-    where `os.fork` does not exist or other threads run. The child's memory
-    does not count in this process's peak RSS."""
+    Long runs take two processes: a run of two or more replications that
+    draws at least _FORK_ARRIVALS (2^20) expected arrivals in all runs the
+    lower half of them in a forked child while this process runs the upper
+    half. A traced one runs the trace job in the child instead, which serves
+    replication 0 again on its own, while this process runs every
+    replication. Its results are byte for byte those of a run in one
+    process, which is how smaller runs go, and every run where `os.fork`
+    does not exist or other threads run. The child's memory does not count
+    in this process's peak RSS."""
     scenario = config.scenario
     matrix = _loss_matrix(scenario, prices, "simulate")
     floors = np.min(np.asarray(matrix), axis=0)
@@ -803,15 +799,9 @@ def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimSta
     if trace_path is None:
         rows, counts = _split(run, config)
     else:
-        # replication 0 first, then its trace, from its worker column, beside
-        # or before the rest: the order a run in turn takes, which keeps its
-        # peak memory that of an untraced run
-        chosen = []
-        first = run(range(1), chosen.append)
-        trace = partial(_trace_first_rep, trace_path, config, sizes[0], floors, chosen.pop())
-        _, rest = _at_once(trace, partial(run, range(1, config.replications)),
-                           0 if _forks(config) else None)
-        rows, counts = _joined(first, rest)
+        trace = partial(_trace_first_rep, trace_path, config, matrix, sizes[0], floors)
+        _, (rows, counts) = _at_once(trace, partial(run, range(config.replications)),
+                                     _forks(config))
     return _stats("rate", [left_sum(row) for row in rows], counts,
                   per_worker_reps=tuple(zip(*rows)))
 
@@ -831,9 +821,10 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
     the estimate targets the same branch-rate-weighted objective as
     mixture_horizon_value.
 
-    A run of two or more replications that draws at least _FORK_ARRIVALS
-    (2^20) expected arrivals in all runs the upper half of them in a forked
-    child. Its results are byte for byte those of a run in one process,
+    Long runs take two processes: a run of two or more replications that
+    draws at least _FORK_ARRIVALS (2^20) expected arrivals in all runs the
+    lower half of them in a forked child while this process runs the upper
+    half. Its results are byte for byte those of a run in one process,
     which is how smaller runs go, and every run where `os.fork` does not
     exist or other threads run. The child's memory does not count in this
     process's peak RSS.
@@ -934,7 +925,7 @@ def _queue_reps(config: SimConfig, price_arr, cost: float, sizes, reps: range):
     rep_rates = []
     counts = Counts()
     # a priced-out arrival changes no state, so it is dropped at the draw
-    for _, (times, ks, _, ds), n_arr in _replications(config, price_arr, horizon, reps):
+    for (times, ks, _, ds), n_arr in _replications(config, price_arr, horizon, reps):
         earned, n_acc, _ = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
         counts += _counts(n_arr, times.size, n_acc)
         rep_rates.append(earned / span)
@@ -947,9 +938,10 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     An arrival finding the worker busy waits only if nobody else is waiting;
     the waiting job starts when the current one ends.
 
-    A run of two or more replications that draws at least _FORK_ARRIVALS
-    (2^20) expected arrivals in all runs the upper half of them in a forked
-    child. Its results are byte for byte those of a run in one process,
+    Long runs take two processes: a run of two or more replications that
+    draws at least _FORK_ARRIVALS (2^20) expected arrivals in all runs the
+    lower half of them in a forked child while this process runs the upper
+    half. Its results are byte for byte those of a run in one process,
     which is how smaller runs go, and every run where `os.fork` does not
     exist or other threads run. The child's memory does not count in this
     process's peak RSS.
@@ -1055,7 +1047,7 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     reps = _replications(config, floors, horizon, range(config.replications))
 
     def streams():
-        for _, events, _ in reps:
+        for events, _ in reps:
             times, _, vs, ds = events
             ends = times + ds
             free = _loss_rep(events, ends, matrix, above)[0]

@@ -1650,8 +1650,8 @@ def failing_from(monkeypatch, first):
 @pytest.mark.parametrize("first", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", SPLIT_RUNS)
 def test_a_forked_run_raises_the_error_a_run_in_turn_would(monkeypatch, forks, name, first):
-    # of 4 replications, 0-1 run here and 2-3 in the child: from 0 both
-    # halves fail, from 2 or 3 the child's alone
+    # of 4 replications, 0-1 run in the child and 2-3 here: from 0 both
+    # halves fail, from 2 or 3 this process's alone
     scenario, run = SPLIT_RUNS[name]
     cfg = SimConfig(scenario=scenario(), expected_arrivals=2_000.0, replications=4)
     failing_from(monkeypatch, first)
@@ -1683,6 +1683,24 @@ def test_a_forked_trace_raises_its_error_with_its_type_and_message(tmp_path, mon
     assert len(forks) == 1
     assert errors[0] == errors[1]
     assert errors[0][0] is FileExistsError
+
+
+@pytest.mark.parametrize("name", TRACED_RUNS)
+def test_a_traced_run_whose_first_draw_fails_raises_that_error(tmp_path, monkeypatch, forks,
+                                                               name):
+    # the trace job draws replication 0 itself, as do the replications: both
+    # calls fail at that draw, before the trace's directory is made
+    scenario, prices = TRACED_RUNS[name]
+    cfg = SimConfig(scenario=scenario(), expected_arrivals=2_000.0, replications=3)
+    failing_from(monkeypatch, 0)
+    for forked in (True, False):
+        force_rule(monkeypatch, forked)
+        path = tmp_path / str(forked) / "events.csv"
+        with pytest.raises(ValueError, match="^replication 0 failed$"):
+            simulate(cfg, prices, str(path))
+        assert not path.parent.exists()
+        assert_no_child_left()
+    assert len(forks) == 1
 
 
 class NeedsTwoArguments(Exception):
