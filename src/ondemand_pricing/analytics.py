@@ -4,8 +4,9 @@ The long-run average rate at price vector p is
 
     sum_k load_k * (p_k - c) * tail_k(p_k)  /  (1 + sum_k load_k * tail_k(p_k))
 
-where load_k is the class's offered load. Discounted variants reuse the same
-functional with discount-adjusted loads.
+where load_k is the class's offered load, and the worker is busy a share
+offered / (1 + offered) of the time, offered = sum_k load_k * tail_k(p_k).
+Discounted variants reuse the same functional with discount-adjusted loads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import replace
 
 from .errors import NonFiniteRate
-from .model import CustomerClass, Scenario, check_prices
+from .model import CustomerClass, Scenario, check_prices, left_sum
 
 
 def avg_earning_rate(scenario: Scenario, prices) -> float:
@@ -46,6 +47,17 @@ def earning_rate(terms: Sequence[tuple[float, Callable]], cost: float, prices) -
     if not math.isfinite(rate):
         raise NonFiniteRate(f"earning rate is not finite at prices {tuple(map(float, prices))}")
     return rate
+
+
+def busy_share(terms: Sequence[tuple[float, Callable]], prices) -> float:
+    """Long-run share of time the worker is busy, offered / (1 + offered) with
+    offered = sum_k weight_k * tail_k(p_k), on the same unchecked (weight,
+    tail) terms as `earning_rate`. An infinite offered load gives the limit
+    1.0; a NaN one (an infinite load times a zero tail) raises NonFiniteRate."""
+    offered = left_sum(weight * tail(p) for (weight, tail), p in zip(terms, prices))
+    if math.isnan(offered):
+        raise NonFiniteRate(f"offered load is not a number at prices {tuple(map(float, prices))}")
+    return 1.0 if offered == math.inf else offered / (1.0 + offered)
 
 
 def effective_load(cls: CustomerClass, gamma: float) -> float:

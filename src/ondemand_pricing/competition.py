@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import earning_rate
+from .analytics import busy_share, earning_rate, load_tails
 from .errors import ConfigError, ModelMismatch, SingularSystem
 from .model import (
     CustomerClass,
@@ -32,10 +32,9 @@ from .model import (
     Scenario,
     WorkerSpec,
     check_prices,
-    left_sum,
     row_sums,
 )
-from .solver import Solution, solve_fixed_point
+from .solver import Solution, reserve_iteration, solve_fixed_point
 
 _MAX_FLEET = 10
 _BISECT_TOL = 1e-13
@@ -63,11 +62,7 @@ _BLOCK_ENTRIES = 1 << 20
 def busy_fraction(scenario: Scenario, prices) -> float:
     """Long-run probability that the sole worker is serving a job."""
     scenario.require("busy_fraction", "loss")
-    prices = check_prices(scenario, prices)
-    offered = left_sum(
-        cls.load * cls.valuation.tail(p) for cls, p in zip(scenario.classes, prices)
-    )
-    return offered / (1.0 + offered)
+    return busy_share(load_tails(scenario.classes), check_prices(scenario, prices))
 
 
 @dataclass(frozen=True)
@@ -158,27 +153,26 @@ def _best_response(curve: ResidualDemandCurve, floor: float) -> float:
     return max(sorted(candidates), key=lambda p: (p - floor) * curve.demand(p))
 
 
-def _optimize_vs_residual(curves, cost: float) -> Solution:
+def _optimize_vs_residual(curves, terms, cost: float) -> Solution:
     """Best prices against fixed residual demand curves and their rate, with
     the number of reserve steps taken and whether the reserve iteration
     converged within _RESERVE_MAX_ITER of them.
 
-    Same reserve-rate decomposition as the loss-system solver: at reserve R
-    each class's price maximizes (p - cost - R) times residual demand, and the
-    achieved rate feeds back until it reproduces itself. The rate is the loss
-    system's `earning_rate`, each class's residual demand in place of its tail
-    and its mean duration in place of its load.
+    A lower rank runs the lone worker's loop, `solver.reserve_iteration`, from
+    reserve 0: at reserve R each class's price maximizes (p - cost - R) times
+    residual demand, and the achieved rate feeds back until it reproduces
+    itself. The rate is the loss system's `earning_rate` on `terms`, one
+    (mean duration, `curve.demand`) pair per curve: each class's residual
+    demand in place of its tail and its mean duration in place of its load.
     """
-    terms = [(curve.customer_class.duration.mean, curve.demand) for curve in curves]
-    reserve = 0.0
-    for step in range(1, _RESERVE_MAX_ITER + 1):
+    def step(reserve: float) -> tuple[float, PriceVector]:
         prices = tuple(_best_response(curve, cost + reserve) for curve in curves)
-        achieved = earning_rate(terms, cost, prices)
-        converged = abs(achieved - reserve) <= _RESERVE_TOL
-        reserve = achieved
-        if converged:
-            break
-    return Solution(prices=prices, rate=reserve, iterations=step, trace=(), converged=converged)
+        return earning_rate(terms, cost, prices), prices
+
+    rate, prices, trace, converged = reserve_iteration(
+        step, 0.0, _RESERVE_TOL, _RESERVE_MAX_ITER)
+    return Solution(prices=prices, rate=rate, iterations=len(trace), trace=trace,
+                    converged=converged)
 
 
 @dataclass(frozen=True)
@@ -223,16 +217,13 @@ def ranked_price_equilibrium(scenario: Scenario) -> RankedEquilibrium:
     curves = [ResidualDemandCurve(cls) for cls in scenario.classes]
     outcomes = []
     for level, worker in enumerate(scenario.workers[i] for i in scenario.rank_order):
+        terms = [(curve.customer_class.duration.mean, curve.demand) for curve in curves]
         if level == 0:
             sol = solve_fixed_point(
                 Scenario(classes=scenario.classes, workers=(WorkerSpec(cost=worker.cost),)))
         else:
-            sol = _optimize_vs_residual(curves, worker.cost)
-        offered = left_sum(
-            curve.demand(p) * curve.customer_class.duration.mean
-            for curve, p in zip(curves, sol.prices)
-        )
-        busy = offered / (1.0 + offered)
+            sol = _optimize_vs_residual(curves, terms, worker.cost)
+        busy = busy_share(terms, sol.prices)
         outcomes.append(
             WorkerOutcome(rank=worker.rank, prices=sol.prices, rate=sol.rate,
                           busy_fraction=busy, converged=sol.converged)

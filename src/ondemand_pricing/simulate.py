@@ -782,15 +782,8 @@ def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimSta
     best-affordable-worker choice. Returns rate statistics over replications.
     With a `trace_path`, replication 0's events are written there as CSV.
 
-    Long runs take two processes: a run of two or more replications that
-    draws at least _FORK_ARRIVALS (2^20) expected arrivals in all runs the
-    lower half of them in a forked child while this process runs the upper
-    half. A traced one runs the trace job in the child instead, which serves
-    replication 0 again on its own, while this process runs every
-    replication. Its results are byte for byte those of a run in one
-    process, which is how smaller runs go, and every run where `os.fork`
-    does not exist or other threads run. The child's memory does not count
-    in this process's peak RSS."""
+    A long run takes two processes, with byte-identical results; the module
+    docstring's "Long runs take two processes" says when and how."""
     scenario = config.scenario
     matrix = _loss_matrix(scenario, prices, "simulate")
     floors = np.min(np.asarray(matrix), axis=0)
@@ -821,13 +814,8 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
     the estimate targets the same branch-rate-weighted objective as
     mixture_horizon_value.
 
-    Long runs take two processes: a run of two or more replications that
-    draws at least _FORK_ARRIVALS (2^20) expected arrivals in all runs the
-    lower half of them in a forked child while this process runs the upper
-    half. Its results are byte for byte those of a run in one process,
-    which is how smaller runs go, and every run where `os.fork` does not
-    exist or other threads run. The child's memory does not count in this
-    process's peak RSS.
+    A long run takes two processes, with byte-identical results; the module
+    docstring's "Long runs take two processes" says when and how.
     """
     scenario = config.scenario
     scenario.require("simulate_discounted", "discounted", "mixture")
@@ -938,13 +926,8 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     An arrival finding the worker busy waits only if nobody else is waiting;
     the waiting job starts when the current one ends.
 
-    Long runs take two processes: a run of two or more replications that
-    draws at least _FORK_ARRIVALS (2^20) expected arrivals in all runs the
-    lower half of them in a forked child while this process runs the upper
-    half. Its results are byte for byte those of a run in one process,
-    which is how smaller runs go, and every run where `os.fork` does not
-    exist or other threads run. The child's memory does not count in this
-    process's peak RSS.
+    A long run takes two processes, with byte-identical results; the module
+    docstring's "Long runs take two processes" says when and how.
     """
     scenario = config.scenario
     _, _, cost = queue_parts(scenario, "simulate_queue")

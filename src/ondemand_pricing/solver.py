@@ -5,13 +5,16 @@ candidate rate R to the best achievable rate when each busy hour is shadow
 priced at R. Per class, the best price at reserve R solves
 p = cost + R + tail(p)/density(p); iterating the map converges monotonically
 from below and the iteration count stays in single digits for regular laws.
+`reserve_iteration` is that iteration, the paper's simple and practical
+iterative procedure; a lower-ranked worker in `competition` runs the same loop
+against the demand left upstream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import numpy as np
@@ -62,6 +65,26 @@ def _rate_map(classes, terms, cost: float, reserve: float) -> tuple[float, Price
     return earning_rate(terms, cost, prices), prices
 
 
+def reserve_iteration(step, reserve: float, tol: float, max_iter: int):
+    """The paper's iterative procedure: R <- step(R)'s achieved rate, from
+    `reserve`, until a step moves the rate by at most `tol` or `max_iter`
+    steps have run, `max_iter` >= 1. `step(R)` returns (achieved rate, prices)
+    at reserve R.
+
+    Returns the last achieved rate, that step's prices, the (reserve,
+    achieved) trace and whether the last step converged.
+    """
+    trace = []
+    for _ in range(max_iter):
+        achieved, prices = step(reserve)
+        trace.append((reserve, achieved))
+        converged = abs(achieved - reserve) <= tol
+        reserve = achieved
+        if converged:
+            break
+    return reserve, prices, tuple(trace), converged
+
+
 @dataclass(frozen=True)
 class Solution:
     """Solver output: optimal prices, the achieved rate, and the iteration trace."""
@@ -93,24 +116,14 @@ def solve_fixed_point(scenario: Scenario, r0: float = 0.0) -> Solution:
     if not 0.0 <= r0 < math.inf:  # NaN fails every comparison
         raise ConfigError(f"r0 must be finite and nonnegative, got {r0!r}")
     classes, cost = scenario.classes, scenario.workers[0].cost
-    terms = load_tails(classes)
-    reserve = r0
-    trace: list[tuple[float, float]] = []
-    converged = False
-    for _ in range(_MAX_ITER):
-        achieved, _ = _rate_map(classes, terms, cost, reserve)
-        trace.append((reserve, achieved))
-        if abs(achieved - reserve) <= _TOL:
-            converged = True
-            reserve = achieved
-            break
-        reserve = achieved
-    rate, prices = _rate_map(classes, terms, cost, reserve)
+    step = partial(_rate_map, classes, load_tails(classes), cost)
+    reserve, _, trace, converged = reserve_iteration(step, r0, _TOL, _MAX_ITER)
+    rate, prices = step(reserve)
     return Solution(
         prices=prices,
         rate=rate,
         iterations=len(trace),
-        trace=tuple(trace),
+        trace=trace,
         converged=converged,
     )
 

@@ -10,6 +10,7 @@ from ondemand_pricing import (
     ExponentialDuration,
     ExponentialValuation,
     ModelMismatch,
+    NonFiniteRate,
     PiecewiseLinearValuation,
     Scenario,
     SingularSystem,
@@ -50,11 +51,15 @@ def scan_best_response(curve, floor):
     return float(fine[j]), float(fine[1] - fine[0])
 
 
+def residual_terms(curves):
+    """Each class's mean duration and residual demand, in place of its load
+    and tail."""
+    return [(c.customer_class.duration.mean, c.demand) for c in curves]
+
+
 def residual_rate(curves, prices, cost):
-    """The earning rate against residual demand curves: each class's mean
-    duration times its residual demand in place of load times tail."""
-    terms = [(c.customer_class.duration.mean, c.demand) for c in curves]
-    return earning_rate(terms, cost, prices)
+    """The earning rate against residual demand curves."""
+    return earning_rate(residual_terms(curves), cost, prices)
 
 
 def scan_optimize_vs_residual(curves, cost):
@@ -181,6 +186,24 @@ def test_busy_fraction_matches_load_expression(two_class_scenario):
         assert busy_fraction(two_class_scenario, prices) == pytest.approx(
             offered / (1.0 + offered), abs=1e-12
         )
+
+
+def test_busy_fraction_of_an_infinite_offered_load_is_one():
+    # loads of 1e308 sum to inf at prices (0, 0): the busy share's limit is 1,
+    # not inf / inf
+    flooded = Scenario(classes=(unit_uniform_class(arrival_rate=1e308),
+                                unit_uniform_class(arrival_rate=1e308, high=2.0)))
+    assert busy_fraction(flooded, (0.0, 0.0)) == 1.0
+
+
+def test_busy_fraction_refuses_a_nan_offered_load():
+    # a duration rate of 5e-324 makes the load inf: inf times a positive tail
+    # is busy all the time, inf times the zero tail at the top price is no number
+    endless = Scenario(classes=(unit_uniform_class(service_rate=5e-324),))
+    assert endless.classes[0].load == math.inf
+    assert busy_fraction(endless, (0.5,)) == 1.0
+    with pytest.raises(NonFiniteRate, match=r"^offered load is not a number at prices \(1\.0,\)$"):
+        busy_fraction(endless, (1.0,))
 
 
 def test_residual_demand_spot_values():
@@ -464,7 +487,7 @@ def test_residual_optimizer_matches_scan_two_classes_with_commission():
                apply_commission(_class(EXPONENTIAL, 0.9), 0.85))
     curves = [ResidualDemandCurve(classes[0], ((0.7, 0.45), (0.4, 0.3))),
               ResidualDemandCurve(classes[1], ((0.6, 0.45), (0.3, 0.3)))]
-    sol = _optimize_vs_residual(curves, 0.05)
+    sol = _optimize_vs_residual(curves, residual_terms(curves), 0.05)
     assert sol.converged
     assert 1 <= sol.iterations <= competition._RESERVE_MAX_ITER
     assert sol.rate == residual_rate(curves, sol.prices, 0.05)
@@ -479,7 +502,7 @@ def test_equilibrium_reports_convergence(ranked_fleet_scenario, monkeypatch):
     curves = [ResidualDemandCurve(scn.classes[0], ((0.6, 0.3),))]
     # one reserve step cannot reach the fixed point: every lower rank says so
     monkeypatch.setattr(competition, "_RESERVE_MAX_ITER", 1)
-    sol = _optimize_vs_residual(curves, 0.0)
+    sol = _optimize_vs_residual(curves, residual_terms(curves), 0.0)
     assert (sol.converged, sol.iterations) == (False, 1)
     capped = ranked_price_equilibrium(scn)
     assert [o.converged for o in capped.outcomes] == [True, False, False]

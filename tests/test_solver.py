@@ -256,6 +256,18 @@ def test_fixed_point_consistency(two_class_scenario):
     assert prices == pytest.approx(sol.prices, abs=1e-8)
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_capped_solve_reports_no_convergence_and_maps_its_last_rate(
+        two_class_scenario, monkeypatch, cap):
+    # the cap stops the shared reserve loop; the solver then maps its last
+    # achieved rate once more, and returns that step's rate and prices
+    monkeypatch.setattr(solver, "_MAX_ITER", cap)
+    sol = solve_fixed_point(two_class_scenario)
+    assert sol.converged is False
+    assert sol.iterations == len(sol.trace) == cap
+    assert (sol.rate, sol.prices) == rate_map(two_class_scenario, sol.trace[-1][1])
+
+
 def test_solution_beats_random_price_vectors(two_class_scenario):
     sol = solve_fixed_point(two_class_scenario)
     rng = np.random.default_rng(17)
