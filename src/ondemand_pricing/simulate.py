@@ -13,10 +13,14 @@ warmup prefix, discounted estimates run from the idle start because the
 start state is part of the quantity.
 
 Every simulator draws a replication through `_offered_events`: it draws
-each class, drops the arrivals valued below the lowest price any worker it
-runs posts to their class, which leave without changing any state, and
-merges the rest into one time-ordered stream, freeing each class's arrays
-as they are merged; `_counts` counts the dropped ones as priced out.
+each class's arrival times and valuations, drops the arrivals valued below
+the lowest price any worker it runs posts to their class, which leave
+without changing any state, as soon as the valuations are drawn and before
+the durations are, and merges the rest into one time-ordered stream,
+freeing each class's arrays as they are merged; `_counts` counts the
+dropped ones as priced out. `simulate`, `simulate_queue` and
+`simulate_discounted` hold one replication at a time: each releases a
+replication's arrays before it draws the next.
 `simulate`, `simulate_queue` and `deviation_scan` take their replications
 from the same two helpers: `_run_span` works out the horizon, the warm-up
 end and the span once per run, and `_replications` draws a range of
@@ -30,9 +34,9 @@ Only `simulate` writes an event trace, to the path it is given: a view of
 replication 0, written by a job of its own, `_trace_first_rep`. The job
 draws and serves replication 0's priced-in stream, keeps only the column of
 each arrival's worker, the one place such a column is built, then redraws
-the full stream, in which the priced-in arrivals keep their order, scatters
-the column back onto them and writes each line as it reads the arrays'
-buffers, one arrival at a time.
+every arrival's time and valuation, no duration, in which the priced-in
+arrivals keep their order, scatters the column back onto them and writes
+each line as it reads the arrays' buffers, one arrival at a time.
 
 Loss systems run on one kernel, `_loss_accepts`. A busy worker loses every
 arrival, so the job a lone worker takes after the one ending at t + d is the
@@ -297,8 +301,8 @@ def _gaps_summed(rng, scale: float, n: int) -> np.ndarray:
     return np.cumsum(times, out=times)
 
 
-def _class_arrivals(cls, rng, horizon: float):
-    """Arrival times, valuations, and durations for one class on [0, horizon].
+def _valued_arrivals(cls, rng, horizon: float):
+    """Arrival times and valuations for one class on [0, horizon].
 
     Draws depend only on the stream and horizon, never on prices or routing,
     so common-random-number comparisons stay paired. The times are running
@@ -310,7 +314,7 @@ def _class_arrivals(cls, rng, horizon: float):
     lam = cls.arrival_rate
     if lam <= 0.0:
         empty = np.empty(0)
-        return empty, empty, empty
+        return empty, empty
     expected = lam * horizon
     block = int(expected + 6.0 * math.sqrt(expected) + 16.0)
     times = _gaps_summed(rng, 1.0 / lam, block)
@@ -318,21 +322,34 @@ def _class_arrivals(cls, rng, horizon: float):
         more = _gaps_summed(rng, 1.0 / lam, block)
         times = np.concatenate([times, times[-1] + more])
     n = int(np.searchsorted(times, horizon, side="right"))
-    times = times[:n]
-    valuations = np.asarray(cls.valuation.sample(rng, n), dtype=float)
-    durations = np.asarray(cls.duration.sample(rng, n), dtype=float)
-    return times, valuations, durations
+    return times[:n], np.asarray(cls.valuation.sample(rng, n), dtype=float)
+
+
+def _class_arrivals(cls, rng, horizon: float, floor: float, count=np.size):
+    """The (times, valuations, durations) of one class's arrivals on
+    [0, horizon] valued at `floor` or more, and `count` of the times of all
+    the arrivals drawn. An arrival valued below `floor`, the lowest price any
+    worker posts to the class, is never served: it goes as soon as the
+    valuations are drawn, before the durations are, so the full draw never
+    sits beside its priced-in copy. A NaN valuation stays, as it stays in the
+    kernels' own price tests. Every arrival's duration is drawn, so the
+    stream's use does not depend on `floor`."""
+    times, vs = _valued_arrivals(cls, rng, horizon)
+    n, drawn = times.size, count(times)
+    keep = np.flatnonzero(~(vs < floor))
+    times, vs = times[keep], vs[keep]
+    return (times, vs, np.asarray(cls.duration.sample(rng, n), dtype=float)[keep]), drawn
 
 
 def _merge(parts):
-    """Time-ordered (time, class, valuation, duration) arrays from each
-    class's (times, valuations, durations), in class order. `parts` is
-    emptied and each class's arrays are freed once merged, so beyond its
-    result the merge holds at most two arrays as long as the stream."""
+    """Time-ordered (time, class, *columns) arrays from each class's (times,
+    *columns), in class order. `parts` is emptied and each class's arrays
+    are freed once merged, so beyond its result the merge holds at most two
+    arrays as long as the stream."""
     if len(parts) == 1:  # one class is drawn in time order
-        times, vs, ds = parts.pop()
-        return times, np.zeros(times.size, dtype=int), vs, ds
-    ts, vs, ds = map(list, zip(*parts))
+        times, *columns = parts.pop()
+        return times, np.zeros(times.size, dtype=int), *columns
+    ts, *columns = map(list, zip(*parts))
     parts.clear()
     sizes = [t.size for t in ts]
     times = np.concatenate(ts)
@@ -346,34 +363,21 @@ def _merge(parts):
         arrays.clear()
         return whole[order]
 
-    return times, ks, gather(vs), gather(ds)
-
-
-def _merged_events(scenario: Scenario, base_seed: int, rep: int, horizon: float):
-    """Time-ordered (time, class, valuation, duration) arrays for one replication."""
-    return _merge([_class_arrivals(cls, _stream(base_seed, rep, k), horizon)
-                   for k, cls in enumerate(scenario.classes)])
-
-
-def _priced_in(times, vs, ds, floor):
-    """One class's arrivals without those valued below `floor`, the lowest
-    price any worker posts to the class: none of them is ever served. A NaN
-    valuation stays, as it stays in the kernels' own price tests."""
-    keep = np.flatnonzero(~(vs < floor))
-    return times[keep], vs[keep], ds[keep]
+    return times, ks, *map(gather, columns)
 
 
 def _offered_events(scenario: Scenario, base_seed: int, rep: int, horizon: float, floors,
                     count=np.size):
-    """_merged_events without the arrivals of class k valued below
-    floors[k], and the arrivals drawn: the sum of `count` over each class's
-    times, all of them by default. The draws are the same."""
+    """Time-ordered (time, class, valuation, duration) arrays for one
+    replication's arrivals of each class k valued at floors[k] or more, and
+    the arrivals drawn: the sum of `count` over each class's times, all of
+    them by default. The draws do not depend on `floors`."""
     parts, drawn = [], 0
     for k, cls in enumerate(scenario.classes):
-        times, vs, ds = _class_arrivals(cls, _stream(base_seed, rep, k), horizon)
-        drawn += count(times)
-        parts.append(_priced_in(times, vs, ds, floors[k]))
-    del times, vs, ds  # the last class's full draw, before the merge
+        arrivals, n = _class_arrivals(cls, _stream(base_seed, rep, k), horizon, floors[k], count)
+        parts.append(arrivals)
+        drawn += n
+    del arrivals  # the last class's, which the merge frees
     return _merge(parts), drawn
 
 
@@ -521,9 +525,14 @@ def _earnings(margins, starts, ends, warm: float, horizon: float) -> float:
 
 def _serve(events, ends, free, row) -> np.ndarray:
     """The arrivals of one replication that one worker posting `row` takes
-    among those still `free`."""
+    among those still `free`. A worker offered every arrival (a lone worker,
+    or the best rank posting the floors, unless some valuation is NaN) is
+    served on the replication's own arrays, with no copies."""
     times, ks, vs, _ = events
-    offered = np.flatnonzero(free & (np.asarray(row)[ks] <= vs))
+    offered = free & (np.asarray(row)[ks] <= vs)
+    if offered.all():
+        return _loss_accepts(times, ends)
+    offered = np.flatnonzero(offered)
     return offered[_loss_accepts(times[offered], ends[offered])]
 
 
@@ -600,26 +609,40 @@ def _write_trace(path: str, events, chosen, lost_price) -> None:
         fh.writelines(_trace_lines(*events[:3], chosen, lost_price))
 
 
+def _trace_events(scenario: Scenario, base_seed: int, horizon: float, floors):
+    """Replication 0's every arrival, time-ordered, in the columns the trace
+    writes: (time, class, valuation, priced out). No duration is drawn, and a
+    one-class stream's class column is one zero, broadcast."""
+    parts = []
+    for k, cls in enumerate(scenario.classes):
+        times, vs = _valued_arrivals(cls, _stream(base_seed, 0, k), horizon)
+        parts.append((times, vs, vs < floors[k]))
+    del times, vs  # the last class's, which the merge frees
+    if len(parts) > 1:
+        return _merge(parts)
+    times, vs, lost_price = parts.pop()
+    return times, np.broadcast_to(0, times.size), vs, lost_price
+
+
 def _trace_first_rep(path: str, config: SimConfig, matrix, horizon: float, floors) -> None:
     """Write replication 0's trace to `path`. Its priced-in stream, drawn at
     `floors`, runs through `_loss_rep` as in `_loss_reps`; only the worker
-    each arrival went to is kept, and scattered back onto the full stream,
-    redrawn once the priced-in one is freed. The full stream lives only as
-    long as this call."""
+    each arrival went to is kept, and scattered back onto every arrival,
+    redrawn by `_trace_events` once the priced-in stream is freed."""
     ranks = config.scenario.rank_order
     events, _ = _offered_events(config.scenario, config.base_seed, 0, horizon, floors)
-    free, taken = _loss_rep(events, events[0] + events[3], matrix, ranks)
+    free, taken = _loss_rep(events, np.add(events[0], events[3], out=events[3]), matrix, ranks)
     # each arrival's worker, -1 for none, as int32: the trace writes the same
     # ints, and intp put its peak 7-8 % above an untraced run's
     chosen = np.full(free.size, -1, dtype=np.int32)
     for i, jobs in zip(ranks, taken):
         chosen[jobs] = i
     del events, free, taken, jobs  # the redraw needs only `chosen`
-    events = _merged_events(config.scenario, config.base_seed, 0, horizon)
-    lost_price = events[2] < floors[events[1]]
+    times, ks, vs, lost_price = _trace_events(config.scenario, config.base_seed, horizon, floors)
     shown = np.full(lost_price.size, -1, dtype=np.int32)
     shown[~lost_price] = chosen
-    _write_trace(path, events, shown, lost_price)
+    del chosen
+    _write_trace(path, (times, ks, vs), shown, lost_price)
 
 
 def _check_matrix(scenario: Scenario, prices) -> list:
@@ -762,8 +785,8 @@ def _loss_reps(config: SimConfig, matrix, floors, sizes, reps: range):
     rows = []
     counts = Counts()
     for events, drawn in _replications(config, floors, horizon, reps):
-        times, ks, _, ds = events
-        ends = times + ds
+        times, ks, _, ends = events
+        np.add(times, ends, out=ends)  # over the durations, which nothing reads again
         free, taken = _loss_rep(events, ends, matrix, ranks)
         counts += _counts(drawn, free.size, free.size - int(np.count_nonzero(free)))
         rates = [0.0] * len(ranks)  # in config order; `taken` is in rank order
@@ -771,9 +794,7 @@ def _loss_reps(config: SimConfig, matrix, floors, sizes, reps: range):
             rates[i] = _earnings(np.asarray(matrix[i])[ks[jobs]] - scenario.workers[i].cost,
                                  times[jobs], ends[jobs], warm, horizon) / span
         rows.append(rates)
-        # the kernel's arrays go now, and the replication's own when the next
-        # draw replaces them: freeing those first was measured slower
-        del ends, free, taken, jobs
+        del events, times, ks, _, ends, free, taken, jobs  # before the next draw
     return rows, counts
 
 
@@ -870,6 +891,7 @@ def _discounted_reps(config: SimConfig, price_arr, budget: float, reps: range):
         counts += _counts(n_arr, n_fit, jobs.size)
         mean_value = value / n_win
         rep_values.append(g * mean_value if mixture else mean_value)
+        del times, ks, _, ds, wins, t, w, jobs, local, head, tail  # before the next draw
     return rep_values, counts
 
 
@@ -917,6 +939,7 @@ def _queue_reps(config: SimConfig, price_arr, cost: float, sizes, reps: range):
         earned, n_acc, _ = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
         counts += _counts(n_arr, times.size, n_acc)
         rep_rates.append(earned / span)
+        del times, ks, ds  # before the next draw
     return rep_rates, counts
 
 

@@ -5,6 +5,12 @@ candidate rate R to the best achievable rate when each busy hour is shadow
 priced at R. Per class, the best price at reserve R solves
 p = cost + R + tail(p)/density(p); iterating the map converges monotonically
 from below and the iteration count stays in single digits for regular laws.
+Every stopping rule is an absolute tolerance: _TOL here is 1e-10 on the
+rate, `competition._RESERVE_TOL` 1e-12, and `competition._BISECT_TOL` and
+`search._PRICE_TOL` 1e-13 (the ascent's is relative only above a price of
+1). So they assume prices and rates of order one in the config's money unit:
+with every amount scaled by 2^-30, `two_class` stops after 2 map steps with
+a bracket 13 % of the rate wide.
 `reserve_iteration` is that iteration, the paper's simple and practical
 iterative procedure; a lower-ranked worker in `competition` runs the same loop
 against the demand left upstream.

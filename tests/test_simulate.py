@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -52,9 +53,7 @@ from ondemand_pricing.simulate import (
     _finite_mean_se,
     _loss_accepts,
     _mean_se,
-    _merged_events,
     _offered_events,
-    _priced_in,
     _queue_rep,
     _run_ends,
     _stats,
@@ -66,6 +65,18 @@ from tests.conftest import queue_scenario, unit_uniform_class
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the module, which the package's `simulate` function shadows as an attribute
 simulate_module = importlib.import_module("ondemand_pricing.simulate")
+
+
+def merged_events(scenario, base_seed, rep, horizon):
+    """Every arrival of one replication, as time-ordered (time, class,
+    valuation, duration) arrays: each class's full draw, laid end to end in
+    class order and stably sorted by time."""
+    parts = [_class_arrivals(cls, _stream(base_seed, rep, k), horizon, -math.inf)[0]
+             for k, cls in enumerate(scenario.classes)]
+    times, vs, ds = (np.concatenate([part[i] for part in parts]) for i in range(3))
+    ks = np.repeat(np.arange(len(parts)), [part[0].size for part in parts])
+    order = np.argsort(times, kind="stable")
+    return times[order], ks[order], vs[order], ds[order]
 
 
 def small_config(scenario, **kw):
@@ -382,7 +393,7 @@ def reference_simulate(config, prices, trace_path=None):
     if log:
         log.writerow(["time", "event", "class", "worker", "value"])
     for rep in range(config.replications):
-        events = [a.tolist() for a in _merged_events(scenario, config.base_seed, rep, horizon)]
+        events = [a.tolist() for a in merged_events(scenario, config.base_seed, rep, horizon)]
         row = log.writerow if log and rep == 0 else (lambda r: None)
         busy_until = [0.0] * len(scenario.workers)
         earned = [0.0] * len(scenario.workers)
@@ -436,7 +447,7 @@ def reference_simulate_discounted(config, prices):
             g = float(gamma)
         window = min(40.0 / g, budget)
         n_win = max(1, int(budget / window))
-        events = [a.tolist() for a in _merged_events(base, config.base_seed, rep,
+        events = [a.tolist() for a in merged_events(base, config.base_seed, rep,
                                                      n_win * window)]
         busy_until = 0.0
         busy_win = -1
@@ -506,7 +517,7 @@ def reference_simulate_queue(config, price_a, price_b):
     rep_rates = []
     counts = Counts()
     for rep in range(config.replications):
-        times, ks, vs, ds = _merged_events(scenario, config.base_seed, rep, horizon)
+        times, ks, vs, ds = merged_events(scenario, config.base_seed, rep, horizon)
         fits = np.flatnonzero(~(vs < prices[ks]))
         n_arr, n_price = times.size, times.size - fits.size
         earned, n_acc, n_busy = reference_queue_rep(times[fits], ks[fits], ds[fits], prices,
@@ -980,11 +991,69 @@ def test_loss_accepts_path_ending_at_last_job(n):
         assert _loss_accepts(times, np.full(n, n - 1.5)).tolist() == [0, n - 1]
 
 
+def tied_stream(seed, floors, n=400):
+    """A replication's (times, classes, valuations, durations), without the
+    arrivals of class k valued below floors[k], and its ends, with many tied
+    times, every fifth duration 0 and one NaN end."""
+    rng = np.random.default_rng(seed)
+    times = np.sort(np.round(rng.uniform(0.0, 40.0, n), 1))
+    ks = rng.integers(0, len(floors), n)
+    vs = rng.random(n)
+    ds = rng.exponential(0.5, n)
+    ds[::5] = 0.0
+    keep = ~(vs < np.asarray(floors)[ks])
+    times, ks, vs, ds = times[keep], ks[keep], vs[keep], ds[keep]
+    ends = times + ds
+    ends[ends.size // 2] = np.nan
+    return (times, ks, vs, ds), ends
+
+
+def gathered_serve(events, ends, free, row):
+    """The arrivals a worker posting `row` takes among those `free`, served
+    on copies of the arrivals it is offered."""
+    times, ks, vs, _ = events
+    offered = np.flatnonzero(free & (np.asarray(row)[ks] <= vs))
+    return offered[_loss_accepts(times[offered], ends[offered])]
+
+
+# (the price matrix, the worker served, whether every arrival is offered to
+# it); each stream holds only arrivals valued at the matrix's lowest price
+# for their class or more
+SERVED = {
+    "lone_worker": ([[0.3]], 0, True),
+    "top_rank_posting_the_floors": ([[0.2, 0.45], [0.3, 0.6]], 0, True),
+    "nan_valuation": ([[0.3]], 0, False),
+    "lower_rank": ([[0.2, 0.45], [0.3, 0.6]], 1, False),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("case", SERVED)
+def test_serve_on_the_stream_itself_takes_what_the_gathered_path_takes(monkeypatch, case, seed):
+    matrix, worker, every_one_offered = SERVED[case]
+    events, ends = tied_stream(seed, np.min(matrix, axis=0))
+    if case == "nan_valuation":
+        events[2][7] = np.nan
+    free = np.ones(ends.size, dtype=bool)
+    free[_loss_accepts(events[0], ends) if worker else []] = False  # the top rank's
+    served = []
+    loss_accepts = simulate_module._loss_accepts
+    monkeypatch.setattr(simulate_module, "_loss_accepts",
+                        lambda times, *args: served.append(times) or loss_accepts(times, *args))
+    got = simulate_module._serve(events, ends, free, matrix[worker])
+    want = gathered_serve(events, ends, free, matrix[worker])
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert (served[0] is events[0]) == every_one_offered
+    assert np.isnan(ends).any() and (np.diff(events[0]) == 0.0).any()
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.7, 40.0])
 def test_merged_events_one_class_is_the_stable_sort(rate):
     cls = replace(mixed_classes(1)[0], arrival_rate=rate)
-    got = _merged_events(Scenario(classes=(cls,)), 11, 2, 300.0)
-    times, vs, ds = _class_arrivals(cls, _stream(11, 2, 0), 300.0)
+    got, drawn = _offered_events(Scenario(classes=(cls,)), 11, 2, 300.0, [-math.inf])
+    (times, vs, ds), n = _class_arrivals(cls, _stream(11, 2, 0), 300.0, -math.inf)
+    assert drawn == n == times.size
     order = np.argsort(times, kind="stable")
     want = (times[order], np.zeros(times.size, dtype=int), vs[order], ds[order])
     for g, w in zip(got, want):
@@ -1115,7 +1184,7 @@ def assert_same_arrivals(got, want, rng, reference_rng):
 def test_class_arrivals_are_numpys_reference_draws(cls, horizon, seed):
     cls = STREAM_CLASSES[cls]
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert_same_arrivals(_class_arrivals(cls, rng, horizon),
+    assert_same_arrivals(_class_arrivals(cls, rng, horizon, -math.inf)[0],
                          reference_class_arrivals(cls, reference_rng, horizon),
                          rng, reference_rng)
 
@@ -1125,7 +1194,7 @@ def test_class_arrivals_are_numpys_reference_draws(cls, horizon, seed):
 def test_class_arrivals_extend_a_short_first_block(cls, seed):
     cls = STREAM_CLASSES[cls]
     rng, reference_rng = ShortFirstBlock(seed), ShortFirstBlock(seed)
-    got = _class_arrivals(cls, rng, 400.0)
+    got = _class_arrivals(cls, rng, 400.0, -math.inf)[0]
     want = reference_class_arrivals(cls, reference_rng, 400.0)
     assert rng.blocks == reference_rng.blocks >= 2
     assert_same_arrivals(got, want, rng.rng, reference_rng.rng)
@@ -1389,7 +1458,7 @@ def test_pruned_deviation_scan_equals_the_unpruned_reference(ranked_fleet_scenar
 def test_offered_events_are_the_merged_events_priced_in(classes):
     scenario = Scenario(classes=classes)
     floors = np.array([0.45, 0.0, 0.7, 1.6][:len(classes)])
-    full = _merged_events(scenario, 77, 3, 800.0)
+    full = merged_events(scenario, 77, 3, 800.0)
     got, drawn = _offered_events(scenario, 77, 3, 800.0, floors)
     keep = ~(full[2] < floors[full[1]])
     assert drawn == full[0].size
@@ -1400,13 +1469,22 @@ def test_offered_events_are_the_merged_events_priced_in(classes):
         assert g.tobytes() == w[keep].tobytes()
 
 
+class EveryThirdNaN:
+    """A valuation law whose draws run NaN, 0.4, 0.8, NaN, 0.4, ..."""
+
+    def sample(self, rng, n):
+        return np.where(np.arange(n) % 3 == 0, np.nan, np.arange(n) % 3 * 0.4)
+
+
 def test_priced_in_keeps_nan_valuations():
-    times = np.array([0.1, 0.2, 0.3, 0.4])
-    vs = np.array([np.nan, 0.3, 0.5, 0.7])
-    ds = np.array([1.0, 2.0, 3.0, 4.0])
-    got = _priced_in(times, vs, ds, 0.5)
-    assert [a.tolist() for a in got[::2]] == [[0.1, 0.3, 0.4], [1.0, 3.0, 4.0]]
-    assert np.isnan(got[1][0]) and got[1][1:].tolist() == [0.5, 0.7]
+    cls = replace(unit_uniform_class(2.0), valuation=EveryThirdNaN())
+    full, drawn = _class_arrivals(cls, _stream(5, 0, 0), 60.0, -math.inf)
+    got, priced_in_drawn = _class_arrivals(cls, _stream(5, 0, 0), 60.0, 0.5)
+    keep = np.arange(drawn) % 3 != 1
+    assert drawn == priced_in_drawn == full[0].size > 30
+    for g, w in zip(got, full):
+        assert g.tobytes() == w[keep].tobytes()
+    assert np.isnan(got[1][::2]).all() and (got[1][1::2] == 0.8).all()
 
 
 # --- one replication driver ---
@@ -1764,6 +1842,25 @@ def test_runs_go_in_one_process_where_the_platform_cannot_fork(monkeypatch, fork
     assert not simulate_module._forks(cfg)
     assert repr(simulate_queue(cfg, 0.5, 0.65)) == alone
     assert forks == []
+
+
+@pytest.mark.parametrize("name", SPLIT_RUNS)
+def test_no_simulator_holds_a_replication_while_it_draws_the_next(monkeypatch, name):
+    scenario, run = SPLIT_RUNS[name]
+    cfg = SimConfig(scenario=scenario(), expected_arrivals=2_000.0, replications=3, base_seed=85)
+    force_rule(monkeypatch, False)
+    offered_events = simulate_module._offered_events
+    drawn = []
+
+    def offered_once_the_last_is_freed(*args):
+        assert not drawn or drawn[-1]() is None, "the last replication's arrays are alive"
+        events, n = offered_events(*args)
+        drawn.append(weakref.ref(events[0]))
+        return events, n
+
+    monkeypatch.setattr(simulate_module, "_offered_events", offered_once_the_last_is_freed)
+    run(cfg)
+    assert len(drawn) == 3
 
 
 def test_runs_go_in_one_process_while_another_thread_runs(monkeypatch, forks):
