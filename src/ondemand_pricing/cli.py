@@ -322,6 +322,8 @@ def cmd_compete(scenario: Scenario, args, outdir: Path) -> tuple[list[str], bool
             "undifferentiated workers admit no pure price equilibrium; "
             "rerun with --dynamics to see the cycling behaviour"
         )
+    if args.verify and scenario.num_classes != 1:  # as deviation_scan would, before any output
+        raise ModelMismatch("deviation_scan supports single-class scenarios")
     eq = ranked_price_equilibrium(scenario)
     for outcome in eq.outcomes:
         print(f"rank {outcome.rank}: prices = {_fmts(outcome.prices)}"

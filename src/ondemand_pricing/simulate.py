@@ -18,17 +18,18 @@ the lowest price any worker it runs posts to their class, which leave
 without changing any state, as soon as the valuations are drawn and before
 the durations are, and merges the rest into one time-ordered stream,
 freeing each class's arrays as they are merged; `_counts` counts the
-dropped ones as priced out. `simulate`, `simulate_queue` and
-`simulate_discounted` hold one replication at a time: each releases a
-replication's arrays before it draws the next.
-`simulate`, `simulate_queue` and `deviation_scan` take their replications
-from the same two helpers: `_run_span` works out the horizon, the warm-up
-end and the span once per run, and `_replications` draws a range of
-replications lazily, one at a time, in order. `simulate_discounted` draws
-its own, over a whole number of windows of each replication's discount
-rate. A deviation scan runs only the scanned worker, at its baseline and
-grid prices, and the workers ranked above it, so only their prices set its
-floors.
+dropped ones as priced out. A replication is one call: `_loss_rates`,
+`_queue_rate` and `_discounted_value` each draw replication `rep`, serve it
+and return its value and counts, so its arrays are locals of that call and
+are freed when it returns, before the next replication is drawn. One loop,
+`_reps`, runs such a function over a range of replications, in order, and
+adds up their counts. `_run_span` works out a rate run's horizon, warm-up
+end and span once per run; a discounted replication runs over a whole
+number of windows of its own discount rate. `deviation_scan` draws each
+replication in a generator of its own, which ends, and so frees the
+replication, before the next one is drawn. A deviation scan runs only the
+scanned worker, at its baseline and grid prices, and the workers ranked
+above it, so only their prices set its floors.
 
 Only `simulate` writes an event trace, to the path it is given: a view of
 replication 0, written by a job of its own, `_trace_first_rep`. The job
@@ -76,7 +77,7 @@ simulator adds them in start order, left to right from 0.0.
 
 Long runs take two processes. `simulate`, `simulate_queue` and
 `simulate_discounted` each compute their replications' values and counts
-through one function of a range of replications, and `_at_once` runs two
+through `_reps` over a range of replications, and `_at_once` runs two
 calls: the first in a forked child and the second here, at once, for a run
 of two or more replications that draws at least _FORK_ARRIVALS (2^20)
 expected arrivals in all (replications x expected_arrivals), and in turn
@@ -345,10 +346,11 @@ def _merge(parts):
     """Time-ordered (time, class, *columns) arrays from each class's (times,
     *columns), in class order. `parts` is emptied and each class's arrays
     are freed once merged, so beyond its result the merge holds at most two
-    arrays as long as the stream."""
-    if len(parts) == 1:  # one class is drawn in time order
+    arrays as long as the stream. One class is drawn in time order, and its
+    class column is one zero, broadcast."""
+    if len(parts) == 1:
         times, *columns = parts.pop()
-        return times, np.zeros(times.size, dtype=int), *columns
+        return times, np.broadcast_to(0, times.size), *columns
     ts, *columns = map(list, zip(*parts))
     parts.clear()
     sizes = [t.size for t in ts]
@@ -611,22 +613,18 @@ def _write_trace(path: str, events, chosen, lost_price) -> None:
 
 def _trace_events(scenario: Scenario, base_seed: int, horizon: float, floors):
     """Replication 0's every arrival, time-ordered, in the columns the trace
-    writes: (time, class, valuation, priced out). No duration is drawn, and a
-    one-class stream's class column is one zero, broadcast."""
+    writes: (time, class, valuation, priced out). No duration is drawn."""
     parts = []
     for k, cls in enumerate(scenario.classes):
         times, vs = _valued_arrivals(cls, _stream(base_seed, 0, k), horizon)
         parts.append((times, vs, vs < floors[k]))
     del times, vs  # the last class's, which the merge frees
-    if len(parts) > 1:
-        return _merge(parts)
-    times, vs, lost_price = parts.pop()
-    return times, np.broadcast_to(0, times.size), vs, lost_price
+    return _merge(parts)
 
 
 def _trace_first_rep(path: str, config: SimConfig, matrix, horizon: float, floors) -> None:
     """Write replication 0's trace to `path`. Its priced-in stream, drawn at
-    `floors`, runs through `_loss_rep` as in `_loss_reps`; only the worker
+    `floors`, runs through `_loss_rep` as in `_loss_rates`; only the worker
     each arrival went to is kept, and scattered back onto every arrival,
     redrawn by `_trace_events` once the priced-in stream is freed."""
     ranks = config.scenario.rank_order
@@ -673,15 +671,16 @@ def _run_span(config: SimConfig) -> tuple[float, float, float]:
     return horizon, warm, horizon - warm
 
 
-def _replications(config: SimConfig, floors, horizon: float, reps: range):
-    """The replications `reps` of a run over [0, horizon]: (events, arrivals
-    drawn) for each, from `_offered_events` at `floors`, drawn lazily in
-    order. The tuples come straight from a generator expression, which keeps
-    no reference to one once it is handed on, so a caller that drops a
-    replication's arrays frees them (through `enumerate`, which keeps its
-    last result, it could not)."""
-    return (_offered_events(config.scenario, config.base_seed, rep, horizon, floors)
-            for rep in reps)
+def _reps(one, reps: range):
+    """The values of the replications `reps`, in order, and their counts
+    added up: one call `one(rep) -> (value, Counts)` each. A replication's
+    arrays are locals of its call, so they are freed before the next one is
+    drawn."""
+    values, counts = [], Counts()
+    for value, rep_counts in map(one, reps):
+        values.append(value)
+        counts += rep_counts
+    return values, counts
 
 
 def _forks(config: SimConfig) -> bool:
@@ -764,38 +763,32 @@ def _at_once(first, second, fork: bool):
     return first_result, second_result
 
 
-def _split(run, config: SimConfig):
-    """All of a run's replications through `run`, which gives the (values,
-    Counts) of a range of them: the lower half, then the upper, through
-    `_at_once`, so for a run that forks the lower half runs in the child,
-    joined in replication order. Each replication's values are the same
-    floats either way."""
+def _split(one, config: SimConfig):
+    """Every replication of a run, each a call of `one`, through `_reps`:
+    the lower half, then the upper, through `_at_once`, so for a run that
+    forks the lower half runs in the child, joined in replication order.
+    Each replication's value is the same either way."""
     n = config.replications
     (lower, lower_counts), (upper, upper_counts) = _at_once(
-        partial(run, range(n // 2)), partial(run, range(n // 2, n)), _forks(config))
+        partial(_reps, one, range(n // 2)), partial(_reps, one, range(n // 2, n)), _forks(config))
     return lower + upper, lower_counts + upper_counts
 
 
-def _loss_reps(config: SimConfig, matrix, floors, sizes, reps: range):
-    """Each worker's rate, one row per replication of `reps` in config
-    order, and their counts, for `simulate`."""
+def _loss_rates(config: SimConfig, matrix, floors, sizes, rep: int):
+    """Replication `rep`'s rate of each worker, in config order, and its
+    counts, for `simulate`."""
     scenario = config.scenario
     horizon, warm, span = sizes
     ranks = scenario.rank_order
-    rows = []
-    counts = Counts()
-    for events, drawn in _replications(config, floors, horizon, reps):
-        times, ks, _, ends = events
-        np.add(times, ends, out=ends)  # over the durations, which nothing reads again
-        free, taken = _loss_rep(events, ends, matrix, ranks)
-        counts += _counts(drawn, free.size, free.size - int(np.count_nonzero(free)))
-        rates = [0.0] * len(ranks)  # in config order; `taken` is in rank order
-        for i, jobs in zip(ranks, taken):
-            rates[i] = _earnings(np.asarray(matrix[i])[ks[jobs]] - scenario.workers[i].cost,
-                                 times[jobs], ends[jobs], warm, horizon) / span
-        rows.append(rates)
-        del events, times, ks, _, ends, free, taken, jobs  # before the next draw
-    return rows, counts
+    events, drawn = _offered_events(scenario, config.base_seed, rep, horizon, floors)
+    times, ks, _, ends = events
+    np.add(times, ends, out=ends)  # over the durations, which nothing reads again
+    free, taken = _loss_rep(events, ends, matrix, ranks)
+    rates = [0.0] * len(ranks)  # in config order; `taken` is in rank order
+    for i, jobs in zip(ranks, taken):
+        rates[i] = _earnings(np.asarray(matrix[i])[ks[jobs]] - scenario.workers[i].cost,
+                             times[jobs], ends[jobs], warm, horizon) / span
+    return rates, _counts(drawn, free.size, free.size - int(np.count_nonzero(free)))
 
 
 def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimStats:
@@ -809,12 +802,12 @@ def simulate(config: SimConfig, prices, trace_path: str | None = None) -> SimSta
     matrix = _loss_matrix(scenario, prices, "simulate")
     floors = np.min(np.asarray(matrix), axis=0)
     sizes = _run_span(config)
-    run = partial(_loss_reps, config, matrix, floors, sizes)
+    one = partial(_loss_rates, config, matrix, floors, sizes)
     if trace_path is None:
-        rows, counts = _split(run, config)
+        rows, counts = _split(one, config)
     else:
         trace = partial(_trace_first_rep, trace_path, config, matrix, sizes[0], floors)
-        _, (rows, counts) = _at_once(trace, partial(run, range(config.replications)),
+        _, (rows, counts) = _at_once(trace, partial(_reps, one, range(config.replications)),
                                      _forks(config))
     return _stats("rate", [left_sum(row) for row in rows], counts,
                   per_worker_reps=tuple(zip(*rows)))
@@ -851,48 +844,42 @@ def simulate_discounted(config: SimConfig, prices) -> SimStats:
             raise ConfigError(f"discount rate {g!r} cuts the {budget!r}-hour horizon into "
                               f"{windows!r} windows of {_DISCOUNT_SPAN!r} inverse rates; a run "
                               f"needs at least one, and fewer than int64 can number")
-    rep_values, counts = _split(partial(_discounted_reps, config, price_arr, budget), config)
+    rep_values, counts = _split(partial(_discounted_value, config, price_arr, budget), config)
     return _stats("value", rep_values, counts)
 
 
-def _discounted_reps(config: SimConfig, price_arr, budget: float, reps: range):
-    """The values and counts of the replications `reps` of a discounted run
-    of `budget` hours, for `simulate_discounted`."""
+def _discounted_value(config: SimConfig, price_arr, budget: float, rep: int):
+    """Replication `rep`'s value and counts of a discounted run of `budget`
+    hours, for `simulate_discounted`."""
     scenario = config.scenario
     cost = scenario.workers[0].cost
     discount = scenario.discount
     mixture = scenario.kind == "mixture"
-    rep_values = []
-    counts = Counts()
-    for rep in reps:
-        if mixture:
-            aux = _stream(config.base_seed, rep)
-            g = float(aux.choice(np.asarray(discount.rates), p=np.asarray(discount.weights)))
-        else:
-            g = float(discount.rate)
-        window = _DISCOUNT_SPAN / g
-        n_win = int(budget / window)
-        # an arrival at the horizon can fall in window n_win; it is not simulated
-        (times, ks, _, ds), n_arr = _offered_events(
-            scenario, config.base_seed, rep, n_win * window, price_arr,
-            lambda t: bisect_left(t, n_win, key=lambda x: int(x / window)))
-        wins = (times / window).astype(np.int64)
-        n_fit = int(np.searchsorted(wins, n_win, "left"))
-        t, w = times[:n_fit], wins[:n_fit]
-        # each end capped at the next window's first arrival, where the worker
-        # restarts idle; fmin caps a NaN end there too
-        jobs = _loss_accepts(t, np.fmin(t + ds[:n_fit], np.append(t, np.inf)[_run_ends(w)]))
-        local = times[jobs] - wins[jobs] * window
-        head = libm_map(math.exp, -g * local)
-        tail = libm_map(math.exp, -g * (local + ds[jobs]))
-        with np.errstate(over="ignore", invalid="ignore"):  # _stats refuses an inf or NaN
-            value = _segment_sums((price_arr[ks[jobs]] - cost) * (head - tail) / g,
-                                  (0, jobs.size))[0]
-        counts += _counts(n_arr, n_fit, jobs.size)
-        mean_value = value / n_win
-        rep_values.append(g * mean_value if mixture else mean_value)
-        del times, ks, _, ds, wins, t, w, jobs, local, head, tail  # before the next draw
-    return rep_values, counts
+    if mixture:
+        aux = _stream(config.base_seed, rep)
+        g = float(aux.choice(np.asarray(discount.rates), p=np.asarray(discount.weights)))
+    else:
+        g = float(discount.rate)
+    window = _DISCOUNT_SPAN / g
+    n_win = int(budget / window)
+    # an arrival at the horizon can fall in window n_win; it is not simulated
+    (times, ks, _, ds), n_arr = _offered_events(
+        scenario, config.base_seed, rep, n_win * window, price_arr,
+        lambda t: bisect_left(t, n_win, key=lambda x: int(x / window)))
+    wins = (times / window).astype(np.int64)
+    n_fit = int(np.searchsorted(wins, n_win, "left"))
+    t, w = times[:n_fit], wins[:n_fit]
+    # each end capped at the next window's first arrival, where the worker
+    # restarts idle; fmin caps a NaN end there too
+    jobs = _loss_accepts(t, np.fmin(t + ds[:n_fit], np.append(t, np.inf)[_run_ends(w)]))
+    local = times[jobs] - wins[jobs] * window
+    head = libm_map(math.exp, -g * local)
+    tail = libm_map(math.exp, -g * (local + ds[jobs]))
+    with np.errstate(over="ignore", invalid="ignore"):  # _stats refuses an inf or NaN
+        value = _segment_sums((price_arr[ks[jobs]] - cost) * (head - tail) / g,
+                              (0, jobs.size))[0]
+    mean_value = value / n_win
+    return (g * mean_value if mixture else mean_value), _counts(n_arr, n_fit, jobs.size)
 
 
 def _queue_rep(times, ks, ds, prices, cost: float, warm: float, horizon: float):
@@ -928,19 +915,15 @@ def _queue_rep(times, ks, ds, prices, cost: float, warm: float, horizon: float):
     return earned, n_served, times.size - n_served
 
 
-def _queue_reps(config: SimConfig, price_arr, cost: float, sizes, reps: range):
-    """The rates and counts of the replications `reps` of a queue run, for
+def _queue_rate(config: SimConfig, price_arr, cost: float, sizes, rep: int):
+    """Replication `rep`'s rate and counts of a queue run, for
     `simulate_queue`."""
     horizon, warm, span = sizes
-    rep_rates = []
-    counts = Counts()
     # a priced-out arrival changes no state, so it is dropped at the draw
-    for (times, ks, _, ds), n_arr in _replications(config, price_arr, horizon, reps):
-        earned, n_acc, _ = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
-        counts += _counts(n_arr, times.size, n_acc)
-        rep_rates.append(earned / span)
-        del times, ks, ds  # before the next draw
-    return rep_rates, counts
+    (times, ks, _, ds), n_arr = _offered_events(config.scenario, config.base_seed, rep,
+                                                horizon, price_arr)
+    earned, n_acc, _ = _queue_rep(times, ks, ds, price_arr, cost, warm, horizon)
+    return earned / span, _counts(n_arr, times.size, n_acc)
 
 
 def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStats:
@@ -956,7 +939,7 @@ def simulate_queue(config: SimConfig, price_a: float, price_b: float) -> SimStat
     _, _, cost = queue_parts(scenario, "simulate_queue")
     price_arr = np.asarray(check_prices(scenario, (price_a, price_b)))
     sizes = _run_span(config)
-    rep_rates, counts = _split(partial(_queue_reps, config, price_arr, cost, sizes), config)
+    rep_rates, counts = _split(partial(_queue_rate, config, price_arr, cost, sizes), config)
     return _stats("rate", rep_rates, counts)
 
 
@@ -1023,6 +1006,10 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     if config.replications < 2:
         raise ConfigError("deviation_scan needs at least two replications")
     matrix = _loss_matrix(scenario, equilibrium_prices, "deviation_scan")
+    # as SimConfig refuses a count: a float or str would fail later, and a
+    # bool would be reported as a worker index
+    if isinstance(worker_index, bool) or not isinstance(worker_index, numbers.Integral):
+        raise ConfigError(f"worker_index must be an integer, not {worker_index!r}")
     if not 0 <= worker_index < len(scenario.workers):
         raise ConfigError(f"no worker at index {worker_index}")
     base_price = matrix[worker_index][0]
@@ -1050,20 +1037,22 @@ def deviation_scan(config: SimConfig, equilibrium_prices, worker_index: int,
     slots = {row: r for r, row in enumerate(dict.fromkeys((baseline, *candidates)))}
     floors = np.min(np.asarray([*(matrix[i] for i in above), *slots]), axis=0)
     horizon, warm, span = _run_span(config)
-    reps = _replications(config, floors, horizon, range(config.replications))
 
-    def streams():
-        for events, _ in reps:
-            times, _, vs, ds = events
-            ends = times + ds
-            free = _loss_rep(events, ends, matrix, above)[0]
-            for (price,) in slots:
-                offered = (free & (price <= vs)).nonzero()[0]
-                yield times[offered], ends[offered], price
+    def rep_streams(rep):
+        # drawn when its first stream is asked for; its arrays are freed when
+        # the generator ends, before the next replication is drawn
+        events, _ = _offered_events(scenario, config.base_seed, rep, horizon, floors)
+        times, _, vs, ds = events
+        ends = times + ds
+        free = _loss_rep(events, ends, matrix, above)[0]
+        for (price,) in slots:
+            offered = (free & (price <= vs)).nonzero()[0]
+            yield times[offered], ends[offered], price
 
     # the streams come replication-major and their earnings stay in order,
     # so row r of `rates` is the distinct row r's replication rates
-    earnings = [earned for batch in _batches(streams())
+    streams = (stream for rep in range(config.replications) for stream in rep_streams(rep))
+    earnings = [earned for batch in _batches(streams)
                 for earned in _serve_streams(batch, cost, warm, horizon)]
     rates = np.reshape(earnings, (config.replications, len(slots))).T / span
 

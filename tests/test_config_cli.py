@@ -913,6 +913,19 @@ def test_exit_code_extreme_runs(tmp_path, capsys, time_budget, case):
     assert not (tmp_path / "o").exists()
 
 
+def test_compete_verify_refuses_a_multi_class_fleet_before_it_solves(tmp_path, capsys):
+    # the scan takes one class: refused before the equilibrium is solved or printed
+    doc = edited("compete_ranked.json", lambda doc: doc["classes"].append(doc["classes"][0]))
+    cfg = tmp_path / "two_classes.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("compete", "--config", str(cfg), "--verify",
+                   "--out", str(tmp_path / "o")) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: deviation_scan supports single-class scenarios\n"
+    assert out == ""
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("case", ["simulate_inf_value", "verify_high_1e308",
                                   "simulate_mixture_overflow"])
 def test_overflowing_runs_print_no_numpy_warning(tmp_path, capsys, time_budget, case):

@@ -44,6 +44,10 @@ def queue_stats():
                                     replications=2), 0.5, 0.5)
 
 
+def scan_worker(index):
+    return deviation_scan(SimConfig(scenario=fleet(), replications=2), [[0.6], [0.4]], index)
+
+
 def outcome(rank):
     return WorkerOutcome(rank=rank, prices=(0.5,), rate=0.1, busy_fraction=0.2, converged=True)
 
@@ -95,6 +99,14 @@ REFUSALS = {
         lambda: deviation_scan(SimConfig(scenario=fleet(), replications=1),
                                [[0.6], [0.4]], 0),
         ConfigError, "deviation_scan needs at least two replications"),
+    "scan_float_worker_index": (lambda: scan_worker(1.0), ConfigError,
+                                "worker_index must be an integer, not 1.0"),
+    "scan_negative_zero_worker_index": (lambda: scan_worker(-0.0), ConfigError,
+                                        "worker_index must be an integer, not -0.0"),
+    "scan_str_worker_index": (lambda: scan_worker("1"), ConfigError,
+                              "worker_index must be an integer, not '1'"),
+    "scan_bool_worker_index": (lambda: scan_worker(True), ConfigError,
+                               "worker_index must be an integer, not True"),
     "worker_mean_se_of_a_queue_run": (lambda: queue_stats().worker_mean_se(0), ValueError,
                                       "no per-worker breakdown recorded"),
     "flat_prices_for_a_fleet": (

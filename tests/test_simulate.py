@@ -1488,8 +1488,8 @@ def test_priced_in_keeps_nan_valuations():
 
 
 # --- one replication driver ---
-# simulate, simulate_queue and deviation_scan take their replications from
-# _replications; simulate_discounted draws its own over its window horizon.
+# each simulator draws replication r through _offered_events, once, in order;
+# simulate_discounted over its window horizon.
 
 
 def two_ranked_workers(arrival_rate=1.0):
@@ -1844,9 +1844,15 @@ def test_runs_go_in_one_process_where_the_platform_cannot_fork(monkeypatch, fork
     assert forks == []
 
 
-@pytest.mark.parametrize("name", SPLIT_RUNS)
+# the runs that split, and a scan of the rank-2 worker, which never forks
+HELD_RUNS = {**SPLIT_RUNS,
+             "deviation_scan": (two_ranked_workers,
+                                lambda cfg: deviation_scan(cfg, [[0.6], [0.4]], 1))}
+
+
+@pytest.mark.parametrize("name", HELD_RUNS)
 def test_no_simulator_holds_a_replication_while_it_draws_the_next(monkeypatch, name):
-    scenario, run = SPLIT_RUNS[name]
+    scenario, run = HELD_RUNS[name]
     cfg = SimConfig(scenario=scenario(), expected_arrivals=2_000.0, replications=3, base_seed=85)
     force_rule(monkeypatch, False)
     offered_events = simulate_module._offered_events
